@@ -3,17 +3,18 @@ C*-action and a C+-action, from their divisor presentation data."""
 
 from .divisor import (
     AffineMap,
+    Anchored,
     DivisorPair,
     QDivisor,
     affine_equivalent,
+    anchored,
     denom_index,
-    floor_frac,
     normalize_pair,
     shift_equivalent,
 )
+from .element import GradedElement, parse_element, parse_poly, render_element
 from .dpdring import (
     Elliptic,
-    GradedElement,
     Hyperbolic,
     Parabolic,
     Presentation,
@@ -58,7 +59,6 @@ from .lnd import (
     nilpotency_steps,
     parabolic_horizontal,
     positive_lnd_exists,
-    reverse,
     stabilization_witness,
 )
 

@@ -8,7 +8,6 @@ values, so a formula regression fails loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .divisor import DivisorPair, QDivisor
 from .dpdring import Elliptic, Hyperbolic, SurfaceSpec

@@ -10,9 +10,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .divisor import (
+    Anchored,
     DivisorPair,
     QDivisor,
     affine_equivalent,
+    anchored,
     denom_index,
     normalize_pair,
 )
@@ -23,21 +25,16 @@ from .dpdring import (
     Presentation,
     SurfaceSpec,
     is_line_cross_torus,
-    presentation,
     spec_to_obj,
 )
-from .errors import FractionalPlusSpread, NoPositiveLnd
+from .errors import NoPositiveLnd, check
 from .exactmath import Rat, format_rat, rational_linear_factorization
 from .lnd import (
     DegreeSet,
-    admissible_degrees,
-    anchor_parabolic,
     describe,
     elliptic_lnd,
     fiber_lnd,
-    parabolic_horizontal,
     positive_lnd_exists,
-    reverse,
 )
 
 ML_TRIVIAL = "trivial"
@@ -120,24 +117,24 @@ class LndSummary:
     elliptic_axes: Optional[tuple[str, str]] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ClassificationReport:
     spec: SurfaceSpec
     grading: str
-    normalized_pair: Optional[DivisorPair]
-    normalized_divisor: Optional[QDivisor]
-    translation: Optional[Rat]
-    d_plus_index: Optional[int]
-    d_minus_index: Optional[int]
+    normalized_pair: Optional[DivisorPair] = None
+    normalized_divisor: Optional[QDivisor] = None
+    translation: Optional[Rat] = None
+    d_plus_index: Optional[int] = None
+    d_minus_index: Optional[int] = None
     lnd: LndSummary
     ml: MlResult
     mm: Optional[int]
     plane: bool
-    presentation: Optional[Presentation]
-    fibers: tuple[FiberData, ...]
-    singularities: tuple[SingularityRecord, ...]
-    ruling: Optional[tuple[tuple[Rat, int], ...]]
-    sl2: Optional[Sl2Model]
+    presentation: Optional[Presentation] = None
+    fibers: tuple[FiberData, ...] = ()
+    singularities: tuple[SingularityRecord, ...] = ()
+    ruling: Optional[tuple[tuple[Rat, int], ...]] = None
+    sl2: Optional[Sl2Model] = None
     recognition: Optional[Recognition]
     toric: Optional[tuple[int, int]]
 
@@ -160,7 +157,7 @@ def fiber_structure(pair: DivisorPair, a: Rat) -> FiberData:
     if x + y == 0:
         return FiberData(point=a, m_plus=m_plus, m_minus=m_minus, degenerate=False)
     delta = m_plus * e_minus - m_minus * e_plus
-    assert delta >= 1
+    check(delta >= 1, f"fiber determinant {delta} < 1 at a degenerate point")
     return FiberData(
         point=a,
         m_plus=m_plus,
@@ -192,7 +189,7 @@ def ruling_divisor(pair: DivisorPair) -> list[tuple[Rat, int]]:
             continue
         m_minus = -pair.d_minus(a).denominator
         mult = d_plus_idx * m_minus * s
-        assert mult.denominator == 1 and mult > 0
+        check(mult.denominator == 1 and mult > 0, f"ruling multiplicity {mult}")
         out.append((a, int(mult)))
     return sorted(out)
 
@@ -211,7 +208,7 @@ def singular_points(pair: DivisorPair) -> list[SingularityRecord]:
         paper_type = None
         if chart_valid:
             r = -k * q.d_minus(a)
-            assert r.denominator == 1 and r > 0
+            check(r.denominator == 1 and r > 0, f"root multiplicity {r}")
             r = int(r)
             g = math.gcd(r, k)
             d_i, e_i_prime = r // g, k // g
@@ -228,12 +225,8 @@ def singular_points(pair: DivisorPair) -> list[SingularityRecord]:
     return sorted(out, key=lambda rec: rec.point)
 
 
-def _concentrated(d: QDivisor) -> bool:
-    return len(d.frac().support) <= 1
-
-
 def ml_invariant(spec: SurfaceSpec) -> MlResult:
-    """Makar-Limanov invariant from the divisor data.
+    """Makar-Limanov invariant, as classify() derives it.
 
     Elliptic specs are toric, hence trivial.  Parabolic: trivial iff the
     fractional part of D is concentrated; otherwise only fiber-type
@@ -243,58 +236,26 @@ def ml_invariant(spec: SurfaceSpec) -> MlResult:
     invariant C[v, v^-1] (provided a derivation exists at all); one-sided
     existence leaves C[v] in the stated degree; no derivation leaves A.
     """
-    if isinstance(spec, Elliptic):
-        return MlResult(ML_TRIVIAL)
-    if isinstance(spec, Parabolic):
-        if _concentrated(spec.divisor):
-            return MlResult(ML_TRIVIAL)
-        return MlResult(ML_POLYNOMIAL, generator_degree=0)
-    pair = spec.pair
-    plus_ok = _concentrated(pair.d_plus)
-    minus_ok = _concentrated(pair.d_minus)
-    if pair.sum().is_zero():
-        # Spread fractional parts kill every homogeneous derivation even
-        # here, and with them every derivation at all.
-        return MlResult(ML_LAURENT) if plus_ok else MlResult(ML_WHOLE)
-    if plus_ok and minus_ok:
-        return MlResult(ML_TRIVIAL)
-    if plus_ok:
-        return MlResult(ML_POLYNOMIAL, generator_degree=denom_index(pair.d_plus))
-    if minus_ok:
-        return MlResult(ML_POLYNOMIAL, generator_degree=-denom_index(pair.d_minus))
-    return MlResult(ML_WHOLE)
+    return classify(spec).ml
 
 
 def mm_invariant(spec: SurfaceSpec) -> Optional[int]:
-    """Homogeneous Miyanishi-Masuda invariant; defined only for trivial ML.
+    """Homogeneous Miyanishi-Masuda invariant, as classify() derives it.
 
-    Parabolic toric: the denominator index d(A).  Elliptic (d, e'): d.
-    Hyperbolic: -d_plus_index * d_minus_index * deg(D+ + D-), cross-checked
-    against the defining polynomial both through the presentation degree
-    and through the divisor identity div P = -k d+' d-' (D+ + D-) with
-    k = gcd of the two indices.
+    Defined only for trivial ML.  Parabolic toric: the denominator index
+    d(A).  Elliptic (d, e'): d.  Hyperbolic: see _hyperbolic_mm.
     """
-    if ml_invariant(spec).kind != ML_TRIVIAL:
-        return None
-    if isinstance(spec, Elliptic):
-        return spec.d
-    if isinstance(spec, Parabolic):
-        return denom_index(spec.divisor)
-    pair = spec.pair
-    d_plus_idx = denom_index(pair.d_plus)
-    d_minus_idx = denom_index(pair.d_minus)
-    value = -d_plus_idx * d_minus_idx * pair.sum().degree
-    assert value.denominator == 1 and value > 0
-    value = int(value)
+    return classify(spec).mm
 
-    g = math.gcd(d_plus_idx, d_minus_idx)
-    div_p = pair.sum() * (-(d_plus_idx * d_minus_idx // g))
-    assert div_p.is_integral() and div_p.is_effective()
-    assert g * div_p.degree == value
 
-    pres = presentation(pair)
-    assert pres.P.degree == value
-    return value
+def recognize_homogeneous(spec: SurfaceSpec) -> Optional[Recognition]:
+    """Gizatullin-Popov recognition, as classify() derives it.
+
+    Returns plane (mm = 1), line_cross_torus, quadric, conic_complement or
+    veronese_cone(d); None means no algebraic group acts with a big open
+    orbit.
+    """
+    return classify(spec).recognition
 
 
 def _template(model: str, param: int) -> DivisorPair:
@@ -360,16 +321,7 @@ def recognize_sl2(pair: DivisorPair) -> Optional[Sl2Model]:
     return None
 
 
-def _parabolic_toric_type(d: QDivisor) -> Optional[tuple[int, int]]:
-    try:
-        qd, _ = anchor_parabolic(d)
-    except FractionalPlusSpread:
-        return None
-    dd = denom_index(qd)
-    return dd, int(-dd * qd(0))
-
-
-def _hyperbolic_toric_type(pair: DivisorPair) -> Optional[tuple[int, int]]:
+def _toric_type(a: Anchored) -> Optional[tuple[int, int]]:
     """Cone normal form (d, e) of a one-point hyperbolic pair, else None.
 
     The graded ring of a pair supported at a single point is the semigroup
@@ -377,191 +329,166 @@ def _hyperbolic_toric_type(pair: DivisorPair) -> Optional[tuple[int, int]]:
     first ray to (1, 0) by GL2(Z) and reducing mod the second coordinate
     yields V_{d,e}, reported with e canonicalized to min(e, e^-1 mod d).
     """
-    q = normalize_pair(pair)
+    q = a.pair
     support = set(q.d_plus.support) | set(q.d_minus.support)
-    if len(support) > 1:
-        return None
-    if not support:
-        return None  # A^1 x C*, not of the form V_{d,e}
-    (p0,) = support
-    q = q.translate(-p0)
-    d = denom_index(q.d_plus)
-    e_prime = int(-d * q.d_plus(0))
-    k = denom_index(q.d_minus)
-    l = int(-k * q.d_minus(0))
-    r = k * e_prime + d * l
+    if len(support) != 1:
+        return None  # several points, or A^1 x C*, not of the form V_{d,e}
+    (p0,) = support  # away from 0 only when d_plus is integral
+    l = int(-a.k * q.d_minus(p0))
+    r = a.k * a.e_prime + a.d * l
     if r == 0:
         return None  # unit of nonzero degree: A^1 x C*
     # Bezout row (x, y) with x*e' + y*d = 1; alpha is well-defined mod r.
-    g, x, y = _xgcd(e_prime, d)
-    assert g == 1
-    alpha = x * l - y * k
-    e = alpha % r
-    if e != 0:
-        inv = pow(e, -1, r) if math.gcd(e, r) == 1 else e
-        e = min(e, inv)
-    return r, e
+    # M = [[x, y], [-d, e']] is unimodular and sends the primitive ray
+    # (l, -k) to (alpha, -r), so gcd(alpha, r) = 1 and alpha is invertible.
+    x = pow(a.e_prime, -1, a.d)
+    y = (1 - x * a.e_prime) // a.d
+    e = (x * l - y * a.k) % r
+    return r, min(e, pow(e, -1, r)) if e else 0
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    return old_r, old_s, old_t
+def _cone_recognition(d: int, e_prime: int) -> Optional[Recognition]:
+    """V_(d,e'): the plane when d = 1, a Veronese cone when e' = 1."""
+    if d == 1:
+        return Recognition("plane")
+    return Recognition("veronese_cone", d) if e_prime == 1 else None
 
 
-def recognize_homogeneous(spec: SurfaceSpec) -> Optional[Recognition]:
-    """Gizatullin-Popov recognition: which homogeneous model, if any.
+def _hyperbolic_ml(
+    pair: DivisorPair, plus: Optional[Anchored], minus: Optional[Anchored]
+) -> MlResult:
+    if pair.sum().is_zero():
+        # Spread fractional parts kill every homogeneous derivation even
+        # here, and with them every derivation at all.
+        return MlResult(ML_LAURENT) if plus else MlResult(ML_WHOLE)
+    if plus and minus:
+        return MlResult(ML_TRIVIAL)
+    if plus:
+        return MlResult(ML_POLYNOMIAL, generator_degree=plus.d)
+    if minus:
+        return MlResult(ML_POLYNOMIAL, generator_degree=-minus.d)
+    return MlResult(ML_WHOLE)
 
-    Returns plane (mm = 1), line_cross_torus, quadric, conic_complement or
-    veronese_cone(d); None means no algebraic group acts with a big open
-    orbit.
+
+def _hyperbolic_mm(
+    pair: DivisorPair, plus: Anchored, minus: Anchored, pres: Presentation
+) -> int:
+    """-d_plus_index * d_minus_index * deg(D+ + D-), for trivial ML.
+
+    Cross-checked against the defining polynomial both through the
+    presentation degree and through the divisor identity
+    div P = -k d+' d-' (D+ + D-) with k = gcd of the two indices.
     """
-    mm = mm_invariant(spec)
+    s = pair.sum()
+    value = -plus.d * minus.d * s.degree
+    check(value.denominator == 1 and value > 0, f"MM = {value} is not positive")
+    g = math.gcd(plus.d, minus.d)
+    div_p = s * (-(plus.d * minus.d // g))
+    check(div_p.is_integral() and div_p.is_effective(), f"div P = {div_p}")
+    check(g * div_p.degree == value, "MM disagrees with the degree of div P")
+    check(pres.P.degree == value, "MM disagrees with the presentation degree")
+    return int(value)
+
+
+def _hyperbolic_recognition(
+    pair: DivisorPair, mm: Optional[int], plus: Optional[Anchored],
+    sl2: Optional[Sl2Model],
+) -> Optional[Recognition]:
     if mm == 1:
         return Recognition("plane")
-    if isinstance(spec, Elliptic):
-        if spec.e_prime == 1 and spec.d >= 2:
-            return Recognition("veronese_cone", spec.d)
-        return None
-    if isinstance(spec, Parabolic):
-        toric = _parabolic_toric_type(spec.divisor)
-        if toric is not None:
-            d, e_prime = toric
-            if e_prime == 1 and d >= 2:
-                return Recognition("veronese_cone", d)
-        return None
-    pair = spec.pair
-    if is_line_cross_torus(pair) and positive_lnd_exists(pair):
+    if is_line_cross_torus(pair) and plus is not None:
         return Recognition("line_cross_torus")
-    sl2 = recognize_sl2(pair)
     if sl2 is None:
         return None
-    if sl2.model == "quadric":
-        return Recognition("quadric")
-    if sl2.model == "conic_complement":
-        return Recognition("conic_complement")
+    if sl2.model in ("quadric", "conic_complement"):
+        return Recognition(sl2.model)
     if sl2.veronese_degree is not None and sl2.veronese_degree >= 2:
         return Recognition("veronese_cone", sl2.veronese_degree)
     return None
 
 
-def classify(spec: SurfaceSpec) -> ClassificationReport:
-    """Populate the full report by delegating to the operations above."""
-    ml = ml_invariant(spec)
-    mm = mm_invariant(spec)
-    recognition = recognize_homogeneous(spec)
-    plane = mm == 1
+def _degrees(side: Optional[Anchored]) -> DegreeSet:
+    return DegreeSet.none() if side is None else DegreeSet.of(side)
 
+
+def classify(spec: SurfaceSpec) -> ClassificationReport:
+    """Populate the full report, deriving every fact once.
+
+    Each side of a hyperbolic pair, and a parabolic divisor, is anchored
+    once; the invariants, the presentation and the recognitions are all
+    read from those anchored values.
+    """
     if isinstance(spec, Elliptic):
         dx, dy = elliptic_lnd(spec.d, spec.e_prime)
         return ClassificationReport(
             spec=spec,
             grading="elliptic",
-            normalized_pair=None,
-            normalized_divisor=None,
-            translation=None,
             d_plus_index=spec.d,
-            d_minus_index=None,
             lnd=LndSummary(
                 exists_plus=True,
                 exists_minus=True,
                 elliptic_axes=(describe(dx), describe(dy)),
             ),
-            ml=ml,
-            mm=mm,
-            plane=plane,
-            presentation=None,
-            fibers=(),
-            singularities=(),
-            ruling=None,
-            sl2=None,
-            recognition=recognition,
+            ml=MlResult(ML_TRIVIAL),
+            mm=spec.d,
+            plane=spec.d == 1,
+            recognition=_cone_recognition(spec.d, spec.e_prime),
             toric=(spec.d, spec.e_prime),
         )
 
     if isinstance(spec, Parabolic):
-        horizontal = parabolic_horizontal(spec.divisor)
-        toric = _parabolic_toric_type(spec.divisor)
-        translation = None
-        if horizontal is not None:
-            d, e0 = horizontal
-            degrees_plus = DegreeSet(
-                residue=e0, modulus=d, e_min=0 if d == 1 else 1
-            )
-            _, shift = anchor_parabolic(spec.divisor)
-            translation = shift
-        else:
-            degrees_plus = DegreeSet.none()
+        divisor = spec.divisor
+        a = anchored(divisor)
         return ClassificationReport(
             spec=spec,
             grading="parabolic",
-            normalized_pair=None,
-            normalized_divisor=spec.divisor - spec.divisor.ceil(),
-            translation=translation,
-            d_plus_index=denom_index(spec.divisor),
-            d_minus_index=None,
+            normalized_divisor=divisor - divisor.ceil(),
+            translation=a and a.translation,
+            d_plus_index=denom_index(divisor),
             lnd=LndSummary(
-                exists_plus=horizontal is not None,
+                exists_plus=a is not None,
                 exists_minus=True,
-                degrees_plus=degrees_plus,
-                fiber=describe(fiber_lnd(spec.divisor)),
+                degrees_plus=_degrees(a),
+                fiber=describe(fiber_lnd(divisor)),
             ),
-            ml=ml,
-            mm=mm,
-            plane=plane,
-            presentation=None,
-            fibers=(),
-            singularities=(),
-            ruling=None,
-            sl2=None,
-            recognition=recognition,
-            toric=toric,
+            ml=MlResult(ML_TRIVIAL) if a else MlResult(ML_POLYNOMIAL, generator_degree=0),
+            mm=a and a.d,
+            plane=a is not None and a.d == 1,
+            recognition=a and _cone_recognition(a.d, a.e_prime),
+            toric=a and (a.d, a.e_prime),
         )
 
     pair = spec.pair
-    exists_plus = positive_lnd_exists(pair)
-    exists_minus = positive_lnd_exists(reverse(pair))
+    plus, minus = anchored(pair), anchored(pair.reverse())
     norm = normalize_pair(pair)
-    degrees_plus = admissible_degrees(pair) if exists_plus else DegreeSet.none()
-    degrees_minus = (
-        admissible_degrees(reverse(pair)) if exists_minus else DegreeSet.none()
-    )
-    pres = presentation(pair) if exists_plus else None
-    translation = pres.translation if pres is not None else None
+    pres = plus and Presentation.of(plus)
+    ml = _hyperbolic_ml(pair, plus, minus)
+    mm = _hyperbolic_mm(pair, plus, minus, pres) if ml.kind == ML_TRIVIAL else None
+    sl2 = recognize_sl2(pair)
     points = sorted(set(norm.d_plus.support) | set(norm.d_minus.support))
-    fibers = tuple(fiber_structure(norm, a) for a in points)
-    sings = tuple(singular_points(norm))
-    ruling = tuple(ruling_divisor(norm)) if exists_plus else None
     return ClassificationReport(
         spec=spec,
         grading="hyperbolic",
         normalized_pair=norm,
-        normalized_divisor=None,
-        translation=translation,
+        translation=plus and plus.translation,
         d_plus_index=denom_index(pair.d_plus),
         d_minus_index=denom_index(pair.d_minus),
         lnd=LndSummary(
-            exists_plus=exists_plus,
-            exists_minus=exists_minus,
-            degrees_plus=degrees_plus,
-            degrees_minus=degrees_minus,
+            exists_plus=plus is not None,
+            exists_minus=minus is not None,
+            degrees_plus=_degrees(plus),
+            degrees_minus=_degrees(minus),
         ),
         ml=ml,
         mm=mm,
-        plane=plane,
+        plane=mm == 1,
         presentation=pres,
-        fibers=fibers,
-        singularities=sings,
-        ruling=ruling,
-        sl2=recognize_sl2(pair),
-        recognition=recognition,
-        toric=_hyperbolic_toric_type(pair),
+        fibers=tuple(fiber_structure(norm, a) for a in points),
+        singularities=tuple(singular_points(norm)),
+        ruling=plus and tuple(ruling_divisor(norm)),
+        sl2=sl2,
+        recognition=_hyperbolic_recognition(pair, mm, plus, sl2),
+        toric=plus and _toric_type(plus),
     )
 
 

@@ -25,250 +25,27 @@ from .classify import (
     recognize_homogeneous,
     report_to_obj,
 )
-from .divisor import DivisorPair, QDivisor
+from .divisor import DivisorPair
 from .dpdring import (
     Elliptic,
-    GradedElement,
     Hyperbolic,
     Parabolic,
     SurfaceSpec,
     contains,
     from_equation,
-    presentation,
     spec_from_obj,
     spec_to_obj,
 )
+from .element import GradedElement, parse_element, parse_poly, render_element
 from .errors import (
     CapExceeded,
     DomainError,
+    FractionalPlusSpread,
     InadmissibleDegree,
     InvalidSpecFile,
-    ParseError,
+    check,
 )
-from .exactmath import Poly, Rat, RatFunc, format_rat, parse_rat
-
-# -- element grammar ----------------------------------------------------------
-#
-#   expr := ['-'] term (('+'|'-') term)*
-#   term := atom (['*'|'/'] atom)*        ('/' only before numbers or '(')
-#   atom := NUMBER ['/' NUMBER] | 't' ['^' NUMBER]
-#         | 'u' ['^' ['-'] NUMBER] | '(' expr-over-t ')'
-#
-# whitespace-insensitive; rationals have no embedded whitespace.
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.items.append(("num", text[i:j], i))
-                i = j
-                continue
-            if ch in "tu^*/+-()":
-                self.items.append((ch, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        if self.pos < len(self.items):
-            return self.items[self.pos][0]
-        return None
-
-    def next(self) -> tuple[str, str, int]:
-        if self.pos >= len(self.items):
-            raise ParseError("unexpected end of input", len(self.text))
-        item = self.items[self.pos]
-        self.pos += 1
-        return item
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        item = self.next()
-        if item[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {item[1]!r}", item[2])
-        return item
-
-    @property
-    def here(self) -> int:
-        if self.pos < len(self.items):
-            return self.items[self.pos][2]
-        return len(self.text)
-
-
-def _parse_integer(toks: _Tokens, signed: bool) -> int:
-    sign = 1
-    if signed and toks.peek() == "-":
-        toks.next()
-        sign = -1
-    _, digits, _ = toks.expect("num")
-    return sign * int(digits)
-
-
-def _parse_expr(toks: _Tokens, allow_u: bool) -> GradedElement:
-    acc = GradedElement.zero()
-    sign = 1
-    if toks.peek() == "-":
-        toks.next()
-        sign = -1
-    while True:
-        term = _parse_term(toks, allow_u)
-        acc = acc + (term * sign if sign < 0 else term)
-        nxt = toks.peek()
-        if nxt == "+":
-            toks.next()
-            sign = 1
-        elif nxt == "-":
-            toks.next()
-            sign = -1
-        else:
-            return acc
-
-
-def _parse_term(toks: _Tokens, allow_u: bool) -> GradedElement:
-    coeff = RatFunc.one()
-    upow = 0
-    saw_atom = False
-    while True:
-        kind = toks.peek()
-        if kind == "num":
-            _, digits, _ = toks.next()
-            value = Rat(int(digits))
-            if toks.peek() == "/" and toks.pos + 1 < len(toks.items) and toks.items[
-                toks.pos + 1
-            ][0] == "num":
-                toks.next()
-                _, den, at = toks.next()
-                if int(den) == 0:
-                    raise ParseError("zero denominator", at)
-                value /= int(den)
-            coeff = coeff * value
-        elif kind == "t":
-            toks.next()
-            expo = 1
-            if toks.peek() == "^":
-                toks.next()
-                at = toks.here
-                expo = _parse_integer(toks, signed=True)
-                if expo < 0:
-                    raise ParseError("negative t-powers: use /(...) instead", at)
-            coeff = coeff * Poly.monomial(expo)
-        elif kind == "u":
-            at = toks.here
-            toks.next()
-            if not allow_u:
-                raise ParseError("'u' is not allowed inside a polynomial", at)
-            expo = 1
-            if toks.peek() == "^":
-                toks.next()
-                expo = _parse_integer(toks, signed=True)
-            upow += expo
-        elif kind == "(":
-            toks.next()
-            inner = _parse_expr(toks, allow_u=False)
-            toks.expect(")")
-            coeff = coeff * inner.coefficient(0)
-        elif kind == "/":
-            at = toks.here
-            if not saw_atom:
-                raise ParseError("expected a term before '/'", at)
-            toks.next()
-            if toks.peek() == "(":
-                toks.next()
-                inner = _parse_expr(toks, allow_u=False)
-                toks.expect(")")
-                div = inner.coefficient(0)
-            elif toks.peek() == "num":
-                _, digits, _ = toks.next()
-                div = RatFunc(Poly((int(digits),)))
-            else:
-                raise ParseError("expected '(' or a number after '/'", at)
-            if div.is_zero():
-                raise ParseError("division by zero", at)
-            coeff = coeff / div
-        elif kind == "*":
-            if not saw_atom:
-                raise ParseError("expected a term before '*'", toks.here)
-            toks.next()
-            continue
-        else:
-            break
-        saw_atom = True
-    if not saw_atom:
-        raise ParseError("expected a term", toks.here)
-    return GradedElement.monomial(upow, coeff)
-
-
-def parse_element(src: str) -> GradedElement:
-    """Parse the element grammar into a canonical GradedElement."""
-    toks = _Tokens(src)
-    out = _parse_expr(toks, allow_u=True)
-    if toks.peek() is not None:
-        raise ParseError(f"trailing input {toks.items[toks.pos][1]!r}", toks.here)
-    return out
-
-
-def parse_poly(src: str) -> Poly:
-    """Parse a polynomial in t (no u, no denominators)."""
-    expr = parse_element(src)
-    if expr.is_zero():
-        return Poly.zero()
-    if expr.degrees != (0,):
-        raise ParseError("'u' is not allowed in a polynomial", 0)
-    f = expr.coefficient(0)
-    if not f.is_polynomial():
-        raise ParseError("denominators are not allowed in a polynomial", 0)
-    return f.as_poly()
-
-
-def _is_monomial(p: Poly) -> bool:
-    return sum(1 for c in p.coeffs if c != 0) == 1
-
-
-def _render_term(n: int, f: RatFunc) -> tuple[str, str]:
-    neg = f.num.leading < 0
-    g = -f if neg else f
-    parts: list[str] = []
-    if g.den.degree >= 1:
-        parts.append(f"({g.num})/({g.den})")
-    elif g.num.degree == 0:
-        if g.num[0] != 1 or n == 0:
-            parts.append(format_rat(g.num[0]))
-    elif _is_monomial(g.num):
-        c = g.num.leading
-        if c != 1:
-            parts.append(format_rat(c))
-        parts.append("t" if g.num.degree == 1 else f"t^{g.num.degree}")
-    else:
-        parts.append(f"({g.num})")
-    if n != 0:
-        parts.append(f"u^{n}")
-    if not parts:
-        parts = ["1"]
-    return ("-" if neg else "+", "*".join(parts))
-
-
-def render_element(x: GradedElement) -> str:
-    """Canonical rendering; parse(render(x)) == x."""
-    if x.is_zero():
-        return "0"
-    rendered = [_render_term(n, f) for n, f in x.terms]
-    sign, body = rendered[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in rendered[1:]:
-        text += f" {sign} {body}"
-    return text
-
+from .exactmath import Rat, format_rat, parse_rat
 
 # -- spec loading -------------------------------------------------------------
 
@@ -436,47 +213,24 @@ def _build_lnd(spec: SurfaceSpec, degree: Optional[int], negative: bool):
 
 def _cmd_lnd(args) -> int:
     spec = load_spec(args.spec)
-    if args.degree is None and isinstance(spec, Elliptic):
-        dx, dy = lnd_mod.elliptic_lnd(spec.d, spec.e_prime)
-        text = f"{lnd_mod.describe(dx)} and {lnd_mod.describe(dy)}"
-        _emit({"lnd": [lnd_mod.describe(dx), lnd_mod.describe(dy)]}, args.json, text)
-        return 0
-    if args.degree is None and isinstance(spec, Parabolic):
-        fiber = lnd_mod.fiber_lnd(spec.divisor)
-        data = lnd_mod.parabolic_horizontal(spec.divisor)
-        if data is None:
-            horiz = "none"
+    if args.degree is None:
+        lnd = classify(spec).lnd
+        if isinstance(spec, Elliptic):
+            _emit({"lnd": list(lnd.elliptic_axes)}, args.json,
+                  " and ".join(lnd.elliptic_axes))
+        elif isinstance(spec, Parabolic):
+            horiz = str(lnd.degrees_plus)
+            _emit({"fiber": lnd.fiber, "horizontal_degrees": horiz}, args.json,
+                  f"fiber type (degree -1): {lnd.fiber}\nhorizontal degrees: {horiz}")
         else:
-            d, e0 = data
-            horiz = str(lnd_mod.DegreeSet(e0, d, 0 if d == 1 else 1))
-        text = (
-            f"fiber type (degree -1): {lnd_mod.describe(fiber)}\n"
-            f"horizontal degrees: {horiz}"
-        )
-        _emit(
-            {"fiber": lnd_mod.describe(fiber), "horizontal_degrees": horiz},
-            args.json,
-            text,
-        )
-        return 0
-    if args.degree is None and isinstance(spec, Hyperbolic):
-        pair = spec.pair
-        plus = lnd_mod.positive_lnd_exists(pair)
-        minus = lnd_mod.positive_lnd_exists(pair.reverse())
-        ds_plus = lnd_mod.admissible_degrees(pair) if plus else lnd_mod.DegreeSet.none()
-        ds_minus = (
-            lnd_mod.admissible_degrees(pair.reverse())
-            if minus
-            else lnd_mod.DegreeSet.none()
-        )
-        obj = {
-            "exists_positive": plus,
-            "exists_negative": minus,
-            "degrees_positive": degrees_to_obj(ds_plus),
-            "degrees_negative": degrees_to_obj(ds_minus),
-        }
-        text = f"positive: {ds_plus}\nnegative: {ds_minus}"
-        _emit(obj, args.json, text)
+            obj = {
+                "exists_positive": lnd.exists_plus,
+                "exists_negative": lnd.exists_minus,
+                "degrees_positive": degrees_to_obj(lnd.degrees_plus),
+                "degrees_negative": degrees_to_obj(lnd.degrees_minus),
+            }
+            _emit(obj, args.json,
+                  f"positive: {lnd.degrees_plus}\nnegative: {lnd.degrees_minus}")
         return 0
     derivation = _build_lnd(spec, args.degree, args.negative)
     text = lnd_mod.describe(derivation)
@@ -525,10 +279,9 @@ def _cmd_kernel(args) -> int:
     spec = load_spec(args.spec)
     derivation = _build_lnd(spec, args.degree, False)
     v = lnd_mod.kernel_generator(spec, derivation)
-    check = lnd_mod.apply(derivation, v).is_zero()
-    assert check
+    check(lnd_mod.apply(derivation, v).is_zero(), "kernel generator is not annihilated")
     text = render_element(v)
-    _emit({"kernel_generator": text, "annihilated": check}, args.json,
+    _emit({"kernel_generator": text, "annihilated": True}, args.json,
           f"ker = C[v] with v = {text}")
     return 0
 
@@ -542,9 +295,15 @@ def _cmd_equation(args) -> int:
         _emit(obj, args.json, str(pair))
         return 0
     spec = load_spec(args.spec)
-    pair = _require_hyperbolic(spec)
-    pres = presentation(pair)
-    obj = report_to_obj(classify(spec))["presentation"]
+    _require_hyperbolic(spec)
+    report = classify(spec)
+    pres = report.presentation
+    if pres is None:
+        raise FractionalPlusSpread(
+            "fractional part of d_plus is supported at "
+            + ", ".join(format_rat(p) for p in report.normalized_pair.d_plus.support)
+        )
+    obj = report_to_obj(report)["presentation"]
     text = (
         f"{pres.relation_text()}  "
         f"[k={pres.k}, d={pres.d}, e'={pres.e_prime}, l={pres.l}, Q={pres.Q}, "
@@ -592,16 +351,10 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_fibers(args) -> int:
     spec = load_spec(args.spec)
-    pair = _require_hyperbolic(spec)
-    from .divisor import normalize_pair
-
-    norm = normalize_pair(pair)
-    if args.at is not None:
-        points = [parse_rat(args.at)]
-    else:
-        points = sorted(set(norm.d_plus.support) | set(norm.d_minus.support))
+    _require_hyperbolic(spec)
+    at = None if args.at is None else parse_rat(args.at)
     report = classify(spec)
-    fibers = [fiber_structure(norm, a) for a in points]
+    fibers = report.fibers if at is None else (fiber_structure(report.normalized_pair, at),)
     obj = {
         "fibers": [
             {
@@ -760,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("verify", _cmd_verify, help="oracle vs closed-form degree sweep")
     sp.add_argument("--window", type=int)
-    sp.add_argument("--max-iter", type=int, dest="max_iter")
 
     sp = add("family", _cmd_family, needs_spec=False,
              help="conjugation family kernel u_alpha on u v = P(t)")

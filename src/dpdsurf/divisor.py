@@ -4,7 +4,8 @@ A divisor is a finite formal sum of rational points with rational
 coefficients.  The pair (d_plus, d_minus) with d_plus + d_minus <= 0
 pointwise is the master datum of a hyperbolic surface; the shift and
 affine equivalences implemented here are the ones under which the
-classification is invariant.
+classification is invariant.  :class:`Anchored` is the normal form that
+every later layer reads its toric data from.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import InvalidSpecFile, PositiveSum
+from .errors import FractionalPlusSpread, InvalidSpecFile, PositiveSum
 from .exactmath import Rat, RatLike, format_rat, parse_rat
 
 #: A point of the affine line, i.e. an exact rational coordinate.
@@ -172,11 +173,6 @@ def denom_index(d: QDivisor) -> int:
     return math.lcm(*(c.denominator for _, c in d.terms))
 
 
-def floor_frac(d: QDivisor) -> tuple[QDivisor, QDivisor]:
-    """Split D = floor(D) + {D} with fractional coefficients in [0, 1)."""
-    return d.floor(), d.frac()
-
-
 @dataclass(frozen=True)
 class AffineMap:
     """a |-> scale*a + offset with scale != 0."""
@@ -263,6 +259,50 @@ def normalize_pair(pair: DivisorPair) -> DivisorPair:
     """
     e = pair.d_plus.ceil()
     return DivisorPair(pair.d_plus - e, pair.d_minus + e)
+
+
+@dataclass(frozen=True)
+class Anchored:
+    """The normal form of a pair, from which all toric data is read.
+
+    pair is the pair shifted so every coefficient of d_plus lies in (-1, 0]
+    (normalize_pair) and then translated so the single fractional point of
+    d_plus sits at 0; translation is that point in the original coordinate
+    (0 when d_plus is integral).  d and k are the denominator indices of
+    d_plus and d_minus, and d_plus(0) = -e'/d, d_minus(0) = -l/k.  A
+    parabolic divisor D is anchored as the pair (D, -D), whose degree >= 0
+    part is A_0[D]; its k and l carry no meaning.
+    """
+
+    pair: DivisorPair
+    translation: Rat
+    d: int
+    e_prime: int
+    k: int
+    l: int
+
+    @classmethod
+    def of(cls, x: DivisorPair | QDivisor) -> Anchored:
+        """Raises FractionalPlusSpread when d_plus has two fractional points."""
+        q = normalize_pair(x if isinstance(x, DivisorPair) else DivisorPair(x, -x))
+        support = q.d_plus.support
+        if len(support) > 1:
+            raise FractionalPlusSpread(
+                "fractional part of d_plus is supported at "
+                + ", ".join(format_rat(p) for p in support)
+            )
+        translation = support[0] if support else Rat(0)
+        q = q.translate(-translation)
+        d, k = denom_index(q.d_plus), denom_index(q.d_minus)
+        return cls(q, translation, d, int(-d * q.d_plus(0)), k, int(-k * q.d_minus(0)))
+
+
+def anchored(x: DivisorPair | QDivisor) -> Optional[Anchored]:
+    """Anchored.of(x), or None when the fractional part of d_plus is spread."""
+    try:
+        return Anchored.of(x)
+    except FractionalPlusSpread:
+        return None
 
 
 def shift_equivalent(p1: DivisorPair, p2: DivisorPair) -> bool:

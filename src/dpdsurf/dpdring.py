@@ -4,38 +4,27 @@ A surface is specified by its divisor data (elliptic, parabolic or
 hyperbolic); graded pieces of the ring A_0[D] or A_0[D+, D-] are free
 rank-1 modules over A_0 = C[t], so each one is represented by its single
 generator f_n(t) u^n.  Elements of Frac(A_0)[u, u^-1] are carried by
-:class:`GradedElement`.
+:class:`GradedElement` (module ``element``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
-from .divisor import (
-    DivisorPair,
-    QDivisor,
-    denom_index,
-    normalize_pair,
-)
+from .divisor import Anchored, DivisorPair, QDivisor
+from .element import GradedElement
 from .errors import (
-    FractionalPlusSpread,
     GcdViolation,
     InvalidSpecFile,
     IrrationalLocus,
     NegativeDegreeParabolic,
     NonRationalRoots,
     NotUnitary,
+    check,
 )
-from .exactmath import (
-    Poly,
-    Rat,
-    RatFunc,
-    RatLike,
-    format_rat,
-    rational_linear_factorization,
-)
+from .exactmath import Poly, Rat, RatFunc, rational_linear_factorization
 
 
 @dataclass(frozen=True)
@@ -69,118 +58,6 @@ class Hyperbolic:
 
 
 SurfaceSpec = Union[Elliptic, Parabolic, Hyperbolic]
-
-
-class GradedElement:
-    """A finite sum sum_n f_n(t) u^n inside Frac(A_0)[u, u^-1]."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Iterable[tuple[int, RatFunc]] = ()):
-        acc: dict[int, RatFunc] = {}
-        for n, f in terms:
-            if n in acc:
-                acc[n] = acc[n] + f
-            else:
-                acc[n] = f if isinstance(f, RatFunc) else RatFunc(f)
-        self._terms = tuple(
-            (n, f) for n, f in sorted(acc.items()) if not f.is_zero()
-        )
-
-    @classmethod
-    def zero(cls) -> GradedElement:
-        return cls()
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: RatFunc | Poly | RatLike = 1) -> GradedElement:
-        f = coeff if isinstance(coeff, RatFunc) else RatFunc(coeff)
-        return cls([(degree, f)])
-
-    @classmethod
-    def one(cls) -> GradedElement:
-        return cls.monomial(0)
-
-    @property
-    def terms(self) -> tuple[tuple[int, RatFunc], ...]:
-        return self._terms
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(n for n, _ in self._terms)
-
-    def coefficient(self, degree: int) -> RatFunc:
-        for n, f in self._terms:
-            if n == degree:
-                return f
-        return RatFunc.zero()
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_homogeneous(self) -> bool:
-        return len(self._terms) <= 1
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, GradedElement):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __neg__(self) -> GradedElement:
-        return GradedElement((n, -f) for n, f in self._terms)
-
-    def __add__(self, other: GradedElement) -> GradedElement:
-        return GradedElement(self._terms + other._terms)
-
-    def __sub__(self, other: GradedElement) -> GradedElement:
-        return self + (-other)
-
-    def __mul__(self, other: GradedElement | RatFunc | Poly | RatLike) -> GradedElement:
-        if not isinstance(other, GradedElement):
-            f = other if isinstance(other, RatFunc) else RatFunc(other)
-            return GradedElement((n, g * f) for n, g in self._terms)
-        out = []
-        for n, f in self._terms:
-            for m, g in other._terms:
-                out.append((n + m, f * g))
-        return GradedElement(out)
-
-    def __rmul__(self, other: RatFunc | Poly | RatLike) -> GradedElement:
-        return self * other
-
-    def __pow__(self, n: int) -> GradedElement:
-        if n < 0:
-            raise ValueError("negative power of a graded element")
-        acc = GradedElement.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-    def euler(self) -> GradedElement:
-        """The grading derivation E: sum n f_n u^n."""
-        return GradedElement((n, f * n) for n, f in self._terms)
-
-    def invert_grading(self) -> GradedElement:
-        """Substitute u -> u^-1."""
-        return GradedElement((-n, f) for n, f in self._terms)
-
-    def __str__(self) -> str:
-        from .cli import render_element  # local import: cli owns the grammar
-
-        return render_element(self)
-
-    def __repr__(self) -> str:
-        parts = [f"({f})*u^{n}" for n, f in self._terms] or ["0"]
-        return "GradedElement[" + " + ".join(parts) + "]"
 
 
 def _generator_coefficient(d: QDivisor, n: int) -> RatFunc:
@@ -271,65 +148,43 @@ class Presentation:
     zd_weights: tuple[int, int, int]
     translation: Rat
 
+    @classmethod
+    def of(cls, a: Anchored) -> Presentation:
+        """Read the presentation off the anchored pair.
+
+        The fractional point of d_plus sits at 0 and the translation is
+        recorded; l may be negative, but k*e' + d*l >= 0 always holds
+        because the sum at 0 is <= 0.
+        """
+        big_q = Poly.one()
+        for p, c in a.pair.d_minus.terms:
+            if p != 0:
+                check(c < 0, "d_minus > 0 where d_plus = 0 contradicts a sum <= 0")
+                big_q = big_q * Poly((-p, 1)) ** int(-a.k * c)
+        s_exp = a.k * a.e_prime + a.d * a.l
+        check(s_exp >= 0, "k*e' + d*l < 0 contradicts d_plus + d_minus <= 0")
+        return cls(
+            k=a.k,
+            P=big_q.compose(Poly.monomial(a.d)) * Poly.monomial(s_exp),
+            d=a.d,
+            e_prime=a.e_prime,
+            l=a.l,
+            Q=big_q,
+            zd_weights=(1, a.e_prime, 0),
+            translation=a.translation,
+        )
+
     def relation_text(self) -> str:
         var = "t" if self.d == 1 else "s"
         return f"u^{self.k} v = {str(self.P).replace('t', var)}"
 
 
-def fractional_plus_point(pair: DivisorPair) -> Rat | None:
-    """The unique fractional support point of normalized d_plus, or None.
-
-    Raises FractionalPlusSpread when there are two or more.
-    """
-    support = [p for p, c in normalize_pair(pair).d_plus.terms if c != 0]
-    if len(support) > 1:
-        raise FractionalPlusSpread(
-            "fractional part of d_plus is supported at "
-            + ", ".join(format_rat(p) for p in support)
-        )
-    return support[0] if support else None
-
-
 def presentation(pair: DivisorPair) -> Presentation:
     """Compute the defining-equation presentation of A_0[D+, D-].
 
-    The single fractional support point of d_plus (if any) is translated
-    to 0 and the translation recorded; l = -k * d_minus(0) may be negative,
-    but k*e' + d*l >= 0 always holds because the sum at 0 is <= 0.
+    Raises FractionalPlusSpread when the pair cannot be anchored.
     """
-    q = normalize_pair(pair)
-    anchor = fractional_plus_point(q)
-    translation = anchor if anchor is not None else Rat(0)
-    q = q.translate(-translation)
-
-    d = denom_index(q.d_plus)
-    e_prime = int(-d * q.d_plus(0))
-    k = denom_index(q.d_minus)
-    l_rat = -k * q.d_minus(0)
-    assert l_rat.denominator == 1
-    l = int(l_rat)
-
-    big_q = Poly.one()
-    for a, c in q.d_minus.terms:
-        if a == 0:
-            continue
-        expo = -k * c
-        assert expo.denominator == 1 and expo >= 0
-        big_q = big_q * Poly((-a, 1)) ** int(expo)
-
-    s_exp = k * e_prime + d * l
-    assert s_exp >= 0, "k*e' + d*l < 0 would contradict d_plus + d_minus <= 0"
-    big_p = big_q.compose(Poly.monomial(d)) * Poly.monomial(s_exp)
-    return Presentation(
-        k=k,
-        P=big_p,
-        d=d,
-        e_prime=e_prime,
-        l=l,
-        Q=big_q,
-        zd_weights=(1, e_prime, 0),
-        translation=translation,
-    )
+    return Presentation.of(Anchored.of(pair))
 
 
 def from_equation(k: int, p: Poly) -> DivisorPair:
@@ -392,7 +247,7 @@ def spec_from_obj(obj: object) -> SurfaceSpec:
             d, e_prime = body["d"], body["e_prime"]
         except KeyError as exc:
             raise InvalidSpecFile(f"elliptic spec needs {exc}") from None
-        if not isinstance(d, int) or not isinstance(e_prime, int):
+        if type(d) is not int or type(e_prime) is not int:  # bool is an int
             raise InvalidSpecFile("elliptic d and e_prime must be integers")
         try:
             return Elliptic(d, e_prime)

@@ -1,0 +1,346 @@
+"""Elements of Frac(A_0)[u, u^-1] and their text grammar.
+
+:class:`GradedElement` carries a finite sum sum_n f_n(t) u^n;
+:func:`parse_element` and :func:`render_element` are mutually inverse
+between it and the element grammar below.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Optional
+
+from .errors import ParseError
+from .exactmath import Poly, Rat, RatFunc, RatLike, format_rat
+
+
+class GradedElement:
+    """A finite sum sum_n f_n(t) u^n inside Frac(A_0)[u, u^-1]."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Iterable[tuple[int, RatFunc]] = ()):
+        acc: dict[int, RatFunc] = {}
+        for n, f in terms:
+            if n in acc:
+                acc[n] = acc[n] + f
+            else:
+                acc[n] = f if isinstance(f, RatFunc) else RatFunc(f)
+        self._terms = tuple(
+            (n, f) for n, f in sorted(acc.items()) if not f.is_zero()
+        )
+
+    @classmethod
+    def zero(cls) -> GradedElement:
+        return cls()
+
+    @classmethod
+    def monomial(cls, degree: int, coeff: RatFunc | Poly | RatLike = 1) -> GradedElement:
+        f = coeff if isinstance(coeff, RatFunc) else RatFunc(coeff)
+        return cls([(degree, f)])
+
+    @classmethod
+    def one(cls) -> GradedElement:
+        return cls.monomial(0)
+
+    @property
+    def terms(self) -> tuple[tuple[int, RatFunc], ...]:
+        return self._terms
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(n for n, _ in self._terms)
+
+    def coefficient(self, degree: int) -> RatFunc:
+        for n, f in self._terms:
+            if n == degree:
+                return f
+        return RatFunc.zero()
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def is_homogeneous(self) -> bool:
+        return len(self._terms) <= 1
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, GradedElement):
+            return self._terms == other._terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __neg__(self) -> GradedElement:
+        return GradedElement((n, -f) for n, f in self._terms)
+
+    def __add__(self, other: GradedElement) -> GradedElement:
+        return GradedElement(self._terms + other._terms)
+
+    def __sub__(self, other: GradedElement) -> GradedElement:
+        return self + (-other)
+
+    def __mul__(self, other: GradedElement | RatFunc | Poly | RatLike) -> GradedElement:
+        if not isinstance(other, GradedElement):
+            f = other if isinstance(other, RatFunc) else RatFunc(other)
+            return GradedElement((n, g * f) for n, g in self._terms)
+        out = []
+        for n, f in self._terms:
+            for m, g in other._terms:
+                out.append((n + m, f * g))
+        return GradedElement(out)
+
+    def __rmul__(self, other: RatFunc | Poly | RatLike) -> GradedElement:
+        return self * other
+
+    def __pow__(self, n: int) -> GradedElement:
+        if n < 0:
+            raise ValueError("negative power of a graded element")
+        acc = GradedElement.one()
+        base = self
+        while n:
+            if n & 1:
+                acc = acc * base
+            base = base * base
+            n >>= 1
+        return acc
+
+    def euler(self) -> GradedElement:
+        """The grading derivation E: sum n f_n u^n."""
+        return GradedElement((n, f * n) for n, f in self._terms)
+
+    def invert_grading(self) -> GradedElement:
+        """Substitute u -> u^-1."""
+        return GradedElement((-n, f) for n, f in self._terms)
+
+    def __str__(self) -> str:
+        return render_element(self)
+
+    def __repr__(self) -> str:
+        parts = [f"({f})*u^{n}" for n, f in self._terms] or ["0"]
+        return "GradedElement[" + " + ".join(parts) + "]"
+
+
+# -- element grammar ----------------------------------------------------------
+#
+#   expr := ['-'] term (('+'|'-') term)*
+#   term := atom (['*'|'/'] atom)*        ('/' only before numbers or '(')
+#   atom := NUMBER ['/' NUMBER] | 't' ['^' NUMBER]
+#         | 'u' ['^' ['-'] NUMBER] | '(' expr-over-t ')'
+#
+# whitespace-insensitive; rationals have no embedded whitespace.
+
+
+class _Tokens:
+    def __init__(self, text: str):
+        self.text = text
+        self.items: list[tuple[str, str, int]] = []
+        i = 0
+        while i < len(text):
+            ch = text[i]
+            if ch.isspace():
+                i += 1
+                continue
+            if ch.isdigit():
+                j = i
+                while j < len(text) and text[j].isdigit():
+                    j += 1
+                self.items.append(("num", text[i:j], i))
+                i = j
+                continue
+            if ch in "tu^*/+-()":
+                self.items.append((ch, ch, i))
+                i += 1
+                continue
+            raise ParseError(f"unexpected character {ch!r}", i)
+        self.pos = 0
+
+    def peek(self) -> Optional[str]:
+        if self.pos < len(self.items):
+            return self.items[self.pos][0]
+        return None
+
+    def next(self) -> tuple[str, str, int]:
+        if self.pos >= len(self.items):
+            raise ParseError("unexpected end of input", len(self.text))
+        item = self.items[self.pos]
+        self.pos += 1
+        return item
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        item = self.next()
+        if item[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {item[1]!r}", item[2])
+        return item
+
+    @property
+    def here(self) -> int:
+        if self.pos < len(self.items):
+            return self.items[self.pos][2]
+        return len(self.text)
+
+
+def _parse_integer(toks: _Tokens, signed: bool) -> int:
+    sign = 1
+    if signed and toks.peek() == "-":
+        toks.next()
+        sign = -1
+    _, digits, _ = toks.expect("num")
+    return sign * int(digits)
+
+
+def _parse_expr(toks: _Tokens, allow_u: bool) -> GradedElement:
+    acc = GradedElement.zero()
+    sign = 1
+    if toks.peek() == "-":
+        toks.next()
+        sign = -1
+    while True:
+        term = _parse_term(toks, allow_u)
+        acc = acc + (term * sign if sign < 0 else term)
+        nxt = toks.peek()
+        if nxt == "+":
+            toks.next()
+            sign = 1
+        elif nxt == "-":
+            toks.next()
+            sign = -1
+        else:
+            return acc
+
+
+def _parse_term(toks: _Tokens, allow_u: bool) -> GradedElement:
+    coeff = RatFunc.one()
+    upow = 0
+    saw_atom = False
+    while True:
+        kind = toks.peek()
+        if kind == "num":
+            _, digits, _ = toks.next()
+            value = Rat(int(digits))
+            if toks.peek() == "/" and toks.pos + 1 < len(toks.items) and toks.items[
+                toks.pos + 1
+            ][0] == "num":
+                toks.next()
+                _, den, at = toks.next()
+                if int(den) == 0:
+                    raise ParseError("zero denominator", at)
+                value /= int(den)
+            coeff = coeff * value
+        elif kind == "t":
+            toks.next()
+            expo = 1
+            if toks.peek() == "^":
+                toks.next()
+                at = toks.here
+                expo = _parse_integer(toks, signed=True)
+                if expo < 0:
+                    raise ParseError("negative t-powers: use /(...) instead", at)
+            coeff = coeff * Poly.monomial(expo)
+        elif kind == "u":
+            at = toks.here
+            toks.next()
+            if not allow_u:
+                raise ParseError("'u' is not allowed inside a polynomial", at)
+            expo = 1
+            if toks.peek() == "^":
+                toks.next()
+                expo = _parse_integer(toks, signed=True)
+            upow += expo
+        elif kind == "(":
+            toks.next()
+            inner = _parse_expr(toks, allow_u=False)
+            toks.expect(")")
+            coeff = coeff * inner.coefficient(0)
+        elif kind == "/":
+            at = toks.here
+            if not saw_atom:
+                raise ParseError("expected a term before '/'", at)
+            toks.next()
+            if toks.peek() == "(":
+                toks.next()
+                inner = _parse_expr(toks, allow_u=False)
+                toks.expect(")")
+                div = inner.coefficient(0)
+            elif toks.peek() == "num":
+                _, digits, _ = toks.next()
+                div = RatFunc(Poly((int(digits),)))
+            else:
+                raise ParseError("expected '(' or a number after '/'", at)
+            if div.is_zero():
+                raise ParseError("division by zero", at)
+            coeff = coeff / div
+        elif kind == "*":
+            if not saw_atom:
+                raise ParseError("expected a term before '*'", toks.here)
+            toks.next()
+            continue
+        else:
+            break
+        saw_atom = True
+    if not saw_atom:
+        raise ParseError("expected a term", toks.here)
+    return GradedElement.monomial(upow, coeff)
+
+
+def parse_element(src: str) -> GradedElement:
+    """Parse the element grammar into a canonical GradedElement."""
+    toks = _Tokens(src)
+    out = _parse_expr(toks, allow_u=True)
+    if toks.peek() is not None:
+        raise ParseError(f"trailing input {toks.items[toks.pos][1]!r}", toks.here)
+    return out
+
+
+def parse_poly(src: str) -> Poly:
+    """Parse a polynomial in t (no u, no denominators)."""
+    expr = parse_element(src)
+    if expr.is_zero():
+        return Poly.zero()
+    if expr.degrees != (0,):
+        raise ParseError("'u' is not allowed in a polynomial", 0)
+    f = expr.coefficient(0)
+    if not f.is_polynomial():
+        raise ParseError("denominators are not allowed in a polynomial", 0)
+    return f.as_poly()
+
+
+def _is_monomial(p: Poly) -> bool:
+    return sum(1 for c in p.coeffs if c != 0) == 1
+
+
+def _render_term(n: int, f: RatFunc) -> tuple[str, str]:
+    neg = f.num.leading < 0
+    g = -f if neg else f
+    parts: list[str] = []
+    if g.den.degree >= 1:
+        parts.append(f"({g.num})/({g.den})")
+    elif g.num.degree == 0:
+        if g.num[0] != 1 or n == 0:
+            parts.append(format_rat(g.num[0]))
+    elif _is_monomial(g.num):
+        c = g.num.leading
+        if c != 1:
+            parts.append(format_rat(c))
+        parts.append("t" if g.num.degree == 1 else f"t^{g.num.degree}")
+    else:
+        parts.append(f"({g.num})")
+    if n != 0:
+        parts.append(f"u^{n}")
+    if not parts:
+        parts = ["1"]
+    return ("-" if neg else "+", "*".join(parts))
+
+
+def render_element(x: GradedElement) -> str:
+    """Canonical rendering; parse(render(x)) == x."""
+    if x.is_zero():
+        return "0"
+    rendered = [_render_term(n, f) for n, f in x.terms]
+    sign, body = rendered[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in rendered[1:]:
+        text += f" {sign} {body}"
+    return text

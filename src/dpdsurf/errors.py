@@ -2,7 +2,8 @@
 
 Every recoverable failure raised by the library derives from
 :class:`DomainError`, so the CLI can map any of them to a single
-diagnostic line and exit status 1.
+diagnostic line and exit status 1.  A failed internal cross-check raises
+:class:`InternalError` instead: it is a bug, never bad input.
 """
 
 from __future__ import annotations
@@ -10,6 +11,16 @@ from __future__ import annotations
 
 class DomainError(Exception):
     """Base class for all domain-level failures."""
+
+
+class InternalError(Exception):
+    """Two derivations of the same fact disagree."""
+
+
+def check(ok: bool, what: str) -> None:
+    """A cross-check that, unlike assert, also runs under python -O."""
+    if not ok:
+        raise InternalError(what)
 
 
 class NotCoprime(DomainError):

@@ -16,14 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .divisor import DivisorPair, QDivisor, denom_index, normalize_pair
+from .divisor import Anchored, DivisorPair, QDivisor, anchored, normalize_pair
 from .dpdring import (
     GradedElement,
     Hyperbolic,
     Parabolic,
     SurfaceSpec,
     contains,
-    fractional_plus_point,
     graded_generator,
 )
 from .errors import (
@@ -115,6 +114,24 @@ class DegreeSet:
     def none(cls) -> DegreeSet:
         return cls(0, 1, 1, empty=True)
 
+    @classmethod
+    def of(cls, a: Anchored) -> DegreeSet:
+        """Closed-form admissible positive degrees of an anchored pair.
+
+        residue e0 solves e*e' = 1 (mod d); the lower bound comes from the
+        pointwise sum: d*e >= -1/s(0) at the anchor and e >= -1/s(p)
+        elsewhere.  In the torus-line case (d = 1, sum = 0) the result also
+        admits e = 0.  For a parabolic divisor (sum 0) this is e >= 1, or
+        e >= 0 when d = 1.
+        """
+        s = a.pair.sum()
+        bounds = []
+        for p, value in s.terms:
+            target = -1 / ((a.d if p == 0 else 1) * value)
+            bounds.append(-((-target.numerator) // target.denominator))
+        e_min = 0 if a.d == 1 and s.is_zero() else max([1, *bounds])
+        return cls(residue=mod_inverse(a.e_prime, a.d), modulus=a.d, e_min=e_min)
+
     def contains(self, e: int) -> bool:
         if self.empty or e < 0:
             return False
@@ -142,72 +159,14 @@ class DegreeSet:
         return "{" + base + "}"
 
 
-def reverse(pair: DivisorPair) -> DivisorPair:
-    """Swap d_plus and d_minus (reverse the grading)."""
-    return pair.reverse()
-
-
 def positive_lnd_exists(pair: DivisorPair) -> bool:
     """True iff the fractional part of d_plus sits at one point or is zero."""
-    try:
-        fractional_plus_point(pair)
-    except FractionalPlusSpread:
-        return False
-    return True
-
-
-def anchor_pair(pair: DivisorPair) -> tuple[DivisorPair, Rat]:
-    """Normalize and translate the fractional point of d_plus to 0.
-
-    Returns the anchored pair and the applied translation (original point).
-    Raises FractionalPlusSpread when no anchoring is possible.
-    """
-    q = normalize_pair(pair)
-    point = fractional_plus_point(q)
-    shift = point if point is not None else Rat(0)
-    return q.translate(-shift), shift
-
-
-def anchor_parabolic(d: QDivisor) -> tuple[QDivisor, Rat]:
-    """Parabolic analogue: coefficients into (-1, 0], support point to 0."""
-    q = d - d.ceil()
-    support = q.support
-    if len(support) > 1:
-        raise FractionalPlusSpread(
-            "fractional part of D is supported at "
-            + ", ".join(format_rat(p) for p in support)
-        )
-    shift = support[0] if support else Rat(0)
-    return q.translate(-shift), shift
-
-
-def _plus_data(pair: DivisorPair) -> tuple[DivisorPair, int, int]:
-    q, _ = anchor_pair(pair)
-    d = denom_index(q.d_plus)
-    e_prime = int(-d * q.d_plus(0))
-    return q, d, e_prime
+    return anchored(pair) is not None
 
 
 def admissible_degrees(pair: DivisorPair) -> DegreeSet:
-    """Closed-form admissible positive degrees for the anchored pair.
-
-    residue e0 solves e*e' = 1 (mod d); the lower bound comes from the
-    pointwise sum: d*e >= -1/s(0) at the anchor and e >= -1/s(a) elsewhere.
-    In the torus-line case (d = 1, sum = 0) the result also admits e = 0.
-    """
-    q, d, e_prime = _plus_data(pair)
-    e0 = mod_inverse(e_prime, d)
-    s = q.sum()
-    bounds = []
-    for a, value in s.terms:
-        factor = d if a == 0 else 1
-        target = -1 / (factor * value)
-        bounds.append(-((-target.numerator) // target.denominator))
-    if d == 1 and s.is_zero():
-        e_min = 0
-    else:
-        e_min = max([1, *bounds])
-    return DegreeSet(residue=e0, modulus=d, e_min=e_min)
+    """DegreeSet.of the anchored pair; raises FractionalPlusSpread."""
+    return DegreeSet.of(Anchored.of(pair))
 
 
 def build_horizontal(pair: DivisorPair, e: int, scale: RatLike = 1) -> HorizontalLnd:
@@ -217,8 +176,8 @@ def build_horizontal(pair: DivisorPair, e: int, scale: RatLike = 1) -> Horizonta
     naming the violated condition: (i) the congruence e*e' = 1 (mod d),
     or (ii) the bound -1/(sum) at some degenerate point.
     """
-    base = pair if e >= 0 else reverse(pair)
-    degrees = admissible_degrees(base)
+    a = Anchored.of(pair if e >= 0 else pair.reverse())
+    degrees = DegreeSet.of(a)
     mag = abs(e)
     if not degrees.contains(mag):
         d = degrees.modulus
@@ -230,28 +189,18 @@ def build_horizontal(pair: DivisorPair, e: int, scale: RatLike = 1) -> Horizonta
         raise InadmissibleDegree(
             f"degree {e}: condition (ii) fails, need |e| >= {degrees.e_min}"
         )
-    q = normalize_pair(pair)
-    if e >= 0:
-        working = q
-        twist: tuple[tuple[Rat, int], ...] = ()
-    else:
-        flipped = reverse(q)
-        ceil_div = flipped.d_plus.ceil()
-        twist = tuple((p, int(c)) for p, c in ceil_div.terms)
-        working = normalize_pair(flipped)
-    point = fractional_plus_point(working)
-    anchor = point if point is not None else Rat(0)
-    d = denom_index(working.d_plus)
-    e_prime = int(-d * working.d_plus(anchor))
-    k = (mag * e_prime - 1) // d
+    twist: tuple[tuple[Rat, int], ...] = ()
+    if e < 0:
+        # normalizing the reversed normalized pair shifts by ceil(D-)
+        twist = tuple((p, int(c)) for p, c in normalize_pair(pair).d_minus.ceil().terms)
     return HorizontalLnd(
         e=mag,
-        d=d,
-        e_prime=e_prime,
-        k=k,
+        d=a.d,
+        e_prime=a.e_prime,
+        k=(mag * a.e_prime - 1) // a.d,
         sign=1 if e >= 0 else -1,
         scale=Rat(scale),
-        anchor=anchor,
+        anchor=a.translation,
         twist=twist,
     )
 
@@ -296,9 +245,7 @@ def apply(lnd: Lnd, x: GradedElement) -> GradedElement:
     return GradedElement((n + lnd.exponent, f.derivative()) for n, f in x.terms)
 
 
-def nilpotency_steps(
-    lnd: Lnd, spec: SurfaceSpec, x: GradedElement, cap: int = 256
-) -> int:
+def nilpotency_steps(lnd: Lnd, x: GradedElement, cap: int = 256) -> int:
     """Minimal N <= cap with apply^N(x) = 0 (caller guarantees x in A).
 
     CapExceeded signals a bug or an inadmissible derivation; negative tests
@@ -344,16 +291,14 @@ def stabilization_witness(
     (possibly wrong) e' to probe non-solutions of e*e' = 1 (mod d).
     """
     if e < 0:
-        return stabilization_witness(reverse(pair), -e, window, e_prime_override)
+        return stabilization_witness(pair.reverse(), -e, window, e_prime_override)
     try:
-        q, _ = anchor_pair(pair)
+        a = Anchored.of(pair)
     except FractionalPlusSpread as exc:
         return StabilizationReport(False, ((None, str(exc)),))
-    spec = Hyperbolic(q)
-    d = denom_index(q.d_plus)
-    e_prime = (
-        e_prime_override if e_prime_override is not None else int(-d * q.d_plus(0))
-    )
+    spec = Hyperbolic(a.pair)
+    d = a.d
+    e_prime = e_prime_override if e_prime_override is not None else a.e_prime
     candidates: list[tuple[int, RatFunc]] = [(0, _T)]
     for n in range(-window, window + 1):
         if n != 0:
@@ -378,23 +323,19 @@ def stabilization_witness(
 def kernel_generator(spec: SurfaceSpec, lnd: Lnd) -> GradedElement:
     """ker del = C[v] with v = (t - p)^(e') u^(d), the degree-d generator.
 
-    Elements are written in the normalized embedding, matching apply().
+    p is the fractional point of d_plus (of D).  Elements are written in
+    the normalized embedding, matching apply().
     """
     if isinstance(lnd, HorizontalLnd) and lnd.sign < 0:
         raise ValueError("kernel_generator wants a positive-degree derivation; "
                          "call on the reversed pair")
     if isinstance(spec, Hyperbolic):
-        q = normalize_pair(spec.pair)
-        fractional_plus_point(q)  # reject spread fractional parts
-        return graded_generator(Hyperbolic(q), denom_index(q.d_plus))
-    if isinstance(spec, Parabolic):
-        qd = spec.divisor - spec.divisor.ceil()
-        if len(qd.support) > 1:
-            raise FractionalPlusSpread(
-                "fractional part of D is supported at several points"
-            )
-        return graded_generator(Parabolic(qd), denom_index(qd))
-    raise ValueError("kernel_generator applies to parabolic/hyperbolic specs")
+        a = Anchored.of(spec.pair)
+    elif isinstance(spec, Parabolic):
+        a = Anchored.of(spec.divisor)
+    else:
+        raise ValueError("kernel_generator applies to parabolic/hyperbolic specs")
+    return GradedElement.monomial(a.d, ratfunc_monomial_power(a.translation, a.e_prime))
 
 
 def fiber_lnd(d: QDivisor) -> FiberLnd:
@@ -416,34 +357,26 @@ def parabolic_horizontal(d: QDivisor) -> Optional[tuple[int, int]]:
     e0 is the residue of admissible degrees: e*e' = 1 (mod d) with
     e' read off the normalized fractional coefficient.
     """
-    try:
-        qd, _ = anchor_parabolic(d)
-    except FractionalPlusSpread:
-        return None
-    dd = denom_index(qd)
-    e_prime = int(-dd * qd(0))
-    return dd, mod_inverse(e_prime, dd)
+    a = anchored(d)
+    return None if a is None else (a.d, mod_inverse(a.e_prime, a.d))
 
 
 def build_horizontal_parabolic(d: QDivisor, e: int) -> HorizontalLnd:
     """Degree-e horizontal derivation on A_0[D] (same monomial action)."""
-    data = parabolic_horizontal(d)
-    if data is None:
+    a = anchored(d)
+    if a is None:
         raise InadmissibleDegree(
             "fractional part of D is spread: no horizontal derivation exists"
         )
-    dd, e0 = data
-    if e < 0 or e % dd != e0 % dd or (e == 0 and dd != 1):
+    degrees = DegreeSet.of(a)
+    if not degrees.contains(e):
         raise InadmissibleDegree(
-            f"degree {e}: need e >= 0 with e = {e0 % dd} (mod {dd})"
-            + ("" if dd == 1 else " and e >= 1")
+            f"degree {e}: need e >= 0 with e = {degrees.residue % a.d} (mod {a.d})"
+            + ("" if a.d == 1 else " and e >= 1")
         )
-    qd = d - d.ceil()
-    support = qd.support
-    anchor = support[0] if support else Rat(0)
-    e_prime = int(-dd * qd(anchor))
     return HorizontalLnd(
-        e=e, d=dd, e_prime=e_prime, k=(e * e_prime - 1) // dd, anchor=anchor
+        e=e, d=a.d, e_prime=a.e_prime, k=(e * a.e_prime - 1) // a.d,
+        anchor=a.translation,
     )
 
 

@@ -1,0 +1,155 @@
+"""Record ``tests/data/golden.json``, the data of ``tests/test_golden.py``.
+
+It pins two things:
+
+- the sha256 of every ``report_to_obj`` document (``json.dumps`` with
+  sorted keys and compact separators) for every catalog entry and for
+  ``N_SPECS`` seeded specs drawn from the generators in ``conftest.py``,
+  keeping only specs whose presentation has deg P <= ``MAX_DEG_P``;
+- the exit code and the sha256 of stdout of every spec-reading command
+  except ``apply`` and ``verify`` (``classify``, ``equation``, ``fibers``,
+  ``lnd``, ``kernel``, ``ml``, ``mm``, ``recognize``), as text and with
+  ``--json``, on every catalog entry and on
+  the first ``N_CLI_SPECS`` seeded specs, and on ``EXTRA`` (pairs whose
+  fractional part of D+ is spread, which the seeded head lacks).
+
+Run from the repository root, and only when an output is meant to change:
+
+    PYTHONPATH=src python tests/golden_record.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from conftest import random_concentrated_pair, random_divisor, random_pair
+
+from dpdsurf import cli
+from dpdsurf.catalog import default_entries
+from dpdsurf.classify import classify, report_to_obj
+from dpdsurf.dpdring import Elliptic, Hyperbolic, Parabolic, spec_from_obj, spec_to_obj
+
+GOLDEN = Path(__file__).with_name("data") / "golden.json"
+SEED = 20261018
+N_SPECS = 300
+MAX_DEG_P = 128
+N_CLI_SPECS = 20
+EXTRA = [
+    {"label": "spread_plus", "spec": {"hyperbolic": {
+        "d_plus": [["0", "-1/2"], ["1", "-1/3"]],
+        "d_minus": [["0", "1/2"], ["1", "-1/3"]]}}},
+    {"label": "spread_both", "spec": {"hyperbolic": {
+        "d_plus": [["0", "-1/2"], ["1", "-1/3"]],
+        "d_minus": [["0", "-1/2"], ["1", "-2/3"]]}}},
+]
+CLI_COMMANDS = tuple(
+    [command, *flag]
+    for command in ("classify", "equation", "fibers", "lnd", "kernel", "ml", "mm",
+                    "recognize")
+    for flag in ([], ["--json"])
+)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def report_digest(spec_obj: dict) -> str:
+    obj = report_to_obj(classify(spec_from_obj(spec_obj)))
+    return sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+
+
+def random_spec(rng: random.Random, i: int):
+    """Cycle through the generators: two hyperbolic kinds, parabolic, elliptic."""
+    kind = i % 5
+    if kind == 0:
+        return Hyperbolic(random_pair(rng))
+    if kind == 1:
+        return Hyperbolic(random_concentrated_pair(rng))
+    if kind == 2:
+        return Hyperbolic(random_concentrated_pair(rng, single_point=True))
+    if kind == 3:
+        return Parabolic(random_divisor(rng))
+    d = rng.randint(1, 9)
+    return Elliptic(d, rng.choice([e for e in range(d) if math.gcd(e, d) == 1]))
+
+
+def seeded_specs(seed: int, count: int, max_deg_p: int | None) -> list[dict]:
+    """``count`` spec documents, skipping those above ``max_deg_p`` (None: none)."""
+    rng = random.Random(seed)
+    out: list[dict] = []
+    i = 0
+    while len(out) < count:
+        spec = random_spec(rng, i)
+        i += 1
+        if max_deg_p is not None and isinstance(spec, Hyperbolic):
+            pres = classify(spec).presentation
+            if pres is not None and pres.P.degree > max_deg_p:
+                continue
+        out.append(spec_to_obj(spec))
+    return out
+
+
+def run_cli(argv: list[str]) -> tuple[int | str, str]:
+    """Exit code and stdout; an escaping exception is recorded by its name."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.run(argv)
+        except Exception as exc:  # a traceback in the real CLI
+            code = type(exc).__name__
+    return code, out.getvalue()
+
+
+def cli_records(spec_obj: dict) -> dict[str, list]:
+    """Command line (without the spec path) -> [exit code, stdout sha256]."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "surface.spec")
+        Path(path).write_text(json.dumps(spec_obj), encoding="utf-8")
+        runs = {}
+        for command in CLI_COMMANDS:
+            code, stdout = run_cli([command[0], path, *command[1:]])
+            runs[" ".join(command)] = [code, sha256(stdout)]
+        return runs
+
+
+def record() -> dict:
+    catalog = [
+        {"label": e.label, "spec": spec_to_obj(e.spec)} for e in default_entries()
+    ] + EXTRA
+    seeded = [
+        {"label": f"seed{SEED}#{i}", "spec": obj}
+        for i, obj in enumerate(seeded_specs(SEED, N_SPECS, MAX_DEG_P))
+    ]
+    return {
+        "reports": [
+            {**item, "sha256": report_digest(item["spec"])} for item in catalog + seeded
+        ],
+        "cli": [
+            {"label": item["label"], "spec": item["spec"],
+             "runs": cli_records(item["spec"])}
+            for item in catalog + seeded[:N_CLI_SPECS]
+        ],
+    }
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    data = record()
+    GOLDEN.write_text(
+        "{\n" + ",\n".join(
+            f"{json.dumps(key)}: [\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]"
+            for key, rows in data.items()
+        ) + "\n}\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -31,7 +31,7 @@ from dpdsurf.divisor import (
     normalize_pair,
 )
 from dpdsurf.dpdring import Elliptic, Hyperbolic, Parabolic, presentation
-from dpdsurf.errors import NoPositiveLnd
+from dpdsurf.errors import DomainError, InternalError, NoPositiveLnd, check
 from dpdsurf.exactmath import Rat
 from dpdsurf.lnd import positive_lnd_exists
 
@@ -372,3 +372,21 @@ class TestClassifyReport:
                 assert report.recognition.model == "plane"
             if report.recognition and report.recognition.model == "plane":
                 assert report.mm == 1
+
+
+class TestInternalChecks:
+    def test_internal_error_is_not_a_domain_error(self):
+        assert not issubclass(InternalError, DomainError)
+        with pytest.raises(InternalError, match="boom"):
+            check(False, "boom")
+        check(True, "never raised")
+
+    def test_toric_alpha_is_a_unit(self, rng):
+        # [[x, y], [-d, e']] is unimodular and sends the primitive ray
+        # (l, -k) to (alpha, -r), so alpha is invertible mod r
+        for _ in range(200):
+            pair = random_concentrated_pair(rng, single_point=True)
+            toric = classify(Hyperbolic(pair)).toric
+            if toric is not None:
+                r, e = toric
+                assert math.gcd(e, r) == 1

@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from dpdsurf.cli import parse_element, parse_poly, render_element, run
-from dpdsurf.dpdring import GradedElement
+from dpdsurf.cli import run
+from dpdsurf.element import GradedElement, parse_element, parse_poly, render_element
 from dpdsurf.errors import ParseError
 from dpdsurf.exactmath import Poly, Rat, RatFunc
 
@@ -162,6 +162,14 @@ class TestRun:
         assert run(["classify", missing]) == 1
         err = capsys.readouterr().err
         assert "InvalidSpecFile" in err
+
+    def test_boolean_spec_fields_exit_one(self, tmp_path, capsys):
+        # bool is an int subclass; JSON true/false must not pass as 1/0
+        path = tmp_path / "bool.spec"
+        path.write_text('{"elliptic": {"d": true, "e_prime": false}}', encoding="utf-8")
+        assert run(["classify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "InvalidSpecFile" in captured.err
 
     def test_inadmissible_degree_exit_one(self, spec_file, capsys):
         path = spec_file("danielewski", (2,))

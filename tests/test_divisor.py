@@ -6,18 +6,19 @@ import random
 
 import pytest
 
-from conftest import random_pair, random_shift
+from conftest import random_concentrated_pair, random_pair, random_shift
 from dpdsurf.divisor import (
     AffineMap,
+    Anchored,
     DivisorPair,
     QDivisor,
     affine_equivalent,
+    anchored,
     denom_index,
-    floor_frac,
     normalize_pair,
     shift_equivalent,
 )
-from dpdsurf.errors import PositiveSum
+from dpdsurf.errors import FractionalPlusSpread, PositiveSum
 from dpdsurf.exactmath import Rat
 
 
@@ -43,12 +44,15 @@ class TestQDivisor:
                 assert not (d * (n - 1)).is_integral()
 
     def test_floor_frac_examples(self):
-        f, r = floor_frac(D((0, Rat(-3, 2))))
+        d = D((0, Rat(-3, 2)))
+        f, r = d.floor(), d.frac()
         assert f == D((0, -2)) and r == D((0, Rat(1, 2)))
-        f, r = floor_frac(D((1, 2)))
+        d = D((1, 2))
+        f, r = d.floor(), d.frac()
         assert f == D((1, 2)) and r.is_zero()
         for n in range(2, 7):
-            f, r = floor_frac(D((0, Rat(1, n))))
+            d = D((0, Rat(1, n)))
+            f, r = d.floor(), d.frac()
             assert f.is_zero() and r == D((0, Rat(1, n)))
 
     def test_floor_frac_reassembles(self, rng):
@@ -57,7 +61,7 @@ class TestQDivisor:
                 (p, Rat(rng.randint(-9, 9), rng.randint(1, 6)))
                 for p in rng.sample(range(-2, 3), 2)
             )
-            f, r = floor_frac(d)
+            f, r = d.floor(), d.frac()
             assert f + r == d
             assert all(0 <= c < 1 for _, c in r.terms)
 
@@ -105,6 +109,37 @@ class TestNormalize:
             assert normalize_pair(q) == q
             assert q.sum() == p.sum()
             assert all(-1 < c <= 0 for _, c in q.d_plus.terms)
+
+
+class TestAnchored:
+    def test_conic_complement(self):
+        a = Anchored.of(DivisorPair(D((0, Rat(1, 2))), D((0, Rat(-1, 2)), (1, -1))))
+        assert a.pair == DivisorPair(D((0, Rat(-1, 2))), D((0, Rat(1, 2)), (1, -1)))
+        assert (a.translation, a.d, a.e_prime, a.k, a.l) == (0, 2, 1, 2, -1)
+
+    def test_moves_the_fractional_point_to_zero(self):
+        a = Anchored.of(DivisorPair(D((3, Rat(-2, 5))), D((3, Rat(-1, 5)), (1, -2))))
+        assert a.translation == 3
+        assert a.pair == DivisorPair(D((0, Rat(-2, 5))), D((0, Rat(-1, 5)), (-2, -2)))
+        assert (a.d, a.e_prime, a.k, a.l) == (5, 2, 5, 1)
+
+    def test_parabolic_divisor_is_the_pair_d_minus_d(self):
+        divisor = D((2, Rat(7, 3)), (5, 4))
+        a = Anchored.of(divisor)
+        assert (a.translation, a.d, a.e_prime) == (2, 3, 2)
+        assert a == Anchored.of(DivisorPair(divisor, -divisor))
+
+    def test_spread_fractional_part(self):
+        spread = DivisorPair(D((0, Rat(-1, 2)), (1, Rat(-1, 3))), QDivisor.zero())
+        with pytest.raises(FractionalPlusSpread, match="supported at 0, 1"):
+            Anchored.of(spread)
+        assert anchored(spread) is None
+        assert anchored(spread.reverse()) is not None
+
+    def test_shift_invariant(self, rng):
+        for _ in range(50):
+            pair = random_concentrated_pair(rng)
+            assert Anchored.of(random_shift(rng, pair)) == Anchored.of(pair)
 
 
 class TestShiftEquivalence:

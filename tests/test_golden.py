@@ -1,0 +1,69 @@
+"""Byte-level regression pins recorded by ``tests/golden_record.py``.
+
+Reports and CLI output must not change under refactoring: the digests in
+``tests/data/golden.json`` were recorded before it and are compared here.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from golden_record import GOLDEN, cli_records, report_digest, sha256
+
+DATA = json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_report_digests():
+    changed = [
+        item["label"]
+        for item in DATA["reports"]
+        if report_digest(item["spec"]) != item["sha256"]
+    ]
+    assert not changed
+
+
+def test_cli_stdout_and_exit_codes():
+    changed = []
+    for item in DATA["cli"]:
+        got = cli_records(item["spec"])
+        changed += [(item["label"], cmd) for cmd in got if got[cmd] != item["runs"][cmd]]
+    assert not changed
+
+
+_OPTIMIZED = """
+import contextlib, io, json, sys, tempfile, os
+from dpdsurf import cli
+if not sys.flags.optimize:
+    raise SystemExit("expected python -O")
+out = []
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "surface.spec")
+    for spec in json.load(sys.stdin):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.run(["classify", path, "--json"])
+        out.append([code, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_classify_json_same_under_python_O():
+    """Cross-checks are explicit raises, so -O must not change any output."""
+    items = DATA["cli"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED],
+        input=json.dumps([item["spec"] for item in items]),
+        capture_output=True, text=True, env=env, check=True,
+    )
+    want = [item["runs"]["classify --json"] for item in items]
+    got = [[code, sha256(stdout)] for code, stdout in json.loads(proc.stdout)]
+    assert got == want
