@@ -124,9 +124,11 @@ class GradedElement:
 #         | 'u' ['^' ['-'] NUMBER] | '(' expr-over-t ')'
 #
 # whitespace-insensitive; rationals have no embedded whitespace.  Exponents
-# of t and u are at most MAX_EXPONENT in absolute value: t^N builds a dense
-# polynomial of degree N and u^N a generator of degree N, so the cap bounds
-# the work one short input can ask for.
+# of t and u, and the degrees a term builds from its atoms (in t, of the
+# numerator and of the denominator, and in u), are at most MAX_EXPONENT in
+# absolute value: t^N builds a dense polynomial of degree N and u^N a
+# generator of degree N, so the cap bounds the degree one short input can
+# ask for.
 
 #: Far above any exponent the tests or the benchmark parse (at most 4).
 MAX_EXPONENT = 1000
@@ -221,6 +223,7 @@ def _parse_term(toks: _Tokens, allow_u: bool) -> GradedElement:
     saw_atom = False
     while True:
         kind = toks.peek()
+        atom_at = toks.here
         if kind == "num":
             _, digits, _ = toks.next()
             value = Rat(int(digits))
@@ -284,6 +287,10 @@ def _parse_term(toks: _Tokens, allow_u: bool) -> GradedElement:
         else:
             break
         saw_atom = True
+        if max(coeff.num.degree, coeff.den.degree, abs(upow)) > MAX_EXPONENT:
+            raise CapExceeded(
+                f"term degree is over the cap {MAX_EXPONENT} (at position {atom_at})"
+            )
     if not saw_atom:
         raise ParseError("expected a term", toks.here)
     return GradedElement.monomial(upow, coeff)

@@ -233,11 +233,16 @@ class Poly:
 
     def multiplicity_at(self, a: RatLike) -> int:
         """Order of vanishing at the rational point a."""
-        return self.deflate(a)[0]
+        return self._divide_out(a)[0]
 
     def deflate(self, a: RatLike) -> tuple[int, Poly]:
-        """``(m, q)`` with self = (t - a)^m * q and q(a) != 0, by synthetic
-        division."""
+        """``(m, q)`` with self = (t - a)^m * q and q(a) != 0."""
+        mult, cur = self._divide_out(a)
+        return mult, Poly(cur)
+
+    def _divide_out(self, a: RatLike) -> tuple[int, list[Rat]]:
+        """Multiplicity of a and the coefficients of the cofactor, by
+        synthetic division."""
         if self.is_zero():
             raise ZeroPolynomial("order undefined for the zero polynomial")
         a = Rat(a)
@@ -253,9 +258,7 @@ class Poly:
                 break
             mult += 1
             cur = quot
-        q = object.__new__(Poly)  # cur is already reduced Rats with cur[-1] != 0
-        q._c = tuple(cur)
-        return mult, q
+        return mult, cur
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -340,17 +343,8 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _primitive(a: list[int]) -> list[int]:
-    """a divided by its content, with a positive leading coefficient."""
-    a = _trim(a)
-    if not a:
-        return a
-    g = math.gcd(*a) * (1 if a[-1] > 0 else -1)
-    return [c // g for c in a]
-
-
-def _prem(a: Sequence[int], b: Sequence[int], m: int = 0) -> list[int]:
-    """lc(b)^k * (a mod b) for some k >= 0, reduced mod m when m > 0."""
+def _prem(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    """lc(b)^k * (a mod b) mod m for some k >= 0."""
     r = list(a)
     db, lb = len(b) - 1, b[-1]
     while len(r) > db:
@@ -360,22 +354,8 @@ def _prem(a: Sequence[int], b: Sequence[int], m: int = 0) -> list[int]:
             r = [x * lb for x in r]
             for i in range(db):
                 r[k + i] -= c * b[i]
-            if m:
-                r = [x % m for x in r]
+            r = [x % m for x in r]
     return _trim(r)
-
-
-def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """a / b for integer polynomials with b | a in Z[t]."""
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [0] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + db] // lb
-        if c:
-            for i in range(db):
-                r[k + i] -= c * b[i]
-    return q
 
 
 def _evaluate(g: Sequence[int], x: int, m: int = 0) -> int:
@@ -389,9 +369,9 @@ def _evaluate(g: Sequence[int], x: int, m: int = 0) -> int:
 
 
 def _squarefree_mod(g: Sequence[int], ell: int) -> bool:
-    """True when the monic integer polynomial g stays square-free mod ell."""
-    a = [c % ell for c in g]
-    b = _trim([i * c % ell for i, c in enumerate(g)][1:])
+    """True when the monic g, with coefficients reduced mod ell, is
+    square-free mod ell."""
+    a, b = g, _trim([i * c % ell for i, c in enumerate(g)][1:])
     while b:
         a, b = b, _prem(a, b, ell)
     return len(a) == 1
@@ -401,28 +381,30 @@ def _rational_roots(work: Poly) -> list[Rat]:
     """Distinct rational roots of work, given work(0) != 0 and degree >= 1.
 
     Loos' p-adic method (SIAM J. Comput. 12, 1983).  s is the square-free
-    part of p, the primitive integer form of work (by a primitive remainder
-    sequence), lc its leading coefficient.  Every root is y/lc for an
-    integer root y of the monic g(y) = lc^(n-1) s(y/lc).  Those are found
-    mod the smallest odd prime ell keeping g square-free, Hensel-lifted
-    past the root bound 1 + max |g_i| and checked exactly.
+    part work / gcd(work, work') in primitive integer form, lc its leading
+    coefficient.  Every root is y/lc for an integer root y of the monic
+    g(y) = lc^(n-1) s(y/lc).  Those are found mod the smallest odd prime
+    ell keeping g square-free, Hensel-lifted past the root bound
+    1 + max |g_i| and checked exactly.
     """
+    sqf = work // poly_gcd(work, work.derivative())
     # a list, not a generator: unpacking a generator here grew peak resident
     # memory by up to 1.4 MB over 29k calls
-    den = math.lcm(*[c.denominator for c in work.coeffs])
-    p = _primitive([int(c * den) for c in work.coeffs])
-    a, b = p, _primitive([i * c for i, c in enumerate(p)][1:])
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    s = _exact_quotient(p, a) if len(a) > 1 else p
+    den = math.lcm(*[c.denominator for c in sqf.coeffs])
+    s = [int(c * den) for c in sqf.coeffs]
+    content = math.gcd(*s)
+    s = [c // content for c in s]
     n, lc = len(s) - 1, s[-1]
     g = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
     dg = [i * c for i, c in enumerate(g)][1:]
     bound = 2 * (1 + max(abs(c) for c in g))
-    ell = next(q for q in _odd_primes() if _squarefree_mod(g, q))
+    for ell in _odd_primes():
+        g_ell = [c % ell for c in g]
+        if _squarefree_mod(g_ell, ell):
+            break
     roots = []
     for r in range(ell):
-        if _evaluate(g, r, ell):
+        if _evaluate(g_ell, r, ell):
             continue
         y, m = r, ell
         while m <= bound:

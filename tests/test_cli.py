@@ -242,6 +242,27 @@ class TestExponentCap:
         assert run(["equation", "--poly", "t^1000-1", "--degree", "1"]) == 1
         assert "NonRationalRoots" in capsys.readouterr().err
 
+    def test_term_degree_over_cap(self):
+        # the cap holds for what a product of atoms builds, not only for
+        # each exponent
+        for bad in ("t^1000*t", "t^1000t", "t^1000" * 200 + "+1",
+                    "(t^600+1)*(t^600+1)", "1/(t^600+1)/(t^600+1)",
+                    "u^1000u", "u^600*u^600", "u^-600u^-600"):
+            with pytest.raises(CapExceeded):
+                parse_element(bad)
+        assert parse_poly("t^500*t^500") == Poly.monomial(MAX_EXPONENT)
+        assert parse_element("u^500u^500").degrees == (MAX_EXPONENT,)
+        assert parse_element("u^1000u^-1000").degrees == (0,)
+
+    def test_term_degree_over_cap_exit_one(self, spec_file, capsys):
+        assert run(["equation", "--poly", "t^1000*t+1", "--degree", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "CapExceeded" in captured.err
+        path = spec_file("danielewski", (2,))
+        assert run(["apply", path, "--degree", "2", "--element", "u^1000u"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "CapExceeded" in captured.err
+
     def test_apply_element_over_cap_exit_one(self, spec_file, capsys):
         path = spec_file("danielewski", (2,))
         for element in ("u^1001", "t*u^-1001", "(t+1)/(t^1001+1)"):
