@@ -239,15 +239,17 @@ def _cmd_lnd(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    if args.times is not None:
+        times = args.times
+    else:
+        times = args.max_iter if args.max_iter is not None else 64
+    if times > lnd_mod.MAX_STEPS:
+        raise CapExceeded(f"{times} steps are over the cap {lnd_mod.MAX_STEPS}")
     spec = load_spec(args.spec)
     x = parse_element(args.element)
     derivation = _build_lnd(spec, args.degree, args.negative)
     if not isinstance(spec, Elliptic) and not contains(spec, x):
         print("note: element lies outside the ring", file=sys.stderr)
-    if args.times is not None:
-        times = args.times
-    else:
-        times = args.max_iter if args.max_iter is not None else 64
     images = []
     current = x
     steps_to_zero = None
@@ -398,7 +400,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_verify(args) -> int:
     spec = load_spec(args.spec)
     pair = _require_hyperbolic(spec)
-    window = args.window if args.window is not None else 8
+    window = args.window if args.window is not None else lnd_mod.oracle_window(pair)
     degrees = lnd_mod.admissible_degrees(pair) if lnd_mod.positive_lnd_exists(pair) \
         else lnd_mod.DegreeSet.none()
     mismatches = []
@@ -421,7 +423,8 @@ def _cmd_verify(args) -> int:
     }
     if ok:
         text = (
-            f"stabilization: PASS for e in 0..10; oracle agrees with closed form; "
+            f"stabilization: PASS for e in 0..10 at window {window}; "
+            f"oracle agrees with closed form; "
             f"admissible degrees {admissible}"
         )
     else:
@@ -512,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("params", nargs="*", type=int)
 
     sp = add("verify", _cmd_verify, help="oracle vs closed-form degree sweep")
-    sp.add_argument("--window", type=int)
+    sp.add_argument("--window", type=int,
+                    help="generator degrees to check (default: the denominator index)")
 
     sp = add("family", _cmd_family, needs_spec=False,
              help="conjugation family kernel u_alpha on u v = P(t)")

@@ -17,6 +17,7 @@ from .divisor import Anchored, DivisorPair, QDivisor
 from .element import GradedElement
 from .errors import (
     GcdViolation,
+    InvalidEquation,
     InvalidSpecFile,
     IrrationalLocus,
     NegativeDegreeParabolic,
@@ -194,11 +195,11 @@ def from_equation(k: int, p: Poly) -> DivisorPair:
     gcd(k, r_1, ..., r_s) = 1 so that k is the true denominator index.
     """
     if k < 1:
-        raise ValueError("k must be positive")
+        raise InvalidEquation(f"the u-power k = {k} must be positive")
     if p.is_zero() or not p.is_unitary():
         raise NotUnitary(f"P = {p} is not a unitary polynomial")
     if p.degree < 1:
-        raise ValueError("P must be nonconstant")
+        raise InvalidEquation(f"P = {p} must be nonconstant")
     _, roots, rem = rational_linear_factorization(p)
     if rem.degree >= 1:
         raise NonRationalRoots(f"P has a factor {rem} with no rational root")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import CapExceeded, ParseError
-from .exactmath import Poly, Rat, RatFunc, RatLike, format_rat
+from .exactmath import Poly, Rat, RatFunc, RatLike, format_rat, parse_int
 
 
 class GradedElement:
@@ -225,16 +225,17 @@ def _parse_term(toks: _Tokens, allow_u: bool) -> GradedElement:
         kind = toks.peek()
         atom_at = toks.here
         if kind == "num":
-            _, digits, _ = toks.next()
-            value = Rat(int(digits))
+            _, digits, at = toks.next()
+            value = Rat(parse_int(digits, at))
             if toks.peek() == "/" and toks.pos + 1 < len(toks.items) and toks.items[
                 toks.pos + 1
             ][0] == "num":
                 toks.next()
                 _, den, at = toks.next()
-                if int(den) == 0:
+                den = parse_int(den, at)
+                if den == 0:
                     raise ParseError("zero denominator", at)
-                value /= int(den)
+                value /= den
             coeff = coeff * value
         elif kind == "t":
             toks.next()
@@ -272,8 +273,8 @@ def _parse_term(toks: _Tokens, allow_u: bool) -> GradedElement:
                 toks.expect(")")
                 div = inner.coefficient(0)
             elif toks.peek() == "num":
-                _, digits, _ = toks.next()
-                div = RatFunc(Poly((int(digits),)))
+                _, digits, at = toks.next()
+                div = RatFunc(Poly((parse_int(digits, at),)))
             else:
                 raise ParseError("expected '(' or a number after '/'", at)
             if div.is_zero():

@@ -55,6 +55,10 @@ class GcdViolation(DomainError):
     """gcd(k, root multiplicities) > 1; k is not minimal."""
 
 
+class InvalidEquation(DomainError):
+    """u^k v = P needs k >= 1 and a nonconstant P."""
+
+
 class NotUnitary(DomainError):
     """Polynomial is not monic."""
 

@@ -22,7 +22,21 @@ Rat = Fraction
 
 RatLike = Union[Rat, int]
 
-_RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RAT_RE = re.compile(r"^(-?)(\d+)(?:/(\d+))?$")
+
+#: Most digits an integer literal may have: CPython's default limit on
+#: converting a string to an int, past which int() raises ValueError.
+MAX_DIGITS = 4300
+
+
+def parse_int(digits: str, position: int = 0) -> int:
+    """int() of a string of decimal digits, at most MAX_DIGITS long."""
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(
+            f"integer literal of {len(digits)} digits is over the cap {MAX_DIGITS}",
+            position,
+        )
+    return int(digits)
 
 
 def parse_rat(text: str) -> Rat:
@@ -30,8 +44,10 @@ def parse_rat(text: str) -> Rat:
     m = _RAT_RE.match(text)
     if not m:
         raise ParseError(f"invalid rational literal {text!r}", 0)
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num = parse_int(m.group(2), len(m.group(1)))
+    if m.group(1):
+        num = -num
+    den = parse_int(m.group(3), m.start(3)) if m.group(3) is not None else 1
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}", 0)
     return Rat(num, den)

@@ -1,5 +1,5 @@
 """Homogeneous locally nilpotent derivations: existence, construction,
-symbolic evaluation, and the brute-force stabilization oracle.
+symbolic evaluation, and the stabilization oracle.
 
 A horizontal derivation of degree e on A_0[D+, D-] is stored by its toric
 data (d, e', k) and acts on monomials in closed form:
@@ -16,15 +16,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .divisor import Anchored, DivisorPair, QDivisor, anchored, normalize_pair
-from .dpdring import (
-    GradedElement,
-    Hyperbolic,
-    Parabolic,
-    SurfaceSpec,
-    contains,
-    graded_generator,
+from .divisor import (
+    Anchored,
+    DivisorPair,
+    QDivisor,
+    anchored,
+    denom_index,
+    normalize_pair,
 )
+from .dpdring import GradedElement, Hyperbolic, Parabolic, SurfaceSpec
 from .errors import (
     CapExceeded,
     FractionalPlusSpread,
@@ -41,6 +41,12 @@ from .exactmath import (
     mod_inverse,
     ratfunc_monomial_power,
 )
+
+#: Caps on the work one command can ask for, matching element.MAX_EXPONENT:
+#: the stabilization window (derived or given), which checks 2*window + 1
+#: generators, and the number of derivation steps `apply` iterates.
+MAX_WINDOW = 1000
+MAX_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -263,7 +269,7 @@ def nilpotency_steps(lnd: Lnd, x: GradedElement, cap: int = 256) -> int:
 
 @dataclass(frozen=True)
 class StabilizationReport:
-    """Outcome of the brute-force extension check."""
+    """Outcome of the extension check."""
 
     verdict: bool
     failures: tuple[tuple[Optional[int], str], ...] = ()
@@ -276,48 +282,104 @@ class StabilizationReport:
         return "does not stabilize: " + "; ".join(lines)
 
 
+def oracle_window(pair: DivisorPair) -> int:
+    """The denominator index max(d, k): the default stabilization window."""
+    return max(denom_index(pair.d_plus), denom_index(pair.d_minus))
+
+
+def _h_order(q: Rat, a: dict[Rat, int], d: int, en: int) -> int:
+    """ord_q of h = d*t*sum_p a_p/(t - p) - en, so that d*t*f' - en*f = f*h
+    for f = prod_p (t - p)^(a_p).
+
+    h has a simple pole at each p != 0 with a_p != 0 and is regular
+    elsewhere (the term at p = 0 is the constant d*a_0).  Where h(q) = 0
+    the order is the multiplicity of q in its numerator over the poles.
+    """
+    if q != 0 and q in a:
+        return -1
+    constant = d * a.get(Rat(0), 0) - en
+    if q == 0:
+        value = constant
+    else:
+        value = d * q * sum(c / (q - p) for p, c in a.items()) - en
+    if value != 0:
+        return 0
+    poles = [p for p in a if p != 0]
+    num = Poly.from_roots(poles, constant)
+    for p in poles:
+        num = num + Poly.from_roots([r for r in poles if r != p], d * a[p]) * Poly.t()
+    return num.multiplicity_at(q)
+
+
 def stabilization_witness(
     pair: DivisorPair,
     e: int,
-    window: int = 8,
+    window: Optional[int] = None,
     e_prime_override: Optional[int] = None,
 ) -> StabilizationReport:
-    """Brute-force oracle for Lemma-style extension of the degree-e candidate.
+    """Decide whether the degree-e candidate derivation preserves the ring.
 
-    Builds the candidate derivation ignoring admissibility and applies it to
-    the module generators of every degree |n| <= window plus the A_0
-    generator t; the verdict is True iff every image stays in the ring.
+    The candidate, built ignoring admissibility, is applied to t and to the
+    module generators f_n u^n of every degree 0 < |n| <= window of the
+    anchored pair; the verdict is True iff every image stays in the ring.
     By A_0-linearity and the Leibniz rule these finitely many checks decide
-    stabilization of the whole ring.  e_prime_override substitutes a
-    (possibly wrong) e' to probe non-solutions of e*e' = 1 (mod d).
+    stabilization of the whole ring once the window reaches the denominator
+    index L = max(d, k), the default (oracle_window): L*D is integral on
+    each side, so ceil(-(n + L)*D(p)) = ceil(-n*D(p)) - L*D(p) and
+    f_(n+L) = f_n*f_L, i.e. the ring is generated in degrees |n| <= L.  A
+    smaller window is an override that may wrongly admit a degree.
+    e_prime_override substitutes a (possibly wrong) e' to probe
+    non-solutions of e*e' = 1 (mod d).
+
+    Nothing is expanded: f_n is carried as its exponents
+    a_p = ceil(-|n|*D(p)), and its image is f_n*h_n*t^((e*e'-1)/d)*u^(n+e)
+    with h_n = d*t*sum_p a_p/(t - p) - e'*n (h = d for t, the generator
+    with a_0 = 1 and n = 0).  The image lies in the ring iff
+    a_q + ord_q(h_n) + [q = 0]*(e*e'-1)/d + |n+e|*D(q) >= 0, D the divisor
+    of the sign of n + e, at every point q of supp D+, supp D- and 0; no
+    other point can break it.  Raises CapExceeded for a window over
+    MAX_WINDOW.
     """
     if e < 0:
         return stabilization_witness(pair.reverse(), -e, window, e_prime_override)
+    if window is None:
+        window = oracle_window(pair)
+    if window > MAX_WINDOW:
+        raise CapExceeded(f"oracle window {window} is over the cap {MAX_WINDOW}")
     try:
         a = Anchored.of(pair)
     except FractionalPlusSpread as exc:
         return StabilizationReport(False, ((None, str(exc)),))
-    spec = Hyperbolic(a.pair)
     d = a.d
     e_prime = e_prime_override if e_prime_override is not None else a.e_prime
-    candidates: list[tuple[int, RatFunc]] = [(0, _T)]
+    plus, minus = dict(a.pair.d_plus.terms), dict(a.pair.d_minus.terms)
+    points = sorted({Rat(0), *plus, *minus})
+    generators: list[tuple[int, dict[Rat, int]]] = [(0, {Rat(0): 1})]
     for n in range(-window, window + 1):
         if n != 0:
-            candidates.append((n, graded_generator(spec, n).coefficient(n)))
+            side = plus if n > 0 else minus
+            exps = {p: -(abs(n) * c.numerator // c.denominator) for p, c in side.items()}
+            generators.append((n, {p: x for p, x in exps.items() if x}))
+    num = e * e_prime - 1
     failures = []
-    for n, f in candidates:
-        r = _T * f.derivative() * d - f * (e_prime * n)
-        if r.is_zero():
-            continue
-        num = e * e_prime - 1
+    for n, exps in generators:
+        if all(p == 0 for p in exps) and d * exps.get(Rat(0), 0) == e_prime * n:
+            continue  # h_n = 0: the image is zero
         if num % d != 0:
             failures.append(
                 (n, f"condition (i): t-exponent (e*e'-1)/d = {num}/{d} is not integral")
             )
             continue
-        image = GradedElement.monomial(n + e, r * ratfunc_monomial_power(0, num // d))
-        if not contains(spec, image):
-            failures.append((n, f"image of the degree-{n} generator leaves the ring"))
+        bound = plus if n + e >= 0 else minus
+        for q in points:
+            order = exps.get(q, 0) + _h_order(q, exps, d, e_prime * n)
+            if q == 0:
+                order += num // d
+            if order + abs(n + e) * bound.get(q, 0) < 0:
+                what = "t" if n == 0 else f"the generator of degree {n}"
+                failures.append((n, f"image of {what} leaves the ring at "
+                                    f"q = {format_rat(q + a.translation)}"))
+                break
     return StabilizationReport(not failures, tuple(failures))
 
 

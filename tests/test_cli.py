@@ -269,3 +269,97 @@ class TestExponentCap:
             assert run(["apply", path, "--degree", "2", "--element", element]) == 1
             captured = capsys.readouterr()
             assert captured.out == "" and "CapExceeded" in captured.err
+
+
+REPRODUCTION = {"hyperbolic": {"d_plus": [["0", "-1/2"]],
+                               "d_minus": [["0", "1/2"], ["1", "-1/17"]]}}
+
+
+def _write_spec(tmp_path, obj) -> str:
+    path = tmp_path / "input.spec"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def _one_error_line(capsys, name: str) -> None:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name}: ")
+
+
+class TestVerifyWindow:
+    """verify checks generators up to the denominator index by default;
+    --window only overrides it, and both are capped at MAX_WINDOW."""
+
+    def test_reproduction_pair_passes(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, REPRODUCTION)
+        assert run(["verify", path]) == 0
+        assert "PASS" in capsys.readouterr().out
+        assert run(["verify", path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["window"] == 34 and doc["agrees"] is True
+
+    def test_window_override(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, REPRODUCTION)
+        assert run(["verify", path, "--window", "8", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["window"] == 8
+        assert doc["mismatches"] == [{"degree": 9, "closed_form": False, "oracle": True}]
+
+    def test_window_over_cap_exit_one(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, REPRODUCTION)
+        assert run(["verify", path, "--window", "100000"]) == 1
+        _one_error_line(capsys, "CapExceeded")
+
+    def test_derived_window_over_cap_exit_one(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, {"hyperbolic": {
+            "d_plus": [], "d_minus": [["1", "-1/1000003"]]}})
+        assert run(["verify", path]) == 1
+        _one_error_line(capsys, "CapExceeded")
+
+    def test_apply_times_over_cap_exit_one(self, spec_file, capsys):
+        from dpdsurf.lnd import MAX_STEPS
+
+        path = spec_file("danielewski", (2,))
+        for flag in ("--times", "--max-iter"):
+            argv = ["apply", path, "--degree", "2", "--element", "t"]
+            assert run(argv + [flag, str(MAX_STEPS + 1)]) == 1
+            _one_error_line(capsys, "CapExceeded")
+            assert run(argv + [flag, str(MAX_STEPS)]) == 0
+            assert "reached zero after 2 steps" in capsys.readouterr().out
+
+
+class TestInputErrors:
+    def test_equation_degree_and_constant_exit_one(self, capsys):
+        for poly, k in (("t^2+1", "0"), ("t^2+1", "-3"), ("1", "1")):
+            assert run(["equation", "--poly", poly, "--degree", k]) == 1
+            _one_error_line(capsys, "InvalidEquation")
+        assert run(["family", "--poly", "1"]) == 1
+        _one_error_line(capsys, "InvalidEquation")
+
+    def test_long_literal_in_element_grammar(self, capsys):
+        from dpdsurf.exactmath import MAX_DIGITS
+
+        longest = "9" * MAX_DIGITS
+        assert parse_poly(longest) == Poly((int(longest),))
+        assert parse_element(f"1/{longest}*u") == GradedElement.monomial(
+            1, Poly((Rat(1, int(longest)),)))
+        for bad in ("1" + "0" * MAX_DIGITS, f"t/{'7' * 5000}", f"1/{'3' * 5000}*t",
+                    "t+" + "0" * 5000):
+            with pytest.raises(ParseError):
+                parse_element(bad)
+        assert run(["equation", "--poly", "1" + "0" * 5000, "--degree", "1"]) == 1
+        _one_error_line(capsys, "ParseError")
+
+    def test_long_literal_in_spec_file(self, tmp_path, capsys):
+        from dpdsurf.exactmath import MAX_DIGITS, parse_rat
+
+        assert parse_rat("-" + "9" * MAX_DIGITS) == -int("9" * MAX_DIGITS)
+        for bad in ("1" + "0" * 5000, "-" + "1" * 5000, "1/" + "3" * 5000):
+            with pytest.raises(ParseError):
+                parse_rat(bad)
+        path = _write_spec(tmp_path, {"hyperbolic": {
+            "d_plus": [], "d_minus": [["1" + "0" * 5000, "-1/2"]]}})
+        assert run(["classify", path]) == 1
+        _one_error_line(capsys, "ParseError")

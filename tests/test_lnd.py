@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from conftest import random_concentrated_pair, random_element
-from dpdsurf.divisor import DivisorPair, QDivisor, normalize_pair
+from conftest import (
+    NEGATIVE_SUMS,
+    random_concentrated_pair,
+    random_element,
+    random_pair,
+)
+from dpdsurf.divisor import Anchored, DivisorPair, QDivisor, denom_index, normalize_pair
 from dpdsurf.dpdring import (
     GradedElement,
     Hyperbolic,
@@ -20,8 +27,9 @@ from dpdsurf.errors import (
     InadmissibleDegree,
     NotSmallGroup,
 )
-from dpdsurf.exactmath import Poly, Rat, RatFunc
+from dpdsurf.exactmath import Poly, Rat, RatFunc, ratfunc_monomial_power
 from dpdsurf.lnd import (
+    MAX_WINDOW,
     admissible_degrees,
     apply,
     build_horizontal,
@@ -30,6 +38,7 @@ from dpdsurf.lnd import (
     fiber_lnd,
     kernel_generator,
     nilpotency_steps,
+    oracle_window,
     parabolic_horizontal,
     positive_lnd_exists,
     stabilization_witness,
@@ -232,6 +241,105 @@ class TestStabilizationWitness:
             if wrong == 2:  # the true e'
                 continue
             assert not stabilization_witness(pair, e, e_prime_override=wrong).verdict
+
+
+#: D+ = -1/2*[0], D- = 1/2*[0] - 1/17*[1]: index 34, and a window of 8
+#: misses the generators that rule out e = 9.
+REPRODUCTION = DivisorPair(D((0, Rat(-1, 2))), D((0, Rat(1, 2)), (1, Rat(-1, 17))))
+
+
+def dense_witness(pair, e, window, e_prime_override=None) -> bool:
+    """The stabilization check written out densely: expand each generator,
+    differentiate it as a rational function and test the image with
+    contains().  An independent check on the factored oracle."""
+    if e < 0:
+        return dense_witness(pair.reverse(), -e, window, e_prime_override)
+    try:
+        a = Anchored.of(pair)
+    except FractionalPlusSpread:
+        return False
+    spec = Hyperbolic(a.pair)
+    e_prime = a.e_prime if e_prime_override is None else e_prime_override
+    t = RatFunc(Poly.t())
+    candidates = [(0, t)] + [(n, graded_generator(spec, n).coefficient(n))
+                             for n in range(-window, window + 1) if n != 0]
+    for n, f in candidates:
+        r = t * f.derivative() * a.d - f * (e_prime * n)
+        if r.is_zero():
+            continue
+        if (e * e_prime - 1) % a.d != 0:
+            return False
+        tk = ratfunc_monomial_power(0, (e * e_prime - 1) // a.d)
+        if not contains(spec, GradedElement.monomial(n + e, r * tk)):
+            return False
+    return True
+
+
+def high_index_pair(rng) -> DivisorPair:
+    """A concentrated pair whose d_minus has denominator index k = d*m with
+    m up to 150 // d, spread over one to three points besides the anchor."""
+    d = rng.choice([1, 2, 3, 4, 5])
+    e_prime = rng.choice([x for x in range(d) if math.gcd(x, d) == 1]) if d > 1 else 0
+    k = d * rng.randint(2, 150 // d)
+    anchor = Rat(rng.randint(-3, 3), rng.choice([1, 2]))
+    minus = [(anchor, Rat(e_prime, d) + rng.choice([0, -1, Rat(-1, k)]))]
+    for i in range(rng.randint(1, 3)):
+        minus.append((anchor + i + 1, Rat(-rng.randint(1, 2 * k), k)))
+    plus = [(anchor, Rat(-e_prime, d))] if e_prime else []
+    return DivisorPair(QDivisor(plus), QDivisor(minus))
+
+
+class TestSoundOracle:
+    def test_reproduction_pair(self):
+        assert oracle_window(REPRODUCTION) == 34
+        report = stabilization_witness(REPRODUCTION, 9)
+        assert not report.verdict
+        assert (-17, "image of the generator of degree -17 leaves the ring at q = 1") \
+            in report.failures
+        # a window below the index is an override and misses them
+        assert stabilization_witness(REPRODUCTION, 9, window=8).verdict
+        ds = admissible_degrees(REPRODUCTION)
+        for e in (9, 17, 18, 19, 35):
+            assert stabilization_witness(REPRODUCTION, e).verdict == ds.contains(e)
+
+    def test_failure_names_point_in_input_coordinates(self):
+        # anchoring moves the fractional point of d_plus from 3 to 0
+        report = stabilization_witness(REPRODUCTION.translate(3), 9)
+        assert not report.verdict
+        assert (-17, "image of the generator of degree -17 leaves the ring at q = 4") \
+            in report.failures
+        assert all(why.endswith("at q = 4") for _, why in report.failures)
+
+    def test_derived_window_matches_closed_form(self, rng):
+        indices = []
+        for _ in range(40):
+            pair = high_index_pair(rng)
+            window = oracle_window(pair)
+            assert window == max(denom_index(pair.d_plus), denom_index(pair.d_minus))
+            indices.append(window)
+            ds = admissible_degrees(pair)
+            for e in range(0, 11):
+                assert stabilization_witness(pair, e).verdict == ds.contains(e), (pair, e)
+        assert max(indices) > 100 and min(indices) < 8
+
+    def test_matches_dense_oracle(self, rng):
+        for i in range(8):
+            pair = random_pair(rng) if i % 2 else random_concentrated_pair(rng)
+            for e in range(-4, 10):
+                for override in (None, rng.randint(0, 5)):
+                    assert stabilization_witness(pair, e, 8, override).verdict == (
+                        dense_witness(pair, e, 8, override)
+                    ), (pair, e, override)
+
+    def test_window_cap(self):
+        assert MAX_WINDOW == 1000
+        assert stabilization_witness(danielewski(2), 2, window=MAX_WINDOW).verdict
+        with pytest.raises(CapExceeded):
+            stabilization_witness(danielewski(2), 2, window=MAX_WINDOW + 1)
+        pair = DivisorPair(QDivisor.zero(), D((1, Rat(-1, 1000003))))
+        for e in (1, -1):
+            with pytest.raises(CapExceeded):
+                stabilization_witness(pair, e)
 
 
 class TestKernel:
