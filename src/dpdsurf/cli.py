@@ -43,6 +43,7 @@ from .errors import (
     FractionalPlusSpread,
     InadmissibleDegree,
     InvalidSpecFile,
+    NegativeSize,
     check,
 )
 from .exactmath import Rat, format_rat, parse_rat
@@ -239,6 +240,9 @@ def _cmd_lnd(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    for flag, value in (("--times", args.times), ("--max-iter", args.max_iter)):
+        if value is not None and value < 0:
+            raise NegativeSize(f"{flag} {value} is negative")
     if args.times is not None:
         times = args.times
     else:

@@ -25,7 +25,13 @@ from .errors import (
     NotUnitary,
     check,
 )
-from .exactmath import Poly, Rat, RatFunc, rational_linear_factorization
+from .exactmath import (
+    Poly,
+    Rat,
+    RatFunc,
+    linear_power_product,
+    rational_linear_factorization,
+)
 
 
 @dataclass(frozen=True)
@@ -63,15 +69,15 @@ SurfaceSpec = Union[Elliptic, Parabolic, Hyperbolic]
 
 def _generator_coefficient(d: QDivisor, n: int) -> RatFunc:
     """prod_p (t - p)^{ceil(-n * D(p))} for the degree-|n| piece along D."""
-    num, den = Poly.one(), Poly.one()
+    up, down = [], []
     for p, c in d.terms:
         q = -n * c
         expo = -((-q.numerator) // q.denominator)  # ceil(q), exactly
         if expo > 0:
-            num = num * Poly((-p, 1)) ** expo
+            up.append((p, expo))
         elif expo < 0:
-            den = den * Poly((-p, 1)) ** (-expo)
-    return RatFunc._reduced(num, den)
+            down.append((p, -expo))
+    return RatFunc._reduced(linear_power_product(up), linear_power_product(down))
 
 
 def graded_generator(spec: SurfaceSpec, n: int) -> GradedElement:
@@ -157,16 +163,20 @@ class Presentation:
         recorded; l may be negative, but k*e' + d*l >= 0 always holds
         because the sum at 0 is <= 0.
         """
-        big_q = Poly.one()
+        factors = []
         for p, c in a.pair.d_minus.terms:
             if p != 0:
                 check(c < 0, "d_minus > 0 where d_plus = 0 contradicts a sum <= 0")
-                big_q = big_q * Poly((-p, 1)) ** int(-a.k * c)
+                factors.append((p, int(-a.k * c)))
+        big_q = linear_power_product(factors)
         s_exp = a.k * a.e_prime + a.d * a.l
         check(s_exp >= 0, "k*e' + d*l < 0 contradicts d_plus + d_minus <= 0")
+        # P(s) = Q(s^d) s^s_exp: coefficient i of Q lands at s_exp + i*d
+        coeffs = [Rat(0)] * (s_exp + a.d * big_q.degree + 1)
+        coeffs[s_exp::a.d] = big_q.coeffs
         return cls(
             k=a.k,
-            P=big_q.compose(Poly.monomial(a.d)) * Poly.monomial(s_exp),
+            P=Poly(coeffs),
             d=a.d,
             e_prime=a.e_prime,
             l=a.l,

@@ -71,6 +71,10 @@ class CapExceeded(DomainError):
     """An input size or an iteration count is over its cap."""
 
 
+class NegativeSize(DomainError):
+    """An input size or an iteration count is negative."""
+
+
 class NoKernelGenerator(DomainError):
     """No closed-form kernel generator: elliptic spec or negative degree."""
 

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import NotCoprime, ParseError, ZeroPolynomial
+from .errors import CapExceeded, NotCoprime, ParseError, ZeroPolynomial
 
 #: Exact rational number.  ``fractions.Fraction`` already enforces every
 #: invariant we need: reduced form, positive denominator, 0 stored as 0/1,
@@ -53,9 +53,19 @@ def parse_rat(text: str) -> Rat:
     return Rat(num, den)
 
 
+#: Integers from 10**MAX_DIGITS up have too many digits for str().
+_TOO_LONG = 10**MAX_DIGITS
+
+
 def format_rat(q: RatLike) -> str:
-    """Render a rational as ``"n"`` or ``"n/m"``."""
+    """Render a rational as ``"n"`` or ``"n/m"``.
+
+    Raises CapExceeded when the numerator or the denominator has more
+    than MAX_DIGITS digits (str() would raise ValueError).
+    """
     q = Rat(q)
+    if abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG:
+        raise CapExceeded(f"a rational to print has over {MAX_DIGITS} digits")
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -111,10 +121,7 @@ class Poly:
 
     @classmethod
     def from_roots(cls, roots: Iterable[RatLike], leading: RatLike = 1) -> Poly:
-        p = cls((leading,))
-        for r in roots:
-            p = p * cls((-Rat(r), 1))
-        return p
+        return linear_power_product([(r, 1) for r in roots], leading)
 
     @property
     def coeffs(self) -> Sequence[Rat]:
@@ -292,14 +299,50 @@ class Poly:
                 tp = "t" if i == 1 else f"t^{i}"
                 body = tp if mag == 1 else f"{format_rat(mag)}*{tp}"
             parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += sign + body
-        return text
+        text = "".join(sign + body for sign, body in parts)
+        return text[1:] if text[0] == "+" else text
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def linear_power_product(
+    factors: Iterable[tuple[RatLike, int]], leading: RatLike = 1
+) -> Poly:
+    """leading * prod (t - a)^m over the pairs (a, m), m >= 0, in exact
+    integers.
+
+    With a = num/den, (t - a)^m = den^(-m) (den*t - num)^m, whose
+    coefficient of t^j is C(m, j) den^j (-num)^(m-j).  The integer rows are
+    multiplied by convolution and the product divided once by prod den^m
+    (and by the denominator of leading).
+    """
+    leading = Rat(leading)
+    row, scale = [leading.numerator], leading.denominator
+    for a, m in factors:
+        a = Rat(a)
+        num, den = a.numerator, a.denominator
+        neg_pow = [1]  # (-num)^i
+        for _ in range(m):
+            neg_pow.append(neg_pow[-1] * -num)
+        power, binom, den_j = [], 1, 1
+        for j in range(m + 1):
+            power.append(binom * den_j * neg_pow[m - j])
+            binom = binom * (m - j) // (j + 1)
+            den_j *= den
+        row = _convolve(row, power)
+        scale *= den**m
+    return Poly(row) if scale == 1 else Poly(Rat(c, scale) for c in row)
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer coefficient lists (lowest degree first)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _as_poly(x: Poly | RatLike) -> Poly:
@@ -324,13 +367,14 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     the graded generators produce thus never go through Euclid with num."""
     leading = den.leading
     _, droots, drem = rational_linear_factorization(den)
-    new_den = Poly((leading,))
+    common, kept = [], []
     for a, m in droots:
         k = min(m, num.multiplicity_at(a))
-        if k:
-            num = num // Poly((-a, 1)) ** k
-        if m - k:
-            new_den = new_den * Poly((-a, 1)) ** (m - k)
+        common.append((a, k))
+        kept.append((a, m - k))
+    if any(k for _, k in common):
+        num = num // linear_power_product(common)
+    new_den = linear_power_product(kept, leading)
     if drem.degree >= 1:
         g = poly_gcd(num, drem)
         if g.degree >= 1:
@@ -615,7 +659,7 @@ def _as_ratfunc(x: RatFunc | Poly | RatLike) -> RatFunc:
 
 def ratfunc_monomial_power(base_root: RatLike, exponent: int) -> RatFunc:
     """(t - a)^e as a rational function, allowing negative e."""
-    lin = Poly((-Rat(base_root), 1))
+    power = linear_power_product([(base_root, abs(exponent))])
     if exponent >= 0:
-        return RatFunc._reduced(lin**exponent, Poly.one())
-    return RatFunc._reduced(Poly.one(), lin ** (-exponent))
+        return RatFunc._reduced(power, Poly.one())
+    return RatFunc._reduced(Poly.one(), power)

@@ -29,6 +29,7 @@ from .errors import (
     CapExceeded,
     FractionalPlusSpread,
     InadmissibleDegree,
+    NegativeSize,
     NoKernelGenerator,
     NotSmallGroup,
 )
@@ -338,7 +339,7 @@ def stabilization_witness(
     a_q + ord_q(h_n) + [q = 0]*(e*e'-1)/d + |n+e|*D(q) >= 0, D the divisor
     of the sign of n + e, at every point q of supp D+, supp D- and 0; no
     other point can break it.  Raises CapExceeded for a window over
-    MAX_WINDOW.
+    MAX_WINDOW and NegativeSize for a negative one.
     """
     if e < 0:
         return stabilization_witness(pair.reverse(), -e, window, e_prime_override)
@@ -346,6 +347,8 @@ def stabilization_witness(
         window = oracle_window(pair)
     if window > MAX_WINDOW:
         raise CapExceeded(f"oracle window {window} is over the cap {MAX_WINDOW}")
+    if window < 0:
+        raise NegativeSize(f"oracle window {window} is negative")
     try:
         a = Anchored.of(pair)
     except FractionalPlusSpread as exc:

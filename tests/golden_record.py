@@ -5,7 +5,9 @@ It pins two things:
 - the sha256 of every ``report_to_obj`` document (``json.dumps`` with
   sorted keys and compact separators) for every catalog entry and for
   ``N_SPECS`` seeded specs drawn from the generators in ``conftest.py``,
-  keeping only specs whose presentation has deg P <= ``MAX_DEG_P``;
+  keeping only specs whose presentation has deg P <= ``MAX_DEG_P``, and,
+  as the section ``tail``, for ``N_TAIL`` seeded pairs with
+  ``MAX_DEG_P`` < deg P <= ``TAIL_MAX_DEG_P``;
 - the exit code and the sha256 of stdout of every spec-reading command
   except ``apply`` and ``verify`` (``classify``, ``equation``, ``fibers``,
   ``lnd``, ``kernel``, ``ml``, ``mm``, ``recognize``), as text and with
@@ -36,12 +38,16 @@ from conftest import random_concentrated_pair, random_divisor, random_pair
 from dpdsurf import cli
 from dpdsurf.catalog import default_entries
 from dpdsurf.classify import classify, report_to_obj
+from dpdsurf.divisor import anchored
 from dpdsurf.dpdring import Elliptic, Hyperbolic, Parabolic, spec_from_obj, spec_to_obj
 
 GOLDEN = Path(__file__).with_name("data") / "golden.json"
 SEED = 20261018
 N_SPECS = 300
 MAX_DEG_P = 128
+TAIL_SEED = 20261019
+N_TAIL = 20
+TAIL_MAX_DEG_P = 600
 N_CLI_SPECS = 20
 EXTRA = [
     {"label": "spread_plus", "spec": {"hyperbolic": {
@@ -83,6 +89,16 @@ def random_spec(rng: random.Random, i: int):
     return Elliptic(d, rng.choice([e for e in range(d) if math.gcd(e, d) == 1]))
 
 
+def presentation_degree(spec) -> int | None:
+    """deg P of the presentation, read off the anchored pair without
+    building P; None when the spec has no presentation."""
+    a = isinstance(spec, Hyperbolic) and anchored(spec.pair)
+    if not a:
+        return None
+    deg_q = sum(int(-a.k * c) for p, c in a.pair.d_minus.terms if p != 0)
+    return a.d * deg_q + a.k * a.e_prime + a.d * a.l
+
+
 def seeded_specs(seed: int, count: int, max_deg_p: int | None) -> list[dict]:
     """``count`` spec documents, skipping those above ``max_deg_p`` (None: none)."""
     rng = random.Random(seed)
@@ -91,11 +107,25 @@ def seeded_specs(seed: int, count: int, max_deg_p: int | None) -> list[dict]:
     while len(out) < count:
         spec = random_spec(rng, i)
         i += 1
-        if max_deg_p is not None and isinstance(spec, Hyperbolic):
-            pres = classify(spec).presentation
-            if pres is not None and pres.P.degree > max_deg_p:
-                continue
+        deg = presentation_degree(spec)
+        if max_deg_p is not None and deg is not None and deg > max_deg_p:
+            continue
         out.append(spec_to_obj(spec))
+    return out
+
+
+def tail_specs(seed: int, count: int) -> list[dict]:
+    """``count`` pairs with MAX_DEG_P < deg P <= TAIL_MAX_DEG_P, drawn from
+    the two hyperbolic generators in turn."""
+    rng = random.Random(seed)
+    out: list[dict] = []
+    i = 0
+    while len(out) < count:
+        spec = random_spec(rng, i % 2)
+        i += 1
+        deg = presentation_degree(spec)
+        if deg is not None and MAX_DEG_P < deg <= TAIL_MAX_DEG_P:
+            out.append(spec_to_obj(spec))
     return out
 
 
@@ -130,10 +160,15 @@ def record() -> dict:
         {"label": f"seed{SEED}#{i}", "spec": obj}
         for i, obj in enumerate(seeded_specs(SEED, N_SPECS, MAX_DEG_P))
     ]
+    tail = [
+        {"label": f"tail{TAIL_SEED}#{i}", "spec": obj}
+        for i, obj in enumerate(tail_specs(TAIL_SEED, N_TAIL))
+    ]
     return {
         "reports": [
             {**item, "sha256": report_digest(item["spec"])} for item in catalog + seeded
         ],
+        "tail": [{**item, "sha256": report_digest(item["spec"])} for item in tail],
         "cli": [
             {"label": item["label"], "spec": item["spec"],
              "runs": cli_records(item["spec"])}

@@ -318,6 +318,21 @@ class TestVerifyWindow:
         assert run(["verify", path]) == 1
         _one_error_line(capsys, "CapExceeded")
 
+    def test_negative_window_exit_one(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, REPRODUCTION)
+        for window in ("-5", "-1"):
+            assert run(["verify", path, "--window", window]) == 1
+            _one_error_line(capsys, "NegativeSize")
+
+    def test_apply_negative_steps_exit_one(self, spec_file, capsys):
+        path = spec_file("danielewski", (2,))
+        argv = ["apply", path, "--degree", "2", "--element", "t"]
+        for flags in (["--times", "-3"], ["--max-iter", "-1"],
+                      ["--times", "2", "--max-iter", "-1"]):
+            assert run(argv + flags) == 1
+            _one_error_line(capsys, "NegativeSize")
+        assert run(argv + ["--times", "0"]) == 0
+
     def test_apply_times_over_cap_exit_one(self, spec_file, capsys):
         from dpdsurf.lnd import MAX_STEPS
 
@@ -328,6 +343,18 @@ class TestVerifyWindow:
             _one_error_line(capsys, "CapExceeded")
             assert run(argv + [flag, str(MAX_STEPS)]) == 0
             assert "reached zero after 2 steps" in capsys.readouterr().out
+
+
+def test_classify_degree_3000(tmp_path, capsys):
+    """deg P = 3000: P = (t - 1/2)^3000 is built and rendered in full."""
+    path = _write_spec(tmp_path, {"hyperbolic": {
+        "d_plus": [], "d_minus": [["1/2", "-3000"]]}})
+    assert run(["classify", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    pres = doc["presentation"]
+    assert pres["P"].startswith("t^3000-1500*t^2999+1124625*t^2998-")
+    assert pres["P"].endswith("+1/" + str(2**3000)) and pres["P"] == pres["Q"]
+    assert doc["mm"] == 3000
 
 
 class TestInputErrors:
@@ -363,3 +390,25 @@ class TestInputErrors:
             "d_plus": [], "d_minus": [["1" + "0" * 5000, "-1/2"]]}})
         assert run(["classify", path]) == 1
         _one_error_line(capsys, "ParseError")
+
+    def test_long_integer_at_render(self):
+        from dpdsurf.exactmath import MAX_DIGITS, format_rat
+
+        longest = 10**MAX_DIGITS - 1
+        assert format_rat(Rat(-longest, 7)) == f"-{longest}/7"
+        for bad in (Rat(10**MAX_DIGITS), Rat(-(10**MAX_DIGITS)), Rat(1, 10**MAX_DIGITS)):
+            with pytest.raises(CapExceeded):
+                format_rat(bad)
+
+    def test_long_integer_at_render_exit_one(self, tmp_path, capsys):
+        """Short literals whose products outgrow MAX_DIGITS: (t - 10^50)^100
+        has the constant term 10^5000."""
+        path = _write_spec(tmp_path, {"hyperbolic": {
+            "d_plus": [], "d_minus": [["1" + "0" * 50, "-100"]]}})
+        for argv in (["classify", path], ["classify", path, "--json"],
+                     ["equation", path], ["equation", path, "--json"]):
+            assert run(argv) == 1
+            _one_error_line(capsys, "CapExceeded")
+        sevens = "7" * 3000
+        assert run(["equation", "--poly", f"t-{sevens}*{sevens}", "--degree", "1"]) == 1
+        _one_error_line(capsys, "CapExceeded")

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from conftest import random_concentrated_pair, random_element, random_pair
-from dpdsurf.divisor import DivisorPair, QDivisor, denom_index, normalize_pair
+from conftest import SMALL_POINTS, random_concentrated_pair, random_element, random_pair
+from dpdsurf.divisor import Anchored, DivisorPair, QDivisor, denom_index, normalize_pair
 from dpdsurf.dpdring import (
     Elliptic,
     GradedElement,
     Hyperbolic,
     Parabolic,
+    Presentation,
     contains,
     from_equation,
     graded_generator,
@@ -27,7 +30,7 @@ from dpdsurf.errors import (
     NonRationalRoots,
     NotUnitary,
 )
-from dpdsurf.exactmath import Poly, Rat, RatFunc
+from dpdsurf.exactmath import Poly, Rat, RatFunc, rational_linear_factorization
 
 
 def D(*terms) -> QDivisor:
@@ -228,6 +231,72 @@ class TestPresentation:
             u = graded_generator(spec, 1)
             v = graded_generator(spec, -k)
             assert u**k * v == GradedElement.monomial(0, p)
+
+
+def dense_presentation(a: Anchored) -> tuple[Poly, Poly]:
+    """Q and P by the dense definition: Q = prod (t - p)^(-k D-(p)) as
+    Fraction products, P = Q(s^d) * s^(k e' + d l) by composition."""
+    q = Poly.one()
+    for p, c in a.pair.d_minus.terms:
+        if p != 0:
+            q = q * Poly((-p, 1)) ** int(-a.k * c)
+    s_exp = a.k * a.e_prime + a.d * a.l
+    return q, q.compose(Poly.monomial(a.d)) * Poly.monomial(s_exp)
+
+
+def _wide_point(rng) -> Rat:
+    """A small point, or one with 21-25 bit numerator and denominator."""
+    if rng.random() < 0.3:
+        return rng.choice(SMALL_POINTS)
+    return Rat(rng.choice((-1, 1)) * rng.randint(2**20, 2**24), rng.randint(2**20, 2**24))
+
+
+def wide_anchored_pairs(rng, count: int = 200) -> list[Anchored]:
+    """Anchored pairs with deg Q <= 40 (the dense definition is slow beyond)
+    and deg P <= 600, most of it from the s-power and from d."""
+    out = []
+    while len(out) < count:
+        d = rng.choice([1, 1, 2, 3, 5, 7])
+        e_prime = rng.choice([e for e in range(d) if math.gcd(e, d) == 1]) if d > 1 else 0
+        anchor = rng.choice([Rat(0), _wide_point(rng)])
+        plus = [(anchor, Rat(-e_prime, d))] if e_prime else []
+        minus = [(anchor, Rat(e_prime, d) - Rat(rng.randint(0, 24), rng.randint(1, 3)))]
+        for p in {_wide_point(rng) for _ in range(rng.randint(0, 3))} - {anchor}:
+            minus.append((p, -Rat(rng.randint(1, 12), rng.randint(1, 4))))
+        a = Anchored.of(DivisorPair(QDivisor(plus), QDivisor(minus)))
+        deg_q = sum(int(-a.k * c) for p, c in a.pair.d_minus.terms if p != 0)
+        if deg_q <= 40 and a.d * deg_q + a.k * a.e_prime + a.d * a.l <= 600:
+            out.append(a)
+    return out
+
+
+class TestPresentationCrossCheck:
+    """Presentation.of builds Q from integer binomial rows and places its
+    coefficients into P by index; both must equal the dense definition."""
+
+    def test_matches_dense_definition(self, rng):
+        degrees = []
+        for a in wide_anchored_pairs(rng):
+            pres = Presentation.of(a)
+            assert (pres.Q, pres.P) == dense_presentation(a)
+            degrees.append(pres.P.degree)
+        assert max(degrees) >= 500 and sum(d > 128 for d in degrees) >= 20
+
+    def test_root_multiplicities_match_divisor(self, rng):
+        """div P read off the divisor: -k*D-(p) at each p != 0 and
+        k e' + d l at 0.  For d > 1 the roots of Q(s^d) need not be
+        rational, so Q is factored and P's order at 0 is read apart."""
+        for a in wide_anchored_pairs(rng):
+            pres = Presentation.of(a)
+            s_exp = a.k * a.e_prime + a.d * a.l
+            want = [(p, int(-a.k * c)) for p, c in a.pair.d_minus.terms if p != 0]
+            if a.d == 1:
+                target = pres.P
+                want += [(Rat(0), s_exp)] if s_exp else []
+            else:
+                target = pres.Q
+                assert next(i for i, c in enumerate(pres.P.coeffs) if c) == s_exp
+            assert rational_linear_factorization(target) == (1, sorted(want), Poly.one())
 
 
 class TestSpecSerialization:

@@ -14,6 +14,7 @@ from dpdsurf.exactmath import (
     Rat,
     RatFunc,
     format_rat,
+    linear_power_product,
     mod_inverse,
     parse_rat,
     rational_linear_factorization,
@@ -82,6 +83,16 @@ class TestPoly:
         assert str(Poly((0, 1, 1))) == "t^2+t"
         assert str(Poly((-1, 0, 1))) == "t^2-1"
         assert str(Poly((Fraction(-1), Fraction(3, 2)))) == "3/2*t-1"
+        assert str(Poly((2, 0, -2))) == "-2*t^2+2" and str(Poly((-3,))) == "-3"
+
+    @given(st.lists(st.tuples(
+        st.fractions(min_value=-(2**24), max_value=2**24, max_denominator=2**24),
+        st.integers(0, 7)), max_size=4), rats)
+    def test_linear_power_product(self, factors, leading):
+        dense = Poly((leading,))
+        for a, m in factors:
+            dense = dense * Poly((-a, 1)) ** m
+        assert linear_power_product(factors, leading) == dense
 
     @given(small_polys, small_polys, small_polys)
     def test_ring_laws(self, a, b, c):

@@ -26,6 +26,16 @@ def test_report_digests():
     assert not changed
 
 
+def test_tail_report_digests():
+    """128 < deg P <= 600: the presentations the seeded head lacks."""
+    changed = [
+        item["label"]
+        for item in DATA["tail"]
+        if report_digest(item["spec"]) != item["sha256"]
+    ]
+    assert len(DATA["tail"]) == 20 and not changed
+
+
 def test_cli_stdout_and_exit_codes():
     changed = []
     for item in DATA["cli"]:
