@@ -9,15 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .divisor import (
-    Anchored,
-    DivisorPair,
-    QDivisor,
-    affine_equivalent,
-    anchored,
-    denom_index,
-    normalize_pair,
-)
+from .divisor import Anchored, DivisorPair, QDivisor, anchored, denom_index, normalize_pair
 from .dpdring import (
     Elliptic,
     Hyperbolic,
@@ -29,13 +21,7 @@ from .dpdring import (
 )
 from .errors import NoPositiveLnd, check
 from .exactmath import Rat, format_rat, rational_linear_factorization
-from .lnd import (
-    DegreeSet,
-    describe,
-    elliptic_lnd,
-    fiber_lnd,
-    positive_lnd_exists,
-)
+from .lnd import DegreeSet, describe, elliptic_lnd, fiber_lnd
 
 ML_TRIVIAL = "trivial"
 ML_POLYNOMIAL = "polynomial_ring"
@@ -175,9 +161,10 @@ def ruling_divisor(pair: DivisorPair) -> list[tuple[Rat, int]]:
     """div(v) of the affine ruling v: one entry per degenerate point.
 
     The multiplicity is d_plus_index * m_minus(a) * (D+(a) + D-(a)), a
-    positive integer.
+    positive integer.  Every quantity is shift invariant, so the pair need
+    not be normalized; the fractional part of d_plus is read off directly.
     """
-    if not positive_lnd_exists(pair):
+    if sum(c.denominator != 1 for _, c in pair.d_plus.terms) > 1:
         raise NoPositiveLnd(
             "the fractional part of d_plus is spread: no affine ruling from "
             "a positive-degree derivation"
@@ -191,12 +178,15 @@ def ruling_divisor(pair: DivisorPair) -> list[tuple[Rat, int]]:
         mult = d_plus_idx * m_minus * s
         check(mult.denominator == 1 and mult > 0, f"ruling multiplicity {mult}")
         out.append((a, int(mult)))
-    return sorted(out)
+    return out
 
 
 def singular_points(pair: DivisorPair) -> list[SingularityRecord]:
     """One record per degenerate point of the normalized pair."""
-    q = normalize_pair(pair)
+    return _singular_points(normalize_pair(pair))
+
+
+def _singular_points(q: DivisorPair) -> list[SingularityRecord]:
     k = denom_index(q.d_minus)
     out = []
     for a, s in q.sum().terms:
@@ -222,7 +212,7 @@ def singular_points(pair: DivisorPair) -> list[SingularityRecord]:
                 paper_type=paper_type,
             )
         )
-    return sorted(out, key=lambda rec: rec.point)
+    return out
 
 
 def ml_invariant(spec: SurfaceSpec) -> MlResult:
@@ -258,66 +248,41 @@ def recognize_homogeneous(spec: SurfaceSpec) -> Optional[Recognition]:
     return classify(spec).recognition
 
 
-def _template(model: str, param: int) -> DivisorPair:
-    if model == "quadric":
-        return DivisorPair(
-            QDivisor.zero(), QDivisor([(1, -1), (-1, -1)])
-        )
-    if model == "conic_complement":
-        return DivisorPair(
-            QDivisor.single(0, Rat(1, 2)),
-            QDivisor([(0, Rat(-1, 2)), (1, -1)]),
-        )
-    if model == "veronese_even":
-        # param = d' with cone degree 2d'
-        return DivisorPair(
-            QDivisor.single(0, Rat(-1, param)), QDivisor.single(0, Rat(-1, param))
-        )
-    # veronese_odd: param = e' with cone degree d = 2e' - 1
-    d = 2 * param - 1
-    return DivisorPair(
-        QDivisor.single(0, Rat(param - 1, d)), QDivisor.single(0, Rat(-param, d))
-    )
-
-
 def recognize_sl2(pair: DivisorPair) -> Optional[Sl2Model]:
     """Match against the four reference pairs up to affine maps and shifts."""
-    q = normalize_pair(pair)
+    return _sl2_model(normalize_pair(pair))
+
+
+def _sl2_model(q: DivisorPair) -> Optional[Sl2Model]:
+    """The SL2 model of a normalized pair, read off its normal form.
+
+    Normalized, the reference pairs are (0, -[1] - [-1]) (quadric),
+    (-1/2 [0], 1/2 [0] - [1]) (conic complement), (-1/d' [0], -1/d' [0]) or
+    (0, -2 [0]) (Veronese, degree 2d') and (-e'/d [0], (e'-1)/d [0]) or
+    (0, -[0]) (Veronese, odd degree d = 2e' - 1).  Normalizing commutes with
+    affine maps, which take any one or two points to any one or two, so a
+    pair matches when its normal form has the same coefficients at as many
+    points; no reference pair is built.
+    """
     plus, minus = q.d_plus, q.d_minus
-    candidates: list[tuple[Sl2Model, DivisorPair]] = []
     if plus.is_zero():
-        terms = minus.terms
-        if len(terms) == 2 and all(c == -1 for _, c in terms):
-            candidates.append((Sl2Model("quadric"), _template("quadric", 0)))
-        if len(terms) == 1 and terms[0][1] == -2:
-            candidates.append(
-                (Sl2Model("veronese_even", 2), _template("veronese_even", 1))
-            )
-        if len(terms) == 1 and terms[0][1] == -1:
-            candidates.append(
-                (Sl2Model("veronese_odd", 1), _template("veronese_odd", 1))
-            )
-    elif len(plus.terms) == 1:
-        p0, c0 = plus.terms[0]
-        d = c0.denominator
-        e_prime = -c0.numerator
-        if c0 == Rat(-1, 2) and len(minus.terms) == 2 and minus(p0) == Rat(1, 2):
-            other = [(p, c) for p, c in minus.terms if p != p0]
-            if other and other[0][1] == -1:
-                candidates.append(
-                    (Sl2Model("conic_complement"), _template("conic_complement", 0))
-                )
-        if e_prime == 1 and minus.terms == ((p0, c0),):
-            candidates.append(
-                (Sl2Model("veronese_even", 2 * d), _template("veronese_even", d))
-            )
-        if d == 2 * e_prime - 1 and minus.terms == ((p0, Rat(e_prime - 1, d)),):
-            candidates.append(
-                (Sl2Model("veronese_odd", d), _template("veronese_odd", e_prime))
-            )
-    for model, template in candidates:
-        if affine_equivalent(pair, template) is not None:
-            return model
+        coeffs = [c for _, c in minus.terms]
+        if coeffs == [-1, -1]:
+            return Sl2Model("quadric")
+        if coeffs == [-2]:
+            return Sl2Model("veronese_even", 2)
+        return Sl2Model("veronese_odd", 1) if coeffs == [-1] else None
+    if len(plus.terms) != 1:
+        return None
+    p0, c0 = plus.terms[0]
+    d, e_prime = c0.denominator, -c0.numerator
+    if c0 == Rat(-1, 2) and minus(p0) == Rat(1, 2):
+        if sorted(c for _, c in minus.terms) == [-1, Rat(1, 2)]:
+            return Sl2Model("conic_complement")
+    if e_prime == 1 and minus.terms == ((p0, c0),):
+        return Sl2Model("veronese_even", 2 * d)
+    if d == 2 * e_prime - 1 and minus.terms == ((p0, Rat(e_prime - 1, d)),):
+        return Sl2Model("veronese_odd", d)
     return None
 
 
@@ -460,18 +425,19 @@ def classify(spec: SurfaceSpec) -> ClassificationReport:
 
     pair = spec.pair
     plus, minus = anchored(pair), anchored(pair.reverse())
-    norm = normalize_pair(pair)
+    # the anchored pair translated back is the normalized pair
+    norm = plus.pair.translate(plus.translation) if plus else normalize_pair(pair)
     pres = plus and Presentation.of(plus)
     ml = _hyperbolic_ml(pair, plus, minus)
     mm = _hyperbolic_mm(pair, plus, minus, pres) if ml.kind == ML_TRIVIAL else None
-    sl2 = recognize_sl2(pair)
+    sl2 = _sl2_model(norm)
     points = sorted(set(norm.d_plus.support) | set(norm.d_minus.support))
     return ClassificationReport(
         spec=spec,
         grading="hyperbolic",
         normalized_pair=norm,
         translation=plus and plus.translation,
-        d_plus_index=denom_index(pair.d_plus),
+        d_plus_index=plus.d if plus else denom_index(pair.d_plus),
         d_minus_index=denom_index(pair.d_minus),
         lnd=LndSummary(
             exists_plus=plus is not None,
@@ -484,7 +450,7 @@ def classify(spec: SurfaceSpec) -> ClassificationReport:
         plane=mm == 1,
         presentation=pres,
         fibers=tuple(fiber_structure(norm, a) for a in points),
-        singularities=tuple(singular_points(norm)),
+        singularities=tuple(_singular_points(norm)),
         ruling=plus and tuple(ruling_divisor(norm)),
         sl2=sl2,
         recognition=_hyperbolic_recognition(pair, mm, plus, sl2),
@@ -566,8 +532,12 @@ def degrees_to_obj(ds: Optional[DegreeSet]) -> Optional[dict]:
 
 
 def report_to_obj(report: ClassificationReport) -> dict:
-    """Stable machine-readable document (field names are a contract)."""
+    """Stable machine-readable document (field names are a contract).
+
+    P is rendered once; Q reuses the text when Q = P, and so does the relation.
+    """
     pres = report.presentation
+    p_text = pres and str(pres.P)
     return {
         "input": spec_to_obj(report.spec),
         "grading": report.grading,
@@ -603,14 +573,14 @@ def report_to_obj(report: ClassificationReport) -> dict:
         if pres is None
         else {
             "k": pres.k,
-            "P": str(pres.P),
+            "P": p_text,
             "d": pres.d,
             "e_prime": pres.e_prime,
             "l": pres.l,
-            "Q": str(pres.Q),
+            "Q": p_text if pres.Q == pres.P else str(pres.Q),
             "zd_weights": list(pres.zd_weights),
             "translation": format_rat(pres.translation),
-            "relation": pres.relation_text(),
+            "relation": pres.relation_text(p_text),
         },
         "fibers": [
             {

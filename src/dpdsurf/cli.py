@@ -311,9 +311,9 @@ def _cmd_equation(args) -> int:
         )
     obj = report_to_obj(report)["presentation"]
     text = (
-        f"{pres.relation_text()}  "
-        f"[k={pres.k}, d={pres.d}, e'={pres.e_prime}, l={pres.l}, Q={pres.Q}, "
-        f"weights {pres.zd_weights}, translation {format_rat(pres.translation)}]"
+        f"{obj['relation']}  "
+        f"[k={pres.k}, d={pres.d}, e'={pres.e_prime}, l={pres.l}, Q={obj['Q']}, "
+        f"weights {pres.zd_weights}, translation {obj['translation']}]"
     )
     _emit(obj, args.json, text)
     return 0

@@ -20,6 +20,8 @@ from .exactmath import Rat, RatLike, format_rat, parse_rat
 #: A point of the affine line, i.e. an exact rational coordinate.
 Point = Rat
 
+_ZERO = Rat(0)
+
 
 def _ceil(q: Rat) -> int:
     return -((-q.numerator) // q.denominator)
@@ -32,8 +34,13 @@ def _floor(q: Rat) -> int:
 class QDivisor:
     """A finite formal sum sum_a c_a [a] with rational points and coefficients.
 
-    Zero coefficients are never stored and the support is kept sorted by
-    coordinate.  The degree (sum of coefficients) is always derived.
+    Terms are Rat pairs sorted by point with no zero coefficient; the degree
+    is always derived.  The constructor merges and sorts arbitrary terms; the
+    operations build their results with the trusted _canonical, as each keeps
+    that form: + and - merge two sorted supports and drop what cancels;
+    negation, ceil/floor and a nonzero scalar change coefficients only;
+    translation and an affine map move the points monotonically (reversed for
+    a negative scale).
     """
 
     __slots__ = ("_terms",)
@@ -41,11 +48,16 @@ class QDivisor:
     def __init__(self, terms: Iterable[tuple[RatLike, RatLike]] = ()):
         acc: dict[Rat, Rat] = {}
         for point, coeff in terms:
-            p, c = Rat(point), Rat(coeff)
-            acc[p] = acc.get(p, Rat(0)) + c
-        self._terms = tuple(
-            (p, c) for p, c in sorted(acc.items()) if c != 0
-        )
+            p = point if type(point) is Rat else Rat(point)
+            acc[p] = acc.get(p, _ZERO) + (coeff if type(coeff) is Rat else Rat(coeff))
+        self._terms = tuple((p, c) for p, c in sorted(acc.items()) if c != 0)
+
+    @classmethod
+    def _canonical(cls, terms: tuple[tuple[Rat, Rat], ...]) -> QDivisor:
+        """Trusted constructor: terms sorted by point, Rat, no zero coefficient."""
+        obj = object.__new__(cls)
+        obj._terms = terms
+        return obj
 
     @classmethod
     def zero(cls) -> QDivisor:
@@ -64,11 +76,11 @@ class QDivisor:
         return tuple(p for p, _ in self._terms)
 
     def coefficient(self, point: RatLike) -> Rat:
-        p = Rat(point)
+        p = point if type(point) is Rat else Rat(point)
         for q, c in self._terms:
             if q == p:
                 return c
-        return Rat(0)
+        return _ZERO
 
     __call__ = coefficient
 
@@ -97,16 +109,31 @@ class QDivisor:
         return bool(self._terms)
 
     def __add__(self, other: QDivisor) -> QDivisor:
-        return QDivisor(self._terms + other._terms)
+        a, b = self._terms, other._terms
+        out, i, j = [], 0, 0
+        while i < len(a) and j < len(b):
+            (p, c), (q, e) = a[i], b[j]
+            if p == q:
+                if s := c + e:
+                    out.append((p, s))
+                i, j = i + 1, j + 1
+            elif p < q:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        return QDivisor._canonical((*out, *a[i:], *b[j:]))
 
     def __sub__(self, other: QDivisor) -> QDivisor:
         return self + (-other)
 
     def __neg__(self) -> QDivisor:
-        return QDivisor((p, -c) for p, c in self._terms)
+        return QDivisor._canonical(tuple((p, -c) for p, c in self._terms))
 
     def __mul__(self, scalar: RatLike) -> QDivisor:
-        return QDivisor((p, c * scalar) for p, c in self._terms)
+        s = Rat(scalar)
+        return QDivisor._canonical(tuple((p, c * s) for p, c in self._terms if s))
 
     __rmul__ = __mul__
 
@@ -114,20 +141,24 @@ class QDivisor:
         return self * (Rat(1) / Rat(scalar))
 
     def ceil(self) -> QDivisor:
-        return QDivisor((p, _ceil(c)) for p, c in self._terms)
+        terms = ((p, _ceil(c)) for p, c in self._terms)
+        return QDivisor._canonical(tuple((p, Rat(n)) for p, n in terms if n))
 
     def floor(self) -> QDivisor:
-        return QDivisor((p, _floor(c)) for p, c in self._terms)
+        terms = ((p, _floor(c)) for p, c in self._terms)
+        return QDivisor._canonical(tuple((p, Rat(n)) for p, n in terms if n))
 
     def frac(self) -> QDivisor:
         """Fractional part: coefficients in [0, 1)."""
         return self - self.floor()
 
     def translate(self, offset: RatLike) -> QDivisor:
-        return QDivisor((p + offset, c) for p, c in self._terms)
+        o = Rat(offset)
+        return QDivisor._canonical(tuple((p + o, c) for p, c in self._terms))
 
     def apply_map(self, g: AffineMap) -> QDivisor:
-        return QDivisor((g(p), c) for p, c in self._terms)
+        terms = tuple((g(p), c) for p, c in self._terms)
+        return QDivisor._canonical(terms if g.scale > 0 else terms[::-1])
 
     def to_pairs(self) -> list[list[str]]:
         """Serialize as [[point, coefficient], ...] string pairs."""
@@ -201,39 +232,52 @@ class AffineMap:
 
 
 class DivisorPair:
-    """The pair (d_plus, d_minus) with d_plus + d_minus <= 0 pointwise."""
+    """The pair (d_plus, d_minus) with d_plus + d_minus <= 0 pointwise.
+
+    The constructor checks the sum and raises PositiveSum.  reverse,
+    translate, apply_map, shift and normalize_pair build their results with
+    the trusted _trusted instead: a swap leaves the sum as it is, a shift by
+    E adds E to one side and -E to the other, and a translation or an affine
+    map moves the points of the sum without changing its values.
+    """
 
     __slots__ = ("d_plus", "d_minus")
 
     def __init__(self, d_plus: QDivisor, d_minus: QDivisor):
-        for p in set(d_plus.support) | set(d_minus.support):
-            if d_plus(p) + d_minus(p) > 0:
+        for p, s in (d_plus + d_minus).terms:
+            if s > 0:
                 raise PositiveSum(
-                    f"d_plus + d_minus = {format_rat(d_plus(p) + d_minus(p))} > 0 "
-                    f"at point {format_rat(p)}"
+                    f"d_plus + d_minus = {format_rat(s)} > 0 at point {format_rat(p)}"
                 )
         self.d_plus = d_plus
         self.d_minus = d_minus
+
+    @classmethod
+    def _trusted(cls, d_plus: QDivisor, d_minus: QDivisor) -> DivisorPair:
+        """Trusted constructor: d_plus + d_minus <= 0 is known to hold."""
+        obj = object.__new__(cls)
+        obj.d_plus, obj.d_minus = d_plus, d_minus
+        return obj
 
     def sum(self) -> QDivisor:
         return self.d_plus + self.d_minus
 
     def reverse(self) -> DivisorPair:
-        return DivisorPair(self.d_minus, self.d_plus)
+        return DivisorPair._trusted(self.d_minus, self.d_plus)
 
     def translate(self, offset: RatLike) -> DivisorPair:
-        return DivisorPair(
+        return DivisorPair._trusted(
             self.d_plus.translate(offset), self.d_minus.translate(offset)
         )
 
     def apply_map(self, g: AffineMap) -> DivisorPair:
-        return DivisorPair(self.d_plus.apply_map(g), self.d_minus.apply_map(g))
+        return DivisorPair._trusted(self.d_plus.apply_map(g), self.d_minus.apply_map(g))
 
     def shift(self, integral: QDivisor) -> DivisorPair:
         """(d_plus + E, d_minus - E) for an integral divisor E."""
         if not integral.is_integral():
             raise ValueError("shift divisor must be integral")
-        return DivisorPair(self.d_plus + integral, self.d_minus - integral)
+        return DivisorPair._trusted(self.d_plus + integral, self.d_minus - integral)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DivisorPair):
@@ -255,10 +299,13 @@ def normalize_pair(pair: DivisorPair) -> DivisorPair:
 
     The shift is by ceil(d_plus), so the normalized d_plus coefficient at
     the single fractional point reads off -e'/d directly.  The pointwise
-    sum is untouched and the operation is idempotent.
+    sum is untouched, and a pair that is already normalized is returned as
+    it is.
     """
     e = pair.d_plus.ceil()
-    return DivisorPair(pair.d_plus - e, pair.d_minus + e)
+    if e.is_zero():
+        return pair
+    return DivisorPair._trusted(pair.d_plus - e, pair.d_minus + e)
 
 
 @dataclass(frozen=True)
@@ -284,15 +331,15 @@ class Anchored:
     @classmethod
     def of(cls, x: DivisorPair | QDivisor) -> Anchored:
         """Raises FractionalPlusSpread when d_plus has two fractional points."""
-        q = normalize_pair(x if isinstance(x, DivisorPair) else DivisorPair(x, -x))
-        support = q.d_plus.support
+        pair = x if isinstance(x, DivisorPair) else DivisorPair._trusted(x, -x)
+        support = [p for p, c in pair.d_plus.terms if c.denominator != 1]
         if len(support) > 1:
             raise FractionalPlusSpread(
                 "fractional part of d_plus is supported at "
                 + ", ".join(format_rat(p) for p in support)
             )
-        translation = support[0] if support else Rat(0)
-        q = q.translate(-translation)
+        translation = support[0] if support else _ZERO
+        q = normalize_pair(pair).translate(-translation)
         d, k = denom_index(q.d_plus), denom_index(q.d_minus)
         return cls(q, translation, d, int(-d * q.d_plus(0)), k, int(-k * q.d_minus(0)))
 

@@ -63,7 +63,7 @@ def format_rat(q: RatLike) -> str:
     Raises CapExceeded when the numerator or the denominator has more
     than MAX_DIGITS digits (str() would raise ValueError).
     """
-    q = Rat(q)
+    q = q if type(q) is Rat else Rat(q)
     if abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG:
         raise CapExceeded(f"a rational to print has over {MAX_DIGITS} digits")
     if q.denominator == 1:
@@ -96,7 +96,7 @@ class Poly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        c = [Rat(x) for x in coeffs]
+        c = [x if type(x) is Rat else Rat(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self._c = tuple(c)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import math
+from collections import Counter
 
 import pytest
 
@@ -11,6 +13,7 @@ from conftest import (
     random_pair,
     random_shift,
 )
+from dpdsurf import divisor
 from dpdsurf.catalog import catalog_surface, default_entries
 from dpdsurf.classify import (
     classify,
@@ -25,8 +28,10 @@ from dpdsurf.classify import (
 )
 from dpdsurf.divisor import (
     AffineMap,
+    Anchored,
     DivisorPair,
     QDivisor,
+    affine_equivalent,
     denom_index,
     normalize_pair,
 )
@@ -34,6 +39,10 @@ from dpdsurf.dpdring import Elliptic, Hyperbolic, Parabolic, presentation
 from dpdsurf.errors import DomainError, InternalError, NoPositiveLnd, check
 from dpdsurf.exactmath import Rat
 from dpdsurf.lnd import positive_lnd_exists
+
+
+# the package re-exports the function classify() under the module's name
+classify_module = importlib.import_module("dpdsurf.classify")
 
 
 def D(*terms) -> QDivisor:
@@ -292,6 +301,34 @@ class TestRecognizeSl2:
                 got = recognize_sl2(moved)
                 assert got is not None and got.model == name
 
+    def test_matches_affine_equivalence_to_the_reference_pairs(self, rng):
+        """recognize_sl2 reads the normal form; affine_equivalent searches
+        for a map to each reference pair built here."""
+        refs = [("quadric", None, QUADRIC),
+                ("conic_complement", None, DivisorPair(
+                    D((0, Rat(1, 2))), D((0, Rat(-1, 2)), (1, -1))))]
+        for dp in range(1, 7):
+            refs.append(("veronese_even", 2 * dp,
+                         DivisorPair(D((0, Rat(-1, dp))), D((0, Rat(-1, dp))))))
+        for ep in range(1, 7):
+            d = 2 * ep - 1
+            refs.append(("veronese_odd", d,
+                         DivisorPair(D((0, Rat(ep - 1, d))), D((0, Rat(-ep, d))))))
+        pairs = [random_pair(rng) for _ in range(100)]
+        pairs += [random_concentrated_pair(rng) for _ in range(100)]
+        pairs += [entry.spec.pair for entry in default_entries()
+                  if isinstance(entry.spec, Hyperbolic)]
+        for _, _, ref in refs:
+            for _ in range(3):
+                g = AffineMap(Rat(rng.choice([-3, -1, 2]), rng.randint(1, 3)),
+                              Rat(rng.randint(-5, 5), rng.randint(1, 4)))
+                pairs.append(random_shift(rng, ref).apply_map(g))
+        for pair in pairs:
+            want = next(((model, degree) for model, degree, ref in refs
+                         if affine_equivalent(pair, ref) is not None), None)
+            got = recognize_sl2(pair)
+            assert (got and (got.model, got.veronese_degree)) == want
+
     def test_implies_trivial_ml(self, rng):
         pairs = [random_pair(rng) for _ in range(40)]
         pairs += [random_concentrated_pair(rng) for _ in range(40)]
@@ -390,3 +427,41 @@ class TestInternalChecks:
             if toric is not None:
                 r, e = toric
                 assert math.gcd(e, r) == 1
+
+
+class TestDerivedOnce:
+    """A hyperbolic classify anchors each side once and normalizes at most
+    twice, and builds no pair through the validating constructor (no
+    reference pair, no re-validated shift)."""
+
+    def test_call_counts(self, monkeypatch, rng):
+        counts: Counter = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        normalize = counted("normalize_pair", divisor.normalize_pair)
+        for module in (divisor, classify_module):
+            monkeypatch.setattr(module, "normalize_pair", normalize)
+        monkeypatch.setattr(Anchored, "of",
+                            classmethod(counted("Anchored.of", Anchored.of.__func__)))
+        monkeypatch.setattr(DivisorPair, "__init__",
+                            counted("DivisorPair", DivisorPair.__init__))
+        search = counted("affine_equivalent", divisor.affine_equivalent)
+        monkeypatch.setattr(divisor, "affine_equivalent", search)
+        monkeypatch.setattr(classify_module, "affine_equivalent", search, raising=False)
+        pairs = [catalog_surface("bertin", (3, 3)).spec.pair]
+        pairs += [random_pair(rng) for _ in range(21)]
+        pairs += [random_concentrated_pair(rng) for _ in range(20)]
+        pairs += [entry.spec.pair for entry in default_entries()
+                  if isinstance(entry.spec, Hyperbolic)]
+        pairs.append(DivisorPair(D((0, Rat(-1, 2)), (1, Rat(-1, 3))), QDivisor.zero()))
+        for pair in pairs:
+            spec = Hyperbolic(pair)
+            counts.clear()
+            classify(spec)
+            assert counts["Anchored.of"] <= 2 and counts["normalize_pair"] <= 2, pair
+            assert counts["DivisorPair"] == 0 and counts["affine_equivalent"] == 0

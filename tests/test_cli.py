@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -355,6 +356,18 @@ def test_classify_degree_3000(tmp_path, capsys):
     assert pres["P"].startswith("t^3000-1500*t^2999+1124625*t^2998-")
     assert pres["P"].endswith("+1/" + str(2**3000)) and pres["P"] == pres["Q"]
     assert doc["mm"] == 3000
+
+
+def test_deg_p_over_cap_exit_one(tmp_path, capsys):
+    """A D- coefficient of -10^9 asks for deg P = 10^9: refused before P is built."""
+    path = _write_spec(tmp_path, {"hyperbolic": {
+        "d_plus": [], "d_minus": [["1/2", "-1000000000"]]}})
+    for command in ("classify", "equation", "fibers", "ml", "mm", "recognize"):
+        for flags in ([], ["--json"]):
+            start = time.perf_counter()
+            assert run([command, path, *flags]) == 1
+            assert time.perf_counter() - start < 0.5
+            _one_error_line(capsys, "CapExceeded")
 
 
 class TestInputErrors:

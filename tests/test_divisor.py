@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -197,3 +198,70 @@ class TestAffineEquivalence:
             assert shift_equivalent(q.apply_map(g.inverse()), p)
             found += 1
         assert found == 60
+
+
+def _wide_rat(rng: random.Random) -> Rat:
+    """A rational with numerator and denominator of up to 20 bits."""
+    return Rat(rng.randint(-(1 << 20), 1 << 20), rng.randint(1, 1 << 20))
+
+
+def _wide_divisor(rng: random.Random, pool: list[Rat]) -> QDivisor:
+    """Raw terms over a shared pool of points, repeats allowed, so two
+    divisors drawn from one pool have coincident supports."""
+    return QDivisor(
+        (rng.choice(pool), _wide_rat(rng) if rng.random() < 0.7 else rng.randint(-3, 3))
+        for _ in range(rng.randint(0, 4))
+    )
+
+
+def _wide_pair(rng: random.Random, pool: list[Rat]) -> DivisorPair:
+    d_plus = _wide_divisor(rng, pool)
+    minus = [(p, rng.choice([0, -_wide_rat(rng) ** 2, -1]) - c) for p, c in d_plus.terms]
+    minus += [(p, -abs(_wide_rat(rng))) for p in rng.sample(pool, min(len(pool), rng.randint(0, 2)))]
+    return DivisorPair(d_plus, QDivisor(minus))
+
+
+def _canonical_types(d: QDivisor) -> bool:
+    return all(type(p) is Rat and type(c) is Rat for p, c in d.terms)
+
+
+class TestTrustedConstructors:
+    """Every operation built by the trusted constructors equals the
+    validating constructor on the same raw terms."""
+
+    CASES = 400
+
+    def test_divisor_operations_match_the_general_constructor(self):
+        rng = random.Random(20261018)
+        for _ in range(self.CASES):
+            pool = [_wide_rat(rng) for _ in range(rng.randint(1, 4))]
+            a, b = _wide_divisor(rng, pool), _wide_divisor(rng, pool)
+            if rng.random() < 0.3:  # cancel a at some of its points
+                b = b + QDivisor((p, -c) for p, c in a.terms if rng.random() < 0.6)
+            x = rng.choice([_wide_rat(rng), rng.randint(-3, 3), Rat(0)])
+            scalar = rng.choice([_wide_rat(rng), rng.randint(-3, 3), 0, Rat(0)])
+            g = AffineMap(rng.choice([_wide_rat(rng), Rat(-1), Rat(1)]) or Rat(1),
+                          _wide_rat(rng))
+            cases = [
+                (a + b, a.terms + b.terms),
+                (a - b, a.terms + tuple((p, -c) for p, c in b.terms)),
+                (-a, ((p, -c) for p, c in a.terms)),
+                (a.ceil(), ((p, math.ceil(c)) for p, c in a.terms)),
+                (a.floor(), ((p, math.floor(c)) for p, c in a.terms)),
+                (a.translate(x), ((p + x, c) for p, c in a.terms)),
+                (a.apply_map(g), ((g.scale * p + g.offset, c) for p, c in a.terms)),
+                (a * scalar, ((p, c * scalar) for p, c in a.terms)),
+            ]
+            for got, raw in cases:
+                assert got == QDivisor(raw) and _canonical_types(got)
+
+    def test_pair_operations_pass_the_validating_constructor(self):
+        rng = random.Random(20261019)
+        for _ in range(self.CASES):
+            pool = [_wide_rat(rng) for _ in range(rng.randint(1, 4))]
+            pair = _wide_pair(rng, pool)
+            g = AffineMap(rng.choice([_wide_rat(rng), Rat(-1)]) or Rat(-1), _wide_rat(rng))
+            shift = QDivisor((p, rng.randint(-3, 3)) for p in rng.sample(pool, 1))
+            for got in (normalize_pair(pair), pair.translate(_wide_rat(rng)),
+                        pair.reverse(), pair.apply_map(g), pair.shift(shift)):
+                assert got == DivisorPair(got.d_plus, got.d_minus)

@@ -9,6 +9,7 @@ import pytest
 from conftest import SMALL_POINTS, random_concentrated_pair, random_element, random_pair
 from dpdsurf.divisor import Anchored, DivisorPair, QDivisor, denom_index, normalize_pair
 from dpdsurf.dpdring import (
+    MAX_DEG_P,
     Elliptic,
     GradedElement,
     Hyperbolic,
@@ -23,6 +24,7 @@ from dpdsurf.dpdring import (
     spec_to_obj,
 )
 from dpdsurf.errors import (
+    CapExceeded,
     FractionalPlusSpread,
     GcdViolation,
     IrrationalLocus,
@@ -231,6 +233,15 @@ class TestPresentation:
             u = graded_generator(spec, 1)
             v = graded_generator(spec, -k)
             assert u**k * v == GradedElement.monomial(0, p)
+
+    def test_deg_p_cap_boundary(self):
+        # d_plus = -1/d [0], d_minus = -[1]: deg P = k*e' + d*l + d*deg Q = 1 + d
+        def pair(d):
+            return DivisorPair(D((0, Rat(-1, d))), D((1, -1)))
+
+        assert presentation(pair(MAX_DEG_P - 1)).P.degree == MAX_DEG_P
+        with pytest.raises(CapExceeded):
+            presentation(pair(MAX_DEG_P))
 
 
 def dense_presentation(a: Anchored) -> tuple[Poly, Poly]:
