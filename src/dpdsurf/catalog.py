@@ -7,12 +7,11 @@ values, so a formula regression fails loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .divisor import DivisorPair, QDivisor
 from .dpdring import Elliptic, Hyperbolic, SurfaceSpec
 from .errors import BadParams, UnknownName
 from .exactmath import Poly, Rat
+from .record import Record
 
 NAMES = (
     "danielewski",
@@ -25,12 +24,15 @@ NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    params: tuple[int, ...]
-    spec: SurfaceSpec
-    expected: dict = field(default_factory=dict)
+class CatalogEntry(Record):
+    __slots__ = ("name", "params", "spec", "expected")
+
+    def __init__(self, name: str, params: tuple[int, ...], spec: SurfaceSpec,
+                 expected: dict | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "expected", {} if expected is None else expected)
 
     @property
     def label(self) -> str:

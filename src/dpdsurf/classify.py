@@ -6,7 +6,6 @@ classification report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .divisor import Anchored, DivisorPair, QDivisor, anchored, denom_index, normalize_pair
@@ -17,11 +16,13 @@ from .dpdring import (
     Presentation,
     SurfaceSpec,
     is_line_cross_torus,
+    presentation_degree,
     spec_to_obj,
 )
 from .errors import NoPositiveLnd, check
 from .exactmath import Rat, format_rat, rational_linear_factorization
 from .lnd import DegreeSet, describe, elliptic_lnd, fiber_lnd
+from .record import Record
 
 ML_TRIVIAL = "trivial"
 ML_POLYNOMIAL = "polynomial_ring"
@@ -29,8 +30,7 @@ ML_LAURENT = "laurent_ring"
 ML_WHOLE = "whole_ring"
 
 
-@dataclass(frozen=True)
-class FiberData:
+class FiberData(Record):
     """Fiber of the C*-fibration over a point a of the base line.
 
     D+(a) = -e_plus/m_plus and D-(a) = e_minus/m_minus in lowest terms with
@@ -40,19 +40,25 @@ class FiberData:
     the multiplicities are asserted.
     """
 
-    point: Rat
-    m_plus: int
-    m_minus: int
-    degenerate: bool
-    e_plus: Optional[int] = None
-    e_minus: Optional[int] = None
-    delta: Optional[int] = None
-    pi_star: Optional[tuple[int, int]] = None
-    div_u: Optional[tuple[int, int]] = None
+    __slots__ = ("point", "m_plus", "m_minus", "degenerate", "e_plus", "e_minus",
+                 "delta", "pi_star", "div_u")
+
+    def __init__(self, point: Rat, m_plus: int, m_minus: int, degenerate: bool,
+                 e_plus: Optional[int] = None, e_minus: Optional[int] = None,
+                 delta: Optional[int] = None, pi_star: Optional[tuple[int, int]] = None,
+                 div_u: Optional[tuple[int, int]] = None):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "m_plus", m_plus)
+        object.__setattr__(self, "m_minus", m_minus)
+        object.__setattr__(self, "degenerate", degenerate)
+        object.__setattr__(self, "e_plus", e_plus)
+        object.__setattr__(self, "e_minus", e_minus)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "pi_star", pi_star)
+        object.__setattr__(self, "div_u", div_u)
 
 
-@dataclass(frozen=True)
-class SingularityRecord:
+class SingularityRecord(Record):
     """Order and smoothness of the surface point over a degenerate fiber.
 
     order = delta, and the point is smooth iff order = 1.  paper_type is
@@ -61,68 +67,97 @@ class SingularityRecord:
     d_plus vanishes at the point (chart_valid).
     """
 
-    point: Rat
-    order: int
-    smooth: bool
-    chart_valid: bool
-    paper_type: Optional[tuple[int, int]] = None
+    __slots__ = ("point", "order", "smooth", "chart_valid", "paper_type")
+
+    def __init__(self, point: Rat, order: int, smooth: bool, chart_valid: bool,
+                 paper_type: Optional[tuple[int, int]] = None):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "smooth", smooth)
+        object.__setattr__(self, "chart_valid", chart_valid)
+        object.__setattr__(self, "paper_type", paper_type)
 
 
-@dataclass(frozen=True)
-class MlResult:
+class MlResult(Record):
     """Makar-Limanov invariant: C, C[v], C[v, v^-1], or the whole ring."""
 
-    kind: str
-    generator_degree: Optional[int] = None
+    __slots__ = ("kind", "generator_degree")
+
+    def __init__(self, kind: str, generator_degree: Optional[int] = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "generator_degree", generator_degree)
 
 
-@dataclass(frozen=True)
-class Sl2Model:
+class Sl2Model(Record):
     """One of the four reference pairs, with the Veronese cone degree."""
 
-    model: str
-    veronese_degree: Optional[int] = None
+    __slots__ = ("model", "veronese_degree")
+
+    def __init__(self, model: str, veronese_degree: Optional[int] = None):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "veronese_degree", veronese_degree)
 
 
-@dataclass(frozen=True)
-class Recognition:
+class Recognition(Record):
     """Homogeneous model: plane, line_cross_torus, quadric,
     conic_complement, or veronese_cone(degree)."""
 
-    model: str
-    degree: Optional[int] = None
+    __slots__ = ("model", "degree")
+
+    def __init__(self, model: str, degree: Optional[int] = None):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "degree", degree)
 
 
-@dataclass(frozen=True)
-class LndSummary:
-    exists_plus: bool
-    exists_minus: bool
-    degrees_plus: Optional[DegreeSet] = None
-    degrees_minus: Optional[DegreeSet] = None
-    fiber: Optional[str] = None
-    elliptic_axes: Optional[tuple[str, str]] = None
+class LndSummary(Record):
+    __slots__ = ("exists_plus", "exists_minus", "degrees_plus", "degrees_minus", "fiber",
+                 "elliptic_axes")
+
+    def __init__(self, exists_plus: bool, exists_minus: bool,
+                 degrees_plus: Optional[DegreeSet] = None,
+                 degrees_minus: Optional[DegreeSet] = None, fiber: Optional[str] = None,
+                 elliptic_axes: Optional[tuple[str, str]] = None):
+        object.__setattr__(self, "exists_plus", exists_plus)
+        object.__setattr__(self, "exists_minus", exists_minus)
+        object.__setattr__(self, "degrees_plus", degrees_plus)
+        object.__setattr__(self, "degrees_minus", degrees_minus)
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "elliptic_axes", elliptic_axes)
 
 
-@dataclass(frozen=True, kw_only=True)
-class ClassificationReport:
-    spec: SurfaceSpec
-    grading: str
-    normalized_pair: Optional[DivisorPair] = None
-    normalized_divisor: Optional[QDivisor] = None
-    translation: Optional[Rat] = None
-    d_plus_index: Optional[int] = None
-    d_minus_index: Optional[int] = None
-    lnd: LndSummary
-    ml: MlResult
-    mm: Optional[int]
-    plane: bool
-    presentation: Optional[Presentation] = None
-    fibers: tuple[FiberData, ...] = ()
-    singularities: tuple[SingularityRecord, ...] = ()
-    ruling: Optional[tuple[tuple[Rat, int], ...]] = None
-    sl2: Optional[Sl2Model] = None
-    recognition: Optional[Recognition]
-    toric: Optional[tuple[int, int]]
+class ClassificationReport(Record):
+    __slots__ = ("spec", "grading", "normalized_pair", "normalized_divisor", "translation",
+                 "d_plus_index", "d_minus_index", "lnd", "ml", "mm", "plane", "presentation",
+                 "fibers", "singularities", "ruling", "sl2", "recognition", "toric")
+
+    def __init__(
+        self, *, spec: SurfaceSpec, grading: str, normalized_pair: Optional[DivisorPair] = None,
+        normalized_divisor: Optional[QDivisor] = None, translation: Optional[Rat] = None,
+        d_plus_index: Optional[int] = None, d_minus_index: Optional[int] = None,
+        lnd: LndSummary, ml: MlResult, mm: Optional[int], plane: bool,
+        presentation: Optional[Presentation] = None, fibers: tuple[FiberData, ...] = (),
+        singularities: tuple[SingularityRecord, ...] = (),
+        ruling: Optional[tuple[tuple[Rat, int], ...]] = None, sl2: Optional[Sl2Model] = None,
+        recognition: Optional[Recognition], toric: Optional[tuple[int, int]],
+    ):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "grading", grading)
+        object.__setattr__(self, "normalized_pair", normalized_pair)
+        object.__setattr__(self, "normalized_divisor", normalized_divisor)
+        object.__setattr__(self, "translation", translation)
+        object.__setattr__(self, "d_plus_index", d_plus_index)
+        object.__setattr__(self, "d_minus_index", d_minus_index)
+        object.__setattr__(self, "lnd", lnd)
+        object.__setattr__(self, "ml", ml)
+        object.__setattr__(self, "mm", mm)
+        object.__setattr__(self, "plane", plane)
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "singularities", singularities)
+        object.__setattr__(self, "ruling", ruling)
+        object.__setattr__(self, "sl2", sl2)
+        object.__setattr__(self, "recognition", recognition)
+        object.__setattr__(self, "toric", toric)
 
 
 def _split_plus(x: Rat) -> tuple[int, int]:
@@ -226,7 +261,7 @@ def ml_invariant(spec: SurfaceSpec) -> MlResult:
     invariant C[v, v^-1] (provided a derivation exists at all); one-sided
     existence leaves C[v] in the stated degree; no derivation leaves A.
     """
-    return classify(spec).ml
+    return _facts(spec)[0].ml
 
 
 def mm_invariant(spec: SurfaceSpec) -> Optional[int]:
@@ -235,7 +270,7 @@ def mm_invariant(spec: SurfaceSpec) -> Optional[int]:
     Defined only for trivial ML.  Parabolic toric: the denominator index
     d(A).  Elliptic (d, e'): d.  Hyperbolic: see _hyperbolic_mm.
     """
-    return classify(spec).mm
+    return _facts(spec)[0].mm
 
 
 def recognize_homogeneous(spec: SurfaceSpec) -> Optional[Recognition]:
@@ -245,7 +280,12 @@ def recognize_homogeneous(spec: SurfaceSpec) -> Optional[Recognition]:
     veronese_cone(d); None means no algebraic group acts with a big open
     orbit.
     """
-    return classify(spec).recognition
+    return _facts(spec)[0].recognition
+
+
+def lnd_summary(spec: SurfaceSpec) -> LndSummary:
+    """Homogeneous derivations and their degrees, as classify() derives them."""
+    return _facts(spec)[0].lnd
 
 
 def recognize_sl2(pair: DivisorPair) -> Optional[Sl2Model]:
@@ -335,13 +375,11 @@ def _hyperbolic_ml(
     return MlResult(ML_WHOLE)
 
 
-def _hyperbolic_mm(
-    pair: DivisorPair, plus: Anchored, minus: Anchored, pres: Presentation
-) -> int:
+def _hyperbolic_mm(pair: DivisorPair, plus: Anchored, minus: Anchored) -> int:
     """-d_plus_index * d_minus_index * deg(D+ + D-), for trivial ML.
 
-    Cross-checked against the defining polynomial both through the
-    presentation degree and through the divisor identity
+    Cross-checked against the defining polynomial both through deg P (read
+    off the anchored pair, P unbuilt) and through the divisor identity
     div P = -k d+' d-' (D+ + D-) with k = gcd of the two indices.
     """
     s = pair.sum()
@@ -351,7 +389,7 @@ def _hyperbolic_mm(
     div_p = s * (-(plus.d * minus.d // g))
     check(div_p.is_integral() and div_p.is_effective(), f"div P = {div_p}")
     check(g * div_p.degree == value, "MM disagrees with the degree of div P")
-    check(pres.P.degree == value, "MM disagrees with the presentation degree")
+    check(presentation_degree(plus) == value, "MM disagrees with deg P")
     return int(value)
 
 
@@ -376,30 +414,23 @@ def _degrees(side: Optional[Anchored]) -> DegreeSet:
     return DegreeSet.none() if side is None else DegreeSet.of(side)
 
 
-def classify(spec: SurfaceSpec) -> ClassificationReport:
-    """Populate the full report, deriving every fact once.
-
-    Each side of a hyperbolic pair, and a parabolic divisor, is anchored
-    once; the invariants, the presentation and the recognitions are all
-    read from those anchored values.
-    """
+def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Optional[Anchored]]:
+    """The report with no presentation, every field read from the anchored
+    sides (each anchored once), and the anchored plus side the presentation
+    is read from (None unless hyperbolic).  No field needs P."""
     if isinstance(spec, Elliptic):
         dx, dy = elliptic_lnd(spec.d, spec.e_prime)
         return ClassificationReport(
             spec=spec,
             grading="elliptic",
             d_plus_index=spec.d,
-            lnd=LndSummary(
-                exists_plus=True,
-                exists_minus=True,
-                elliptic_axes=(describe(dx), describe(dy)),
-            ),
+            lnd=LndSummary(True, True, elliptic_axes=(describe(dx), describe(dy))),
             ml=MlResult(ML_TRIVIAL),
             mm=spec.d,
             plane=spec.d == 1,
             recognition=_cone_recognition(spec.d, spec.e_prime),
             toric=(spec.d, spec.e_prime),
-        )
+        ), None
 
     if isinstance(spec, Parabolic):
         divisor = spec.divisor
@@ -410,26 +441,21 @@ def classify(spec: SurfaceSpec) -> ClassificationReport:
             normalized_divisor=divisor - divisor.ceil(),
             translation=a and a.translation,
             d_plus_index=denom_index(divisor),
-            lnd=LndSummary(
-                exists_plus=a is not None,
-                exists_minus=True,
-                degrees_plus=_degrees(a),
-                fiber=describe(fiber_lnd(divisor)),
-            ),
+            lnd=LndSummary(a is not None, True, degrees_plus=_degrees(a),
+                           fiber=describe(fiber_lnd(divisor))),
             ml=MlResult(ML_TRIVIAL) if a else MlResult(ML_POLYNOMIAL, generator_degree=0),
             mm=a and a.d,
             plane=a is not None and a.d == 1,
             recognition=a and _cone_recognition(a.d, a.e_prime),
             toric=a and (a.d, a.e_prime),
-        )
+        ), None
 
     pair = spec.pair
     plus, minus = anchored(pair), anchored(pair.reverse())
     # the anchored pair translated back is the normalized pair
     norm = plus.pair.translate(plus.translation) if plus else normalize_pair(pair)
-    pres = plus and Presentation.of(plus)
     ml = _hyperbolic_ml(pair, plus, minus)
-    mm = _hyperbolic_mm(pair, plus, minus, pres) if ml.kind == ML_TRIVIAL else None
+    mm = _hyperbolic_mm(pair, plus, minus) if ml.kind == ML_TRIVIAL else None
     sl2 = _sl2_model(norm)
     points = sorted(set(norm.d_plus.support) | set(norm.d_minus.support))
     return ClassificationReport(
@@ -439,23 +465,28 @@ def classify(spec: SurfaceSpec) -> ClassificationReport:
         translation=plus and plus.translation,
         d_plus_index=plus.d if plus else denom_index(pair.d_plus),
         d_minus_index=denom_index(pair.d_minus),
-        lnd=LndSummary(
-            exists_plus=plus is not None,
-            exists_minus=minus is not None,
-            degrees_plus=_degrees(plus),
-            degrees_minus=_degrees(minus),
-        ),
+        lnd=LndSummary(plus is not None, minus is not None, _degrees(plus), _degrees(minus)),
         ml=ml,
         mm=mm,
         plane=mm == 1,
-        presentation=pres,
         fibers=tuple(fiber_structure(norm, a) for a in points),
         singularities=tuple(_singular_points(norm)),
         ruling=plus and tuple(ruling_divisor(norm)),
         sl2=sl2,
         recognition=_hyperbolic_recognition(pair, mm, plus, sl2),
         toric=plus and _toric_type(plus),
-    )
+    ), plus
+
+
+def classify(spec: SurfaceSpec) -> ClassificationReport:
+    """Populate the full report, deriving every fact once: the presentation
+    is written into the report _facts built before anything else holds it."""
+    report, plus = _facts(spec)
+    if plus is not None:
+        pres = Presentation.of(plus)
+        check(report.mm in (None, pres.P.degree), "MM disagrees with deg P")
+        object.__setattr__(report, "presentation", pres)
+    return report
 
 
 def invariant_signature(report: ClassificationReport) -> tuple:

@@ -20,6 +20,7 @@ from .classify import (
     classify,
     degrees_to_obj,
     fiber_structure,
+    lnd_summary,
     ml_invariant,
     mm_invariant,
     recognize_homogeneous,
@@ -78,7 +79,8 @@ def _emit(obj: dict, as_json: bool, text: str) -> None:
 # -- subcommand handlers ------------------------------------------------------
 
 
-def _report_text(report: ClassificationReport) -> str:
+def _report_text(report: ClassificationReport, pres_obj: Optional[dict]) -> str:
+    """The text report; the relation and Q are read off the report document."""
     lines = [f"grading: {report.grading}"]
     spec = report.spec
     if isinstance(spec, Hyperbolic):
@@ -126,9 +128,9 @@ def _report_text(report: ClassificationReport) -> str:
     if report.presentation is not None:
         pres = report.presentation
         lines.append(
-            f"presentation: {pres.relation_text()}  "
+            f"presentation: {pres_obj['relation']}  "
             f"[k={pres.k}, d={pres.d}, e'={pres.e_prime}, l={pres.l}, "
-            f"Q={pres.Q}, weights {pres.zd_weights}]"
+            f"Q={pres_obj['Q']}, weights {pres.zd_weights}]"
         )
     for f in report.fibers:
         if f.degenerate:
@@ -172,9 +174,9 @@ def _report_text(report: ClassificationReport) -> str:
 
 
 def _cmd_classify(args) -> int:
-    spec = load_spec(args.spec)
-    report = classify(spec)
-    _emit(report_to_obj(report), args.json, _report_text(report))
+    report = classify(load_spec(args.spec))
+    obj = report_to_obj(report)
+    print(json.dumps(obj, indent=2) if args.json else _report_text(report, obj["presentation"]))
     return 0
 
 
@@ -215,7 +217,7 @@ def _build_lnd(spec: SurfaceSpec, degree: Optional[int], negative: bool):
 def _cmd_lnd(args) -> int:
     spec = load_spec(args.spec)
     if args.degree is None:
-        lnd = classify(spec).lnd
+        lnd = lnd_summary(spec)
         if isinstance(spec, Elliptic):
             _emit({"lnd": list(lnd.elliptic_axes)}, args.json,
                   " and ".join(lnd.elliptic_axes))
@@ -343,9 +345,7 @@ def _cmd_mm(args) -> int:
 def _cmd_recognize(args) -> int:
     spec = load_spec(args.spec)
     rec = recognize_homogeneous(spec)
-    obj = (
-        None if rec is None else {"model": rec.model, "degree": rec.degree}
-    )
+    obj = None if rec is None else {"model": rec.model, "degree": rec.degree}
     text = (
         "no homogeneous model (no algebraic group action with a big open orbit)"
         if rec is None

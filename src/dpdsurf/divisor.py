@@ -11,11 +11,11 @@ every later layer reads its toric data from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import FractionalPlusSpread, InvalidSpecFile, PositiveSum
 from .exactmath import Rat, RatLike, format_rat, parse_rat
+from .record import Record
 
 #: A point of the affine line, i.e. an exact rational coordinate.
 Point = Rat
@@ -204,18 +204,17 @@ def denom_index(d: QDivisor) -> int:
     return math.lcm(*(c.denominator for _, c in d.terms))
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Record):
     """a |-> scale*a + offset with scale != 0."""
 
-    scale: Rat
-    offset: Rat
+    __slots__ = ("scale", "offset")
 
-    def __post_init__(self):
-        object.__setattr__(self, "scale", Rat(self.scale))
-        object.__setattr__(self, "offset", Rat(self.offset))
-        if self.scale == 0:
+    def __init__(self, scale: RatLike, offset: RatLike):
+        scale, offset = Rat(scale), Rat(offset)
+        if scale == 0:
             raise ValueError("affine map must have nonzero scale")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "offset", offset)
 
     @classmethod
     def identity(cls) -> AffineMap:
@@ -308,8 +307,7 @@ def normalize_pair(pair: DivisorPair) -> DivisorPair:
     return DivisorPair._trusted(pair.d_plus - e, pair.d_minus + e)
 
 
-@dataclass(frozen=True)
-class Anchored:
+class Anchored(Record):
     """The normal form of a pair, from which all toric data is read.
 
     pair is the pair shifted so every coefficient of d_plus lies in (-1, 0]
@@ -321,12 +319,16 @@ class Anchored:
     part is A_0[D]; its k and l carry no meaning.
     """
 
-    pair: DivisorPair
-    translation: Rat
-    d: int
-    e_prime: int
-    k: int
-    l: int
+    __slots__ = ("pair", "translation", "d", "e_prime", "k", "l")
+
+    def __init__(self, pair: DivisorPair, translation: Rat, d: int, e_prime: int,
+                 k: int, l: int):
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "translation", translation)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e_prime", e_prime)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
 
     @classmethod
     def of(cls, x: DivisorPair | QDivisor) -> Anchored:

@@ -10,7 +10,6 @@ generator f_n(t) u^n.  Elements of Frac(A_0)[u, u^-1] are carried by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .divisor import Anchored, DivisorPair, QDivisor
@@ -33,36 +32,41 @@ from .exactmath import (
     linear_power_product,
     rational_linear_factorization,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Elliptic:
+class Elliptic(Record):
     """Toric data (d, e'): the quotient A^2 / Z_d acting with weights (1, e')."""
 
-    d: int
-    e_prime: int
+    __slots__ = ("d", "e_prime")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, e_prime: int):
+        if d < 1:
             raise ValueError("d must be positive")
-        if not 0 <= self.e_prime < self.d:
+        if not 0 <= e_prime < d:
             raise ValueError("need 0 <= e' < d")
-        if math.gcd(self.e_prime, self.d) != 1:
+        if math.gcd(e_prime, d) != 1:
             raise ValueError("need gcd(e', d) = 1")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e_prime", e_prime)
 
 
-@dataclass(frozen=True)
-class Parabolic:
+class Parabolic(Record):
     """Positively graded ring A_0[D] over the affine line."""
 
-    divisor: QDivisor
+    __slots__ = ("divisor",)
+
+    def __init__(self, divisor: QDivisor):
+        object.__setattr__(self, "divisor", divisor)
 
 
-@dataclass(frozen=True)
-class Hyperbolic:
+class Hyperbolic(Record):
     """Two-sided graded ring A_0[D+, D-]."""
 
-    pair: DivisorPair
+    __slots__ = ("pair",)
+
+    def __init__(self, pair: DivisorPair):
+        object.__setattr__(self, "pair", pair)
 
 
 SurfaceSpec = Union[Elliptic, Parabolic, Hyperbolic]
@@ -143,8 +147,7 @@ def is_line_cross_torus(pair: DivisorPair) -> bool:
 MAX_DEG_P = 5000
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Equation data u^k v = P for the surface and its cyclic cover.
 
     The ring is the Z_d-invariant part of the normalization of
@@ -153,14 +156,18 @@ class Presentation:
     degenerates to the hypersurface u^k v = P(t) itself with P = Q*t^l.
     """
 
-    k: int
-    P: Poly
-    d: int
-    e_prime: int
-    l: int
-    Q: Poly
-    zd_weights: tuple[int, int, int]
-    translation: Rat
+    __slots__ = ("k", "P", "d", "e_prime", "l", "Q", "zd_weights", "translation")
+
+    def __init__(self, k: int, P: Poly, d: int, e_prime: int, l: int, Q: Poly,
+                 zd_weights: tuple[int, int, int], translation: Rat):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e_prime", e_prime)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "zd_weights", zd_weights)
+        object.__setattr__(self, "translation", translation)
 
     @classmethod
     def of(cls, a: Anchored) -> Presentation:
@@ -171,14 +178,8 @@ class Presentation:
         because the sum at 0 is <= 0.  Raises CapExceeded when
         deg P = k*e' + d*l + d*deg Q is over MAX_DEG_P.
         """
-        factors = []
-        for p, c in a.pair.d_minus.terms:
-            if p != 0:
-                check(c < 0, "d_minus > 0 where d_plus = 0 contradicts a sum <= 0")
-                factors.append((p, int(-a.k * c)))
-        s_exp = a.k * a.e_prime + a.d * a.l
-        check(s_exp >= 0, "k*e' + d*l < 0 contradicts d_plus + d_minus <= 0")
-        if s_exp + a.d * sum(m for _, m in factors) > MAX_DEG_P:
+        factors, s_exp, degree = _shape(a)
+        if degree > MAX_DEG_P:
             raise CapExceeded(f"the presentation's deg P is over the cap {MAX_DEG_P}")
         big_q = linear_power_product(factors)
         # P(s) = Q(s^d) s^s_exp: coefficient i of Q lands at s_exp + i*d
@@ -199,6 +200,23 @@ class Presentation:
         """u^k v = P in the variable t (d = 1) or s; p_text is str(P) if known."""
         var = "t" if self.d == 1 else "s"
         return f"u^{self.k} v = {(p_text or str(self.P)).replace('t', var)}"
+
+
+def _shape(a: Anchored) -> tuple[list[tuple[Rat, int]], int, int]:
+    """The roots of Q with multiplicities, the power k*e' + d*l of s, and deg P."""
+    factors = []
+    for p, c in a.pair.d_minus.terms:
+        if p != 0:
+            check(c < 0, "d_minus > 0 where d_plus = 0 contradicts a sum <= 0")
+            factors.append((p, -a.k * c.numerator // c.denominator))  # k*c is integral
+    s_exp = a.k * a.e_prime + a.d * a.l
+    check(s_exp >= 0, "k*e' + d*l < 0 contradicts d_plus + d_minus <= 0")
+    return factors, s_exp, s_exp + a.d * sum(m for _, m in factors)
+
+
+def presentation_degree(a: Anchored) -> int:
+    """deg P of the presentation Presentation.of(a) would build, without building it."""
+    return _shape(a)[2]
 
 
 def presentation(pair: DivisorPair) -> Presentation:

@@ -13,7 +13,6 @@ fiber-type derivations act as del(f u^n) = n*g*f*u^(n-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .divisor import (
@@ -42,6 +41,7 @@ from .exactmath import (
     mod_inverse,
     ratfunc_monomial_power,
 )
+from .record import Record
 
 #: Caps on the work one command can ask for, matching element.MAX_EXPONENT:
 #: the stabilization window (derived or given), which checks 2*window + 1
@@ -50,8 +50,7 @@ MAX_WINDOW = 1000
 MAX_STEPS = 1000
 
 
-@dataclass(frozen=True)
-class HorizontalLnd:
+class HorizontalLnd(Record):
     """Degree sign*e derivation with monomial action as in the module docstring.
 
     e is the magnitude of the degree and anchor the point the formula is
@@ -64,59 +63,67 @@ class HorizontalLnd:
     pair (d_plus coefficients in (-1, 0]).
     """
 
-    e: int
-    d: int
-    e_prime: int
-    k: int
-    sign: int = 1
-    scale: Rat = Rat(1)
-    anchor: Rat = Rat(0)
-    twist: tuple[tuple[Rat, int], ...] = ()
+    __slots__ = ("e", "d", "e_prime", "k", "sign", "scale", "anchor", "twist")
+
+    def __init__(self, e: int, d: int, e_prime: int, k: int, sign: int = 1,
+                 scale: Rat = Rat(1), anchor: Rat = Rat(0),
+                 twist: tuple[tuple[Rat, int], ...] = ()):
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e_prime", e_prime)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "twist", twist)
 
     @property
     def degree(self) -> int:
         return self.sign * self.e
 
 
-@dataclass(frozen=True)
-class FiberLnd:
+class FiberLnd(Record):
     """del = g(t) d/du of degree -1; g generates the section module."""
 
-    g: RatFunc
-
+    __slots__ = ("g",)
     degree = -1
 
+    def __init__(self, g: RatFunc):
+        object.__setattr__(self, "g", g)
 
-@dataclass(frozen=True)
-class EllipticToricLnd:
+
+class EllipticToricLnd(Record):
     """X^exp d/dY (axis "X") or Y^exp d/dX (axis "Y") on C[X,Y]^(Z_d).
 
     Elements are carried by GradedElement with t playing X and u playing Y.
     """
 
-    d: int
-    exponent: int
-    axis: str
+    __slots__ = ("d", "exponent", "axis")
 
-    def __post_init__(self):
-        if self.axis not in ("X", "Y"):
+    def __init__(self, d: int, exponent: int, axis: str):
+        if axis not in ("X", "Y"):
             raise ValueError("axis must be 'X' or 'Y'")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "axis", axis)
 
 
 Lnd = Union[HorizontalLnd, FiberLnd, EllipticToricLnd]
 
 
-@dataclass(frozen=True)
-class DegreeSet:
+class DegreeSet(Record):
     """Admissible degrees {e : e >= e_min, e = residue (mod modulus)}.
 
     e_min = 0 exactly in the torus-line case, where e = 0 is admissible too.
     """
 
-    residue: int
-    modulus: int
-    e_min: int
-    empty: bool = False
+    __slots__ = ("residue", "modulus", "e_min", "empty")
+
+    def __init__(self, residue: int, modulus: int, e_min: int, empty: bool = False):
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "e_min", e_min)
+        object.__setattr__(self, "empty", empty)
 
     @classmethod
     def none(cls) -> DegreeSet:
@@ -268,12 +275,14 @@ def nilpotency_steps(lnd: Lnd, x: GradedElement, cap: int = 256) -> int:
     return steps
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(Record):
     """Outcome of the extension check."""
 
-    verdict: bool
-    failures: tuple[tuple[Optional[int], str], ...] = ()
+    __slots__ = ("verdict", "failures")
+
+    def __init__(self, verdict: bool, failures: tuple[tuple[Optional[int], str], ...] = ()):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "failures", failures)
 
     def __str__(self) -> str:
         if self.verdict:

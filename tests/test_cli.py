@@ -362,12 +362,42 @@ def test_deg_p_over_cap_exit_one(tmp_path, capsys):
     """A D- coefficient of -10^9 asks for deg P = 10^9: refused before P is built."""
     path = _write_spec(tmp_path, {"hyperbolic": {
         "d_plus": [], "d_minus": [["1/2", "-1000000000"]]}})
-    for command in ("classify", "equation", "fibers", "ml", "mm", "recognize"):
+    for command in ("classify", "equation", "fibers"):
         for flags in ([], ["--json"]):
             start = time.perf_counter()
             assert run([command, path, *flags]) == 1
             assert time.perf_counter() - start < 0.5
             _one_error_line(capsys, "CapExceeded")
+
+
+def test_deg_p_over_cap_invariants(tmp_path, capsys):
+    """ml, mm, recognize and lnd print no P, so the deg P cap does not stop
+    them: at D- = -10^9 [1/2] they report what classify reports at
+    D- = -7 [1/2], with 7 replaced by 10^9."""
+    (tmp_path / "small").mkdir()
+    small = _write_spec(tmp_path / "small", {"hyperbolic": {
+        "d_plus": [], "d_minus": [["1/2", "-7"]]}})
+    assert run(["classify", small, "--json"]) == 0
+    want = json.loads(capsys.readouterr().out)
+    assert (want["ml"], want["mm"], want["recognition"]) == ("trivial", 7, None)
+    path = _write_spec(tmp_path, {"hyperbolic": {
+        "d_plus": [], "d_minus": [["1/2", "-1000000000"]]}})
+    expected = {
+        "ml": ({"ml": "trivial", "generator_degree": None}, "trivial"),
+        "mm": ({"mm": 10**9}, "1000000000"),
+        "recognize": ({"recognition": None}, "no homogeneous model (no algebraic "
+                      "group action with a big open orbit)"),
+        "lnd": ({key: want["lnd"][key] for key in ("exists_positive", "exists_negative",
+                 "degrees_positive", "degrees_negative")},
+                "positive: {e >= 1}\nnegative: {e >= 1}"),
+    }
+    for command, (obj, text) in expected.items():
+        for flags, out in (([], text + "\n"), (["--json"], json.dumps(obj, indent=2) + "\n")):
+            start = time.perf_counter()
+            assert run([command, path, *flags]) == 0
+            assert time.perf_counter() - start < 0.5
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (out, ""), command
 
 
 class TestInputErrors:
