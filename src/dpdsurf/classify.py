@@ -6,7 +6,6 @@ classification report.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .divisor import Anchored, DivisorPair, QDivisor, anchored, denom_index, normalize_pair
 from .dpdring import (
@@ -44,9 +43,9 @@ class FiberData(Record):
                  "delta", "pi_star", "div_u")
 
     def __init__(self, point: Rat, m_plus: int, m_minus: int, degenerate: bool,
-                 e_plus: Optional[int] = None, e_minus: Optional[int] = None,
-                 delta: Optional[int] = None, pi_star: Optional[tuple[int, int]] = None,
-                 div_u: Optional[tuple[int, int]] = None):
+                 e_plus: int | None = None, e_minus: int | None = None,
+                 delta: int | None = None, pi_star: tuple[int, int] | None = None,
+                 div_u: tuple[int, int] | None = None):
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "m_plus", m_plus)
         object.__setattr__(self, "m_minus", m_minus)
@@ -70,7 +69,7 @@ class SingularityRecord(Record):
     __slots__ = ("point", "order", "smooth", "chart_valid", "paper_type")
 
     def __init__(self, point: Rat, order: int, smooth: bool, chart_valid: bool,
-                 paper_type: Optional[tuple[int, int]] = None):
+                 paper_type: tuple[int, int] | None = None):
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "smooth", smooth)
@@ -83,7 +82,7 @@ class MlResult(Record):
 
     __slots__ = ("kind", "generator_degree")
 
-    def __init__(self, kind: str, generator_degree: Optional[int] = None):
+    def __init__(self, kind: str, generator_degree: int | None = None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "generator_degree", generator_degree)
 
@@ -93,7 +92,7 @@ class Sl2Model(Record):
 
     __slots__ = ("model", "veronese_degree")
 
-    def __init__(self, model: str, veronese_degree: Optional[int] = None):
+    def __init__(self, model: str, veronese_degree: int | None = None):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "veronese_degree", veronese_degree)
 
@@ -104,7 +103,7 @@ class Recognition(Record):
 
     __slots__ = ("model", "degree")
 
-    def __init__(self, model: str, degree: Optional[int] = None):
+    def __init__(self, model: str, degree: int | None = None):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "degree", degree)
 
@@ -114,9 +113,9 @@ class LndSummary(Record):
                  "elliptic_axes")
 
     def __init__(self, exists_plus: bool, exists_minus: bool,
-                 degrees_plus: Optional[DegreeSet] = None,
-                 degrees_minus: Optional[DegreeSet] = None, fiber: Optional[str] = None,
-                 elliptic_axes: Optional[tuple[str, str]] = None):
+                 degrees_plus: DegreeSet | None = None,
+                 degrees_minus: DegreeSet | None = None, fiber: str | None = None,
+                 elliptic_axes: tuple[str, str] | None = None):
         object.__setattr__(self, "exists_plus", exists_plus)
         object.__setattr__(self, "exists_minus", exists_minus)
         object.__setattr__(self, "degrees_plus", degrees_plus)
@@ -131,14 +130,14 @@ class ClassificationReport(Record):
                  "fibers", "singularities", "ruling", "sl2", "recognition", "toric")
 
     def __init__(
-        self, *, spec: SurfaceSpec, grading: str, normalized_pair: Optional[DivisorPair] = None,
-        normalized_divisor: Optional[QDivisor] = None, translation: Optional[Rat] = None,
-        d_plus_index: Optional[int] = None, d_minus_index: Optional[int] = None,
-        lnd: LndSummary, ml: MlResult, mm: Optional[int], plane: bool,
-        presentation: Optional[Presentation] = None, fibers: tuple[FiberData, ...] = (),
+        self, *, spec: SurfaceSpec, grading: str, normalized_pair: DivisorPair | None = None,
+        normalized_divisor: QDivisor | None = None, translation: Rat | None = None,
+        d_plus_index: int | None = None, d_minus_index: int | None = None,
+        lnd: LndSummary, ml: MlResult, mm: int | None, plane: bool,
+        presentation: Presentation | None = None, fibers: tuple[FiberData, ...] = (),
         singularities: tuple[SingularityRecord, ...] = (),
-        ruling: Optional[tuple[tuple[Rat, int], ...]] = None, sl2: Optional[Sl2Model] = None,
-        recognition: Optional[Recognition], toric: Optional[tuple[int, int]],
+        ruling: tuple[tuple[Rat, int], ...] | None = None, sl2: Sl2Model | None = None,
+        recognition: Recognition | None, toric: tuple[int, int] | None,
     ):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "grading", grading)
@@ -264,7 +263,7 @@ def ml_invariant(spec: SurfaceSpec) -> MlResult:
     return _facts(spec)[0].ml
 
 
-def mm_invariant(spec: SurfaceSpec) -> Optional[int]:
+def mm_invariant(spec: SurfaceSpec) -> int | None:
     """Homogeneous Miyanishi-Masuda invariant, as classify() derives it.
 
     Defined only for trivial ML.  Parabolic toric: the denominator index
@@ -273,7 +272,7 @@ def mm_invariant(spec: SurfaceSpec) -> Optional[int]:
     return _facts(spec)[0].mm
 
 
-def recognize_homogeneous(spec: SurfaceSpec) -> Optional[Recognition]:
+def recognize_homogeneous(spec: SurfaceSpec) -> Recognition | None:
     """Gizatullin-Popov recognition, as classify() derives it.
 
     Returns plane (mm = 1), line_cross_torus, quadric, conic_complement or
@@ -288,12 +287,12 @@ def lnd_summary(spec: SurfaceSpec) -> LndSummary:
     return _facts(spec)[0].lnd
 
 
-def recognize_sl2(pair: DivisorPair) -> Optional[Sl2Model]:
+def recognize_sl2(pair: DivisorPair) -> Sl2Model | None:
     """Match against the four reference pairs up to affine maps and shifts."""
     return _sl2_model(normalize_pair(pair))
 
 
-def _sl2_model(q: DivisorPair) -> Optional[Sl2Model]:
+def _sl2_model(q: DivisorPair) -> Sl2Model | None:
     """The SL2 model of a normalized pair, read off its normal form.
 
     Normalized, the reference pairs are (0, -[1] - [-1]) (quadric),
@@ -326,7 +325,7 @@ def _sl2_model(q: DivisorPair) -> Optional[Sl2Model]:
     return None
 
 
-def _toric_type(a: Anchored) -> Optional[tuple[int, int]]:
+def _toric_type(a: Anchored) -> tuple[int, int] | None:
     """Cone normal form (d, e) of a one-point hyperbolic pair, else None.
 
     The graded ring of a pair supported at a single point is the semigroup
@@ -352,7 +351,7 @@ def _toric_type(a: Anchored) -> Optional[tuple[int, int]]:
     return r, min(e, pow(e, -1, r)) if e else 0
 
 
-def _cone_recognition(d: int, e_prime: int) -> Optional[Recognition]:
+def _cone_recognition(d: int, e_prime: int) -> Recognition | None:
     """V_(d,e'): the plane when d = 1, a Veronese cone when e' = 1."""
     if d == 1:
         return Recognition("plane")
@@ -360,7 +359,7 @@ def _cone_recognition(d: int, e_prime: int) -> Optional[Recognition]:
 
 
 def _hyperbolic_ml(
-    pair: DivisorPair, plus: Optional[Anchored], minus: Optional[Anchored]
+    pair: DivisorPair, plus: Anchored | None, minus: Anchored | None
 ) -> MlResult:
     if pair.sum().is_zero():
         # Spread fractional parts kill every homogeneous derivation even
@@ -394,9 +393,9 @@ def _hyperbolic_mm(pair: DivisorPair, plus: Anchored, minus: Anchored) -> int:
 
 
 def _hyperbolic_recognition(
-    pair: DivisorPair, mm: Optional[int], plus: Optional[Anchored],
-    sl2: Optional[Sl2Model],
-) -> Optional[Recognition]:
+    pair: DivisorPair, mm: int | None, plus: Anchored | None,
+    sl2: Sl2Model | None,
+) -> Recognition | None:
     if mm == 1:
         return Recognition("plane")
     if is_line_cross_torus(pair) and plus is not None:
@@ -410,11 +409,11 @@ def _hyperbolic_recognition(
     return None
 
 
-def _degrees(side: Optional[Anchored]) -> DegreeSet:
+def _degrees(side: Anchored | None) -> DegreeSet:
     return DegreeSet.none() if side is None else DegreeSet.of(side)
 
 
-def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Optional[Anchored]]:
+def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
     """The report with no presentation, every field read from the anchored
     sides (each anchored once), and the anchored plus side the presentation
     is read from (None unless hyperbolic).  No field needs P."""
@@ -547,7 +546,7 @@ def invariant_signature(report: ClassificationReport) -> tuple:
 # -- machine-readable report ------------------------------------------------
 
 
-def degrees_to_obj(ds: Optional[DegreeSet]) -> Optional[dict]:
+def degrees_to_obj(ds: DegreeSet | None) -> dict | None:
     if ds is None:
         return None
     if ds.empty:
@@ -560,6 +559,19 @@ def degrees_to_obj(ds: Optional[DegreeSet]) -> Optional[dict]:
         "min_positive_degree": ds.min_degree(),
         "zero_admissible": ds.e_min == 0,
     }
+
+
+def singularities_to_obj(records: tuple[SingularityRecord, ...]) -> list[dict]:
+    return [
+        {
+            "point": format_rat(s.point),
+            "order": s.order,
+            "smooth": s.smooth,
+            "chart_valid": s.chart_valid,
+            "paper_type": list(s.paper_type) if s.paper_type else None,
+        }
+        for s in records
+    ]
 
 
 def report_to_obj(report: ClassificationReport) -> dict:
@@ -627,16 +639,7 @@ def report_to_obj(report: ClassificationReport) -> dict:
             }
             for f in report.fibers
         ],
-        "singularities": [
-            {
-                "point": format_rat(s.point),
-                "order": s.order,
-                "smooth": s.smooth,
-                "chart_valid": s.chart_valid,
-                "paper_type": list(s.paper_type) if s.paper_type else None,
-            }
-            for s in report.singularities
-        ],
+        "singularities": singularities_to_obj(report.singularities),
         "ruling": (
             None
             if report.ruling is None

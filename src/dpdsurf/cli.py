@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from . import catalog as catalog_mod
 from . import lnd as lnd_mod
@@ -25,6 +24,7 @@ from .classify import (
     mm_invariant,
     recognize_homogeneous,
     report_to_obj,
+    singularities_to_obj,
 )
 from .divisor import DivisorPair
 from .dpdring import (
@@ -79,7 +79,7 @@ def _emit(obj: dict, as_json: bool, text: str) -> None:
 # -- subcommand handlers ------------------------------------------------------
 
 
-def _report_text(report: ClassificationReport, pres_obj: Optional[dict]) -> str:
+def _report_text(report: ClassificationReport, pres_obj: dict | None) -> str:
     """The text report; the relation and Q are read off the report document."""
     lines = [f"grading: {report.grading}"]
     spec = report.spec
@@ -180,7 +180,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _pick_degree(spec: SurfaceSpec, degree: Optional[int], negative: bool) -> int:
+def _pick_degree(spec: SurfaceSpec, degree: int | None, negative: bool) -> int:
     if degree is not None:
         return -degree if negative and degree > 0 else degree
     if isinstance(spec, Hyperbolic):
@@ -199,7 +199,7 @@ def _pick_degree(spec: SurfaceSpec, degree: Optional[int], negative: bool) -> in
     raise InvalidSpecFile("pick an axis with --negative for elliptic specs")
 
 
-def _build_lnd(spec: SurfaceSpec, degree: Optional[int], negative: bool):
+def _build_lnd(spec: SurfaceSpec, degree: int | None, negative: bool):
     if isinstance(spec, Elliptic):
         dx, dy = lnd_mod.elliptic_lnd(spec.d, spec.e_prime)
         return dy if negative else dx
@@ -374,7 +374,7 @@ def _cmd_fibers(args) -> int:
             }
             for f in fibers
         ],
-        "singularities": report_to_obj(report)["singularities"],
+        "singularities": singularities_to_obj(report.singularities),
     }
     lines = []
     for f in fibers:

@@ -11,7 +11,7 @@ every later layer reads its toric data from.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .errors import FractionalPlusSpread, InvalidSpecFile, PositiveSum
 from .exactmath import Rat, RatLike, format_rat, parse_rat
@@ -346,7 +346,7 @@ class Anchored(Record):
         return cls(q, translation, d, int(-d * q.d_plus(0)), k, int(-k * q.d_minus(0)))
 
 
-def anchored(x: DivisorPair | QDivisor) -> Optional[Anchored]:
+def anchored(x: DivisorPair | QDivisor) -> Anchored | None:
     """Anchored.of(x), or None when the fractional part of d_plus is spread."""
     try:
         return Anchored.of(x)
@@ -364,7 +364,7 @@ def _labeled_support(pair: DivisorPair) -> dict[Rat, tuple[Rat, Rat]]:
     return {p: (pair.d_plus(p), pair.d_minus(p)) for p in points}
 
 
-def affine_equivalent(p1: DivisorPair, p2: DivisorPair) -> Optional[AffineMap]:
+def affine_equivalent(p1: DivisorPair, p2: DivisorPair) -> AffineMap | None:
     """Search for an affine map g with g.p1 shift-equivalent to p2.
 
     Candidates are enumerated from matchings of the labeled supports of the

@@ -10,7 +10,6 @@ generator f_n(t) u^n.  Elements of Frac(A_0)[u, u^-1] are carried by
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
 
 from .divisor import Anchored, DivisorPair, QDivisor
 from .element import GradedElement
@@ -69,7 +68,7 @@ class Hyperbolic(Record):
         object.__setattr__(self, "pair", pair)
 
 
-SurfaceSpec = Union[Elliptic, Parabolic, Hyperbolic]
+SurfaceSpec = Elliptic | Parabolic | Hyperbolic
 
 
 def _generator_coefficient(d: QDivisor, n: int) -> RatFunc:
@@ -196,7 +195,7 @@ class Presentation(Record):
             translation=a.translation,
         )
 
-    def relation_text(self, p_text: Optional[str] = None) -> str:
+    def relation_text(self, p_text: str | None = None) -> str:
         """u^k v = P in the variable t (d = 1) or s; p_text is str(P) if known."""
         var = "t" if self.d == 1 else "s"
         return f"u^{self.k} v = {(p_text or str(self.P)).replace('t', var)}"

@@ -7,7 +7,7 @@ between it and the element grammar below.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .errors import CapExceeded, ParseError
 from .exactmath import Poly, Rat, RatFunc, RatLike, format_rat, parse_int
@@ -158,7 +158,7 @@ class _Tokens:
             raise ParseError(f"unexpected character {ch!r}", i)
         self.pos = 0
 
-    def peek(self) -> Optional[str]:
+    def peek(self) -> str | None:
         if self.pos < len(self.items):
             return self.items[self.pos][0]
         return None

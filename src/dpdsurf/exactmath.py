@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from collections.abc import Iterable, Sequence
 
 from .errors import CapExceeded, NotCoprime, ParseError, ZeroPolynomial
 
@@ -20,7 +20,7 @@ from .errors import CapExceeded, NotCoprime, ParseError, ZeroPolynomial
 #: arbitrary-precision integer parts.
 Rat = Fraction
 
-RatLike = Union[Rat, int]
+RatLike = Rat | int
 
 _RAT_RE = re.compile(r"^(-?)(\d+)(?:/(\d+))?$")
 

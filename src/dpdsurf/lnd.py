@@ -13,7 +13,6 @@ fiber-type derivations act as del(f u^n) = n*g*f*u^(n-1).
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
 
 from .divisor import (
     Anchored,
@@ -31,6 +30,7 @@ from .errors import (
     NegativeSize,
     NoKernelGenerator,
     NotSmallGroup,
+    check,
 )
 from .exactmath import (
     Poly,
@@ -108,7 +108,7 @@ class EllipticToricLnd(Record):
         object.__setattr__(self, "axis", axis)
 
 
-Lnd = Union[HorizontalLnd, FiberLnd, EllipticToricLnd]
+Lnd = HorizontalLnd | FiberLnd | EllipticToricLnd
 
 
 class DegreeSet(Record):
@@ -156,7 +156,7 @@ class DegreeSet(Record):
             return False
         return e % self.modulus == self.residue % self.modulus
 
-    def min_degree(self) -> Optional[int]:
+    def min_degree(self) -> int | None:
         """Smallest admissible positive degree."""
         if self.empty:
             return None
@@ -280,7 +280,7 @@ class StabilizationReport(Record):
 
     __slots__ = ("verdict", "failures")
 
-    def __init__(self, verdict: bool, failures: tuple[tuple[Optional[int], str], ...] = ()):
+    def __init__(self, verdict: bool, failures: tuple[tuple[int | None, str], ...] = ()):
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "failures", failures)
 
@@ -297,35 +297,22 @@ def oracle_window(pair: DivisorPair) -> int:
     return max(denom_index(pair.d_plus), denom_index(pair.d_minus))
 
 
-def _h_order(q: Rat, a: dict[Rat, int], d: int, en: int) -> int:
-    """ord_q of h = d*t*sum_p a_p/(t - p) - en, so that d*t*f' - en*f = f*h
-    for f = prod_p (t - p)^(a_p).
-
-    h has a simple pole at each p != 0 with a_p != 0 and is regular
-    elsewhere (the term at p = 0 is the constant d*a_0).  Where h(q) = 0
-    the order is the multiplicity of q in its numerator over the poles.
-    """
-    if q != 0 and q in a:
-        return -1
-    constant = d * a.get(Rat(0), 0) - en
-    if q == 0:
-        value = constant
-    else:
-        value = d * q * sum(c / (q - p) for p, c in a.items()) - en
-    if value != 0:
-        return 0
-    poles = [p for p in a if p != 0]
-    num = Poly.from_roots(poles, constant)
-    for p in poles:
-        num = num + Poly.from_roots([r for r in poles if r != p], d * a[p]) * Poly.t()
-    return num.multiplicity_at(q)
+def _zero_order(q: Rat, poles: list[tuple[Rat, int]]) -> int:
+    """ord_q of h = C + d*sum_p a_p*p/(t - p) at a zero q, from the poles
+    (p, a_p) of h: the least j >= 1 with sum_p a_p*p/(q - p)^(j+1) != 0
+    (h^(j)(q) over d*(-1)^j*j!).  A nonzero h with m simple poles has at
+    most m zeros with multiplicity."""
+    j = next((j for j in range(1, len(poles) + 1)
+              if sum(c * p / (q - p) ** (j + 1) for p, c in poles)), 0)
+    check(j > 0, f"h_n vanishes past order {len(poles)} at q = {format_rat(q)}")
+    return j
 
 
 def stabilization_witness(
     pair: DivisorPair,
     e: int,
-    window: Optional[int] = None,
-    e_prime_override: Optional[int] = None,
+    window: int | None = None,
+    e_prime_override: int | None = None,
 ) -> StabilizationReport:
     """Decide whether the degree-e candidate derivation preserves the ring.
 
@@ -341,14 +328,18 @@ def stabilization_witness(
     e_prime_override substitutes a (possibly wrong) e' to probe
     non-solutions of e*e' = 1 (mod d).
 
-    Nothing is expanded: f_n is carried as its exponents
-    a_p = ceil(-|n|*D(p)), and its image is f_n*h_n*t^((e*e'-1)/d)*u^(n+e)
-    with h_n = d*t*sum_p a_p/(t - p) - e'*n (h = d for t, the generator
-    with a_0 = 1 and n = 0).  The image lies in the ring iff
-    a_q + ord_q(h_n) + [q = 0]*(e*e'-1)/d + |n+e|*D(q) >= 0, D the divisor
-    of the sign of n + e, at every point q of supp D+, supp D- and 0; no
-    other point can break it.  Raises CapExceeded for a window over
-    MAX_WINDOW and NegativeSize for a negative one.
+    Nothing is expanded: f_n is carried as its integer exponents
+    a_p = ceil(-|n|*D(p)) at the sorted points, and its image is
+    f_n*h_n*t^((e*e'-1)/d)*u^(n+e) with, in closed form,
+        h_n = d*t*sum_p a_p/(t - p) - e'*n = C + d*sum_(p != 0) a_p*p/(t - p),
+    C = d*sum_p a_p - e'*n (h = d for t: a_0 = 1, n = 0).  The image lies in
+    the ring iff a_q + ord_q(h_n) + [q = 0]*(e*e'-1)/d + |n+e|*D(q) >= 0, D
+    the divisor of the sign of n + e, at every point q of supp D+, supp D-
+    and 0; no other point can break it.  ord_q(h_n) is -1 at a pole; where
+    it can decide, h_n(q) = 0 is one dot product with the integer row
+    M_q*p/(q - p), and a zero has the order of the first nonzero derivative
+    sum (_zero_order).  Raises CapExceeded for a window over MAX_WINDOW and
+    NegativeSize for a negative one.
     """
     if e < 0:
         return stabilization_witness(pair.reverse(), -e, window, e_prime_override)
@@ -364,33 +355,41 @@ def stabilization_witness(
         return StabilizationReport(False, ((None, str(exc)),))
     d = a.d
     e_prime = e_prime_override if e_prime_override is not None else a.e_prime
-    plus, minus = dict(a.pair.d_plus.terms), dict(a.pair.d_minus.terms)
-    points = sorted({Rat(0), *plus, *minus})
-    generators: list[tuple[int, dict[Rat, int]]] = [(0, {Rat(0): 1})]
-    for n in range(-window, window + 1):
-        if n != 0:
-            side = plus if n > 0 else minus
-            exps = {p: -(abs(n) * c.numerator // c.denominator) for p, c in side.items()}
-            generators.append((n, {p: x for p, x in exps.items() if x}))
+    points = sorted({Rat(0), *a.pair.d_plus.support, *a.pair.d_minus.support})
+    z = points.index(0)
+    plus, minus = ([(c.numerator, c.denominator) for c in map(side, points)]
+                   for side in (a.pair.d_plus, a.pair.d_minus))
+    where = [format_rat(p + a.translation) for p in points]
+    fracs = [(p.numerator, p.denominator) for p in points]
+    rows = []  # (M_q, [M_q*p/(q - p) for p]); p/(q - p) = pn*qd/(qn*pd - pn*qd)
+    for qn, qd in fracs:
+        dens = [qn * pd - pn * qd for pn, pd in fracs]
+        m = math.lcm(*filter(None, dens))
+        rows.append((m, [pn * qd * (m // den) if den else 0
+                         for (pn, _), den in zip(fracs, dens)]))
     num = e * e_prime - 1
+    unit = [int(i == z) for i in range(len(points))]
     failures = []
-    for n, exps in generators:
-        if all(p == 0 for p in exps) and d * exps.get(Rat(0), 0) == e_prime * n:
+    for n in (0, *range(-window, 0), *range(1, window + 1)):
+        exps = [-(abs(n) * c // k) for c, k in (plus if n > 0 else minus)] if n else unit
+        const = d * sum(exps) - e_prime * n
+        if const == 0 and not any(exps[:z]) and not any(exps[z + 1:]):
             continue  # h_n = 0: the image is zero
         if num % d != 0:
-            failures.append(
-                (n, f"condition (i): t-exponent (e*e'-1)/d = {num}/{d} is not integral")
-            )
+            failures.append((n, f"condition (i): t-exponent (e*e'-1)/d = {num}/{d} "
+                                "is not integral"))
             continue
-        bound = plus if n + e >= 0 else minus
-        for q in points:
-            order = exps.get(q, 0) + _h_order(q, exps, d, e_prime * n)
-            if q == 0:
-                order += num // d
-            if order + abs(n + e) * bound.get(q, 0) < 0:
+        s = abs(n + e)
+        for i, (x, (bn, bd)) in enumerate(zip(exps, plus if n + e >= 0 else minus)):
+            order = x + (num // d if i == z else 0)
+            if x and i != z:
+                order -= 1  # a simple pole of h_n
+            elif order * bd + s * bn < 0 and rows[i][0] * const + d * sum(
+                    y * r for y, r in zip(exps, rows[i][1])) == 0:
+                order += _zero_order(points[i], [(p, y) for p, y in zip(points, exps) if y and p])
+            if order * bd + s * bn < 0:
                 what = "t" if n == 0 else f"the generator of degree {n}"
-                failures.append((n, f"image of {what} leaves the ring at "
-                                    f"q = {format_rat(q + a.translation)}"))
+                failures.append((n, f"image of {what} leaves the ring at q = {where[i]}"))
                 break
     return StabilizationReport(not failures, tuple(failures))
 
@@ -426,7 +425,7 @@ def fiber_lnd(d: QDivisor) -> FiberLnd:
     return FiberLnd(g)
 
 
-def parabolic_horizontal(d: QDivisor) -> Optional[tuple[int, int]]:
+def parabolic_horizontal(d: QDivisor) -> tuple[int, int] | None:
     """Horizontal data (d, e0) of A_0[D], or None when {D} is spread.
 
     e0 is the residue of admissible degrees: e*e' = 1 (mod d) with

@@ -148,6 +148,20 @@ class TestRun:
         out = capsys.readouterr().out
         assert "degenerate" in out and "delta = 1" in out
 
+    def test_fibers_renders_no_polynomial(self, spec_file, capsys, monkeypatch):
+        path = spec_file("bertin", (3, 3))
+        for flags in ([], ["--json"]):
+            assert run(["fibers", path, *flags]) == 0
+        want = capsys.readouterr().out
+
+        def refuse(self):
+            raise AssertionError("fibers rendered a polynomial")
+
+        monkeypatch.setattr(Poly, "__str__", refuse)
+        for flags in ([], ["--json"]):
+            assert run(["fibers", path, *flags]) == 0
+        assert capsys.readouterr().out == want
+
     def test_family(self, capsys):
         code = run(
             ["family", "--poly", "t^2+t", "--degree", "1", "--alpha", "2"]

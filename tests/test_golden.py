@@ -14,6 +14,9 @@ from pathlib import Path
 
 from golden_record import GOLDEN, cli_records, report_digest, sha256
 
+from dpdsurf.catalog import default_entries
+from dpdsurf.dpdring import Hyperbolic, spec_to_obj
+
 DATA = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
@@ -44,36 +47,47 @@ def test_cli_stdout_and_exit_codes():
     assert not changed
 
 
-_OPTIMIZED = """
+_RUN_JSON = """
 import contextlib, io, json, sys, tempfile, os
 from dpdsurf import cli
-if not sys.flags.optimize:
-    raise SystemExit("expected python -O")
+if sys.flags.optimize != int(sys.argv[1]):
+    raise SystemExit("expected sys.flags.optimize == " + sys.argv[1])
 out = []
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "surface.spec")
-    for spec in json.load(sys.stdin):
+    for command, spec in json.load(sys.stdin):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(spec, fh)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = cli.run(["classify", path, "--json"])
+            code = cli.run([command, path, "--json"])
         out.append([code, buf.getvalue()])
 print(json.dumps(out))
 """
 
 
-def test_classify_json_same_under_python_O():
-    """Cross-checks are explicit raises, so -O must not change any output."""
-    items = DATA["cli"]
+def _run_json(runs: list, optimize: bool) -> list:
+    """(exit code, stdout) of `command SPEC --json` for each (command, spec)
+    in a fresh interpreter, under python -O when optimize is set."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    flags = ["-O"] if optimize else []
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _OPTIMIZED],
-        input=json.dumps([item["spec"] for item in items]),
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, *flags, "-c", _RUN_JSON, str(int(optimize))],
+        input=json.dumps(runs), capture_output=True, text=True, env=env, check=True,
     )
+    return json.loads(proc.stdout)
+
+
+def test_classify_json_same_under_python_O():
+    """Cross-checks are explicit raises, so -O must not change any output:
+    classify --json on the golden specs and verify --json (the oracle's
+    errors.check) on the catalog's hyperbolic specs."""
+    items = DATA["cli"]
+    verify = [["verify", spec_to_obj(entry.spec)] for entry in default_entries()
+              if isinstance(entry.spec, Hyperbolic)]
+    got = _run_json([["classify", item["spec"]] for item in items] + verify, True)
     want = [item["runs"]["classify --json"] for item in items]
-    got = [[code, sha256(stdout)] for code, stdout in json.loads(proc.stdout)]
-    assert got == want
+    assert [[code, sha256(stdout)] for code, stdout in got[:len(items)]] == want
+    assert len(verify) >= 10 and got[len(items):] == _run_json(verify, False)

@@ -25,11 +25,13 @@ from dpdsurf.errors import (
     CapExceeded,
     FractionalPlusSpread,
     InadmissibleDegree,
+    InternalError,
     NotSmallGroup,
 )
 from dpdsurf.exactmath import Poly, Rat, RatFunc, ratfunc_monomial_power
 from dpdsurf.lnd import (
     MAX_WINDOW,
+    _zero_order,
     admissible_degrees,
     apply,
     build_horizontal,
@@ -275,12 +277,14 @@ def dense_witness(pair, e, window, e_prime_override=None) -> bool:
     return True
 
 
-def high_index_pair(rng) -> DivisorPair:
-    """A concentrated pair whose d_minus has denominator index k = d*m with
-    m up to 150 // d, spread over one to three points besides the anchor."""
-    d = rng.choice([1, 2, 3, 4, 5])
+def high_index_pair(rng, k: int | None = None) -> DivisorPair:
+    """A concentrated pair whose d_minus has denominator index dividing
+    k = d*m, with m up to 150 // d unless k is given, spread over one to
+    three points besides the anchor."""
+    d = rng.choice([x for x in (1, 2, 3, 4, 5) if k is None or k % x == 0])
     e_prime = rng.choice([x for x in range(d) if math.gcd(x, d) == 1]) if d > 1 else 0
-    k = d * rng.randint(2, 150 // d)
+    if k is None:
+        k = d * rng.randint(2, 150 // d)
     anchor = Rat(rng.randint(-3, 3), rng.choice([1, 2]))
     minus = [(anchor, Rat(e_prime, d) + rng.choice([0, -1, Rat(-1, k)]))]
     for i in range(rng.randint(1, 3)):
@@ -322,6 +326,19 @@ class TestSoundOracle:
                 assert stabilization_witness(pair, e).verdict == ds.contains(e), (pair, e)
         assert max(indices) > 100 and min(indices) < 8
 
+    def test_derived_window_up_to_cap(self, rng):
+        """The default window at indices up to MAX_WINDOW agrees with DegreeSet."""
+        indices = []
+        for k in (MAX_WINDOW, 997, *(rng.randint(200, MAX_WINDOW - 1) for _ in range(3))):
+            pair = high_index_pair(rng, k)
+            window = oracle_window(pair)
+            assert window <= MAX_WINDOW
+            indices.append(window)
+            ds = admissible_degrees(pair)
+            for e in range(0, 11):
+                assert stabilization_witness(pair, e).verdict == ds.contains(e), (pair, e)
+        assert max(indices) >= 997 and min(indices) > 8
+
     def test_matches_dense_oracle(self, rng):
         for i in range(8):
             pair = random_pair(rng) if i % 2 else random_concentrated_pair(rng)
@@ -340,6 +357,75 @@ class TestSoundOracle:
         for e in (1, -1):
             with pytest.raises(CapExceeded):
                 stabilization_witness(pair, e)
+
+
+def h_numerator(a: dict, d: int, en: Rat) -> Poly:
+    """The numerator of h = d*t*sum_p a_p/(t - p) - en over prod (t - p),
+    expanded from that definition."""
+    poles = [p for p, c in a.items() if c and p != 0]
+    num = Poly.from_roots(poles, d * a.get(Rat(0), 0) - en)
+    for p in poles:
+        num = num + Poly.from_roots([r for r in poles if r != p], d * a[p]) * Poly.t()
+    return num
+
+
+def zero_row(rng, forced: int):
+    """(q, exponent row) with poles at nonzero points, the last `forced`
+    exponents solved so that sum_p a_p*p/(q - p)^(j+1) = 0 for j = 1..forced,
+    which gives h a zero of order at least forced + 1 at q.  None when the
+    solve leaves a zero exponent."""
+    points = [Rat(n, m) for n in range(-6, 7) for m in (1, 2, 3) if math.gcd(n, m) == 1]
+    q = rng.choice(points)
+    poles = rng.sample([p for p in points if p not in (0, q)], forced + rng.randint(1, 3))
+    free, solved = poles[:len(poles) - forced], poles[len(poles) - forced:]
+    c = {p: rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]) for p in free}
+
+    def w(p, j):
+        return p / (q - p) ** (j + 1)
+
+    sums = [sum(c[p] * w(p, j) for p in free) for j in (1, 2)]
+    if forced == 1:
+        c[solved[0]] = -sums[0] / w(solved[0], 1)
+    elif forced == 2:
+        (u, v), (s1, s2) = solved, sums
+        det = w(u, 1) * w(v, 2) - w(u, 2) * w(v, 1)
+        if det == 0:
+            return None
+        c[u] = (s2 * w(v, 1) - s1 * w(v, 2)) / det
+        c[v] = (s1 * w(u, 2) - s2 * w(u, 1)) / det
+    if any(x == 0 for x in c.values()):
+        return None
+    scale = math.lcm(*(Rat(x).denominator for x in c.values()))
+    row = {p: int(x * scale) for p, x in c.items()}
+    row[Rat(0)] = rng.randint(-3, 3)
+    return q, row
+
+
+class TestZeroOrder:
+    def test_matches_dense_multiplicity(self, rng):
+        """ord_q(h_n) at a zero, read off the derivative sums, against the
+        multiplicity of q in the numerator of h_n built densely."""
+        seen = {}
+        for i in range(240):
+            forced = i % 3
+            drawn = zero_row(rng, forced)
+            if drawn is None:
+                continue
+            q, row = drawn
+            d = rng.randint(1, 5)
+            # the e'*n that makes h(q) = 0 (h(0) = d*a_0 - en)
+            en = d * row[Rat(0)] + d * sum(c * q / (q - p) for p, c in row.items() if p)
+            num = h_numerator(row, d, en)
+            want = num.multiplicity_at(q)
+            assert want >= forced + 1, (q, row)
+            got = _zero_order(q, [(p, c) for p, c in row.items() if p])
+            assert got == want, (q, row, d)
+            seen[want] = seen.get(want, 0) + 1
+        assert seen.get(2, 0) >= 20 and seen.get(3, 0) >= 20, seen
+
+    def test_order_past_pole_count_is_internal_error(self):
+        with pytest.raises(InternalError):
+            _zero_order(Rat(0), [(Rat(1), 0)])  # an exponent 0 is no pole
 
 
 class TestKernel:
