@@ -26,7 +26,7 @@ from .classify import (
     report_to_obj,
     singularities_to_obj,
 )
-from .divisor import DivisorPair
+from .divisor import DivisorPair, anchored
 from .dpdring import (
     Elliptic,
     Hyperbolic,
@@ -405,8 +405,8 @@ def _cmd_verify(args) -> int:
     spec = load_spec(args.spec)
     pair = _require_hyperbolic(spec)
     window = args.window if args.window is not None else lnd_mod.oracle_window(pair)
-    degrees = lnd_mod.admissible_degrees(pair) if lnd_mod.positive_lnd_exists(pair) \
-        else lnd_mod.DegreeSet.none()
+    a = anchored(pair)
+    degrees = lnd_mod.DegreeSet.of(a) if a is not None else lnd_mod.DegreeSet.none()
     mismatches = []
     admissible = []
     for e in range(0, 11):

@@ -308,6 +308,44 @@ def _zero_order(q: Rat, poles: list[tuple[Rat, int]]) -> int:
     return j
 
 
+#: One-entry memo of _table, ((pair, window, e_prime_override), table), rebound in
+#: one step; keys compare by == (hashing a DivisorPair hashes each Fraction in it).
+_memo: tuple = (None, None)
+
+
+def _table(pair: DivisorPair, window: int, e_prime_override: int | None):
+    """The part of stabilization_witness free of e: d, e', z (the index of 0),
+    the D+ and D- rows, labels, points, M_q rows and, in checking order, (n, a_p
+    row, C) per generator with h_n != 0; or the report itself if D+ is spread."""
+    try:
+        a = Anchored.of(pair)
+    except FractionalPlusSpread as exc:
+        return StabilizationReport(False, ((None, str(exc)),))
+    d = a.d
+    e_prime = e_prime_override if e_prime_override is not None else a.e_prime
+    points = sorted({Rat(0), *a.pair.d_plus.support, *a.pair.d_minus.support})
+    z = points.index(0)
+    plus, minus = ([(c.numerator, c.denominator) for c in map(side, points)]
+                   for side in (a.pair.d_plus, a.pair.d_minus))
+    where = [format_rat(p + a.translation) for p in points]
+    fracs = [(p.numerator, p.denominator) for p in points]
+    rows = []  # (M_q, [M_q*p/(q - p) for p]); p/(q - p) = pn*qd/(qn*pd - pn*qd)
+    for qn, qd in fracs:
+        dens = [qn * pd - pn * qd for pn, pd in fracs]
+        m = math.lcm(*filter(None, dens))
+        rows.append((m, [pn * qd * (m // den) if den else 0
+                         for (pn, _), den in zip(fracs, dens)]))
+    unit = [int(i == z) for i in range(len(points))]
+    gens = []
+    for n in (0, *range(-window, 0), *range(1, window + 1)):
+        exps = [-(abs(n) * c // k) for c, k in (plus if n > 0 else minus)] if n else unit
+        const = d * sum(exps) - e_prime * n
+        if const == 0 and not any(exps[:z]) and not any(exps[z + 1:]):
+            continue  # h_n = 0: the image is zero
+        gens.append((n, exps, const))
+    return d, e_prime, z, plus, minus, where, points, rows, gens
+
+
 def stabilization_witness(
     pair: DivisorPair,
     e: int,
@@ -340,6 +378,10 @@ def stabilization_witness(
     M_q*p/(q - p), and a zero has the order of the first nonzero derivative
     sum (_zero_order).  Raises CapExceeded for a window over MAX_WINDOW and
     NegativeSize for a negative one.
+
+    Only the bound tests depend on e; the rest comes from _table through a
+    one-entry memo, built once per sweep over e.  The memo keeps one table:
+    at most (2*MAX_WINDOW + 1) rows of #points integers.
     """
     if e < 0:
         return stabilization_witness(pair.reverse(), -e, window, e_prime_override)
@@ -349,39 +391,26 @@ def stabilization_witness(
         raise CapExceeded(f"oracle window {window} is over the cap {MAX_WINDOW}")
     if window < 0:
         raise NegativeSize(f"oracle window {window} is negative")
-    try:
-        a = Anchored.of(pair)
-    except FractionalPlusSpread as exc:
-        return StabilizationReport(False, ((None, str(exc)),))
-    d = a.d
-    e_prime = e_prime_override if e_prime_override is not None else a.e_prime
-    points = sorted({Rat(0), *a.pair.d_plus.support, *a.pair.d_minus.support})
-    z = points.index(0)
-    plus, minus = ([(c.numerator, c.denominator) for c in map(side, points)]
-                   for side in (a.pair.d_plus, a.pair.d_minus))
-    where = [format_rat(p + a.translation) for p in points]
-    fracs = [(p.numerator, p.denominator) for p in points]
-    rows = []  # (M_q, [M_q*p/(q - p) for p]); p/(q - p) = pn*qd/(qn*pd - pn*qd)
-    for qn, qd in fracs:
-        dens = [qn * pd - pn * qd for pn, pd in fracs]
-        m = math.lcm(*filter(None, dens))
-        rows.append((m, [pn * qd * (m // den) if den else 0
-                         for (pn, _), den in zip(fracs, dens)]))
+    global _memo
+    key = (pair, window, e_prime_override)
+    memo = _memo
+    if memo[0] != key:
+        memo = _memo = (key, _table(pair, window, e_prime_override))
+    table = memo[1]
+    if isinstance(table, StabilizationReport):
+        return table
+    d, e_prime, z, plus, minus, where, points, rows, gens = table
     num = e * e_prime - 1
-    unit = [int(i == z) for i in range(len(points))]
+    if num % d != 0:
+        why = f"condition (i): t-exponent (e*e'-1)/d = {num}/{d} is not integral"
+        failures = [(n, why) for n, _, _ in gens]
+        return StabilizationReport(not failures, tuple(failures))
+    lift = num // d
     failures = []
-    for n in (0, *range(-window, 0), *range(1, window + 1)):
-        exps = [-(abs(n) * c // k) for c, k in (plus if n > 0 else minus)] if n else unit
-        const = d * sum(exps) - e_prime * n
-        if const == 0 and not any(exps[:z]) and not any(exps[z + 1:]):
-            continue  # h_n = 0: the image is zero
-        if num % d != 0:
-            failures.append((n, f"condition (i): t-exponent (e*e'-1)/d = {num}/{d} "
-                                "is not integral"))
-            continue
+    for n, exps, const in gens:
         s = abs(n + e)
         for i, (x, (bn, bd)) in enumerate(zip(exps, plus if n + e >= 0 else minus)):
-            order = x + (num // d if i == z else 0)
+            order = x + lift if i == z else x
             if x and i != z:
                 order -= 1  # a simple pole of h_n
             elif order * bd + s * bn < 0 and rows[i][0] * const + d * sum(

@@ -12,7 +12,16 @@ from conftest import (
     random_element,
     random_pair,
 )
-from dpdsurf.divisor import Anchored, DivisorPair, QDivisor, denom_index, normalize_pair
+from dpdsurf import lnd as lnd_module
+from dpdsurf.catalog import default_entries
+from dpdsurf.divisor import (
+    Anchored,
+    DivisorPair,
+    QDivisor,
+    anchored,
+    denom_index,
+    normalize_pair,
+)
 from dpdsurf.dpdring import (
     GradedElement,
     Hyperbolic,
@@ -31,6 +40,7 @@ from dpdsurf.errors import (
 from dpdsurf.exactmath import Poly, Rat, RatFunc, ratfunc_monomial_power
 from dpdsurf.lnd import (
     MAX_WINDOW,
+    DegreeSet,
     _zero_order,
     admissible_degrees,
     apply,
@@ -357,6 +367,101 @@ class TestSoundOracle:
         for e in (1, -1):
             with pytest.raises(CapExceeded):
                 stabilization_witness(pair, e)
+
+
+def wide_pair(rng) -> DivisorPair:
+    """Two to four points with 30-bit numerators and denominators.  d_plus
+    is -e'/d at the first point plus a 0 or 30-bit integer at each point,
+    and in one draw in five also -1/2 at a second point (spread if d > 1).  The
+    pointwise sum is 0, -j/k with k = d*m <= 60, or a 30-bit negative
+    integer, so the coefficients of d_minus have 30-bit numerators; their
+    denominators divide lcm(k, 2), since the window cap bounds the index."""
+    def bits():
+        return rng.randint(1 << 29, (1 << 30) - 1)
+
+    d = rng.choice([1, 2, 3, 4, 5])
+    e_prime = rng.choice([x for x in range(d) if math.gcd(x, d) == 1]) if d > 1 else 0
+    k = d * rng.randint(1, 60 // d)
+    points = list({Rat(rng.choice((-1, 1)) * bits(), bits())
+                   for _ in range(rng.randint(2, 4))})
+    spread = rng.random() < 0.2
+    plus, minus = [], []
+    for i, p in enumerate(points):
+        c = Rat(-e_prime, d) if i == 0 else Rat(-1, 2) if i == 1 and spread else Rat(0)
+        c += rng.choice([0, bits(), -bits()])
+        total = rng.choice([Rat(0), Rat(-rng.randint(1, 2 * k), k), Rat(-bits())])
+        plus.append((p, c))
+        minus.append((p, total - c))
+    return DivisorPair(QDivisor(plus), QDivisor(minus))
+
+
+class TestOracleTable:
+    """A sweep derives the oracle's per-pair table once, and the memo never
+    answers a call with the table of another (pair, window, e')."""
+
+    @staticmethod
+    def count_anchoring(monkeypatch) -> list:
+        calls = []
+        of = Anchored.of.__func__
+        monkeypatch.setattr(Anchored, "of",
+                            classmethod(lambda cls, x: calls.append(x) or of(cls, x)))
+        return calls
+
+    def test_sweep_anchors_once(self, monkeypatch, rng):
+        calls = self.count_anchoring(monkeypatch)
+        pairs = [entry.spec.pair for entry in default_entries()
+                 if isinstance(entry.spec, Hyperbolic)]
+        pairs += [random_pair(rng) if i % 2 else random_concentrated_pair(rng)
+                  for i in range(20)]
+        for pair in pairs:
+            monkeypatch.setattr(lnd_module, "_memo", (None, None), raising=False)
+            calls.clear()
+            for e in range(11):
+                stabilization_witness(pair, e)
+            assert len(calls) == 1, pair
+
+    def test_memo_is_never_stale(self, monkeypatch, rng):
+        pairs = [REPRODUCTION, random_concentrated_pair(rng), random_pair(rng)]
+        twins = [DivisorPair(p.d_plus, p.d_minus) for p in pairs]  # equal, not identical
+        grid = [(i, w, o, e) for i in range(3) for w in (None, 8) for o in (None, 0, 2)
+                for e in (-2, 0, 1, 3, 9)]
+        # runs of calls that differ in e only, then in the override only, the
+        # window only, the pair only, and in everything
+        calls = list(grid)
+        for order in ((0, 1, 3, 2), (0, 2, 3, 1), (3, 1, 2, 0)):
+            calls += sorted(grid, key=lambda c: [-1 if c[j] is None else c[j] for j in order])
+        calls += rng.sample(grid, len(grid))
+        calls = [(pairs[i] if j % 2 else twins[i], w, o, e)
+                 for j, (i, w, o, e) in enumerate(calls)]
+
+        def fresh(pair, w, o, e):
+            monkeypatch.setattr(lnd_module, "_memo", (None, None), raising=False)
+            return stabilization_witness(pair, e, w, o)
+
+        want = [fresh(*call) for call in calls]
+        keys = [(pair if e >= 0 else pair.reverse(),
+                 oracle_window(pair) if w is None else w, o) for pair, w, o, e in calls]
+        monkeypatch.setattr(lnd_module, "_memo", (None, None), raising=False)
+        anchoring = self.count_anchoring(monkeypatch)
+        for (pair, w, o, e), expected in zip(calls, want):
+            assert stabilization_witness(pair, e, w, o) == expected, (pair, w, o, e)
+        # an equal key, pair object or not, reuses the table
+        assert len(anchoring) == 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+
+    def test_wide_pairs_match_closed_form(self, rng):
+        """Oracle against DegreeSet on wide_pair draws, e = 0..10."""
+        verdicts = set()
+        spread = 0
+        for _ in range(30):
+            pair = wide_pair(rng)
+            a = anchored(pair)
+            spread += a is None
+            ds = DegreeSet.of(a) if a is not None else DegreeSet.none()
+            for e in range(0, 11):
+                verdict = stabilization_witness(pair, e).verdict
+                assert verdict == ds.contains(e), (pair, e)
+                verdicts.add(verdict)
+        assert verdicts == {True, False} and 0 < spread < 30
 
 
 def h_numerator(a: dict, d: int, en: Rat) -> Poly:
