@@ -3,7 +3,9 @@ rational functions, and the two number-theoretic helpers used by the
 classification (modular inverse and rational linear factorization).
 
 All values are immutable and all operations are pure; nothing here ever
-touches floating point.
+touches floating point.  Rational linear factorization works on the
+primitive integer row of a polynomial, with roots from intpoly, whose
+docstring gives the method and the bound that makes it exact.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 from collections.abc import Iterable, Sequence
 
 from .errors import CapExceeded, NotCoprime, ParseError, ZeroPolynomial
+from .intpoly import primitive, quotient, rational_roots
 
 #: Exact rational number.  ``fractions.Fraction`` already enforces every
 #: invariant we need: reduced form, positive denominator, 0 stored as 0/1,
@@ -255,17 +258,7 @@ class Poly:
         return acc
 
     def multiplicity_at(self, a: RatLike) -> int:
-        """Order of vanishing at the rational point a."""
-        return self._divide_out(a)[0]
-
-    def deflate(self, a: RatLike) -> tuple[int, Poly]:
-        """``(m, q)`` with self = (t - a)^m * q and q(a) != 0."""
-        mult, cur = self._divide_out(a)
-        return mult, Poly(cur)
-
-    def _divide_out(self, a: RatLike) -> tuple[int, list[Rat]]:
-        """Multiplicity of a and the coefficients of the cofactor, by
-        synthetic division."""
+        """Order of vanishing at the rational point a, by synthetic division."""
         if self.is_zero():
             raise ZeroPolynomial("order undefined for the zero polynomial")
         a = Rat(a)
@@ -281,7 +274,7 @@ class Poly:
                 break
             mult += 1
             cur = quot
-        return mult, cur
+        return mult
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -384,99 +377,6 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num, new_den
 
 
-# -- rational roots ------------------------------------------------------------
-#
-# Integer polynomials are coefficient lists, lowest degree first.
-
-
-def _odd_primes() -> Iterable[int]:
-    n = 3
-    while True:
-        if all(n % f for f in range(3, math.isqrt(n) + 1, 2)):
-            yield n
-        n += 2
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _prem(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
-    """lc(b)^k * (a mod b) mod m for some k >= 0."""
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(r) > db:
-        c = r.pop()
-        if c:
-            k = len(r) - db
-            r = [x * lb for x in r]
-            for i in range(db):
-                r[k + i] -= c * b[i]
-            r = [x % m for x in r]
-    return _trim(r)
-
-
-def _evaluate(g: Sequence[int], x: int, m: int = 0) -> int:
-    """g(x), reduced mod m when m > 0."""
-    acc = 0
-    for c in reversed(g):
-        acc = acc * x + c
-        if m:
-            acc %= m
-    return acc
-
-
-def _squarefree_mod(g: Sequence[int], ell: int) -> bool:
-    """True when the monic g, with coefficients reduced mod ell, is
-    square-free mod ell."""
-    a, b = g, _trim([i * c % ell for i, c in enumerate(g)][1:])
-    while b:
-        a, b = b, _prem(a, b, ell)
-    return len(a) == 1
-
-
-def _rational_roots(work: Poly) -> list[Rat]:
-    """Distinct rational roots of work, given work(0) != 0 and degree >= 1.
-
-    Loos' p-adic method (SIAM J. Comput. 12, 1983).  s is the square-free
-    part work / gcd(work, work') in primitive integer form, lc its leading
-    coefficient.  Every root is y/lc for an integer root y of the monic
-    g(y) = lc^(n-1) s(y/lc).  Those are found mod the smallest odd prime
-    ell keeping g square-free, Hensel-lifted past the root bound
-    1 + max |g_i| and checked exactly.
-    """
-    sqf = work // poly_gcd(work, work.derivative())
-    # a list, not a generator: unpacking a generator here grew peak resident
-    # memory by up to 1.4 MB over 29k calls
-    den = math.lcm(*[c.denominator for c in sqf.coeffs])
-    s = [int(c * den) for c in sqf.coeffs]
-    content = math.gcd(*s)
-    s = [c // content for c in s]
-    n, lc = len(s) - 1, s[-1]
-    g = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
-    dg = [i * c for i, c in enumerate(g)][1:]
-    bound = 2 * (1 + max(abs(c) for c in g))
-    for ell in _odd_primes():
-        g_ell = [c % ell for c in g]
-        if _squarefree_mod(g_ell, ell):
-            break
-    roots = []
-    for r in range(ell):
-        if _evaluate(g_ell, r, ell):
-            continue
-        y, m = r, ell
-        while m <= bound:
-            m *= m
-            y = (y - _evaluate(g, y, m) * pow(_evaluate(dg, y, m), -1, m)) % m
-        if y > m // 2:
-            y -= m
-        if y and g[0] % y == 0 and _evaluate(g, y) == 0:
-            roots.append(Rat(y, lc))
-    return roots
-
-
 def rational_linear_factorization(
     p: Poly,
 ) -> tuple[Rat, list[tuple[Rat, int]], Poly]:
@@ -484,30 +384,35 @@ def rational_linear_factorization(
 
     Returns ``(leading, roots, remainder)`` with
     ``p = leading * prod (t - a_i)^{r_i} * remainder``, the remainder monic
-    with no rational roots, and roots sorted by their coordinate.  The
-    roots come from :func:`_rational_roots`, in time polynomial in the
-    degree and the coefficient bit size.
+    with no rational roots, and roots sorted by their coordinate.
+
+    The work is on the primitive integer row f of p: roots at 0 come off
+    its low coefficients, the other candidates come from
+    :func:`intpoly.rational_roots`, and each p/q is confirmed and counted
+    by exact division of f by q*t - p in Z[t] (Gauss's lemma), in time
+    polynomial in the degree and the coefficient bit size.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    leading = p.leading
-    work = p.monic()
-    roots: list[tuple[Rat, int]] = []
-
-    # Roots at 0 come straight off the low-order coefficients.
+    # a list, not a generator: unpacking a generator here grew peak resident
+    # memory by up to 1.4 MB over 29k calls
+    den = math.lcm(*[c.denominator for c in p.coeffs])
+    f = [c.numerator * (den // c.denominator) for c in p.coeffs]
     low = 0
-    while low <= work.degree and work[low] == 0:
+    while f[low] == 0:
         low += 1
-    if low > 0:
-        roots.append((Rat(0), low))
-        work = Poly(work.coeffs[low:])
-
-    if work.degree >= 1:
-        for a in _rational_roots(work):
-            mult, work = work.deflate(a)
-            roots.append((a, mult))
+    f = primitive(f[low:])
+    roots = [(Rat(0), low)] if low else []
+    if len(f) > 1:
+        for a, b in rational_roots(f):
+            mult, linear = 0, (-a, b)
+            while (q := quotient(f, linear)) is not None:
+                mult, f = mult + 1, q
+            if mult:
+                roots.append((Rat(a, b), mult))
     roots.sort()
-    return leading, roots, work
+    lc = f[-1]
+    return p.leading, roots, Poly(Rat(c, lc) for c in f)
 
 
 class RatFunc:

@@ -22,7 +22,14 @@ from .divisor import (
     denom_index,
     normalize_pair,
 )
-from .dpdring import GradedElement, Hyperbolic, Parabolic, SurfaceSpec
+from .dpdring import (
+    MAX_DEG_P,
+    GradedElement,
+    Hyperbolic,
+    Parabolic,
+    SurfaceSpec,
+    _generator_coefficient,
+)
 from .errors import (
     CapExceeded,
     FractionalPlusSpread,
@@ -445,13 +452,14 @@ def fiber_lnd(d: QDivisor) -> FiberLnd:
     """The fiber-type derivation of degree -1: g = prod (t-p)^(ceil D(p)).
 
     Every parabolic DPD ring carries one; g may legitimately have poles,
-    membership of images is the correctness criterion.
+    membership of images is the correctness criterion.  g is built as the
+    graded generators' coefficients are, with n = -1: one product of linear
+    powers over its zeros and one over its poles, which never cancel.
+    Raises CapExceeded when g has more than MAX_DEG_P zeros and poles.
     """
-    g = RatFunc.one()
-    for p, c in d.terms:
-        expo = -((-c.numerator) // c.denominator)
-        g = g * ratfunc_monomial_power(p, expo)
-    return FiberLnd(g)
+    if sum(abs(math.ceil(c)) for _, c in d.terms) > MAX_DEG_P:
+        raise CapExceeded(f"the fiber derivation has over {MAX_DEG_P} zeros and poles")
+    return FiberLnd(_generator_coefficient(d, -1))
 
 
 def parabolic_horizontal(d: QDivisor) -> tuple[int, int] | None:

@@ -372,6 +372,17 @@ def test_classify_degree_3000(tmp_path, capsys):
     assert doc["mm"] == 3000
 
 
+def test_apply_irrational_degree_1000_denominator_exit_one(spec_file, capsys):
+    """The denominator has a 30-digit leading coefficient at degree 1000: its
+    root search once ran for minutes, and now ends at once in exit 1."""
+    path = spec_file("danielewski", (2,))
+    element = "1/(777777777777777777777777777777*t^1000+t+1)"
+    start = time.perf_counter()
+    assert run(["apply", path, "--degree", "2", "--element", element, "--times", "1"]) == 1
+    assert time.perf_counter() - start < 5
+    _one_error_line(capsys, "IrrationalLocus")
+
+
 def test_deg_p_over_cap_exit_one(tmp_path, capsys):
     """A D- coefficient of -10^9 asks for deg P = 10^9: refused before P is built."""
     path = _write_spec(tmp_path, {"hyperbolic": {
@@ -382,6 +393,17 @@ def test_deg_p_over_cap_exit_one(tmp_path, capsys):
             assert run([command, path, *flags]) == 1
             assert time.perf_counter() - start < 0.5
             _one_error_line(capsys, "CapExceeded")
+
+
+def test_fiber_derivation_over_cap_exit_one(tmp_path, capsys):
+    """A parabolic D = -10^9*[1/2] asks for the fiber derivation
+    (t - 1/2)^(-10^9) d/du: refused before it is built."""
+    path = _write_spec(tmp_path, {"parabolic": {"divisor": [["1/2", "-1000000000"]]}})
+    for command in ("classify", "lnd"):
+        start = time.perf_counter()
+        assert run([command, path]) == 1
+        assert time.perf_counter() - start < 0.5
+        _one_error_line(capsys, "CapExceeded")
 
 
 def test_deg_p_over_cap_invariants(tmp_path, capsys):

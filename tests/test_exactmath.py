@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -179,12 +181,15 @@ class TestFactorization:
         assert roots == [(Fraction(-(10**18 + 3)), 1), (Fraction(10**18 + 3), 1)]
         assert rem == Poly.one()
 
-    def test_deflate(self):
+    def test_multiplicity(self):
         p = Poly.from_roots([Fraction(1, 3)] * 3 + [2])
-        mult, q = p.deflate(Fraction(1, 3))
-        assert mult == 3 and q == Poly((-2, 1))
-        assert p.deflate(5) == (0, p)
         assert p.multiplicity_at(Fraction(1, 3)) == 3
+        assert p.multiplicity_at(2) == 1 and p.multiplicity_at(5) == 0
+        # 1/3 comes off three times, leaving the cofactor t - 2
+        assert rational_linear_factorization(p) == (
+            1, [(Fraction(1, 3), 3), (Fraction(2), 1)], Poly.one())
+        assert rational_linear_factorization(p * Poly((1, 0, 1))) == (
+            1, [(Fraction(1, 3), 3), (Fraction(2), 1)], Poly((1, 0, 1)))
 
 
 big = 2**40
@@ -230,6 +235,100 @@ def test_factorization_matches_sympy(roots, factors, lead):
     assert leading == p.leading
     assert got_roots == sorted(want_roots.items())
     assert rem == want_rem.monic()
+
+
+def _sympy_factorization(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
+    """Rational roots with multiplicities and the monic rest of p, from
+    sympy's factor_list over QQ (test-only oracle)."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    _, factor_list = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+        t,
+        domain="QQ",
+    ).factor_list()
+    roots, rest = [], Poly.one()
+    for f, m in factor_list:
+        c = [Fraction(int(x.p), int(x.q)) for x in reversed(f.all_coeffs())]
+        if len(c) == 2:
+            roots.append((-c[0] / c[1], m))
+        else:
+            rest = rest * Poly(c) ** m
+    return sorted(roots), rest.monic()
+
+
+def _wide_inputs(rng: random.Random) -> list[Poly]:
+    """Leading coefficients of 100-300 bits, roots with 64-bit numerators
+    and denominators of multiplicity up to 3, integer cofactors of degree
+    2-6 (almost always irreducible) of multiplicity up to 2."""
+    out = []
+    for _ in range(24):
+        bits = rng.randint(100, 300)
+        p = Poly((Fraction(rng.choice((-1, 1)) * rng.getrandbits(bits) | 1 << (bits - 1),
+                           rng.getrandbits(64) | 1),))
+        for _ in range(rng.randint(0, 3)):
+            a = Fraction(rng.randint(-(2**64), 2**64), rng.randint(1, 2**64))
+            p = p * Poly((-a, 1)) ** rng.randint(1, 3)
+        for _ in range(rng.randint(0, 2)):
+            row = [rng.randint(-(2**20), 2**20) for _ in range(rng.randint(2, 6))]
+            p = p * Poly(row + [rng.randint(1, 2**10)]) ** rng.randint(1, 2)
+        out.append(p)
+    return out
+
+
+def _edge_inputs() -> list[Poly]:
+    """Inputs at the edges of the method.
+
+    (q*t - p)(t^2 + 1) has |s(0)| = p and lc(s) = q, the bound of the
+    reconstruction; p is picked so that p*q < 3^e <= 2*p*q, where 3^e is
+    the first power of the root-search prime 3 past p*q.  The others are
+    square-free mod 3, which divides their leading coefficient, but not
+    over Q."""
+    out = []
+    for q in (2**64 - 59, 2**63 + 3, 10**19 + 51):
+        p = (3**80 - 1) // q
+        while math.gcd(p, q) != 1:
+            p -= 1
+        for sign in (1, -1):
+            linear = Poly((-sign * p, q))
+            out += [linear * Poly((1, 0, 1)), linear**2 * Poly((1, 0, 1)) * 7]
+    out += [
+        Poly((-1, 3)) ** 2 * Poly((1, 1)),  # (3t - 1)^2 (t + 1)
+        Poly((2, 3)) ** 3 * Poly((-5, 1)) * Poly((1, 0, 1)),
+        Poly((-7, 9)) ** 2 * Poly((4, 1)),
+        Poly((-1, 15)) ** 2 * Poly((-2, 5)) ** 3 * Poly((1, 1)),
+    ]
+    return out
+
+
+def test_factorization_matches_sympy_wide():
+    """Cross-check against sympy at sizes past test_factorization_matches_sympy,
+    plus the reconstruction-bound and square-free-mod-lc edge cases."""
+    for p in _wide_inputs(random.Random(20261018)) + _edge_inputs():
+        want_roots, want_rest = _sympy_factorization(p)
+        assert rational_linear_factorization(p) == (p.leading, want_roots, want_rest)
+
+
+@pytest.mark.parametrize(
+    "p, want",
+    [
+        # t^1000 + t^999 + 3t^500 + 7: no rational root, square-free mod 3
+        (Poly({0: 7, 500: 3, 999: 1, 1000: 1}.get(i, 0) for i in range(1001)), []),
+        # (t - 1/7)(t - 3)(c t^998 + t + 1) with a 100-digit c
+        (Poly.from_roots([Fraction(1, 7), 3])
+         * Poly([1, 1] + [0] * 996 + [10**99 + 289]), [(Fraction(1, 7), 1), (3, 1)]),
+    ],
+    ids=["sparse_deg1000", "lc_100_digits_deg1000"],
+)
+def test_degree_1000_inputs_finish(p, want):
+    """Degree-1000 inputs: a sparse one, whose gcd with its derivative took
+    10 s over Q, and one whose 100-digit leading coefficient, raised to the
+    power 999 by a monic transform, made the root search run for minutes."""
+    start = time.perf_counter()
+    leading, roots, rest = rational_linear_factorization(p)
+    assert time.perf_counter() - start < 5
+    assert roots == want
+    assert rest.degree == 1000 - len(want) and rest.is_unitary()
 
 
 class TestRatFunc:
