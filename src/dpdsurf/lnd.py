@@ -13,6 +13,7 @@ fiber-type derivations act as del(f u^n) = n*g*f*u^(n-1).
 from __future__ import annotations
 
 import math
+import operator
 
 from .divisor import (
     Anchored,
@@ -304,15 +305,32 @@ def oracle_window(pair: DivisorPair) -> int:
     return max(denom_index(pair.d_plus), denom_index(pair.d_minus))
 
 
-def _zero_order(q: Rat, poles: list[tuple[Rat, int]]) -> int:
-    """ord_q of h = C + d*sum_p a_p*p/(t - p) at a zero q, from the poles
-    (p, a_p) of h: the least j >= 1 with sum_p a_p*p/(q - p)^(j+1) != 0
-    (h^(j)(q) over d*(-1)^j*j!).  A nonzero h with m simple poles has at
+def _zero_order(exps: list[int], r: list[int], w: list[int]) -> int:
+    """ord_q(h_n) at a zero q of h_n = C + d*sum_p a_p*p/(t - p), from the
+    exponent row a and the rows of q (_point_rows) r_p = M_q*p/(q - p) and
+    w_p = p_d*M_q/(q_n*p_d - p_n*q_d): the least j >= 1 with
+    sum_p a_p*r_p*w_p^j != 0.  That sum is M_q*(M_q/q_d)^j*sum_p a_p*p/(q - p)^(j+1),
+    h^(j)(q) up to a nonzero factor.  A nonzero h with m simple poles has at
     most m zeros with multiplicity."""
-    j = next((j for j in range(1, len(poles) + 1)
-              if sum(c * p / (q - p) ** (j + 1) for p, c in poles)), 0)
-    check(j > 0, f"h_n vanishes past order {len(poles)} at q = {format_rat(q)}")
+    terms = [(y * x, v) for y, x, v in zip(exps, r, w) if y and x]
+    j = next((j for j in range(1, len(terms) + 1) if sum(c * v**j for c, v in terms)), 0)
+    check(j > 0, f"h_n vanishes past order {len(terms)}")
     return j
+
+
+def _point_rows(points: list[Rat]) -> list[tuple[int, list[int], list[int]]]:
+    """(M_q, r, w) per point q: M_q the lcm of the nonzero q_n*p_d - p_n*q_d,
+    r_p = M_q*p/(q - p) and w_p = p_d*M_q/(q_n*p_d - p_n*q_d), all integers
+    and both 0 at p = q."""
+    fracs = [(p.numerator, p.denominator) for p in points]
+    rows = []
+    for qn, qd in fracs:
+        dens = [qn * pd - pn * qd for pn, pd in fracs]
+        m = math.lcm(*filter(None, dens))
+        quots = [m // den if den else 0 for den in dens]
+        rows.append((m, [pn * qd * x for (pn, _), x in zip(fracs, quots)],
+                     [pd * x for (_, pd), x in zip(fracs, quots)]))
+    return rows
 
 
 #: One-entry memo of _table, ((pair, window, e_prime_override), table), rebound in
@@ -321,9 +339,13 @@ _memo: tuple = (None, None)
 
 
 def _table(pair: DivisorPair, window: int, e_prime_override: int | None):
-    """The part of stabilization_witness free of e: d, e', z (the index of 0),
-    the D+ and D- rows, labels, points, M_q rows and, in checking order, (n, a_p
-    row, C) per generator with h_n != 0; or the report itself if D+ is spread."""
+    """The part of stabilization_witness free of e: d, e', z (the index of 0
+    among the sorted points), the D+ and D- rows, the point labels and, in
+    checking order, (n, base) per generator with h_n != 0, where
+    base_i = a_i + ord_(q_i)(h_n) is -1 + a_i at a pole, a_i where
+    h_n(q_i) != 0 and a_i plus the order of the zero otherwise; or the report
+    itself if D+ is spread.  At most (2*MAX_WINDOW + 1) rows of #points
+    integers; the rows of _point_rows are dropped once the orders are in."""
     try:
         a = Anchored.of(pair)
     except FractionalPlusSpread as exc:
@@ -335,13 +357,7 @@ def _table(pair: DivisorPair, window: int, e_prime_override: int | None):
     plus, minus = ([(c.numerator, c.denominator) for c in map(side, points)]
                    for side in (a.pair.d_plus, a.pair.d_minus))
     where = [format_rat(p + a.translation) for p in points]
-    fracs = [(p.numerator, p.denominator) for p in points]
-    rows = []  # (M_q, [M_q*p/(q - p) for p]); p/(q - p) = pn*qd/(qn*pd - pn*qd)
-    for qn, qd in fracs:
-        dens = [qn * pd - pn * qd for pn, pd in fracs]
-        m = math.lcm(*filter(None, dens))
-        rows.append((m, [pn * qd * (m // den) if den else 0
-                         for (pn, _), den in zip(fracs, dens)]))
+    rows = _point_rows(points)
     unit = [int(i == z) for i in range(len(points))]
     gens = []
     for n in (0, *range(-window, 0), *range(1, window + 1)):
@@ -349,8 +365,16 @@ def _table(pair: DivisorPair, window: int, e_prime_override: int | None):
         const = d * sum(exps) - e_prime * n
         if const == 0 and not any(exps[:z]) and not any(exps[z + 1:]):
             continue  # h_n = 0: the image is zero
-        gens.append((n, exps, const))
-    return d, e_prime, z, plus, minus, where, points, rows, gens
+        base = []
+        for i, (x, (m, r, w)) in enumerate(zip(exps, rows)):
+            if x and i != z:
+                base.append(x - 1)  # a simple pole of h_n
+            elif m * const + d * sum(map(operator.mul, exps, r)):
+                base.append(x)  # h_n(q) = M_q*C + d*sum_p a_p*r_p over M_q, nonzero
+            else:
+                base.append(x + _zero_order(exps, r, w))
+        gens.append((n, base))
+    return d, e_prime, z, plus, minus, where, gens
 
 
 def stabilization_witness(
@@ -380,50 +404,44 @@ def stabilization_witness(
     C = d*sum_p a_p - e'*n (h = d for t: a_0 = 1, n = 0).  The image lies in
     the ring iff a_q + ord_q(h_n) + [q = 0]*(e*e'-1)/d + |n+e|*D(q) >= 0, D
     the divisor of the sign of n + e, at every point q of supp D+, supp D-
-    and 0; no other point can break it.  ord_q(h_n) is -1 at a pole; where
-    it can decide, h_n(q) = 0 is one dot product with the integer row
+    and 0; no other point can break it.  ord_q(h_n) is -1 at a pole;
+    elsewhere h_n(q) = 0 is one dot product with the integer row
     M_q*p/(q - p), and a zero has the order of the first nonzero derivative
-    sum (_zero_order).  Raises CapExceeded for a window over MAX_WINDOW and
-    NegativeSize for a negative one.
+    sum, also in integers (_zero_order).  Raises CapExceeded for a window
+    over MAX_WINDOW and NegativeSize for a negative one.
 
-    Only the bound tests depend on e; the rest comes from _table through a
-    one-entry memo, built once per sweep over e.  The memo keeps one table:
-    at most (2*MAX_WINDOW + 1) rows of #points integers.
+    Only the bound tests depend on e: a_q + ord_q(h_n) comes per generator
+    and point from _table through a one-entry memo, built (and the default
+    window resolved) once per sweep over e.  The memo keeps one table: at
+    most (2*MAX_WINDOW + 1) rows of #points integers.
     """
     if e < 0:
         return stabilization_witness(pair.reverse(), -e, window, e_prime_override)
-    if window is None:
-        window = oracle_window(pair)
-    if window > MAX_WINDOW:
-        raise CapExceeded(f"oracle window {window} is over the cap {MAX_WINDOW}")
-    if window < 0:
-        raise NegativeSize(f"oracle window {window} is negative")
     global _memo
     key = (pair, window, e_prime_override)
     memo = _memo
     if memo[0] != key:
-        memo = _memo = (key, _table(pair, window, e_prime_override))
+        size = oracle_window(pair) if window is None else window
+        if size > MAX_WINDOW:
+            raise CapExceeded(f"oracle window {size} is over the cap {MAX_WINDOW}")
+        if size < 0:
+            raise NegativeSize(f"oracle window {size} is negative")
+        memo = _memo = (key, _table(pair, size, e_prime_override))
     table = memo[1]
     if isinstance(table, StabilizationReport):
         return table
-    d, e_prime, z, plus, minus, where, points, rows, gens = table
+    d, e_prime, z, plus, minus, where, gens = table
     num = e * e_prime - 1
     if num % d != 0:
         why = f"condition (i): t-exponent (e*e'-1)/d = {num}/{d} is not integral"
-        failures = [(n, why) for n, _, _ in gens]
+        failures = [(n, why) for n, _ in gens]
         return StabilizationReport(not failures, tuple(failures))
     lift = num // d
     failures = []
-    for n, exps, const in gens:
+    for n, base in gens:
         s = abs(n + e)
-        for i, (x, (bn, bd)) in enumerate(zip(exps, plus if n + e >= 0 else minus)):
-            order = x + lift if i == z else x
-            if x and i != z:
-                order -= 1  # a simple pole of h_n
-            elif order * bd + s * bn < 0 and rows[i][0] * const + d * sum(
-                    y * r for y, r in zip(exps, rows[i][1])) == 0:
-                order += _zero_order(points[i], [(p, y) for p, y in zip(points, exps) if y and p])
-            if order * bd + s * bn < 0:
+        for i, (order, (bn, bd)) in enumerate(zip(base, plus if n + e >= 0 else minus)):
+            if (order + lift if i == z else order) * bd + s * bn < 0:
                 what = "t" if n == 0 else f"the generator of degree {n}"
                 failures.append((n, f"image of {what} leaves the ring at q = {where[i]}"))
                 break
@@ -434,7 +452,8 @@ def kernel_generator(spec: SurfaceSpec, lnd: Lnd) -> GradedElement:
     """ker del = C[v] with v = (t - p)^(e') u^(d), the degree-d generator.
 
     p is the fractional point of d_plus (of D).  Elements are written in
-    the normalized embedding, matching apply().
+    the normalized embedding, matching apply().  Raises CapExceeded when e'
+    is over MAX_DEG_P, before (t - p)^(e') is built.
     """
     if isinstance(lnd, HorizontalLnd) and lnd.sign < 0:
         raise NoKernelGenerator("kernel_generator wants a positive-degree "
@@ -445,6 +464,8 @@ def kernel_generator(spec: SurfaceSpec, lnd: Lnd) -> GradedElement:
         a = Anchored.of(spec.divisor)
     else:
         raise NoKernelGenerator("kernel_generator applies to parabolic/hyperbolic specs")
+    if a.e_prime > MAX_DEG_P:
+        raise CapExceeded(f"the kernel generator's t-degree {a.e_prime} is over {MAX_DEG_P}")
     return GradedElement.monomial(a.d, ratfunc_monomial_power(a.translation, a.e_prime))
 
 

@@ -14,7 +14,6 @@ from dpdsurf.catalog import catalog_surface, default_entries
 from dpdsurf.classify import (
     classify,
     fiber_structure,
-    invariant_signature,
     ml_invariant,
     mm_invariant,
     recognize_homogeneous,
@@ -49,6 +48,7 @@ from dpdsurf.lnd import (
     stabilization_witness,
     taylor_shift,
 )
+from signature import invariant_signature
 
 SEED = 74207281
 

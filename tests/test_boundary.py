@@ -1,8 +1,9 @@
 """Hostile input at the library boundary the CLI uses.
 
 Every call into spec_from_obj, parse_element, parse_poly, from_equation,
-classify and stabilization_witness must return or raise a DomainError,
-within a wall budget per call: no traceback of another type, no hang.
+classify, stabilization_witness and kernel_generator must return or raise
+a DomainError, within a wall budget per call: no traceback of another
+type, no hang.
 """
 
 from __future__ import annotations
@@ -10,14 +11,21 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dpdsurf.classify import classify
-from dpdsurf.dpdring import Hyperbolic, from_equation, spec_from_obj
+from dpdsurf.dpdring import Hyperbolic, Parabolic, from_equation, spec_from_obj
 from dpdsurf.element import parse_element, parse_poly
 from dpdsurf.errors import DomainError
 from dpdsurf.exactmath import Poly
-from dpdsurf.lnd import stabilization_witness
+from dpdsurf.lnd import (
+    admissible_degrees,
+    build_horizontal,
+    build_horizontal_parabolic,
+    kernel_generator,
+    parabolic_horizontal,
+    stabilization_witness,
+)
 
 #: Wall seconds one call may take.  The slowest inputs drawn here, degree
 #: 1000 with two triple roots, take about 2 s (Python 3.11, 2-core VM).
@@ -84,8 +92,26 @@ specs = st.one_of(
 )
 
 
+def least_horizontal(spec):
+    """The horizontal derivation of least positive degree, as `kernel` picks it."""
+    if isinstance(spec, Hyperbolic):
+        return build_horizontal(spec.pair, admissible_degrees(spec.pair).min_degree())
+    data = parabolic_horizontal(spec.divisor)
+    if data is None:
+        return None
+    d, e0 = data
+    return build_horizontal_parabolic(spec.divisor, e0 if d > 1 else 1)
+
+
+#: A kernel generator of t-degree e' = 500000003, over the cap.
+HUGE_E_PRIME = [["0", "-500000003/1000000007"]]
+
+
 @FUZZ
 @given(specs, st.lists(huge_ints, max_size=3))
+@example({"parabolic": {"divisor": HUGE_E_PRIME}}, [])
+@example({"hyperbolic": {"d_plus": HUGE_E_PRIME,
+                         "d_minus": [["0", "500000003/1000000007"], ["1", "-1"]]}}, [1])
 def test_spec_classify_and_oracle(obj, degrees):
     spec = bounded(spec_from_obj, obj)
     if spec is None:
@@ -94,6 +120,10 @@ def test_spec_classify_and_oracle(obj, degrees):
     if isinstance(spec, Hyperbolic):
         for e in degrees:
             bounded(stabilization_witness, spec.pair, e)
+    if isinstance(spec, (Hyperbolic, Parabolic)):
+        derivation = bounded(least_horizontal, spec)
+        if derivation is not None:
+            bounded(kernel_generator, spec, derivation)
 
 
 exponents = st.one_of(st.integers(-3, 12), st.sampled_from([999, 1000, 1001, 10**30]))

@@ -18,7 +18,6 @@ from dpdsurf.catalog import catalog_surface, default_entries
 from dpdsurf.classify import (
     classify,
     fiber_structure,
-    invariant_signature,
     ml_invariant,
     mm_invariant,
     recognize_homogeneous,
@@ -39,6 +38,7 @@ from dpdsurf.dpdring import Elliptic, Hyperbolic, Parabolic, presentation
 from dpdsurf.errors import DomainError, InternalError, NoPositiveLnd, check
 from dpdsurf.exactmath import Rat
 from dpdsurf.lnd import positive_lnd_exists
+from signature import invariant_signature
 
 
 # the package re-exports the function classify() under the module's name

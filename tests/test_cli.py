@@ -406,6 +406,20 @@ def test_fiber_derivation_over_cap_exit_one(tmp_path, capsys):
         _one_error_line(capsys, "CapExceeded")
 
 
+def test_kernel_over_cap_exit_one(tmp_path, capsys):
+    """D = -500000003/1000000007*[0] asks for the kernel generator
+    t^500000003 u^1000000007: refused before it is built."""
+    plus = [["0", "-500000003/1000000007"]]
+    for obj in ({"parabolic": {"divisor": plus}},
+                {"hyperbolic": {"d_plus": plus,
+                                "d_minus": [["0", "500000003/1000000007"], ["1", "-1"]]}}):
+        path = _write_spec(tmp_path, obj)
+        start = time.perf_counter()
+        assert run(["kernel", path]) == 1
+        assert time.perf_counter() - start < 0.5
+        _one_error_line(capsys, "CapExceeded")
+
+
 def test_deg_p_over_cap_invariants(tmp_path, capsys):
     """ml, mm, recognize and lnd print no P, so the deg P cap does not stop
     them: at D- = -10^9 [1/2] they report what classify reports at

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from dpdsurf.divisor import (
     normalize_pair,
 )
 from dpdsurf.dpdring import (
+    MAX_DEG_P,
     GradedElement,
     Hyperbolic,
     Parabolic,
@@ -41,10 +43,12 @@ from dpdsurf.exactmath import Poly, Rat, RatFunc, ratfunc_monomial_power
 from dpdsurf.lnd import (
     MAX_WINDOW,
     DegreeSet,
+    _point_rows,
     _zero_order,
     admissible_degrees,
     apply,
     build_horizontal,
+    build_horizontal_parabolic,
     conjugate_kernel,
     elliptic_lnd,
     fiber_lnd,
@@ -523,14 +527,39 @@ class TestZeroOrder:
             num = h_numerator(row, d, en)
             want = num.multiplicity_at(q)
             assert want >= forced + 1, (q, row)
-            got = _zero_order(q, [(p, c) for p, c in row.items() if p])
+            points = sorted({q, *row})
+            _, r, w = _point_rows(points)[points.index(q)]
+            got = _zero_order([row.get(p, 0) for p in points], r, w)
             assert got == want, (q, row, d)
             seen[want] = seen.get(want, 0) + 1
         assert seen.get(2, 0) >= 20 and seen.get(3, 0) >= 20, seen
 
     def test_order_past_pole_count_is_internal_error(self):
+        _, r, w = _point_rows([Rat(0), Rat(1)])[0]
         with pytest.raises(InternalError):
-            _zero_order(Rat(0), [(Rat(1), 0)])  # an exponent 0 is no pole
+            _zero_order([0, 0], r, w)  # an exponent 0 is no pole
+
+    def test_orders_once_per_table(self, monkeypatch):
+        """An e = 0..10 sweep computes each (generator, point) order at most
+        once; on the index-997 pair h_n(0) = 0 for each of the 997 generators
+        of negative degree (those of positive degree have h_n = 0)."""
+        calls = []
+        order = lnd_module._zero_order
+        monkeypatch.setattr(lnd_module, "_zero_order",
+                            lambda exps, r, w: calls.append((exps, r)) or order(exps, r, w))
+        wide = high_index_pair(random.Random(3), 997)
+        assert str(wide.d_minus) == "-[1] - 971/997*[2] - 1282/997*[3] - 1190/997*[4]"
+        pairs = [entry.spec.pair for entry in default_entries()
+                 if isinstance(entry.spec, Hyperbolic)]
+        assert len(pairs) == 19
+        for pair in (*pairs, wide):
+            monkeypatch.setattr(lnd_module, "_memo", (None, None), raising=False)
+            calls.clear()
+            verdicts = [stabilization_witness(pair, e).verdict for e in range(11)]
+            # calls holds every row it saw, so no id is reused within a sweep
+            assert len({(id(exps), id(r)) for exps, r in calls}) == len(calls), pair
+        assert len(calls) >= oracle_window(wide)
+        assert verdicts == [DegreeSet.of(Anchored.of(wide)).contains(e) for e in range(11)]
 
 
 class TestKernel:
@@ -561,6 +590,19 @@ class TestKernel:
             lnd = build_horizontal(pair, e)
             v = kernel_generator(Hyperbolic(pair), lnd)
             assert apply(lnd, v).is_zero()
+
+
+    def test_cap(self):
+        # e' = MAX_DEG_P is built, e' = MAX_DEG_P + 1 is refused
+        for e_prime in (MAX_DEG_P, MAX_DEG_P + 1):
+            spec = Parabolic(D((0, Rat(-e_prime, e_prime + 1))))
+            lnd = build_horizontal_parabolic(spec.divisor, e_prime)  # e = e' (mod e' + 1)
+            if e_prime > MAX_DEG_P:
+                with pytest.raises(CapExceeded):
+                    kernel_generator(spec, lnd)
+            else:
+                v = kernel_generator(spec, lnd)
+                assert v == GradedElement.monomial(e_prime + 1, Poly.monomial(e_prime))
 
 
 class TestFiberType:
