@@ -14,7 +14,6 @@ from .dpdring import (
     Parabolic,
     Presentation,
     SurfaceSpec,
-    is_line_cross_torus,
     presentation_degree,
     spec_to_obj,
 )
@@ -217,14 +216,16 @@ def ruling_divisor(pair: DivisorPair) -> list[tuple[Rat, int]]:
 
 def singular_points(pair: DivisorPair) -> list[SingularityRecord]:
     """One record per degenerate point of the normalized pair."""
-    return _singular_points(normalize_pair(pair))
+    q = normalize_pair(pair)
+    return _singular_points(q, q.sum())
 
 
-def _singular_points(q: DivisorPair) -> list[SingularityRecord]:
+def _singular_points(q: DivisorPair, s: QDivisor) -> list[SingularityRecord]:
+    """The records of a normalized pair q whose pointwise sum is s."""
     k = denom_index(q.d_minus)
     out = []
-    for a, s in q.sum().terms:
-        if s >= 0:
+    for a, value in s.terms:
+        if value >= 0:
             continue
         data = fiber_structure(q, a)
         order = data.delta
@@ -260,7 +261,7 @@ def ml_invariant(spec: SurfaceSpec) -> MlResult:
     invariant C[v, v^-1] (provided a derivation exists at all); one-sided
     existence leaves C[v] in the stated degree; no derivation leaves A.
     """
-    return _facts(spec)[0].ml
+    return facts(spec).ml
 
 
 def mm_invariant(spec: SurfaceSpec) -> int | None:
@@ -269,7 +270,7 @@ def mm_invariant(spec: SurfaceSpec) -> int | None:
     Defined only for trivial ML.  Parabolic toric: the denominator index
     d(A).  Elliptic (d, e'): d.  Hyperbolic: see _hyperbolic_mm.
     """
-    return _facts(spec)[0].mm
+    return facts(spec).mm
 
 
 def recognize_homogeneous(spec: SurfaceSpec) -> Recognition | None:
@@ -279,12 +280,7 @@ def recognize_homogeneous(spec: SurfaceSpec) -> Recognition | None:
     veronese_cone(d); None means no algebraic group acts with a big open
     orbit.
     """
-    return _facts(spec)[0].recognition
-
-
-def lnd_summary(spec: SurfaceSpec) -> LndSummary:
-    """Homogeneous derivations and their degrees, as classify() derives them."""
-    return _facts(spec)[0].lnd
+    return facts(spec).recognition
 
 
 def recognize_sl2(pair: DivisorPair) -> Sl2Model | None:
@@ -358,10 +354,8 @@ def _cone_recognition(d: int, e_prime: int) -> Recognition | None:
     return Recognition("veronese_cone", d) if e_prime == 1 else None
 
 
-def _hyperbolic_ml(
-    pair: DivisorPair, plus: Anchored | None, minus: Anchored | None
-) -> MlResult:
-    if pair.sum().is_zero():
+def _hyperbolic_ml(s: QDivisor, plus: Anchored | None, minus: Anchored | None) -> MlResult:
+    if s.is_zero():
         # Spread fractional parts kill every homogeneous derivation even
         # here, and with them every derivation at all.
         return MlResult(ML_LAURENT) if plus else MlResult(ML_WHOLE)
@@ -374,14 +368,13 @@ def _hyperbolic_ml(
     return MlResult(ML_WHOLE)
 
 
-def _hyperbolic_mm(pair: DivisorPair, plus: Anchored, minus: Anchored) -> int:
-    """-d_plus_index * d_minus_index * deg(D+ + D-), for trivial ML.
+def _hyperbolic_mm(s: QDivisor, plus: Anchored, minus: Anchored) -> int:
+    """-d_plus_index * d_minus_index * deg(s), s = D+ + D-, for trivial ML.
 
     Cross-checked against the defining polynomial both through deg P (read
     off the anchored pair, P unbuilt) and through the divisor identity
     div P = -k d+' d-' (D+ + D-) with k = gcd of the two indices.
     """
-    s = pair.sum()
     value = -plus.d * minus.d * s.degree
     check(value.denominator == 1 and value > 0, f"MM = {value} is not positive")
     g = math.gcd(plus.d, minus.d)
@@ -393,12 +386,11 @@ def _hyperbolic_mm(pair: DivisorPair, plus: Anchored, minus: Anchored) -> int:
 
 
 def _hyperbolic_recognition(
-    pair: DivisorPair, mm: int | None, plus: Anchored | None,
-    sl2: Sl2Model | None,
+    s: QDivisor, mm: int | None, plus: Anchored | None, sl2: Sl2Model | None,
 ) -> Recognition | None:
     if mm == 1:
         return Recognition("plane")
-    if is_line_cross_torus(pair) and plus is not None:
+    if s.is_zero() and plus is not None:  # the line cross the torus
         return Recognition("line_cross_torus")
     if sl2 is None:
         return None
@@ -453,8 +445,9 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
     plus, minus = anchored(pair), anchored(pair.reverse())
     # the anchored pair translated back is the normalized pair
     norm = plus.pair.translate(plus.translation) if plus else normalize_pair(pair)
-    ml = _hyperbolic_ml(pair, plus, minus)
-    mm = _hyperbolic_mm(pair, plus, minus) if ml.kind == ML_TRIVIAL else None
+    s = norm.sum()
+    ml = _hyperbolic_ml(s, plus, minus)
+    mm = _hyperbolic_mm(s, plus, minus) if ml.kind == ML_TRIVIAL else None
     sl2 = _sl2_model(norm)
     points = sorted(set(norm.d_plus.support) | set(norm.d_minus.support))
     return ClassificationReport(
@@ -469,12 +462,18 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
         mm=mm,
         plane=mm == 1,
         fibers=tuple(fiber_structure(norm, a) for a in points),
-        singularities=tuple(_singular_points(norm)),
+        singularities=tuple(_singular_points(norm, s)),
         ruling=plus and tuple(ruling_divisor(norm)),
         sl2=sl2,
-        recognition=_hyperbolic_recognition(pair, mm, plus, sl2),
+        recognition=_hyperbolic_recognition(s, mm, plus, sl2),
         toric=plus and _toric_type(plus),
     ), plus
+
+
+def facts(spec: SurfaceSpec) -> ClassificationReport:
+    """The report without the presentation: every field but P, which is
+    never built, so it answers at any deg P."""
+    return _facts(spec)[0]
 
 
 def classify(spec: SurfaceSpec) -> ClassificationReport:
@@ -491,32 +490,35 @@ def classify(spec: SurfaceSpec) -> ClassificationReport:
 # -- machine-readable report ------------------------------------------------
 
 
-def degrees_to_obj(ds: DegreeSet | None) -> dict | None:
-    if ds is None:
-        return None
-    if ds.empty:
-        return {"empty": True}
+def fiber_to_obj(f: FiberData) -> dict:
     return {
-        "empty": False,
-        "residue": ds.residue % ds.modulus,
-        "modulus": ds.modulus,
-        "e_min": ds.e_min,
-        "min_positive_degree": ds.min_degree(),
-        "zero_admissible": ds.e_min == 0,
+        "point": format_rat(f.point),
+        "degenerate": f.degenerate,
+        "m_plus": f.m_plus,
+        "m_minus": f.m_minus,
+        "e_plus": f.e_plus,
+        "e_minus": f.e_minus,
+        "delta": f.delta,
+        "pi_star": list(f.pi_star) if f.pi_star else None,
+        "div_u": list(f.div_u) if f.div_u else None,
     }
 
 
-def singularities_to_obj(records: tuple[SingularityRecord, ...]) -> list[dict]:
-    return [
-        {
-            "point": format_rat(s.point),
-            "order": s.order,
-            "smooth": s.smooth,
-            "chart_valid": s.chart_valid,
-            "paper_type": list(s.paper_type) if s.paper_type else None,
-        }
-        for s in records
-    ]
+def fibers_to_obj(report: ClassificationReport) -> dict:
+    """The fibers and singularities of the report document; no P is rendered."""
+    return {
+        "fibers": [fiber_to_obj(f) for f in report.fibers],
+        "singularities": [
+            {
+                "point": format_rat(s.point),
+                "order": s.order,
+                "smooth": s.smooth,
+                "chart_valid": s.chart_valid,
+                "paper_type": list(s.paper_type) if s.paper_type else None,
+            }
+            for s in report.singularities
+        ],
+    }
 
 
 def report_to_obj(report: ClassificationReport) -> dict:
@@ -524,34 +526,29 @@ def report_to_obj(report: ClassificationReport) -> dict:
 
     P is rendered once; Q reuses the text when Q = P, and so does the relation.
     """
-    pres = report.presentation
+    pres, lnd = report.presentation, report.lnd
     p_text = pres and str(pres.P)
+    normalized = None
+    if report.normalized_pair is not None:
+        normalized = spec_to_obj(Hyperbolic(report.normalized_pair))
+    elif report.normalized_divisor is not None:
+        normalized = spec_to_obj(Parabolic(report.normalized_divisor))
     return {
         "input": spec_to_obj(report.spec),
         "grading": report.grading,
-        "normalized": (
-            spec_to_obj(Hyperbolic(report.normalized_pair))
-            if report.normalized_pair is not None
-            else (
-                spec_to_obj(Parabolic(report.normalized_divisor))
-                if report.normalized_divisor is not None
-                else None
-            )
-        ),
+        "normalized": normalized,
         "translation": (
             format_rat(report.translation) if report.translation is not None else None
         ),
         "d_plus_index": report.d_plus_index,
         "d_minus_index": report.d_minus_index,
         "lnd": {
-            "exists_positive": report.lnd.exists_plus,
-            "exists_negative": report.lnd.exists_minus,
-            "degrees_positive": degrees_to_obj(report.lnd.degrees_plus),
-            "degrees_negative": degrees_to_obj(report.lnd.degrees_minus),
-            "fiber": report.lnd.fiber,
-            "elliptic": (
-                list(report.lnd.elliptic_axes) if report.lnd.elliptic_axes else None
-            ),
+            "exists_positive": lnd.exists_plus,
+            "exists_negative": lnd.exists_minus,
+            "degrees_positive": lnd.degrees_plus and lnd.degrees_plus.to_obj(),
+            "degrees_negative": lnd.degrees_minus and lnd.degrees_minus.to_obj(),
+            "fiber": lnd.fiber,
+            "elliptic": list(lnd.elliptic_axes) if lnd.elliptic_axes else None,
         },
         "ml": report.ml.kind,
         "ml_generator_degree": report.ml.generator_degree,
@@ -570,35 +567,14 @@ def report_to_obj(report: ClassificationReport) -> dict:
             "translation": format_rat(pres.translation),
             "relation": pres.relation_text(p_text),
         },
-        "fibers": [
-            {
-                "point": format_rat(f.point),
-                "degenerate": f.degenerate,
-                "m_plus": f.m_plus,
-                "m_minus": f.m_minus,
-                "e_plus": f.e_plus,
-                "e_minus": f.e_minus,
-                "delta": f.delta,
-                "pi_star": list(f.pi_star) if f.pi_star else None,
-                "div_u": list(f.div_u) if f.div_u else None,
-            }
-            for f in report.fibers
-        ],
-        "singularities": singularities_to_obj(report.singularities),
+        **fibers_to_obj(report),
         "ruling": (
             None
             if report.ruling is None
             else [[format_rat(a), m] for a, m in report.ruling]
         ),
-        "sl2": (
-            None
-            if report.sl2 is None
-            else {"model": report.sl2.model, "degree": report.sl2.veronese_degree}
-        ),
-        "recognition": (
-            None
-            if report.recognition is None
-            else {"model": report.recognition.model, "degree": report.recognition.degree}
-        ),
+        "sl2": report.sl2 and {"model": report.sl2.model, "degree": report.sl2.veronese_degree},
+        "recognition": report.recognition and {
+            "model": report.recognition.model, "degree": report.recognition.degree},
         "toric": list(report.toric) if report.toric else None,
     }

@@ -15,18 +15,14 @@ import sys
 from . import catalog as catalog_mod
 from . import lnd as lnd_mod
 from .classify import (
-    ClassificationReport,
     classify,
-    degrees_to_obj,
+    facts,
     fiber_structure,
-    lnd_summary,
-    ml_invariant,
-    mm_invariant,
-    recognize_homogeneous,
+    fiber_to_obj,
+    fibers_to_obj,
     report_to_obj,
-    singularities_to_obj,
 )
-from .divisor import DivisorPair, anchored
+from .divisor import DivisorPair, anchored, divisor_text, normalize_pair, pair_text
 from .dpdring import (
     Elliptic,
     Hyperbolic,
@@ -47,7 +43,7 @@ from .errors import (
     NegativeSize,
     check,
 )
-from .exactmath import Rat, format_rat, parse_rat
+from .exactmath import Rat, parse_rat
 
 # -- spec loading -------------------------------------------------------------
 
@@ -69,114 +65,108 @@ def _require_hyperbolic(spec: SurfaceSpec) -> DivisorPair:
     return spec.pair
 
 
-def _emit(obj: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(obj, indent=2))
-    else:
-        print(text)
+def _emit(obj: dict, as_json: bool, text) -> None:
+    """Print obj as JSON, or else the string text() renders."""
+    print(json.dumps(obj, indent=2) if as_json else text())
+
+
+# -- text views of the report document ----------------------------------------
+
+
+def _tuple(values: list) -> str:
+    return "(" + ", ".join(map(str, values)) + ")"
+
+
+def _spec_text(obj: dict) -> str:
+    (kind, body), = obj.items()
+    if kind == "hyperbolic":
+        return pair_text(body)
+    if kind == "parabolic":
+        return f"D = {divisor_text(body['divisor'])}"
+    return f"V_({body['d']},{body['e_prime']})"
+
+
+def _ml_text(doc: dict) -> str:
+    degree = doc["ml_generator_degree"]
+    return doc["ml"] + (f" (generator degree {degree})" if degree is not None else "")
+
+
+def _model_text(model: dict) -> str:
+    """An sl2 or recognition entry: the model, with its degree if any."""
+    return model["model"] + (f"({model['degree']})" if model["degree"] else "")
+
+
+def _presentation_text(pres: dict, *extra: str) -> str:
+    fields = (f"k={pres['k']}", f"d={pres['d']}", f"e'={pres['e_prime']}", f"l={pres['l']}",
+              f"Q={pres['Q']}", f"weights {_tuple(pres['zd_weights'])}", *extra)
+    return f"{pres['relation']}  [{', '.join(fields)}]"
+
+
+def _fiber_text(f: dict, with_div_u: bool = False) -> str:
+    if not f["degenerate"]:
+        return f"{f['point']}: single closed orbit"
+    div_u = f", div(u) coefficients {_tuple(f['div_u'])}" if with_div_u else ""
+    return f"{f['point']}: degenerate, pi* = {_tuple(f['pi_star'])}{div_u}, delta = {f['delta']}"
+
+
+def _lnd_text(lnd: dict, grading: str) -> str:
+    def side(degrees: dict | None, other: str) -> str:
+        return other if degrees is None else lnd_mod.degrees_text(degrees)
+
+    fiber = "degree -1 (fiber type)" if grading == "parabolic" else "yes"
+    return (f"positive {side(lnd['degrees_positive'], 'yes')}, "
+            f"negative {side(lnd['degrees_negative'], fiber)}")
+
+
+def _report_text(doc: dict) -> str:
+    """The text report: one line per field of the report document."""
+    grading, lnd = doc["grading"], doc["lnd"]
+    lines = [f"grading: {grading}", f"input: {_spec_text(doc['input'])}"]
+    if doc["normalized"] is not None:
+        lines.append(f"normalized: {_spec_text(doc['normalized'])}")
+    if doc["translation"] not in (None, "0"):
+        lines.append(f"translation applied: t -> t + {doc['translation']}")
+    if grading == "hyperbolic":
+        lines.append(f"indices: d(A>=0) = {doc['d_plus_index']}, "
+                     f"d(A<=0) = {doc['d_minus_index']}")
+    elif doc["d_plus_index"] is not None:
+        lines.append(f"index: d = {doc['d_plus_index']}")
+    lines.append(f"lnd: {_lnd_text(lnd, grading)}")
+    if lnd["fiber"]:
+        lines.append(f"fiber derivation: {lnd['fiber']}")
+    if lnd["elliptic"]:
+        lines.append("toric derivations: " + " and ".join(lnd["elliptic"]))
+    lines.append(f"ml: {_ml_text(doc)}")
+    lines.append(f"mm: {doc['mm'] if doc['mm'] is not None else '-'}"
+                 + (" (the affine plane)" if doc["plane"] else ""))
+    if doc["presentation"] is not None:
+        lines.append(f"presentation: {_presentation_text(doc['presentation'])}")
+    lines += [f"fiber at {_fiber_text(f, with_div_u=True)}" for f in doc["fibers"]]
+    if grading == "hyperbolic":
+        singular = [s for s in doc["singularities"] if not s["smooth"]]
+        if not singular:
+            lines.append("singularities: none (smooth surface)")
+        for s in singular:
+            extra = f", type {_tuple(s['paper_type'])}" if s["paper_type"] else ""
+            lines.append(f"singular point over {s['point']}: order {s['order']}{extra}")
+    if doc["ruling"] is not None:
+        body = ", ".join(f"({a}, {m})" for a, m in doc["ruling"])
+        lines.append(f"ruling divisor: [{body}]")
+    if doc["sl2"] is not None:
+        lines.append(f"sl2 pair: {_model_text(doc['sl2'])}")
+    rec = doc["recognition"]
+    lines.append(f"recognition: {_model_text(rec) if rec is not None else 'none'}")
+    if doc["toric"] is not None:
+        lines.append(f"toric type: V_({doc['toric'][0]},{doc['toric'][1]})")
+    return "\n".join(lines)
 
 
 # -- subcommand handlers ------------------------------------------------------
 
 
-def _report_text(report: ClassificationReport, pres_obj: dict | None) -> str:
-    """The text report; the relation and Q are read off the report document."""
-    lines = [f"grading: {report.grading}"]
-    spec = report.spec
-    if isinstance(spec, Hyperbolic):
-        lines.append(f"input: {spec.pair}")
-    elif isinstance(spec, Parabolic):
-        lines.append(f"input: D = {spec.divisor}")
-    else:
-        lines.append(f"input: V_({spec.d},{spec.e_prime})")
-    if report.normalized_pair is not None:
-        lines.append(f"normalized: {report.normalized_pair}")
-    if report.normalized_divisor is not None:
-        lines.append(f"normalized: D = {report.normalized_divisor}")
-    if report.translation is not None and report.translation != 0:
-        lines.append(f"translation applied: t -> t + {format_rat(report.translation)}")
-    if report.grading == "hyperbolic":
-        lines.append(
-            f"indices: d(A>=0) = {report.d_plus_index}, "
-            f"d(A<=0) = {report.d_minus_index}"
-        )
-    elif report.d_plus_index is not None:
-        lines.append(f"index: d = {report.d_plus_index}")
-    lines.append(
-        "lnd: positive "
-        + (str(report.lnd.degrees_plus) if report.lnd.degrees_plus else
-           ("yes" if report.lnd.exists_plus else "none"))
-        + ", negative "
-        + (str(report.lnd.degrees_minus) if report.lnd.degrees_minus else
-           ("degree -1 (fiber type)" if report.lnd.exists_minus and
-            report.grading == "parabolic" else
-            ("yes" if report.lnd.exists_minus else "none")))
-    )
-    if report.lnd.fiber:
-        lines.append(f"fiber derivation: {report.lnd.fiber}")
-    if report.lnd.elliptic_axes:
-        lines.append(
-            "toric derivations: "
-            + " and ".join(report.lnd.elliptic_axes)
-        )
-    ml = report.ml.kind
-    if report.ml.generator_degree is not None:
-        ml += f" (generator degree {report.ml.generator_degree})"
-    lines.append(f"ml: {ml}")
-    lines.append(f"mm: {report.mm if report.mm is not None else '-'}"
-                 + (" (the affine plane)" if report.plane else ""))
-    if report.presentation is not None:
-        pres = report.presentation
-        lines.append(
-            f"presentation: {pres_obj['relation']}  "
-            f"[k={pres.k}, d={pres.d}, e'={pres.e_prime}, l={pres.l}, "
-            f"Q={pres_obj['Q']}, weights {pres.zd_weights}]"
-        )
-    for f in report.fibers:
-        if f.degenerate:
-            lines.append(
-                f"fiber at {format_rat(f.point)}: degenerate, "
-                f"pi* = {f.pi_star}, div(u) coefficients {f.div_u}, "
-                f"delta = {f.delta}"
-            )
-        else:
-            lines.append(
-                f"fiber at {format_rat(f.point)}: single closed orbit"
-            )
-    if report.grading == "hyperbolic":
-        if not report.singularities or all(s.smooth for s in report.singularities):
-            lines.append("singularities: none (smooth surface)")
-        else:
-            for s in report.singularities:
-                if s.smooth:
-                    continue
-                extra = (
-                    f", type {s.paper_type}" if s.paper_type is not None else ""
-                )
-                lines.append(
-                    f"singular point over {format_rat(s.point)}: "
-                    f"order {s.order}{extra}"
-                )
-    if report.ruling is not None:
-        body = ", ".join(f"({format_rat(a)}, {m})" for a, m in report.ruling)
-        lines.append(f"ruling divisor: [{body}]")
-    if report.sl2 is not None:
-        deg = f"({report.sl2.veronese_degree})" if report.sl2.veronese_degree else ""
-        lines.append(f"sl2 pair: {report.sl2.model}{deg}")
-    if report.recognition is not None:
-        deg = f"({report.recognition.degree})" if report.recognition.degree else ""
-        lines.append(f"recognition: {report.recognition.model}{deg}")
-    else:
-        lines.append("recognition: none")
-    if report.toric is not None:
-        lines.append(f"toric type: V_({report.toric[0]},{report.toric[1]})")
-    return "\n".join(lines)
-
-
 def _cmd_classify(args) -> int:
-    report = classify(load_spec(args.spec))
-    obj = report_to_obj(report)
-    print(json.dumps(obj, indent=2) if args.json else _report_text(report, obj["presentation"]))
+    doc = report_to_obj(classify(load_spec(args.spec)))
+    _emit(doc, args.json, lambda: _report_text(doc))
     return 0
 
 
@@ -217,27 +207,23 @@ def _build_lnd(spec: SurfaceSpec, degree: int | None, negative: bool):
 def _cmd_lnd(args) -> int:
     spec = load_spec(args.spec)
     if args.degree is None:
-        lnd = lnd_summary(spec)
-        if isinstance(spec, Elliptic):
-            _emit({"lnd": list(lnd.elliptic_axes)}, args.json,
-                  " and ".join(lnd.elliptic_axes))
-        elif isinstance(spec, Parabolic):
-            horiz = str(lnd.degrees_plus)
-            _emit({"fiber": lnd.fiber, "horizontal_degrees": horiz}, args.json,
-                  f"fiber type (degree -1): {lnd.fiber}\nhorizontal degrees: {horiz}")
+        doc = report_to_obj(facts(spec))
+        lnd = doc["lnd"]
+        if doc["grading"] == "elliptic":
+            _emit({"lnd": lnd["elliptic"]}, args.json, lambda: " and ".join(lnd["elliptic"]))
+        elif doc["grading"] == "parabolic":
+            horiz = lnd_mod.degrees_text(lnd["degrees_positive"])
+            _emit({"fiber": lnd["fiber"], "horizontal_degrees": horiz}, args.json,
+                  lambda: f"fiber type (degree -1): {lnd['fiber']}\nhorizontal degrees: {horiz}")
         else:
-            obj = {
-                "exists_positive": lnd.exists_plus,
-                "exists_negative": lnd.exists_minus,
-                "degrees_positive": degrees_to_obj(lnd.degrees_plus),
-                "degrees_negative": degrees_to_obj(lnd.degrees_minus),
-            }
-            _emit(obj, args.json,
-                  f"positive: {lnd.degrees_plus}\nnegative: {lnd.degrees_minus}")
+            obj = {key: lnd[key] for key in ("exists_positive", "exists_negative",
+                                             "degrees_positive", "degrees_negative")}
+            _emit(obj, args.json, lambda: (
+                f"positive: {lnd_mod.degrees_text(lnd['degrees_positive'])}\n"
+                f"negative: {lnd_mod.degrees_text(lnd['degrees_negative'])}"))
         return 0
-    derivation = _build_lnd(spec, args.degree, args.negative)
-    text = lnd_mod.describe(derivation)
-    _emit({"lnd": text}, args.json, text)
+    text = lnd_mod.describe(_build_lnd(spec, args.degree, args.negative))
+    _emit({"lnd": text}, args.json, lambda: text)
     return 0
 
 
@@ -279,7 +265,7 @@ def _cmd_apply(args) -> int:
         text_lines.append(f"step {i}: {img}")
     if steps_to_zero is not None:
         text_lines.append(f"reached zero after {steps_to_zero} steps")
-    _emit(obj, args.json, "\n".join(text_lines))
+    _emit(obj, args.json, lambda: "\n".join(text_lines))
     return 0
 
 
@@ -290,7 +276,7 @@ def _cmd_kernel(args) -> int:
     check(lnd_mod.apply(derivation, v).is_zero(), "kernel generator is not annihilated")
     text = render_element(v)
     _emit({"kernel_generator": text, "annihilated": True}, args.json,
-          f"ker = C[v] with v = {text}")
+          lambda: f"ker = C[v] with v = {text}")
     return 0
 
 
@@ -298,94 +284,59 @@ def _cmd_equation(args) -> int:
     if args.poly is not None:
         if args.degree is None:
             raise InvalidSpecFile("equation --poly needs --degree K (the u-power)")
-        pair = from_equation(args.degree, parse_poly(args.poly))
-        obj = spec_to_obj(Hyperbolic(pair))
-        _emit(obj, args.json, str(pair))
+        obj = spec_to_obj(Hyperbolic(from_equation(args.degree, parse_poly(args.poly))))
+        _emit(obj, args.json, lambda: _spec_text(obj))
         return 0
     spec = load_spec(args.spec)
     _require_hyperbolic(spec)
-    report = classify(spec)
-    pres = report.presentation
+    doc = report_to_obj(classify(spec))
+    pres = doc["presentation"]
     if pres is None:
         raise FractionalPlusSpread(
             "fractional part of d_plus is supported at "
-            + ", ".join(format_rat(p) for p in report.normalized_pair.d_plus.support)
+            + ", ".join(p for p, _ in doc["normalized"]["hyperbolic"]["d_plus"])
         )
-    obj = report_to_obj(report)["presentation"]
-    text = (
-        f"{obj['relation']}  "
-        f"[k={pres.k}, d={pres.d}, e'={pres.e_prime}, l={pres.l}, Q={obj['Q']}, "
-        f"weights {pres.zd_weights}, translation {obj['translation']}]"
-    )
-    _emit(obj, args.json, text)
+    _emit(pres, args.json,
+          lambda: _presentation_text(pres, f"translation {pres['translation']}"))
     return 0
 
 
 def _cmd_ml(args) -> int:
-    spec = load_spec(args.spec)
-    ml = ml_invariant(spec)
-    obj = {"ml": ml.kind, "generator_degree": ml.generator_degree}
-    text = ml.kind + (
-        f" (generator degree {ml.generator_degree})"
-        if ml.generator_degree is not None
-        else ""
-    )
-    _emit(obj, args.json, text)
+    doc = report_to_obj(facts(load_spec(args.spec)))
+    _emit({"ml": doc["ml"], "generator_degree": doc["ml_generator_degree"]}, args.json,
+          lambda: _ml_text(doc))
     return 0
 
 
 def _cmd_mm(args) -> int:
-    spec = load_spec(args.spec)
-    mm = mm_invariant(spec)
-    _emit({"mm": mm}, args.json, str(mm) if mm is not None else
+    mm = report_to_obj(facts(load_spec(args.spec)))["mm"]
+    _emit({"mm": mm}, args.json, lambda: str(mm) if mm is not None else
           "undefined (Makar-Limanov invariant is nontrivial)")
     return 0
 
 
 def _cmd_recognize(args) -> int:
-    spec = load_spec(args.spec)
-    rec = recognize_homogeneous(spec)
-    obj = None if rec is None else {"model": rec.model, "degree": rec.degree}
-    text = (
-        "no homogeneous model (no algebraic group action with a big open orbit)"
-        if rec is None
-        else rec.model + (f"({rec.degree})" if rec.degree else "")
-    )
-    _emit({"recognition": obj}, args.json, text)
+    rec = report_to_obj(facts(load_spec(args.spec)))["recognition"]
+    _emit({"recognition": rec}, args.json, lambda: _model_text(rec) if rec is not None else
+          "no homogeneous model (no algebraic group action with a big open orbit)")
     return 0
 
 
 def _cmd_fibers(args) -> int:
     spec = load_spec(args.spec)
-    _require_hyperbolic(spec)
+    pair = _require_hyperbolic(spec)
     at = None if args.at is None else parse_rat(args.at)
-    report = classify(spec)
-    fibers = report.fibers if at is None else (fiber_structure(report.normalized_pair, at),)
+    # classify builds P, so fibers exits 1 where classify does; P is not rendered
+    doc = fibers_to_obj(classify(spec))
+    if at is not None:
+        doc["fibers"] = [fiber_to_obj(fiber_structure(normalize_pair(pair), at))]
     obj = {
-        "fibers": [
-            {
-                "point": format_rat(f.point),
-                "degenerate": f.degenerate,
-                "m_plus": f.m_plus,
-                "m_minus": f.m_minus,
-                "e_plus": f.e_plus,
-                "e_minus": f.e_minus,
-                "delta": f.delta,
-            }
-            for f in fibers
-        ],
-        "singularities": singularities_to_obj(report.singularities),
+        "fibers": [{key: value for key, value in f.items() if key not in ("pi_star", "div_u")}
+                   for f in doc["fibers"]],
+        "singularities": doc["singularities"],
     }
-    lines = []
-    for f in fibers:
-        if f.degenerate:
-            lines.append(
-                f"{format_rat(f.point)}: degenerate, pi* = {f.pi_star}, "
-                f"delta = {f.delta}"
-            )
-        else:
-            lines.append(f"{format_rat(f.point)}: single closed orbit")
-    _emit(obj, args.json, "\n".join(lines) if lines else "no marked fibers")
+    _emit(obj, args.json,
+          lambda: "\n".join(map(_fiber_text, doc["fibers"])) or "no marked fibers")
     return 0
 
 
@@ -435,7 +386,7 @@ def _cmd_verify(args) -> int:
         text = "stabilization: FAIL, " + ", ".join(
             f"e={e} closed={c} oracle={o}" for e, c, o in mismatches
         )
-    _emit(obj, args.json, text)
+    _emit(obj, args.json, lambda: text)
     return 0 if ok else 1
 
 
@@ -459,7 +410,7 @@ def _cmd_family(args) -> int:
         f"membership: {'yes' if inside else 'NO'}\n"
         f"u * u_alpha = P(t + alpha u^{e}): {'verified' if identity else 'FAILED'}"
     )
-    _emit(obj, args.json, text)
+    _emit(obj, args.json, lambda: text)
     return 0 if inside and identity else 1
 
 

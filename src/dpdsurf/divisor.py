@@ -180,21 +180,26 @@ class QDivisor:
         return cls(terms)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for p, c in self._terms:
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = f"[{format_rat(p)}]" if mag == 1 else f"{format_rat(mag)}*[{format_rat(p)}]"
-            parts.append((sign, body))
-        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return divisor_text(self.to_pairs())
 
     def __repr__(self) -> str:
         return f"QDivisor({self})"
+
+
+def divisor_text(pairs: list[list[str]]) -> str:
+    """-[1] + 1/2*[0] style text of the [[point, coefficient], ...] form."""
+    text = ""
+    for point, coeff in pairs:
+        mag = coeff.lstrip("-")
+        body = f"[{point}]" if mag == "1" else f"{mag}*[{point}]"
+        sign = "-" if coeff[0] == "-" else "+"
+        text += f" {sign} {body}" if text else ("-" if sign == "-" else "") + body
+    return text or "0"
+
+
+def pair_text(obj: dict) -> str:
+    """(D+ = ..., D- = ...) of the form DivisorPair.to_obj gives."""
+    return f"(D+ = {divisor_text(obj['d_plus'])}, D- = {divisor_text(obj['d_minus'])})"
 
 
 def denom_index(d: QDivisor) -> int:
@@ -286,8 +291,11 @@ class DivisorPair:
     def __hash__(self) -> int:
         return hash((self.d_plus, self.d_minus))
 
+    def to_obj(self) -> dict:
+        return {"d_plus": self.d_plus.to_pairs(), "d_minus": self.d_minus.to_pairs()}
+
     def __str__(self) -> str:
-        return f"(D+ = {self.d_plus}, D- = {self.d_minus})"
+        return pair_text(self.to_obj())
 
     def __repr__(self) -> str:
         return f"DivisorPair{self}"

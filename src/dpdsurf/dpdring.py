@@ -264,12 +264,7 @@ def spec_to_obj(spec: SurfaceSpec) -> dict:
         return {"elliptic": {"d": spec.d, "e_prime": spec.e_prime}}
     if isinstance(spec, Parabolic):
         return {"parabolic": {"divisor": spec.divisor.to_pairs()}}
-    return {
-        "hyperbolic": {
-            "d_plus": spec.pair.d_plus.to_pairs(),
-            "d_minus": spec.pair.d_minus.to_pairs(),
-        }
-    }
+    return {"hyperbolic": spec.pair.to_obj()}
 
 
 def spec_from_obj(obj: object) -> SurfaceSpec:

@@ -122,10 +122,6 @@ class Poly:
             raise ValueError("polynomial exponents are nonnegative")
         return cls((0,) * exponent + (coeff,))
 
-    @classmethod
-    def from_roots(cls, roots: Iterable[RatLike], leading: RatLike = 1) -> Poly:
-        return linear_power_product([(r, 1) for r in roots], leading)
-
     @property
     def coeffs(self) -> Sequence[Rat]:
         return self._c

@@ -171,15 +171,33 @@ class DegreeSet(Record):
         start = max(self.e_min, 1)
         return start + (self.residue - start) % self.modulus
 
-    def __str__(self) -> str:
+    def to_obj(self) -> dict:
+        """The report document's form of the set."""
         if self.empty:
-            return "none"
-        base = f"e >= {max(self.e_min, 1)}"
-        if self.modulus > 1:
-            base += f", e = {self.residue % self.modulus} (mod {self.modulus})"
-        if self.e_min == 0:
-            base += ", and e = 0"
-        return "{" + base + "}"
+            return {"empty": True}
+        return {
+            "empty": False,
+            "residue": self.residue % self.modulus,
+            "modulus": self.modulus,
+            "e_min": self.e_min,
+            "min_positive_degree": self.min_degree(),
+            "zero_admissible": self.e_min == 0,
+        }
+
+    def __str__(self) -> str:
+        return degrees_text(self.to_obj())
+
+
+def degrees_text(obj: dict) -> str:
+    """{e >= m, e = r (mod n), and e = 0}, or none, from DegreeSet.to_obj."""
+    if obj["empty"]:
+        return "none"
+    base = f"e >= {max(obj['e_min'], 1)}"
+    if obj["modulus"] > 1:
+        base += f", e = {obj['residue']} (mod {obj['modulus']})"
+    if obj["zero_admissible"]:
+        base += ", and e = 0"
+    return "{" + base + "}"
 
 
 def positive_lnd_exists(pair: DivisorPair) -> bool:

@@ -9,7 +9,7 @@ import pytest
 
 from dpdsurf.divisor import DivisorPair, QDivisor
 from dpdsurf.dpdring import GradedElement
-from dpdsurf.exactmath import Poly, Rat, RatFunc
+from dpdsurf.exactmath import Poly, Rat, RatFunc, linear_power_product
 
 SMALL_POINTS = [
     Rat(-2),
@@ -90,11 +90,14 @@ def random_poly(rng: random.Random, max_deg: int = 3) -> Poly:
     return Poly([random_rat(rng, span=4, den=3) for _ in range(deg + 1)])
 
 
+def from_roots(roots, leading=1) -> Poly:
+    """leading * prod (t - r) over the roots."""
+    return linear_power_product([(r, 1) for r in roots], leading)
+
+
 def random_ratfunc(rng: random.Random) -> RatFunc:
     num = random_poly(rng)
-    den = Poly.from_roots(
-        rng.sample(SMALL_POINTS, rng.randint(0, 2))
-    )
+    den = from_roots(rng.sample(SMALL_POINTS, rng.randint(0, 2)))
     return RatFunc(num, den)
 
 

@@ -8,9 +8,11 @@ type, no hang.
 
 from __future__ import annotations
 
+import signal
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dpdsurf.classify import classify
@@ -42,15 +44,24 @@ FUZZ = settings(
 
 
 def bounded(fn, *args):
-    """fn(*args), or None when it raises a DomainError; fails past BUDGET_S."""
-    start = time.perf_counter()
+    """fn(*args), or None when it raises a DomainError.
+
+    A real-time timer interrupts a call that runs past BUDGET_S and fails
+    the test naming fn, so a hang fails the suite instead of stalling it.
+    """
+
+    def over_budget(signum, frame):
+        pytest.fail(f"{fn.__name__} ran past {BUDGET_S} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    old_timer = signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
     try:
-        out = fn(*args)
+        return fn(*args)
     except DomainError:
-        out = None
-    elapsed = time.perf_counter() - start
-    assert elapsed < BUDGET_S, f"{fn.__name__} took {elapsed:.2f} s"
-    return out
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, *old_timer)
+        signal.signal(signal.SIGALRM, previous)
 
 
 huge_ints = st.one_of(
@@ -176,3 +187,21 @@ def test_from_equation(k, p):
         if p is None:
             return
     bounded(from_equation, k, p)
+
+
+def test_bounded_fails_a_hang(monkeypatch):
+    """A call that never returns fails within the budget, named, and the
+    timer and handler in force before are restored."""
+    monkeypatch.setitem(globals(), "BUDGET_S", 0.2)
+
+    def spin():
+        while True:
+            pass
+
+    before = signal.getsignal(signal.SIGALRM)
+    start = time.perf_counter()
+    with pytest.raises(pytest.fail.Exception, match="spin ran past 0.2 s"):
+        bounded(spin)
+    assert time.perf_counter() - start < 1.0
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)

@@ -85,8 +85,77 @@ def spec_file(tmp_path):
     return write
 
 
+def _shape(value):
+    """The keys in order and the value types of a JSON value; a list
+    becomes the distinct shapes of its items."""
+    if isinstance(value, dict):
+        return {key: _shape(item) for key, item in value.items()}
+    if isinstance(value, list):
+        shapes = []
+        for item in map(_shape, value):
+            if item not in shapes:
+                shapes.append(item)
+        return shapes
+    return None if value is None else type(value).__name__
+
+
+def _fields(keys: str, **given) -> dict:
+    """A document shape with the given keys in order, null unless given."""
+    return {key: given.get(key) for key in keys.split()}
+
+
+_REPORT = ("input grading normalized translation d_plus_index d_minus_index lnd ml "
+           "ml_generator_degree mm plane presentation fibers singularities ruling sl2 "
+           "recognition toric")
+_LND = "exists_positive exists_negative degrees_positive degrees_negative fiber elliptic"
+_DEGREES = {"empty": "bool", "residue": "int", "modulus": "int", "e_min": "int",
+            "min_positive_degree": "int", "zero_admissible": "bool"}
+_PAIR = {"hyperbolic": {"d_plus": [["str"]], "d_minus": [["str"]]}}
+_DEGENERATE = {"point": "str", "degenerate": "bool", "m_plus": "int", "m_minus": "int",
+               "e_plus": "int", "e_minus": "int", "delta": "int", "pi_star": ["int"],
+               "div_u": ["int"]}
+_ORBIT = {**_DEGENERATE, "e_plus": None, "e_minus": None, "delta": None, "pi_star": None,
+          "div_u": None}
+_SINGULARITY = {"point": "str", "order": "int", "smooth": "bool", "chart_valid": "bool",
+                "paper_type": ["int"]}
+_HYPERBOLIC = dict(input=_PAIR, grading="str", normalized=_PAIR, d_plus_index="int",
+                   d_minus_index="int", ml="str", plane="bool")
+
+#: (spec, shape of its report document): the elliptic, parabolic and
+#: hyperbolic gradings, and a hyperbolic pair whose fractional D+ is spread.
+REPORT_SHAPES = [
+    ({"elliptic": {"d": 5, "e_prime": 2}}, _fields(
+        _REPORT, input={"elliptic": {"d": "int", "e_prime": "int"}}, grading="str",
+        d_plus_index="int", ml="str", mm="int", plane="bool", fibers=[], singularities=[],
+        lnd=_fields(_LND, exists_positive="bool", exists_negative="bool", elliptic=["str"]),
+        toric=["int"])),
+    ({"parabolic": {"divisor": [["0", "-1/2"], ["1", "-1"]]}}, _fields(
+        _REPORT, input={"parabolic": {"divisor": [["str"]]}}, grading="str",
+        normalized={"parabolic": {"divisor": [["str"]]}}, translation="str",
+        d_plus_index="int", ml="str", mm="int", plane="bool", fibers=[], singularities=[],
+        lnd=_fields(_LND, exists_positive="bool", exists_negative="bool",
+                    degrees_positive=_DEGREES, fiber="str"),
+        recognition={"model": "str", "degree": "int"}, toric=["int"])),
+    ({"hyperbolic": {"d_plus": [["0", "1/3"]], "d_minus": [["-1", "-1/3"], ["0", "-1/3"]]}},
+     _fields(_REPORT, **_HYPERBOLIC, translation="str", ml_generator_degree="int",
+             lnd=_fields(_LND, exists_positive="bool", exists_negative="bool",
+                         degrees_positive=_DEGREES, degrees_negative={"empty": "bool"}),
+             presentation={"k": "int", "P": "str", "d": "int", "e_prime": "int", "l": "int",
+                           "Q": "str", "zd_weights": ["int"], "translation": "str",
+                           "relation": "str"},
+             fibers=[_DEGENERATE, _ORBIT], singularities=[_SINGULARITY],
+             ruling=[["str", "int"]])),
+    ({"hyperbolic": {"d_plus": [["0", "-1/2"], ["1", "-1/3"]],
+                     "d_minus": [["0", "1/2"], ["1", "-1/3"]]}},
+     _fields(_REPORT, **_HYPERBOLIC,
+             lnd=_fields(_LND, exists_positive="bool", exists_negative="bool",
+                         degrees_positive={"empty": "bool"}, degrees_negative={"empty": "bool"}),
+             fibers=[_ORBIT, _DEGENERATE], singularities=[{**_SINGULARITY, "paper_type": None}])),
+]
+
+
 class TestRun:
-    def test_classify_json_fields(self, spec_file, capsys):
+    def test_classify_json_fields(self, spec_file, capsys, tmp_path):
         path = spec_file("danielewski", (2,))
         assert run(["classify", path, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -94,6 +163,11 @@ class TestRun:
         assert doc["presentation"]["k"] == 2
         assert doc["presentation"]["P"] == "t^2+t"
         assert doc["grading"] == "hyperbolic"
+        # the schema: keys, their order and the value types, per grading
+        for spec, shape in REPORT_SHAPES:
+            assert run(["classify", _write_spec(tmp_path, spec), "--json"]) == 0
+            got = _shape(json.loads(capsys.readouterr().out))
+            assert json.dumps(got) == json.dumps(shape), spec
 
     def test_json_roundtrip_identical(self, spec_file, capsys, tmp_path):
         path = spec_file("conic_complement")
@@ -448,6 +522,49 @@ def test_deg_p_over_cap_invariants(tmp_path, capsys):
             assert time.perf_counter() - start < 0.5
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == (out, ""), command
+
+
+def test_command_output_is_a_slice_of_classify(tmp_path, capsys):
+    """ml, mm, recognize, lnd and fibers print slices of the classify --json
+    document, byte for byte, and ml and mm their lines of the classify text,
+    on every catalog entry, the spread-D+ pairs and the REPORT_SHAPES specs."""
+    from golden_record import EXTRA
+
+    from dpdsurf.catalog import default_entries
+    from dpdsurf.dpdring import spec_to_obj
+    from dpdsurf.lnd import degrees_text
+
+    def out(*argv) -> str:
+        assert run(list(argv)) == 0, argv
+        return capsys.readouterr().out
+
+    specs = [spec_to_obj(entry.spec) for entry in default_entries()]
+    specs += [item["spec"] for item in EXTRA] + [spec for spec, _ in REPORT_SHAPES]
+    for spec in specs:
+        path = _write_spec(tmp_path, spec)
+        doc = json.loads(out("classify", path, "--json"))
+        lines = dict(line.split(": ", 1) for line in out("classify", path).splitlines()
+                     if line.startswith(("ml: ", "mm: ")))
+        if doc["grading"] == "elliptic":
+            lnd = {"lnd": doc["lnd"]["elliptic"]}
+        elif doc["grading"] == "parabolic":
+            lnd = {"fiber": doc["lnd"]["fiber"],
+                   "horizontal_degrees": degrees_text(doc["lnd"]["degrees_positive"])}
+        else:
+            lnd = {key: doc["lnd"][key] for key in ("exists_positive", "exists_negative",
+                                                    "degrees_positive", "degrees_negative")}
+            fibers = [{key: value for key, value in f.items() if key not in ("pi_star", "div_u")}
+                      for f in doc["fibers"]]
+            assert out("fibers", path, "--json") == json.dumps(
+                {"fibers": fibers, "singularities": doc["singularities"]}, indent=2) + "\n"
+        slices = {"ml": {"ml": doc["ml"], "generator_degree": doc["ml_generator_degree"]},
+                  "mm": {"mm": doc["mm"]}, "recognize": {"recognition": doc["recognition"]},
+                  "lnd": lnd}
+        for command, obj in slices.items():
+            assert out(command, path, "--json") == json.dumps(obj, indent=2) + "\n", command
+        assert out("ml", path) == lines["ml"] + "\n"
+        if doc["mm"] is not None:
+            assert out("mm", path) == lines["mm"].removesuffix(" (the affine plane)") + "\n"
 
 
 class TestInputErrors:

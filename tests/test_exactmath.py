@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import from_roots
 from dpdsurf.errors import NotCoprime, ParseError, ZeroPolynomial
 from dpdsurf.exactmath import (
     Poly,
@@ -143,7 +144,7 @@ class TestFactorization:
     def test_roundtrip(self, root_list, lead):
         if lead == 0:
             lead = Fraction(1)
-        p = Poly.from_roots(root_list, leading=lead) * Poly((1, 0, 1))
+        p = from_roots(root_list, leading=lead) * Poly((1, 0, 1))
         leading, roots, rem = rational_linear_factorization(p)
         rebuilt = Poly((leading,)) * rem
         for a, m in roots:
@@ -182,7 +183,7 @@ class TestFactorization:
         assert rem == Poly.one()
 
     def test_multiplicity(self):
-        p = Poly.from_roots([Fraction(1, 3)] * 3 + [2])
+        p = from_roots([Fraction(1, 3)] * 3 + [2])
         assert p.multiplicity_at(Fraction(1, 3)) == 3
         assert p.multiplicity_at(2) == 1 and p.multiplicity_at(5) == 0
         # 1/3 comes off three times, leaving the cofactor t - 2
@@ -315,7 +316,7 @@ def test_factorization_matches_sympy_wide():
         # t^1000 + t^999 + 3t^500 + 7: no rational root, square-free mod 3
         (Poly({0: 7, 500: 3, 999: 1, 1000: 1}.get(i, 0) for i in range(1001)), []),
         # (t - 1/7)(t - 3)(c t^998 + t + 1) with a 100-digit c
-        (Poly.from_roots([Fraction(1, 7), 3])
+        (from_roots([Fraction(1, 7), 3])
          * Poly([1, 1] + [0] * 996 + [10**99 + 289]), [(Fraction(1, 7), 1), (3, 1)]),
     ],
     ids=["sparse_deg1000", "lc_100_digits_deg1000"],

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     NEGATIVE_SUMS,
+    from_roots,
     random_concentrated_pair,
     random_element,
     random_pair,
@@ -472,9 +473,9 @@ def h_numerator(a: dict, d: int, en: Rat) -> Poly:
     """The numerator of h = d*t*sum_p a_p/(t - p) - en over prod (t - p),
     expanded from that definition."""
     poles = [p for p, c in a.items() if c and p != 0]
-    num = Poly.from_roots(poles, d * a.get(Rat(0), 0) - en)
+    num = from_roots(poles, d * a.get(Rat(0), 0) - en)
     for p in poles:
-        num = num + Poly.from_roots([r for r in poles if r != p], d * a[p]) * Poly.t()
+        num = num + from_roots([r for r in poles if r != p], d * a[p]) * Poly.t()
     return num
 
 
