@@ -158,36 +158,36 @@ class ClassificationReport(Record):
         object.__setattr__(self, "toric", toric)
 
 
-def _split_plus(x: Rat) -> tuple[int, int]:
-    """x = -e/m in lowest terms with m > 0."""
-    return -x.numerator, x.denominator
+def _fiber(a: Rat, x: Rat, y: Rat) -> FiberData:
+    """The fiber over a where D+(a) = x and D-(a) = y.  With
+    x + y = delta/(m_plus*m_minus), the point is degenerate iff delta != 0."""
+    e_plus, m_plus = -x.numerator, x.denominator
+    e_minus, m_minus = -y.numerator, -y.denominator
+    delta = m_plus * e_minus - m_minus * e_plus
+    if not delta:
+        return FiberData(a, m_plus, m_minus, False)
+    check(delta >= 1, "fiber determinant %d < 1 at a degenerate point", delta)
+    return FiberData(a, m_plus, m_minus, True, e_plus, e_minus, delta,
+                     pi_star=(m_plus, -m_minus), div_u=(-e_plus, e_minus))
 
 
-def _split_minus(y: Rat) -> tuple[int, int]:
-    """y = e/m in lowest terms with m < 0."""
-    return -y.numerator, -y.denominator
+def _fibers(pair: DivisorPair) -> tuple[FiberData, ...]:
+    """The fiber over each point of supp D+ and supp D-, in order of the
+    point: one merge of the two sorted term tuples, each ended by infinity."""
+    end = (math.inf, None)
+    plus, minus = (*pair.d_plus.terms, end), (*pair.d_minus.terms, end)
+    out, i, j, zero = [], 0, 0, Rat(0)
+    while plus[i] is not end or minus[j] is not end:
+        (a, x), (b, y) = plus[i], minus[j]
+        first, last = a <= b, b <= a
+        out.append(_fiber(a if first else b, x if first else zero, y if last else zero))
+        i, j = i + first, j + last
+    return tuple(out)
 
 
 def fiber_structure(pair: DivisorPair, a: Rat) -> FiberData:
     """Multiplicity data of the fiber over a (expects a normalized pair)."""
-    x, y = pair.d_plus(a), pair.d_minus(a)
-    e_plus, m_plus = _split_plus(x)
-    e_minus, m_minus = _split_minus(y)
-    if x + y == 0:
-        return FiberData(point=a, m_plus=m_plus, m_minus=m_minus, degenerate=False)
-    delta = m_plus * e_minus - m_minus * e_plus
-    check(delta >= 1, f"fiber determinant {delta} < 1 at a degenerate point")
-    return FiberData(
-        point=a,
-        m_plus=m_plus,
-        m_minus=m_minus,
-        degenerate=True,
-        e_plus=e_plus,
-        e_minus=e_minus,
-        delta=delta,
-        pi_star=(m_plus, -m_minus),
-        div_u=(-e_plus, e_minus),
-    )
+    return _fiber(a, pair.d_plus(a), pair.d_minus(a))
 
 
 def ruling_divisor(pair: DivisorPair) -> list[tuple[Rat, int]]:
@@ -202,51 +202,44 @@ def ruling_divisor(pair: DivisorPair) -> list[tuple[Rat, int]]:
             "the fractional part of d_plus is spread: no affine ruling from "
             "a positive-degree derivation"
         )
-    d_plus_idx = denom_index(pair.d_plus)
+    return _ruling(_fibers(pair), denom_index(pair.d_plus))
+
+
+def _ruling(fibers: tuple[FiberData, ...], d: int) -> list[tuple[Rat, int]]:
+    """The ruling read off the fibers, d the denominator index of D+:
+    d*m_minus*(D+ + D-)(a) = d*delta/m_plus at each degenerate point."""
     out = []
-    for a, s in pair.sum().terms:
-        if s >= 0:
-            continue
-        m_minus = -pair.d_minus(a).denominator
-        mult = d_plus_idx * m_minus * s
-        check(mult.denominator == 1 and mult > 0, f"ruling multiplicity {mult}")
-        out.append((a, int(mult)))
+    for f in fibers:
+        if f.degenerate:
+            mult, rem = divmod(d * f.delta, f.m_plus)
+            check(not rem and mult > 0, "ruling multiplicity %d*%d/%d", d, f.delta, f.m_plus)
+            out.append((f.point, mult))
     return out
 
 
 def singular_points(pair: DivisorPair) -> list[SingularityRecord]:
     """One record per degenerate point of the normalized pair."""
     q = normalize_pair(pair)
-    return _singular_points(q, q.sum())
+    return _singular_points(_fibers(q), denom_index(q.d_minus))
 
 
-def _singular_points(q: DivisorPair, s: QDivisor) -> list[SingularityRecord]:
-    """The records of a normalized pair q whose pointwise sum is s."""
-    k = denom_index(q.d_minus)
+def _singular_points(fibers: tuple[FiberData, ...], k: int) -> list[SingularityRecord]:
+    """The records read off the fibers of a normalized pair whose D- has
+    denominator index k.  The chart is valid where D+(a) = 0, i.e. e_plus = 0,
+    and there r = -k*D-(a) = -k*e_minus/m_minus."""
     out = []
-    for a, value in s.terms:
-        if value >= 0:
+    for f in fibers:
+        if not f.degenerate:
             continue
-        data = fiber_structure(q, a)
-        order = data.delta
-        chart_valid = q.d_plus(a) == 0
+        chart_valid = f.e_plus == 0
         paper_type = None
         if chart_valid:
-            r = -k * q.d_minus(a)
-            check(r.denominator == 1 and r > 0, f"root multiplicity {r}")
-            r = int(r)
+            r, rem = divmod(-k * f.e_minus, f.m_minus)
+            check(not rem and r > 0, "root multiplicity -%d*%d/%d", k, f.e_minus, f.m_minus)
             g = math.gcd(r, k)
             d_i, e_i_prime = r // g, k // g
             paper_type = (d_i, e_i_prime % d_i)
-        out.append(
-            SingularityRecord(
-                point=a,
-                order=order,
-                smooth=(order == 1),
-                chart_valid=chart_valid,
-                paper_type=paper_type,
-            )
-        )
+        out.append(SingularityRecord(f.point, f.delta, f.delta == 1, chart_valid, paper_type))
     return out
 
 
@@ -376,10 +369,10 @@ def _hyperbolic_mm(s: QDivisor, plus: Anchored, minus: Anchored) -> int:
     div P = -k d+' d-' (D+ + D-) with k = gcd of the two indices.
     """
     value = -plus.d * minus.d * s.degree
-    check(value.denominator == 1 and value > 0, f"MM = {value} is not positive")
+    check(value.denominator == 1 and value > 0, "MM = %s is not positive", value)
     g = math.gcd(plus.d, minus.d)
     div_p = s * (-(plus.d * minus.d // g))
-    check(div_p.is_integral() and div_p.is_effective(), f"div P = {div_p}")
+    check(div_p.is_integral() and div_p.is_effective(), "div P = %s", div_p)
     check(g * div_p.degree == value, "MM disagrees with the degree of div P")
     check(presentation_degree(plus) == value, "MM disagrees with deg P")
     return int(value)
@@ -449,21 +442,22 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
     ml = _hyperbolic_ml(s, plus, minus)
     mm = _hyperbolic_mm(s, plus, minus) if ml.kind == ML_TRIVIAL else None
     sl2 = _sl2_model(norm)
-    points = sorted(set(norm.d_plus.support) | set(norm.d_minus.support))
+    fibers = _fibers(norm)
+    k = denom_index(pair.d_minus)
     return ClassificationReport(
         spec=spec,
         grading="hyperbolic",
         normalized_pair=norm,
         translation=plus and plus.translation,
         d_plus_index=plus.d if plus else denom_index(pair.d_plus),
-        d_minus_index=denom_index(pair.d_minus),
+        d_minus_index=k,
         lnd=LndSummary(plus is not None, minus is not None, _degrees(plus), _degrees(minus)),
         ml=ml,
         mm=mm,
         plane=mm == 1,
-        fibers=tuple(fiber_structure(norm, a) for a in points),
-        singularities=tuple(_singular_points(norm, s)),
-        ruling=plus and tuple(ruling_divisor(norm)),
+        fibers=fibers,
+        singularities=tuple(_singular_points(fibers, k)),
+        ruling=plus and tuple(_ruling(fibers, plus.d)),
         sl2=sl2,
         recognition=_hyperbolic_recognition(s, mm, plus, sl2),
         toric=plus and _toric_type(plus),

@@ -28,8 +28,10 @@ from .dpdring import (
     Hyperbolic,
     Parabolic,
     SurfaceSpec,
+    cap_deg_p,
     contains,
     from_equation,
+    presentation_degree,
     spec_from_obj,
     spec_to_obj,
 )
@@ -326,8 +328,10 @@ def _cmd_fibers(args) -> int:
     spec = load_spec(args.spec)
     pair = _require_hyperbolic(spec)
     at = None if args.at is None else parse_rat(args.at)
-    # classify builds P, so fibers exits 1 where classify does; P is not rendered
-    doc = fibers_to_obj(classify(spec))
+    report, plus = facts(spec), anchored(pair)
+    if plus is not None:  # exit 1 where classify does, without building P
+        cap_deg_p(presentation_degree(plus))
+    doc = fibers_to_obj(report)
     if at is not None:
         doc["fibers"] = [fiber_to_obj(fiber_structure(normalize_pair(pair), at))]
     obj = {

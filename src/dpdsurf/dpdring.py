@@ -141,8 +141,10 @@ def is_line_cross_torus(pair: DivisorPair) -> bool:
 
 
 #: Largest deg P a presentation may have, checked before P is built.  P is
-#: dense and printed in full: at deg P 5,000 classify and its report take
-#: 0.7 s (Python 3.11, 2-core VM), and the cost grows faster than quadratically.
+#: dense and printed in full: at deg P 5,000 a classify process takes about
+#: 1.1 s when Q has one root and 11-14 s with three (D- = -1666*([0]+[1]+[2]),
+#: nearly all in linear_power_product's integer products; Python 3.11, 2-core
+#: VM), and the cost grows faster than quadratically.
 MAX_DEG_P = 5000
 
 
@@ -178,15 +180,15 @@ class Presentation(Record):
         deg P = k*e' + d*l + d*deg Q is over MAX_DEG_P.
         """
         factors, s_exp, degree = _shape(a)
-        if degree > MAX_DEG_P:
-            raise CapExceeded(f"the presentation's deg P is over the cap {MAX_DEG_P}")
+        cap_deg_p(degree)
         big_q = linear_power_product(factors)
-        # P(s) = Q(s^d) s^s_exp: coefficient i of Q lands at s_exp + i*d
-        coeffs = [Rat(0)] * (s_exp + a.d * big_q.degree + 1)
+        # P(s) = Q(s^d) s^s_exp: coefficient i of Q lands at s_exp + i*d, and
+        # Q's leading coefficient is P's
+        coeffs = [Rat(0)] * (degree + 1)
         coeffs[s_exp::a.d] = big_q.coeffs
         return cls(
             k=a.k,
-            P=Poly(coeffs),
+            P=Poly._trusted(tuple(coeffs)),
             d=a.d,
             e_prime=a.e_prime,
             l=a.l,
@@ -216,6 +218,12 @@ def _shape(a: Anchored) -> tuple[list[tuple[Rat, int]], int, int]:
 def presentation_degree(a: Anchored) -> int:
     """deg P of the presentation Presentation.of(a) would build, without building it."""
     return _shape(a)[2]
+
+
+def cap_deg_p(degree: int) -> None:
+    """Raise CapExceeded when a presentation of this deg P is over MAX_DEG_P."""
+    if degree > MAX_DEG_P:
+        raise CapExceeded(f"the presentation's deg P is over the cap {MAX_DEG_P}")
 
 
 def presentation(pair: DivisorPair) -> Presentation:

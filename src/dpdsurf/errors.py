@@ -17,10 +17,13 @@ class InternalError(Exception):
     """Two derivations of the same fact disagree."""
 
 
-def check(ok: bool, what: str) -> None:
-    """A cross-check that, unlike assert, also runs under python -O."""
+def check(ok: bool, what: str, *args: object) -> None:
+    """A cross-check that, unlike assert, also runs under python -O.
+
+    The message is what % args, formatted only when the check fails.
+    """
     if not ok:
-        raise InternalError(what)
+        raise InternalError(what % args if args else what)
 
 
 class NotCoprime(DomainError):

@@ -67,11 +67,14 @@ def format_rat(q: RatLike) -> str:
     than MAX_DIGITS digits (str() would raise ValueError).
     """
     q = q if type(q) is Rat else Rat(q)
-    if abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG:
+    return _ratio_text(q.numerator, q.denominator)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """format_rat of num/den, given in lowest terms with den > 0."""
+    if abs(num) >= _TOO_LONG or den >= _TOO_LONG:
         raise CapExceeded(f"a rational to print has over {MAX_DIGITS} digits")
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def mod_inverse(e: int, d: int) -> int:
@@ -103,6 +106,13 @@ class Poly:
         while c and c[-1] == 0:
             c.pop()
         self._c = tuple(c)
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple[Rat, ...]) -> Poly:
+        """Trusted constructor: Rat coefficients, no trailing zero."""
+        obj = object.__new__(cls)
+        obj._c = coeffs
+        return obj
 
     @classmethod
     def zero(cls) -> Poly:
@@ -273,22 +283,22 @@ class Poly:
         return mult
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
+        """Highest power first; each coefficient's integers are read once,
+        so a zero costs one integer test."""
         parts = []
-        for i in range(self.degree, -1, -1):
-            c = self._c[i]
-            if c == 0:
+        for i, c in enumerate(self._c):
+            num = c.numerator
+            if not num:
                 continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = format_rat(mag)
-            else:
+            body = _ratio_text(abs(num), c.denominator)
+            if i:
                 tp = "t" if i == 1 else f"t^{i}"
-                body = tp if mag == 1 else f"{format_rat(mag)}*{tp}"
-            parts.append((sign, body))
-        text = "".join(sign + body for sign, body in parts)
+                body = tp if body == "1" else f"{body}*{tp}"
+            parts.append(("-" if num < 0 else "+") + body)
+        if not parts:
+            return "0"
+        parts.reverse()
+        text = "".join(parts)
         return text[1:] if text[0] == "+" else text
 
     def __repr__(self) -> str:

@@ -332,7 +332,7 @@ def _zero_order(exps: list[int], r: list[int], w: list[int]) -> int:
     most m zeros with multiplicity."""
     terms = [(y * x, v) for y, x, v in zip(exps, r, w) if y and x]
     j = next((j for j in range(1, len(terms) + 1) if sum(c * v**j for c, v in terms)), 0)
-    check(j > 0, f"h_n vanishes past order {len(terms)}")
+    check(j > 0, "h_n vanishes past order %d", len(terms))
     return j
 
 

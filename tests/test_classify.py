@@ -17,6 +17,7 @@ from dpdsurf import divisor
 from dpdsurf.catalog import catalog_surface, default_entries
 from dpdsurf.classify import (
     classify,
+    facts,
     fiber_structure,
     ml_invariant,
     mm_invariant,
@@ -31,6 +32,7 @@ from dpdsurf.divisor import (
     DivisorPair,
     QDivisor,
     affine_equivalent,
+    anchored,
     denom_index,
     normalize_pair,
 )
@@ -148,6 +150,53 @@ class TestSingularPoints:
             recs = singular_points(entry.spec.pair)
             orders = [s.order for s in recs if not s.smooth]
             assert orders == [d]
+
+
+class TestPointwiseFormulas:
+    """The per-point facts the report reads off its fibers, against the
+    Fraction formulas on the pair: the ruling multiplicity
+    d+ * m-(a) * (D+ + D-)(a) with m-(a) = -denominator of D-(a), chart_valid
+    as D+(a) = 0 on the normalized pair, and paper_type from r = -k * D-(a)."""
+
+    def test_catalog_and_random(self, rng):
+        pairs = [entry.spec.pair for entry in default_entries()
+                 if isinstance(entry.spec, Hyperbolic)]
+        pairs += [random_pair(rng) for _ in range(150)]
+        pairs += [random_concentrated_pair(rng) for _ in range(150)]
+        rulings = charts = 0
+        for pair in pairs:
+            report = facts(Hyperbolic(pair))
+            q = normalize_pair(pair)
+            degenerate = [a for a, c in q.sum().terms if c < 0]
+            points = sorted(set(q.d_plus.support) | set(q.d_minus.support))
+            assert [f.point for f in report.fibers] == points
+            assert [f.point for f in report.fibers if f.degenerate] == degenerate
+            assert report.fibers == tuple(fiber_structure(q, a) for a in points)
+            k = denom_index(q.d_minus)
+            records = singular_points(pair)
+            assert tuple(records) == report.singularities
+            assert [rec.point for rec in records] == degenerate
+            for rec in records:
+                assert rec.chart_valid == (q.d_plus(rec.point) == 0)
+                paper_type = None
+                if rec.chart_valid:
+                    r = -k * q.d_minus(rec.point)
+                    assert r.denominator == 1 and r > 0
+                    g = math.gcd(int(r), k)
+                    paper_type = (int(r) // g, (k // g) % (int(r) // g))
+                    charts += 1
+                assert rec.paper_type == paper_type
+            if anchored(pair) is None:
+                assert report.ruling is None
+                continue
+            d = denom_index(pair.d_plus)
+            want = [(a, d * -pair.d_minus(a).denominator * c)
+                    for a, c in pair.sum().terms if c < 0]
+            got = ruling_divisor(pair)
+            assert got == want and all(type(m) is int and m > 0 for _, m in got)
+            assert report.ruling == tuple(got) == tuple(ruling_divisor(q))
+            rulings += len(got)
+        assert rulings >= 400 and charts >= 300
 
 
 class TestSmoothnessCriteria:
@@ -417,6 +466,14 @@ class TestInternalChecks:
         with pytest.raises(InternalError, match="boom"):
             check(False, "boom")
         check(True, "never raised")
+
+        class Unprintable:
+            def __str__(self):
+                raise AssertionError("a passing check formatted its message")
+
+        check(True, "value %s", Unprintable())
+        with pytest.raises(InternalError, match=r"^MM = 7/2 is not positive$"):
+            check(False, "MM = %s is not positive", Rat(7, 2))
 
     def test_toric_alpha_is_a_unit(self, rng):
         # [[x, y], [-d, e']] is unimodular and sends the primitive ray

@@ -524,6 +524,58 @@ def test_deg_p_over_cap_invariants(tmp_path, capsys):
             assert (captured.out, captured.err) == (out, ""), command
 
 
+def test_fibers_cap_matches_classify(tmp_path, capsys, monkeypatch):
+    """fibers applies the deg P cap of classify without building P: over the
+    cap both exit 1 with the same stderr; at the cap fibers prints its slice
+    of the classify document."""
+    from dpdsurf.dpdring import MAX_DEG_P, Presentation
+
+    def refuse(cls, a):
+        raise AssertionError("fibers built a presentation")
+
+    specs = [([["0", f"-{MAX_DEG_P}"]], 0), ([["0", f"-{MAX_DEG_P + 1}"]], 1),
+             ([[str(p), "-1700"] for p in range(3)], 1)]
+    for d_minus, code in specs:
+        path = _write_spec(tmp_path, {"hyperbolic": {"d_plus": [], "d_minus": d_minus}})
+        for flags in ([], ["--json"]):
+            assert run(["classify", path, *flags]) == code
+            want = capsys.readouterr()
+            with monkeypatch.context() as patch:
+                patch.setattr(Presentation, "of", classmethod(refuse))
+                assert run(["fibers", path, *flags]) == code
+            got = capsys.readouterr()
+            if code:
+                assert (got.out, got.err) == ("", want.err) and "CapExceeded" in got.err
+        if not code:
+            doc = json.loads(want.out)
+            assert run(["fibers", path, "--json"]) == 0
+            fibers = [{key: value for key, value in f.items() if key not in ("pi_star", "div_u")}
+                      for f in doc["fibers"]]
+            assert json.loads(capsys.readouterr().out) == {
+                "fibers": fibers, "singularities": doc["singularities"]}
+
+
+def test_mm_over_digit_cap_no_traceback(tmp_path, capsys):
+    """D+ = D- = -(10^4300 - 1)*[0] has an MM of 4,301 digits, past what
+    str() converts.  Each command ends in exit 0, or in exit 1 with one line
+    naming a DomainError, never in a traceback."""
+    from dpdsurf import errors
+    from dpdsurf.exactmath import MAX_DIGITS
+
+    coeff = "-" + "9" * MAX_DIGITS
+    path = _write_spec(tmp_path, {"hyperbolic": {"d_plus": [["0", coeff]],
+                                                 "d_minus": [["0", coeff]]}})
+    for command in ("classify", "ml", "mm", "recognize", "lnd", "fibers"):
+        for flags in ([], ["--json"]):
+            code = run([command, path, *flags])
+            captured = capsys.readouterr()
+            assert code in (0, 1), command
+            if code:
+                assert captured.out == "" and len(captured.err.splitlines()) == 1
+                name = captured.err.split(":")[1].strip()
+                assert issubclass(getattr(errors, name), errors.DomainError), command
+
+
 def test_command_output_is_a_slice_of_classify(tmp_path, capsys):
     """ml, mm, recognize, lnd and fibers print slices of the classify --json
     document, byte for byte, and ml and mm their lines of the classify text,

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import from_roots
-from dpdsurf.errors import NotCoprime, ParseError, ZeroPolynomial
+from dpdsurf.errors import CapExceeded, NotCoprime, ParseError, ZeroPolynomial
 from dpdsurf.exactmath import (
+    MAX_DIGITS,
     Poly,
     Rat,
     RatFunc,
@@ -119,6 +120,90 @@ class TestPoly:
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.is_zero() or r.degree < b.degree
+
+
+def reference_str(p: Poly) -> str:
+    """The renderer Poly.__str__ had before it read integers: a Fraction
+    comparison, abs and format_rat for every coefficient, zeros included."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for i in range(p.degree, -1, -1):
+        c = p.coeffs[i]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if i == 0:
+            body = format_rat(mag)
+        else:
+            tp = "t" if i == 1 else f"t^{i}"
+            body = tp if mag == 1 else f"{format_rat(mag)}*{tp}"
+        parts.append((sign, body))
+    text = "".join(sign + body for sign, body in parts)
+    return text[1:] if text[0] == "+" else text
+
+
+def _sparse_poly(rng: random.Random) -> Poly:
+    """Runs of zeros between coefficients that are +-1, small, fractional,
+    or have 200-digit numerators or denominators."""
+    def big() -> int:
+        return rng.randrange(10**199, 10**200)
+
+    kinds = [
+        lambda: 1, lambda: -1, lambda: rng.randint(-9, 9),
+        lambda: Rat(rng.randint(-50, 50), rng.randint(1, 12)),
+        lambda: Rat(rng.choice((-1, 1)), rng.randint(2, 12)),
+        lambda: rng.choice((-1, 1)) * big(), lambda: Rat(rng.randint(-5, 5), big()),
+        lambda: Rat(-big(), big()),
+    ]
+    coeffs = []
+    for _ in range(rng.randint(0, 12)):
+        coeffs += [0] * rng.choice((0, 0, 1, 3, 40))
+        coeffs.append(rng.choice(kinds)())
+    return Poly(coeffs)
+
+
+class TestRender:
+    """str(P) against reference_str, the Fraction-based renderer it replaced."""
+
+    def test_seeded_sparse(self):
+        rng = random.Random(4301)
+        polys = [_sparse_poly(rng) for _ in range(400)]
+        assert sum(p.degree >= 100 for p in polys) >= 20
+        for p in polys:
+            assert str(p) == reference_str(p)
+        assert str(Poly()) == "0" and str(Poly((0, 0, 1))) == "t^2"
+
+    def test_catalog_presentations(self):
+        from dpdsurf.catalog import default_entries
+        from dpdsurf.divisor import anchored
+        from dpdsurf.dpdring import Hyperbolic, Presentation
+
+        seen = 0
+        for entry in default_entries():
+            a = isinstance(entry.spec, Hyperbolic) and anchored(entry.spec.pair)
+            if not a:
+                continue
+            pres = Presentation.of(a)
+            # built by the trusted constructor: Rat coefficients, no trailing zero
+            assert pres.P == Poly(pres.P.coeffs)
+            assert all(type(c) is Rat for c in pres.P.coeffs)
+            for p in (pres.P, pres.Q):
+                assert str(p) == reference_str(p)
+            seen += 1
+        assert seen >= 15
+
+    def test_digit_cap_edge(self):
+        longest = 10**MAX_DIGITS - 1
+        for c in (longest, -longest, Rat(1, longest), Rat(-longest, longest - 1)):
+            for p in (Poly((c,)), Poly((0, c, 0, 1)), Poly((1,) + (0,) * 5 + (c,))):
+                assert str(p) == reference_str(p)
+        for c in (10**MAX_DIGITS, -(10**MAX_DIGITS), Rat(1, 10**MAX_DIGITS)):
+            for p in (Poly((c,)), Poly((0, c, 0, 1)), Poly((1,) + (0,) * 5 + (c,))):
+                for render in (str, reference_str):
+                    with pytest.raises(CapExceeded, match=f"over {MAX_DIGITS} digits"):
+                        render(p)
 
 
 class TestFactorization:

@@ -82,12 +82,14 @@ def _run_json(runs: list, optimize: bool) -> list:
 
 def test_classify_json_same_under_python_O():
     """Cross-checks are explicit raises, so -O must not change any output:
-    classify --json on the golden specs and verify --json (the oracle's
-    errors.check) on the catalog's hyperbolic specs."""
+    classify, mm and fibers --json on the golden specs, and verify --json
+    (the oracle's errors.check) on the catalog's hyperbolic specs."""
     items = DATA["cli"]
+    commands = ("classify", "mm", "fibers")
     verify = [["verify", spec_to_obj(entry.spec)] for entry in default_entries()
               if isinstance(entry.spec, Hyperbolic)]
-    got = _run_json([["classify", item["spec"]] for item in items] + verify, True)
-    want = [item["runs"]["classify --json"] for item in items]
-    assert [[code, sha256(stdout)] for code, stdout in got[:len(items)]] == want
-    assert len(verify) >= 10 and got[len(items):] == _run_json(verify, False)
+    runs = [[command, item["spec"]] for command in commands for item in items]
+    got = _run_json(runs + verify, True)
+    want = [item["runs"][f"{command} --json"] for command in commands for item in items]
+    assert [[code, sha256(stdout)] for code, stdout in got[:len(runs)]] == want
+    assert len(verify) >= 10 and got[len(runs):] == _run_json(verify, False)
