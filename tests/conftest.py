@@ -79,6 +79,22 @@ def random_concentrated_pair(
     return DivisorPair(QDivisor(plus_terms), QDivisor(minus_terms))
 
 
+def high_index_pair(rng, k: int | None = None) -> DivisorPair:
+    """A concentrated pair whose d_minus has denominator index dividing
+    k = d*m, with m up to 150 // d unless k is given, spread over one to
+    three points besides the anchor."""
+    d = rng.choice([x for x in (1, 2, 3, 4, 5) if k is None or k % x == 0])
+    e_prime = rng.choice([x for x in range(d) if math.gcd(x, d) == 1]) if d > 1 else 0
+    if k is None:
+        k = d * rng.randint(2, 150 // d)
+    anchor = Rat(rng.randint(-3, 3), rng.choice([1, 2]))
+    minus = [(anchor, Rat(e_prime, d) + rng.choice([0, -1, Rat(-1, k)]))]
+    for i in range(rng.randint(1, 3)):
+        minus.append((anchor + i + 1, Rat(-rng.randint(1, 2 * k), k)))
+    plus = [(anchor, Rat(-e_prime, d))] if e_prime else []
+    return DivisorPair(QDivisor(plus), QDivisor(minus))
+
+
 def random_shift(rng: random.Random, pair: DivisorPair) -> DivisorPair:
     points = rng.sample(SMALL_POINTS, rng.randint(1, 3))
     shift = QDivisor((p, rng.randint(-3, 3)) for p in points)

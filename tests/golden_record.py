@@ -13,7 +13,16 @@ It pins two things:
   ``lnd``, ``kernel``, ``ml``, ``mm``, ``recognize``), as text and with
   ``--json``, on every catalog entry and on
   the first ``N_CLI_SPECS`` seeded specs, and on ``EXTRA`` (pairs whose
-  fractional part of D+ is spread, which the seeded head lacks).
+  fractional part of D+ is spread, which the seeded head lacks);
+- as the section ``oracle``, one sha256 per pair over the ``repr`` of
+  ``stabilization_witness`` (failures included) on the grid
+  ``ORACLE_GRID``: e = -4..10, window None and 8, e' override None, 0
+  and 2.  The pairs are the catalog's hyperbolic pairs and ``N_ORACLE``
+  seeded draws from each of ``random_pair``, ``random_concentrated_pair``
+  and ``high_index_pair``;
+- as the section ``verify``, the exit code and the sha256 of stdout of
+  ``verify``, as text and with ``--json``, on the specs of the ``cli``
+  section.
 
 Run from the repository root, and only when an output is meant to change:
 
@@ -33,13 +42,19 @@ import sys
 import tempfile
 from pathlib import Path
 
-from conftest import random_concentrated_pair, random_divisor, random_pair
+from conftest import (
+    high_index_pair,
+    random_concentrated_pair,
+    random_divisor,
+    random_pair,
+)
 
 from dpdsurf import cli
 from dpdsurf.catalog import default_entries
 from dpdsurf.classify import classify, report_to_obj
 from dpdsurf.divisor import anchored
 from dpdsurf.dpdring import Elliptic, Hyperbolic, Parabolic, spec_from_obj, spec_to_obj
+from dpdsurf.lnd import stabilization_witness
 
 GOLDEN = Path(__file__).with_name("data") / "golden.json"
 SEED = 20261018
@@ -63,6 +78,11 @@ CLI_COMMANDS = tuple(
                     "recognize")
     for flag in ([], ["--json"])
 )
+VERIFY_COMMANDS = (["verify"], ["verify", "--json"])
+ORACLE_SEED = 20261020
+N_ORACLE = 20
+ORACLE_GRID = [(e, window, override) for window in (None, 8) for override in (None, 0, 2)
+               for e in range(-4, 11)]
 
 
 def sha256(text: str) -> str:
@@ -140,13 +160,33 @@ def run_cli(argv: list[str]) -> tuple[int | str, str]:
     return code, out.getvalue()
 
 
-def cli_records(spec_obj: dict) -> dict[str, list]:
+def oracle_digest(spec_obj: dict) -> str:
+    """sha256 of the oracle reports of one hyperbolic pair over ORACLE_GRID,
+    one repr (or escaping exception name) a line."""
+    pair = spec_from_obj(spec_obj).pair
+    lines = []
+    for e, window, override in ORACLE_GRID:
+        try:
+            lines.append(repr(stabilization_witness(pair, e, window, override)))
+        except Exception as exc:
+            lines.append(type(exc).__name__)
+    return sha256("\n".join(lines))
+
+
+def oracle_specs(seed: int, count: int) -> list[dict]:
+    """``count`` draws from each of the three pair generators, in turn."""
+    rng = random.Random(seed)
+    draws = (random_pair, random_concentrated_pair, high_index_pair)
+    return [spec_to_obj(Hyperbolic(draws[i % 3](rng))) for i in range(3 * count)]
+
+
+def cli_records(spec_obj: dict, commands=CLI_COMMANDS) -> dict[str, list]:
     """Command line (without the spec path) -> [exit code, stdout sha256]."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "surface.spec")
         Path(path).write_text(json.dumps(spec_obj), encoding="utf-8")
         runs = {}
-        for command in CLI_COMMANDS:
+        for command in commands:
             code, stdout = run_cli([command[0], path, *command[1:]])
             runs[" ".join(command)] = [code, sha256(stdout)]
         return runs
@@ -164,6 +204,10 @@ def record() -> dict:
         {"label": f"tail{TAIL_SEED}#{i}", "spec": obj}
         for i, obj in enumerate(tail_specs(TAIL_SEED, N_TAIL))
     ]
+    oracle = [item for item in catalog if "hyperbolic" in item["spec"]] + [
+        {"label": f"oracle{ORACLE_SEED}#{i}", "spec": obj}
+        for i, obj in enumerate(oracle_specs(ORACLE_SEED, N_ORACLE))
+    ]
     return {
         "reports": [
             {**item, "sha256": report_digest(item["spec"])} for item in catalog + seeded
@@ -172,6 +216,11 @@ def record() -> dict:
         "cli": [
             {"label": item["label"], "spec": item["spec"],
              "runs": cli_records(item["spec"])}
+            for item in catalog + seeded[:N_CLI_SPECS]
+        ],
+        "oracle": [{**item, "sha256": oracle_digest(item["spec"])} for item in oracle],
+        "verify": [
+            {"label": item["label"], "runs": cli_records(item["spec"], VERIFY_COMMANDS)}
             for item in catalog + seeded[:N_CLI_SPECS]
         ],
     }

@@ -12,7 +12,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from golden_record import GOLDEN, cli_records, report_digest, sha256
+from golden_record import (
+    GOLDEN,
+    VERIFY_COMMANDS,
+    cli_records,
+    oracle_digest,
+    report_digest,
+    sha256,
+)
 
 from dpdsurf.catalog import default_entries
 from dpdsurf.dpdring import Hyperbolic, spec_to_obj
@@ -43,6 +50,27 @@ def test_cli_stdout_and_exit_codes():
     changed = []
     for item in DATA["cli"]:
         got = cli_records(item["spec"])
+        changed += [(item["label"], cmd) for cmd in got if got[cmd] != item["runs"][cmd]]
+    assert not changed
+
+
+def test_oracle_report_digests():
+    """Every stabilization_witness report, failures included, on the grid."""
+    changed = [
+        item["label"]
+        for item in DATA["oracle"]
+        if oracle_digest(item["spec"]) != item["sha256"]
+    ]
+    assert len(DATA["oracle"]) == 81 and not changed
+
+
+def test_verify_stdout_and_exit_codes():
+    """verify, as text and with --json, on the specs of the cli section."""
+    assert [item["label"] for item in DATA["verify"]] == [
+        item["label"] for item in DATA["cli"]]
+    changed = []
+    for item, cli_item in zip(DATA["verify"], DATA["cli"]):
+        got = cli_records(cli_item["spec"], VERIFY_COMMANDS)
         changed += [(item["label"], cmd) for cmd in got if got[cmd] != item["runs"][cmd]]
     assert not changed
 

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     NEGATIVE_SUMS,
     from_roots,
+    high_index_pair,
     random_concentrated_pair,
     random_element,
     random_pair,
@@ -290,22 +291,6 @@ def dense_witness(pair, e, window, e_prime_override=None) -> bool:
         if not contains(spec, GradedElement.monomial(n + e, r * tk)):
             return False
     return True
-
-
-def high_index_pair(rng, k: int | None = None) -> DivisorPair:
-    """A concentrated pair whose d_minus has denominator index dividing
-    k = d*m, with m up to 150 // d unless k is given, spread over one to
-    three points besides the anchor."""
-    d = rng.choice([x for x in (1, 2, 3, 4, 5) if k is None or k % x == 0])
-    e_prime = rng.choice([x for x in range(d) if math.gcd(x, d) == 1]) if d > 1 else 0
-    if k is None:
-        k = d * rng.randint(2, 150 // d)
-    anchor = Rat(rng.randint(-3, 3), rng.choice([1, 2]))
-    minus = [(anchor, Rat(e_prime, d) + rng.choice([0, -1, Rat(-1, k)]))]
-    for i in range(rng.randint(1, 3)):
-        minus.append((anchor + i + 1, Rat(-rng.randint(1, 2 * k), k)))
-    plus = [(anchor, Rat(-e_prime, d))] if e_prime else []
-    return DivisorPair(QDivisor(plus), QDivisor(minus))
 
 
 class TestSoundOracle:
