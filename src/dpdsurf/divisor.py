@@ -153,6 +153,8 @@ class QDivisor:
         return self - self.floor()
 
     def translate(self, offset: RatLike) -> QDivisor:
+        if not offset:
+            return self
         o = Rat(offset)
         return QDivisor._canonical(tuple((p + o, c) for p, c in self._terms))
 
@@ -340,7 +342,15 @@ class Anchored(Record):
 
     @classmethod
     def of(cls, x: DivisorPair | QDivisor) -> Anchored:
-        """Raises FractionalPlusSpread when d_plus has two fractional points."""
+        """Raises FractionalPlusSpread when d_plus has two fractional points.
+
+        The last successful anchoring is kept in a one-entry memo keyed by x
+        under ==, which a verify sweep's calls on one pair share; a spread
+        pair is never stored and raises on every call."""
+        global _memo
+        memo = _memo
+        if memo[0] == x:
+            return memo[1]
         pair = x if isinstance(x, DivisorPair) else DivisorPair._trusted(x, -x)
         support = [p for p, c in pair.d_plus.terms if c.denominator != 1]
         if len(support) > 1:
@@ -351,7 +361,14 @@ class Anchored(Record):
         translation = support[0] if support else _ZERO
         q = normalize_pair(pair).translate(-translation)
         d, k = denom_index(q.d_plus), denom_index(q.d_minus)
-        return cls(q, translation, d, int(-d * q.d_plus(0)), k, int(-k * q.d_minus(0)))
+        a = cls(q, translation, d, int(-d * q.d_plus(0)), k, int(-k * q.d_minus(0)))
+        _memo = (x, a)
+        return a
+
+
+#: One-entry memo of Anchored.of, (input, anchored), rebound in one step; keys
+#: compare by == (a DivisorPair never equals a QDivisor).
+_memo: tuple = (None, None)
 
 
 def anchored(x: DivisorPair | QDivisor) -> Anchored | None:

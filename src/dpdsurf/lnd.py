@@ -301,14 +301,41 @@ def nilpotency_steps(lnd: Lnd, x: GradedElement, cap: int = 256) -> int:
     return steps
 
 
-class StabilizationReport(Record):
-    """Outcome of the extension check."""
+class _Pending(Record):
+    """The (table, e) a report's failures are scanned from: no field."""
+
+    __slots__ = ("_source",)
+
+
+class StabilizationReport(_Pending):
+    """Outcome of the extension check: the verdict, and (n, why) per failing
+    generator in checking order.  stabilization_witness scans failures from
+    its table only when first read, then keeps them; until then the report
+    compares, hashes, prints, copies and pickles as the eager one."""
 
     __slots__ = ("verdict", "failures")
 
     def __init__(self, verdict: bool, failures: tuple[tuple[int | None, str], ...] = ()):
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "failures", failures)
+
+    @classmethod
+    def _pending(cls, verdict: bool, table: tuple, e: int) -> StabilizationReport:
+        report = object.__new__(cls)
+        object.__setattr__(report, "verdict", verdict)
+        object.__setattr__(report, "_source", (table, e))
+        return report
+
+    def __getattr__(self, name: str):
+        """Reached only for an unset slot: build a pending report's failures."""
+        if name != "failures":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        failures = tuple(_scan(*self._source))
+        object.__setattr__(self, "failures", failures)
+        return failures
+
+    def __getstate__(self) -> tuple:
+        return None, {"verdict": self.verdict, "failures": self.failures}
 
     def __str__(self) -> str:
         if self.verdict:
@@ -358,12 +385,14 @@ _memo: tuple = (None, None)
 
 def _table(pair: DivisorPair, window: int, e_prime_override: int | None):
     """The part of stabilization_witness free of e: d, e', z (the index of 0
-    among the sorted points), the D+ and D- rows, the point labels and, in
-    checking order, (n, base) per generator with h_n != 0, where
+    among the sorted points), the D+ and D- rows, the sorted points and the
+    translation (added back only to name a failing point) and, in checking
+    order, (n, base) per generator with h_n != 0, where
     base_i = a_i + ord_(q_i)(h_n) is -1 + a_i at a pole, a_i where
     h_n(q_i) != 0 and a_i plus the order of the zero otherwise; or the report
     itself if D+ is spread.  At most (2*MAX_WINDOW + 1) rows of #points
-    integers; the rows of _point_rows are dropped once the orders are in."""
+    integers; the rows of _point_rows are dropped once the orders are in.
+    Anchored.of's memo shares the anchoring with the rest of a verify sweep."""
     try:
         a = Anchored.of(pair)
     except FractionalPlusSpread as exc:
@@ -374,7 +403,6 @@ def _table(pair: DivisorPair, window: int, e_prime_override: int | None):
     z = points.index(0)
     plus, minus = ([(c.numerator, c.denominator) for c in map(side, points)]
                    for side in (a.pair.d_plus, a.pair.d_minus))
-    where = [format_rat(p + a.translation) for p in points]
     rows = _point_rows(points)
     unit = [int(i == z) for i in range(len(points))]
     gens = []
@@ -392,7 +420,28 @@ def _table(pair: DivisorPair, window: int, e_prime_override: int | None):
             else:
                 base.append(x + _zero_order(exps, r, w))
         gens.append((n, base))
-    return d, e_prime, z, plus, minus, where, gens
+    return d, e_prime, z, plus, minus, points, a.translation, gens
+
+
+def _scan(table: tuple, e: int):
+    """The failures of the degree-e candidate on a _table, (n, why) in
+    checking order: under condition (i) every generator, else each one whose
+    image fails a bound test, at its first failing point."""
+    d, e_prime, z, plus, minus, points, translation, gens = table
+    num = e * e_prime - 1
+    if num % d != 0:
+        why = f"condition (i): t-exponent (e*e'-1)/d = {num}/{d} is not integral"
+        yield from ((n, why) for n, _ in gens)
+        return
+    lift = num // d
+    for n, base in gens:
+        s = abs(n + e)
+        for i, (order, (bn, bd)) in enumerate(zip(base, plus if n + e >= 0 else minus)):
+            if (order + lift if i == z else order) * bd + s * bn < 0:
+                what = "t" if n == 0 else f"the generator of degree {n}"
+                where = format_rat(points[i] + translation)
+                yield n, f"image of {what} leaves the ring at q = {where}"
+                break
 
 
 def stabilization_witness(
@@ -431,7 +480,9 @@ def stabilization_witness(
     Only the bound tests depend on e: a_q + ord_q(h_n) comes per generator
     and point from _table through a one-entry memo, built (and the default
     window resolved) once per sweep over e.  The memo keeps one table: at
-    most (2*MAX_WINDOW + 1) rows of #points integers.
+    most (2*MAX_WINDOW + 1) rows of #points integers.  The first failing
+    generator (_scan) decides the verdict; the failures and their text are
+    scanned from the report's own table only when first read.
     """
     if e < 0:
         return stabilization_witness(pair.reverse(), -e, window, e_prime_override)
@@ -448,22 +499,7 @@ def stabilization_witness(
     table = memo[1]
     if isinstance(table, StabilizationReport):
         return table
-    d, e_prime, z, plus, minus, where, gens = table
-    num = e * e_prime - 1
-    if num % d != 0:
-        why = f"condition (i): t-exponent (e*e'-1)/d = {num}/{d} is not integral"
-        failures = [(n, why) for n, _ in gens]
-        return StabilizationReport(not failures, tuple(failures))
-    lift = num // d
-    failures = []
-    for n, base in gens:
-        s = abs(n + e)
-        for i, (order, (bn, bd)) in enumerate(zip(base, plus if n + e >= 0 else minus)):
-            if (order + lift if i == z else order) * bd + s * bn < 0:
-                what = "t" if n == 0 else f"the generator of degree {n}"
-                failures.append((n, f"image of {what} leaves the ring at q = {where[i]}"))
-                break
-    return StabilizationReport(not failures, tuple(failures))
+    return StabilizationReport._pending(next(_scan(table, e), None) is None, table, e)
 
 
 def kernel_generator(spec: SurfaceSpec, lnd: Lnd) -> GradedElement:

@@ -1,6 +1,6 @@
 """Record ``tests/data/golden.json``, the data of ``tests/test_golden.py``.
 
-It pins two things:
+It pins:
 
 - the sha256 of every ``report_to_obj`` document (``json.dumps`` with
   sorted keys and compact separators) for every catalog entry and for

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from conftest import random_concentrated_pair, random_pair, random_shift
+from dpdsurf import divisor as divisor_module
 from dpdsurf.divisor import (
     AffineMap,
     Anchored,
@@ -141,6 +142,75 @@ class TestAnchored:
         for _ in range(50):
             pair = random_concentrated_pair(rng)
             assert Anchored.of(random_shift(rng, pair)) == Anchored.of(pair)
+
+
+class TestAnchoredMemo:
+    """Anchored.of keeps its last successful anchoring, keyed by its input
+    under ==, and never answers a call with the anchoring of another input.
+    The work is counted at normalize_pair, which each real anchoring calls
+    once."""
+
+    @staticmethod
+    def count_work(monkeypatch) -> list:
+        calls = []
+        normalize = divisor_module.normalize_pair
+        monkeypatch.setattr(divisor_module, "normalize_pair",
+                            lambda pair: calls.append(pair) or normalize(pair))
+        monkeypatch.setattr(divisor_module, "_memo", (None, None))
+        return calls
+
+    @staticmethod
+    def fresh(monkeypatch, x):
+        """Anchored.of(x) from an empty memo, or the exception it raises."""
+        monkeypatch.setattr(divisor_module, "_memo", (None, None))
+        try:
+            return Anchored.of(x)
+        except FractionalPlusSpread as exc:
+            return str(exc)
+
+    def test_equal_inputs_share_an_entry(self, monkeypatch, rng):
+        calls = self.count_work(monkeypatch)
+        for _ in range(20):
+            pair = random_concentrated_pair(rng)
+            twin = DivisorPair(pair.d_plus, pair.d_minus)  # equal, not identical
+            calls.clear()
+            first = Anchored.of(pair)
+            assert Anchored.of(twin) is first and Anchored.of(pair) is first
+            assert len(calls) == 1
+
+    def test_other_inputs_do_not_reuse_the_entry(self, monkeypatch, rng):
+        calls = self.count_work(monkeypatch)
+        for i in range(40):
+            pair = random_pair(rng) if i % 2 else random_concentrated_pair(rng)
+            others = [pair.reverse(), pair.d_plus, pair.d_minus,
+                      DivisorPair(pair.d_plus, -pair.d_plus)]
+            want = [self.fresh(monkeypatch, x) for x in others]
+            for x, expected in zip(others, want):
+                self.fresh(monkeypatch, pair)  # the entry now holds pair, if it anchors
+                try:
+                    got = Anchored.of(x)
+                except FractionalPlusSpread as exc:
+                    got = str(exc)
+                assert got == expected, (pair, x)
+        # a parabolic D is the pair (D, -D), not a pair with the same d_plus
+        plus = D((0, Rat(-1, 2)))
+        pair = DivisorPair(plus, D((0, Rat(1, 2)), (1, -3)))
+        calls.clear()
+        by_pair, by_divisor = Anchored.of(pair), Anchored.of(plus)
+        assert len(calls) == 2 and by_pair != by_divisor
+        assert by_divisor == Anchored.of(DivisorPair(plus, -plus))
+
+    def test_spread_pair_raises_on_every_call(self, monkeypatch):
+        calls = self.count_work(monkeypatch)
+        spread = DivisorPair(D((0, Rat(-1, 2)), (1, Rat(-1, 3))), QDivisor.zero())
+        anchoring = Anchored.of(spread.reverse())
+        for _ in range(3):
+            with pytest.raises(FractionalPlusSpread,
+                               match=r"^fractional part of d_plus is supported at 0, 1$"):
+                Anchored.of(spread)
+            assert anchored(spread) is None
+        # the spread pair was never stored: the last anchoring is still kept
+        assert Anchored.of(spread.reverse()) is anchoring and len(calls) == 1
 
 
 class TestShiftEquivalence:

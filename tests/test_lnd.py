@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import json
 import math
+import pickle
 import random
 
 import pytest
@@ -15,6 +18,8 @@ from conftest import (
     random_element,
     random_pair,
 )
+from dpdsurf import cli
+from dpdsurf import divisor as divisor_module
 from dpdsurf import lnd as lnd_module
 from dpdsurf.catalog import default_entries
 from dpdsurf.divisor import (
@@ -33,6 +38,7 @@ from dpdsurf.dpdring import (
     contains,
     from_equation,
     graded_generator,
+    spec_to_obj,
 )
 from dpdsurf.errors import (
     CapExceeded,
@@ -45,6 +51,7 @@ from dpdsurf.exactmath import Poly, Rat, RatFunc, ratfunc_monomial_power
 from dpdsurf.lnd import (
     MAX_WINDOW,
     DegreeSet,
+    StabilizationReport,
     _point_rows,
     _zero_order,
     admissible_degrees,
@@ -410,6 +417,42 @@ class TestOracleTable:
                 stabilization_witness(pair, e)
             assert len(calls) == 1, pair
 
+    def test_verify_loop_anchors_once(self, monkeypatch, rng, tmp_path, capsys):
+        """positive_lnd_exists, admissible_degrees and the e = 0..10 sweep, as
+        the verify command and the library loop run them, normalize a pair
+        once (a spread pair never gets that far).  normalize_pair is counted,
+        not Anchored.of, since the anchoring memo sits inside Anchored.of."""
+        calls = []
+        normalize = divisor_module.normalize_pair
+        monkeypatch.setattr(divisor_module, "normalize_pair",
+                            lambda pair: calls.append(pair) or normalize(pair))
+        pairs = [entry.spec.pair for entry in default_entries()
+                 if isinstance(entry.spec, Hyperbolic)]
+        pairs += [random_pair(rng) if i % 2 else random_concentrated_pair(rng)
+                  for i in range(20)]
+        pairs += [high_index_pair(rng) for _ in range(5)]
+        path = tmp_path / "surface.spec"
+        spread = 0
+        for i, pair in enumerate(pairs):
+            monkeypatch.setattr(lnd_module, "_memo", (None, None))
+            monkeypatch.setattr(divisor_module, "_memo", (None, None))
+            calls.clear()
+            exists = positive_lnd_exists(pair)
+            degrees = admissible_degrees(pair) if exists else DegreeSet.none()
+            verdicts = [stabilization_witness(pair, e).verdict for e in range(11)]
+            assert verdicts == [degrees.contains(e) for e in range(11)], pair
+            assert len(calls) == exists, pair
+            spread += not exists
+            if i < 10:  # the same on a spec read from a file, through the CLI
+                path.write_text(json.dumps(spec_to_obj(Hyperbolic(pair))), encoding="utf-8")
+                monkeypatch.setattr(lnd_module, "_memo", (None, None))
+                monkeypatch.setattr(divisor_module, "_memo", (None, None))
+                calls.clear()
+                assert cli.run(["verify", str(path)]) == 0
+                assert len(calls) == exists, pair
+        capsys.readouterr()
+        assert 0 < spread < len(pairs)
+
     def test_memo_is_never_stale(self, monkeypatch, rng):
         pairs = [REPRODUCTION, random_concentrated_pair(rng), random_pair(rng)]
         twins = [DivisorPair(p.d_plus, p.d_minus) for p in pairs]  # equal, not identical
@@ -452,6 +495,80 @@ class TestOracleTable:
                 assert verdict == ds.contains(e), (pair, e)
                 verdicts.add(verdict)
         assert verdicts == {True, False} and 0 < spread < 30
+
+
+class TestLazyFailures:
+    """A report from stabilization_witness has its verdict from the first
+    failing generator and builds its failures only when they are read;
+    before that it behaves as StabilizationReport(verdict, failures)."""
+
+    @staticmethod
+    def pending(report: StabilizationReport) -> bool:
+        """True while the failures slot of the report is unset."""
+        try:
+            StabilizationReport.__dict__["failures"].__get__(report)
+        except AttributeError:
+            return True
+        return False
+
+    @staticmethod
+    def calls(rng) -> list:
+        """(pair, e, window, override, pending) over the reproduction pair
+        (condition (i) fails at even e, condition (ii) at e = 9) and seeded
+        draws that anchor, with verdicts of both kinds.  pending is False
+        where the pair of the sign of e is spread: that report is built
+        whole, from the anchoring error."""
+        pairs = [REPRODUCTION, REPRODUCTION.translate(3)]
+        while len(pairs) < 10:
+            pair = random_pair(rng) if len(pairs) % 2 else random_concentrated_pair(rng)
+            if anchored(pair) is not None:
+                pairs.append(pair)
+        return [(pair, e, w, o, anchored(pair if e >= 0 else pair.reverse()) is not None)
+                for pair in pairs for e in (-3, 0, 1, 2, 9)
+                for w, o in ((None, None), (8, 2))]
+
+    def test_unread_report_behaves_as_eager(self, rng):
+        kinds = set()
+        for pair, e, w, o, pending in self.calls(rng):
+            def fresh():
+                report = stabilization_witness(pair, e, w, o)
+                assert self.pending(report) == pending
+                return report
+
+            failures = fresh().failures
+            eager = StabilizationReport(fresh().verdict, tuple(failures))
+            assert eager.verdict == (not failures)
+            kinds.add((eager.verdict, len(failures) > 1))
+            assert fresh() == eager and eager == fresh() and not fresh() != eager
+            assert hash(fresh()) == hash(eager)
+            assert repr(fresh()) == repr(eager) and str(fresh()) == str(eager)
+            assert pickle.dumps(fresh()) == pickle.dumps(eager)  # the table stays out
+            for copied in (copy.copy(fresh()), pickle.loads(pickle.dumps(fresh()))):
+                assert copied == eager and repr(copied) == repr(eager)
+            for name in ("verdict", "failures"):
+                report = fresh()
+                with pytest.raises(AttributeError):
+                    setattr(report, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(report, name)
+                assert report.failures == eager.failures
+            with pytest.raises(AttributeError):
+                fresh().unknown
+        assert kinds == {(True, False), (False, False), (False, True)}
+
+    def test_report_outlives_the_memo(self, monkeypatch, rng):
+        """Reports read after the oracle and anchoring memos moved on to other
+        pairs give the failures of their own pair."""
+        calls = self.calls(rng)
+        want = [stabilization_witness(pair, e, w, o).failures for pair, e, w, o, _ in calls]
+        for order in (calls, calls[::-1], rng.sample(calls, len(calls))):
+            monkeypatch.setattr(lnd_module, "_memo", (None, None))
+            monkeypatch.setattr(divisor_module, "_memo", (None, None))
+            reports = [stabilization_witness(pair, e, w, o) for pair, e, w, o, _ in order]
+            assert list(map(self.pending, reports)) == [c[4] for c in order]
+            index = {id(call): i for i, call in enumerate(calls)}
+            assert [r.failures for r in reports] == [want[index[id(c)]] for c in order]
+        assert len(set(want)) > 10
 
 
 def h_numerator(a: dict, d: int, en: Rat) -> Poly:
