@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import math
 
-from .divisor import Anchored, DivisorPair, QDivisor, anchored, denom_index, normalize_pair
+from .divisor import (Anchored, DivisorPair, QDivisor, Row, anchored, denom_index, normalize_pair,
+                      pair_rows)
 from .dpdring import (
     Elliptic,
     Hyperbolic,
@@ -158,11 +159,12 @@ class ClassificationReport(Record):
         object.__setattr__(self, "toric", toric)
 
 
-def _fiber(a: Rat, x: Rat, y: Rat) -> FiberData:
-    """The fiber over a where D+(a) = x and D-(a) = y.  With
-    x + y = delta/(m_plus*m_minus), the point is degenerate iff delta != 0."""
-    e_plus, m_plus = -x.numerator, x.denominator
-    e_minus, m_minus = -y.numerator, -y.denominator
+def _fiber(a: Rat, pn: int, pd: int, mn: int, md: int) -> FiberData:
+    """The fiber over a where D+(a) = pn/pd and D-(a) = mn/md in lowest terms.
+    With D+(a) + D-(a) = delta/(m_plus*m_minus), the point is degenerate iff
+    delta != 0."""
+    e_plus, m_plus = -pn, pd
+    e_minus, m_minus = -mn, -md
     delta = m_plus * e_minus - m_minus * e_plus
     if not delta:
         return FiberData(a, m_plus, m_minus, False)
@@ -171,23 +173,16 @@ def _fiber(a: Rat, x: Rat, y: Rat) -> FiberData:
                      pi_star=(m_plus, -m_minus), div_u=(-e_plus, e_minus))
 
 
-def _fibers(pair: DivisorPair) -> tuple[FiberData, ...]:
+def _fibers(rows: tuple[Row, ...]) -> tuple[FiberData, ...]:
     """The fiber over each point of supp D+ and supp D-, in order of the
-    point: one merge of the two sorted term tuples, each ended by infinity."""
-    end = (math.inf, None)
-    plus, minus = (*pair.d_plus.terms, end), (*pair.d_minus.terms, end)
-    out, i, j, zero = [], 0, 0, Rat(0)
-    while plus[i] is not end or minus[j] is not end:
-        (a, x), (b, y) = plus[i], minus[j]
-        first, last = a <= b, b <= a
-        out.append(_fiber(a if first else b, x if first else zero, y if last else zero))
-        i, j = i + first, j + last
-    return tuple(out)
+    point, read off the rows of the pair (divisor.pair_rows)."""
+    return tuple(_fiber(*row) for row in rows)
 
 
 def fiber_structure(pair: DivisorPair, a: Rat) -> FiberData:
     """Multiplicity data of the fiber over a (expects a normalized pair)."""
-    return _fiber(a, pair.d_plus(a), pair.d_minus(a))
+    x, y = pair.d_plus(a), pair.d_minus(a)
+    return _fiber(a, x.numerator, x.denominator, y.numerator, y.denominator)
 
 
 def ruling_divisor(pair: DivisorPair) -> list[tuple[Rat, int]]:
@@ -202,7 +197,7 @@ def ruling_divisor(pair: DivisorPair) -> list[tuple[Rat, int]]:
             "the fractional part of d_plus is spread: no affine ruling from "
             "a positive-degree derivation"
         )
-    return _ruling(_fibers(pair), denom_index(pair.d_plus))
+    return _ruling(_fibers(pair_rows(pair)), denom_index(pair.d_plus))
 
 
 def _ruling(fibers: tuple[FiberData, ...], d: int) -> list[tuple[Rat, int]]:
@@ -220,7 +215,7 @@ def _ruling(fibers: tuple[FiberData, ...], d: int) -> list[tuple[Rat, int]]:
 def singular_points(pair: DivisorPair) -> list[SingularityRecord]:
     """One record per degenerate point of the normalized pair."""
     q = normalize_pair(pair)
-    return _singular_points(_fibers(q), denom_index(q.d_minus))
+    return _singular_points(_fibers(pair_rows(q)), denom_index(q.d_minus))
 
 
 def _singular_points(fibers: tuple[FiberData, ...], k: int) -> list[SingularityRecord]:
@@ -278,11 +273,11 @@ def recognize_homogeneous(spec: SurfaceSpec) -> Recognition | None:
 
 def recognize_sl2(pair: DivisorPair) -> Sl2Model | None:
     """Match against the four reference pairs up to affine maps and shifts."""
-    return _sl2_model(normalize_pair(pair))
+    return _sl2_model(pair_rows(normalize_pair(pair)))
 
 
-def _sl2_model(q: DivisorPair) -> Sl2Model | None:
-    """The SL2 model of a normalized pair, read off its normal form.
+def _sl2_model(rows: tuple[Row, ...]) -> Sl2Model | None:
+    """The SL2 model of a normalized pair, read off the rows of its normal form.
 
     Normalized, the reference pairs are (0, -[1] - [-1]) (quadric),
     (-1/2 [0], 1/2 [0] - [1]) (conic complement), (-1/d' [0], -1/d' [0]) or
@@ -290,27 +285,28 @@ def _sl2_model(q: DivisorPair) -> Sl2Model | None:
     (0, -[0]) (Veronese, odd degree d = 2e' - 1).  Normalizing commutes with
     affine maps, which take any one or two points to any one or two, so a
     pair matches when its normal form has the same coefficients at as many
-    points; no reference pair is built.
+    points; no reference pair is built.  Coefficients compare as their
+    lowest-terms (numerator, denominator).
     """
-    plus, minus = q.d_plus, q.d_minus
-    if plus.is_zero():
-        coeffs = [c for _, c in minus.terms]
-        if coeffs == [-1, -1]:
+    plus = [row for row in rows if row[1]]
+    minus = [(mn, md) for *_, mn, md in rows if mn]
+    if not plus:
+        if minus == [(-1, 1), (-1, 1)]:
             return Sl2Model("quadric")
-        if coeffs == [-2]:
+        if minus == [(-2, 1)]:
             return Sl2Model("veronese_even", 2)
-        return Sl2Model("veronese_odd", 1) if coeffs == [-1] else None
-    if len(plus.terms) != 1:
+        return Sl2Model("veronese_odd", 1) if minus == [(-1, 1)] else None
+    if len(plus) != 1:
         return None
-    p0, c0 = plus.terms[0]
-    d, e_prime = c0.denominator, -c0.numerator
-    if c0 == Rat(-1, 2) and minus(p0) == Rat(1, 2):
-        if sorted(c for _, c in minus.terms) == [-1, Rat(1, 2)]:
-            return Sl2Model("conic_complement")
-    if e_prime == 1 and minus.terms == ((p0, c0),):
-        return Sl2Model("veronese_even", 2 * d)
-    if d == 2 * e_prime - 1 and minus.terms == ((p0, Rat(e_prime - 1, d)),):
-        return Sl2Model("veronese_odd", d)
+    _, pn, d, mn, md = plus[0]
+    e_prime = -pn
+    if (pn, d, mn, md) == (-1, 2, 1, 2) and sorted(minus) == [(-1, 1), (1, 2)]:
+        return Sl2Model("conic_complement")
+    if len(minus) == 1 and mn:  # D- is supported at the point of D+ alone
+        if e_prime == 1 and (mn, md) == (pn, d):
+            return Sl2Model("veronese_even", 2 * d)
+        if d == 2 * e_prime - 1 and (mn, md) == (e_prime - 1, d):
+            return Sl2Model("veronese_odd", d)
     return None
 
 
@@ -322,12 +318,10 @@ def _toric_type(a: Anchored) -> tuple[int, int] | None:
     first ray to (1, 0) by GL2(Z) and reducing mod the second coordinate
     yields V_{d,e}, reported with e canonicalized to min(e, e^-1 mod d).
     """
-    q = a.pair
-    support = set(q.d_plus.support) | set(q.d_minus.support)
-    if len(support) != 1:
+    if len(a.rows) != 1:
         return None  # several points, or A^1 x C*, not of the form V_{d,e}
-    (p0,) = support  # away from 0 only when d_plus is integral
-    l = int(-a.k * q.d_minus(p0))
+    ((_, _, _, mn, md),) = a.rows  # away from the anchor only when d_plus is integral
+    l = -(a.k // md) * mn
     r = a.k * a.e_prime + a.d * l
     if r == 0:
         return None  # unit of nonzero degree: A^1 x C*
@@ -347,8 +341,9 @@ def _cone_recognition(d: int, e_prime: int) -> Recognition | None:
     return Recognition("veronese_cone", d) if e_prime == 1 else None
 
 
-def _hyperbolic_ml(s: QDivisor, plus: Anchored | None, minus: Anchored | None) -> MlResult:
-    if s.is_zero():
+def _hyperbolic_ml(flat: bool, plus: Anchored | None, minus: Anchored | None) -> MlResult:
+    """flat: the sum D+ + D- is zero."""
+    if flat:
         # Spread fractional parts kill every homogeneous derivation even
         # here, and with them every derivation at all.
         return MlResult(ML_LAURENT) if plus else MlResult(ML_WHOLE)
@@ -361,29 +356,35 @@ def _hyperbolic_ml(s: QDivisor, plus: Anchored | None, minus: Anchored | None) -
     return MlResult(ML_WHOLE)
 
 
-def _hyperbolic_mm(s: QDivisor, plus: Anchored, minus: Anchored) -> int:
+def _hyperbolic_mm(fibers: tuple[FiberData, ...], plus: Anchored, minus: Anchored) -> int:
     """-d_plus_index * d_minus_index * deg(s), s = D+ + D-, for trivial ML.
 
-    Cross-checked against the defining polynomial both through deg P (read
-    off the anchored pair, P unbuilt) and through the divisor identity
-    div P = -k d+' d-' (D+ + D-) with k = gcd of the two indices.
+    Read through the divisor identity div P = -k d+' d-' s with k the gcd of
+    the two indices: at each degenerate fiber s(a) = -delta/(m_plus*|m_minus|),
+    so the coefficient of div P is one integer divmod, checked integral and
+    positive, and MM = k*deg div P.  Cross-checked against deg P of the
+    defining polynomial (read off the anchored pair, P unbuilt).
     """
-    value = -plus.d * minus.d * s.degree
-    check(value.denominator == 1 and value > 0, "MM = %s is not positive", value)
     g = math.gcd(plus.d, minus.d)
-    div_p = s * (-(plus.d * minus.d // g))
-    check(div_p.is_integral() and div_p.is_effective(), "div P = %s", div_p)
-    check(g * div_p.degree == value, "MM disagrees with the degree of div P")
+    scale = plus.d * minus.d // g
+    value = 0
+    for f in fibers:
+        if f.degenerate:
+            den = -f.m_plus * f.m_minus
+            mult, rem = divmod(scale * f.delta, den)
+            check(not rem and mult > 0, "div P = %d*%d/%d at %s", scale, f.delta, den, f.point)
+            value += g * mult
+    check(value > 0, "MM = %d is not positive", value)
     check(presentation_degree(plus) == value, "MM disagrees with deg P")
-    return int(value)
+    return value
 
 
 def _hyperbolic_recognition(
-    s: QDivisor, mm: int | None, plus: Anchored | None, sl2: Sl2Model | None,
+    flat: bool, mm: int | None, plus: Anchored | None, sl2: Sl2Model | None,
 ) -> Recognition | None:
     if mm == 1:
         return Recognition("plane")
-    if s.is_zero() and plus is not None:  # the line cross the torus
+    if flat and plus is not None:  # the line cross the torus
         return Recognition("line_cross_torus")
     if sl2 is None:
         return None
@@ -422,9 +423,9 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
         return ClassificationReport(
             spec=spec,
             grading="parabolic",
-            normalized_divisor=divisor - divisor.ceil(),
+            normalized_divisor=a.normal.d_plus if a else divisor - divisor.ceil(),
             translation=a and a.translation,
-            d_plus_index=denom_index(divisor),
+            d_plus_index=a.d if a else denom_index(divisor),
             lnd=LndSummary(a is not None, True, degrees_plus=_degrees(a),
                            fiber=describe(fiber_lnd(divisor))),
             ml=MlResult(ML_TRIVIAL) if a else MlResult(ML_POLYNOMIAL, generator_degree=0),
@@ -436,20 +437,20 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
 
     pair = spec.pair
     plus, minus = anchored(pair), anchored(pair.reverse())
-    # the anchored pair translated back is the normalized pair
-    norm = plus.pair.translate(plus.translation) if plus else normalize_pair(pair)
-    s = norm.sum()
-    ml = _hyperbolic_ml(s, plus, minus)
-    mm = _hyperbolic_mm(s, plus, minus) if ml.kind == ML_TRIVIAL else None
-    sl2 = _sl2_model(norm)
-    fibers = _fibers(norm)
-    k = denom_index(pair.d_minus)
+    norm = plus.normal if plus else normalize_pair(pair)
+    rows = plus.rows if plus else pair_rows(norm)
+    fibers = _fibers(rows)
+    flat = not any(f.degenerate for f in fibers)
+    ml = _hyperbolic_ml(flat, plus, minus)
+    mm = _hyperbolic_mm(fibers, plus, minus) if ml.kind == ML_TRIVIAL else None
+    sl2 = _sl2_model(rows)
+    k = plus.k if plus else minus.d if minus else denom_index(pair.d_minus)
     return ClassificationReport(
         spec=spec,
         grading="hyperbolic",
         normalized_pair=norm,
         translation=plus and plus.translation,
-        d_plus_index=plus.d if plus else denom_index(pair.d_plus),
+        d_plus_index=plus.d if plus else minus.k if minus else denom_index(pair.d_plus),
         d_minus_index=k,
         lnd=LndSummary(plus is not None, minus is not None, _degrees(plus), _degrees(minus)),
         ml=ml,
@@ -459,7 +460,7 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
         singularities=tuple(_singular_points(fibers, k)),
         ruling=plus and tuple(_ruling(fibers, plus.d)),
         sl2=sl2,
-        recognition=_hyperbolic_recognition(s, mm, plus, sl2),
+        recognition=_hyperbolic_recognition(flat, mm, plus, sl2),
         toric=plus and _toric_type(plus),
     ), plus
 

@@ -5,7 +5,9 @@ coefficients.  The pair (d_plus, d_minus) with d_plus + d_minus <= 0
 pointwise is the master datum of a hyperbolic surface; the shift and
 affine equivalences implemented here are the ones under which the
 classification is invariant.  :class:`Anchored` is the normal form that
-every later layer reads its toric data from.
+every later layer reads its toric data from.  It is derived in integers:
+normalize_pair shifts by ceil(d_plus), and every fact of the normal form is
+read off pair_rows, each point's coefficients as (numerator, denominator).
 """
 
 from __future__ import annotations
@@ -148,14 +150,10 @@ class QDivisor:
         terms = ((p, _floor(c)) for p, c in self._terms)
         return QDivisor._canonical(tuple((p, Rat(n)) for p, n in terms if n))
 
-    def frac(self) -> QDivisor:
-        """Fractional part: coefficients in [0, 1)."""
-        return self - self.floor()
-
     def translate(self, offset: RatLike) -> QDivisor:
         if not offset:
             return self
-        o = Rat(offset)
+        o = offset if type(offset) is Rat else Rat(offset)
         return QDivisor._canonical(tuple((p + o, c) for p, c in self._terms))
 
     def apply_map(self, g: AffineMap) -> QDivisor:
@@ -309,36 +307,77 @@ def normalize_pair(pair: DivisorPair) -> DivisorPair:
     The shift is by ceil(d_plus), so the normalized d_plus coefficient at
     the single fractional point reads off -e'/d directly.  The pointwise
     sum is untouched, and a pair that is already normalized is returned as
-    it is.
+    it is.  In integers: where c = ceil(D+(a)) is not 0, n+/m+ moves to
+    (n+ - c*m+)/m+ and n-/m- to (n- + c*m-)/m-, both still in lowest terms.
     """
-    e = pair.d_plus.ceil()
-    if e.is_zero():
+    plus, minus, moved = [], [], False
+    for a, x, y in _merged(pair.d_plus.terms, pair.d_minus.terms):
+        pn, pd, mn, md = x.numerator, x.denominator, y.numerator, y.denominator
+        c = -(-pn // pd)
+        if c:
+            moved = True
+            pn, mn = pn - c * pd, mn + c * md
+        if pn:
+            plus.append((a, Rat(pn, pd) if c else x))
+        if mn:
+            minus.append((a, Rat(mn, md) if c else y))
+    if not moved:
         return pair
-    return DivisorPair._trusted(pair.d_plus - e, pair.d_minus + e)
+    return DivisorPair._trusted(QDivisor._canonical(tuple(plus)),
+                                QDivisor._canonical(tuple(minus)))
 
 
-class Anchored(Record):
+def _merged(a: tuple, b: tuple):
+    """(p, x, y) over two sorted term tuples in order of p, _ZERO where one has no term."""
+    i = j = 0
+    while i < len(a) or j < len(b):
+        in_a = j == len(b) or i < len(a) and a[i][0] <= b[j][0]
+        in_b = i == len(a) or j < len(b) and b[j][0] <= a[i][0]
+        point = a[i][0] if in_a else b[j][0]
+        yield point, a[i][1] if in_a else _ZERO, b[j][1] if in_b else _ZERO
+        i += in_a
+        j += in_b
+
+
+#: (a, n+, m+, n-, m-): D+(a) = n+/m+ and D-(a) = n-/m- in lowest terms, 0/1 off a support
+Row = tuple[Rat, int, int, int, int]
+
+
+def pair_rows(pair: DivisorPair) -> tuple[Row, ...]:
+    """The rows of the pair at each point of supp D+ and supp D-, in order."""
+    return tuple((a, x.numerator, x.denominator, y.numerator, y.denominator)
+                 for a, x, y in _merged(pair.d_plus.terms, pair.d_minus.terms))
+
+
+class _NormalForm(Record):
+    __slots__ = ("normal", "rows")  # kept by Anchored outside its fields
+
+
+class Anchored(_NormalForm):
     """The normal form of a pair, from which all toric data is read.
 
     pair is the pair shifted so every coefficient of d_plus lies in (-1, 0]
-    (normalize_pair) and then translated so the single fractional point of
-    d_plus sits at 0; translation is that point in the original coordinate
-    (0 when d_plus is integral).  d and k are the denominator indices of
-    d_plus and d_minus, and d_plus(0) = -e'/d, d_minus(0) = -l/k.  A
-    parabolic divisor D is anchored as the pair (D, -D), whose degree >= 0
-    part is A_0[D]; its k and l carry no meaning.
+    (normalize_pair), kept as normal, and then translated so the single
+    fractional point of d_plus sits at 0; translation is that point in the
+    original coordinate (0 when d_plus is integral).  rows are normal's
+    pair_rows, and the rest is read off them in integers: the row at
+    the anchor gives d = m+, e' = -n+ and l = -k*n-/m-, and k is the lcm of
+    the m-, so that d_plus(0) = -e'/d and d_minus(0) = -l/k.  A parabolic
+    divisor D is anchored as the pair (D, -D), whose degree >= 0 part is
+    A_0[D]; its k and l carry no meaning.
     """
 
     __slots__ = ("pair", "translation", "d", "e_prime", "k", "l")
 
     def __init__(self, pair: DivisorPair, translation: Rat, d: int, e_prime: int,
                  k: int, l: int):
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "translation", translation)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e_prime", e_prime)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
+        normal = pair.translate(translation)
+        self._fill(pair, translation, d, e_prime, k, l, normal, pair_rows(normal))
+
+    def _fill(self, *values) -> Anchored:
+        for name, value in zip((*self.__slots__, *_NormalForm.__slots__), values):
+            object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def of(cls, x: DivisorPair | QDivisor) -> Anchored:
@@ -358,12 +397,23 @@ class Anchored(Record):
                 "fractional part of d_plus is supported at "
                 + ", ".join(format_rat(p) for p in support)
             )
-        translation = support[0] if support else _ZERO
-        q = normalize_pair(pair).translate(-translation)
-        d, k = denom_index(q.d_plus), denom_index(q.d_minus)
-        a = cls(q, translation, d, int(-d * q.d_plus(0)), k, int(-k * q.d_minus(0)))
+        a = _anchor(pair)
         _memo = (x, a)
         return a
+
+
+def _anchor(pair: DivisorPair) -> Anchored:
+    """Anchored.of a pair with d_plus fractional at one point (the anchor) or none (0)."""
+    normal = normalize_pair(pair)
+    rows = pair_rows(normal)
+    k = math.lcm(*(md for *_, md in rows))
+    anchor = next((row for row in rows if row[2] != 1), None)
+    if anchor is None:  # d_plus is integral: anchor at 0
+        anchor = next((row for row in rows if row[0] == 0), (_ZERO, 0, 1, 0, 1))
+    t, pn, d, mn, md = anchor
+    q = normal.translate(-t) if t else normal
+    a = object.__new__(Anchored)
+    return a._fill(q, t, d, -pn, k, -(k // md) * mn, normal, rows)
 
 
 #: One-entry memo of Anchored.of, (input, anchored), rebound in one step; keys
@@ -384,20 +434,20 @@ def shift_equivalent(p1: DivisorPair, p2: DivisorPair) -> bool:
     return normalize_pair(p1) == normalize_pair(p2)
 
 
-def _labeled_support(pair: DivisorPair) -> dict[Rat, tuple[Rat, Rat]]:
-    points = set(pair.d_plus.support) | set(pair.d_minus.support)
-    return {p: (pair.d_plus(p), pair.d_minus(p)) for p in points}
+def _labeled_support(pair: DivisorPair) -> dict[Rat, tuple[int, int, int, int]]:
+    """Each point of the normalized pair, labeled by its row's coefficients."""
+    return {p: tuple(label) for p, *label in pair_rows(normalize_pair(pair))}
 
 
 def affine_equivalent(p1: DivisorPair, p2: DivisorPair) -> AffineMap | None:
     """Search for an affine map g with g.p1 shift-equivalent to p2.
 
     Candidates are enumerated from matchings of the labeled supports of the
-    normalized pairs (labels are the coefficient pairs); supports in scope
-    hold a handful of points, so the quadratic scan is negligible.
+    normalized pairs (labels are the coefficient pairs, as their rows);
+    supports in scope hold a handful of points, so the quadratic scan is
+    negligible.
     """
-    n1, n2 = normalize_pair(p1), normalize_pair(p2)
-    s1, s2 = _labeled_support(n1), _labeled_support(n2)
+    s1, s2 = _labeled_support(p1), _labeled_support(p2)
     if sorted(s1.values()) != sorted(s2.values()):
         return None
     if not s1:

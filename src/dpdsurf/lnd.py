@@ -142,17 +142,16 @@ class DegreeSet(Record):
         """Closed-form admissible positive degrees of an anchored pair.
 
         residue e0 solves e*e' = 1 (mod d); the lower bound comes from the
-        pointwise sum: d*e >= -1/s(0) at the anchor and e >= -1/s(p)
-        elsewhere.  In the torus-line case (d = 1, sum = 0) the result also
-        admits e = 0.  For a parabolic divisor (sum 0) this is e >= 1, or
-        e >= 0 when d = 1.
+        pointwise sum s: e >= -1/(m+*s(p)) at each point p of a.rows, where
+        D+(p) = n+/m+ has m+ = d at the anchor and 1 elsewhere.  As
+        m+*s(p) = (n+*m- + n-*m+)/m- = n/m-, the bound is the integer
+        ceil(-m-/n) = -(m- // n) wherever n != 0.  In the torus-line case
+        (d = 1, sum = 0) the result also admits e = 0.  For a parabolic
+        divisor (sum 0) this is e >= 1, or e >= 0 when d = 1.
         """
-        s = a.pair.sum()
-        bounds = []
-        for p, value in s.terms:
-            target = -1 / ((a.d if p == 0 else 1) * value)
-            bounds.append(-((-target.numerator) // target.denominator))
-        e_min = 0 if a.d == 1 and s.is_zero() else max([1, *bounds])
+        sums = [(pn * md + mn * pd, md) for _, pn, pd, mn, md in a.rows]
+        bounds = [-(md // n) for n, md in sums if n]
+        e_min = 0 if a.d == 1 and not bounds else max([1, *bounds])
         return cls(residue=mod_inverse(a.e_prime, a.d), modulus=a.d, e_min=e_min)
 
     def contains(self, e: int) -> bool:
@@ -384,9 +383,10 @@ _memo: tuple = (None, None)
 
 
 def _table(pair: DivisorPair, window: int, e_prime_override: int | None):
-    """The part of stabilization_witness free of e: d, e', z (the index of 0
-    among the sorted points), the D+ and D- rows, the sorted points and the
-    translation (added back only to name a failing point) and, in checking
+    """The part of stabilization_witness free of e: d, e', z (the index of
+    the anchor among the sorted points), the D+ and D- rows (a.rows, and 0/1
+    at the anchor if it is off the support), the sorted points in
+    the original coordinate (only to name a failing point) and, in checking
     order, (n, base) per generator with h_n != 0, where
     base_i = a_i + ord_(q_i)(h_n) is -1 + a_i at a pole, a_i where
     h_n(q_i) != 0 and a_i plus the order of the zero otherwise; or the report
@@ -399,11 +399,11 @@ def _table(pair: DivisorPair, window: int, e_prime_override: int | None):
         return StabilizationReport(False, ((None, str(exc)),))
     d = a.d
     e_prime = e_prime_override if e_prime_override is not None else a.e_prime
-    points = sorted({Rat(0), *a.pair.d_plus.support, *a.pair.d_minus.support})
-    z = points.index(0)
-    plus, minus = ([(c.numerator, c.denominator) for c in map(side, points)]
-                   for side in (a.pair.d_plus, a.pair.d_minus))
-    rows = _point_rows(points)
+    t, cells = a.translation, {p: row for p, *row in a.rows}
+    points = sorted({t, *cells})
+    z = points.index(t)
+    plus, minus = ([cells.get(p, (0, 1, 0, 1))[i:i + 2] for p in points] for i in (0, 2))
+    rows = _point_rows([p - t for p in points])
     unit = [int(i == z) for i in range(len(points))]
     gens = []
     for n in (0, *range(-window, 0), *range(1, window + 1)):
@@ -420,14 +420,14 @@ def _table(pair: DivisorPair, window: int, e_prime_override: int | None):
             else:
                 base.append(x + _zero_order(exps, r, w))
         gens.append((n, base))
-    return d, e_prime, z, plus, minus, points, a.translation, gens
+    return d, e_prime, z, plus, minus, points, gens
 
 
 def _scan(table: tuple, e: int):
     """The failures of the degree-e candidate on a _table, (n, why) in
     checking order: under condition (i) every generator, else each one whose
     image fails a bound test, at its first failing point."""
-    d, e_prime, z, plus, minus, points, translation, gens = table
+    d, e_prime, z, plus, minus, points, gens = table
     num = e * e_prime - 1
     if num % d != 0:
         why = f"condition (i): t-exponent (e*e'-1)/d = {num}/{d} is not integral"
@@ -439,7 +439,7 @@ def _scan(table: tuple, e: int):
         for i, (order, (bn, bd)) in enumerate(zip(base, plus if n + e >= 0 else minus)):
             if (order + lift if i == z else order) * bd + s * bn < 0:
                 what = "t" if n == 0 else f"the generator of degree {n}"
-                where = format_rat(points[i] + translation)
+                where = format_rat(points[i])
                 yield n, f"image of {what} leaves the ring at q = {where}"
                 break
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import importlib
 import math
+import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -522,3 +524,37 @@ class TestDerivedOnce:
             classify(spec)
             assert counts["Anchored.of"] <= 2 and counts["normalize_pair"] <= 2, pair
             assert counts["DivisorPair"] == 0 and counts["affine_equivalent"] == 0
+
+    def test_fraction_budget(self, monkeypatch):
+        """facts() derives the normal form and every fact it reads off it in
+        integers, so it builds few Fractions: 2.9 a spec on this set when
+        pinned, against 25.4 when the anchoring, the degree bounds, MM and
+        the fibers were Fraction arithmetic.  The pin leaves headroom over
+        the first and stays far below the second.  Every Fraction is built
+        by Fraction.__new__ or, from Python 3.12 on, by the arithmetic's
+        Fraction._from_coprime_ints, which bypasses it; both are counted."""
+        rng = random.Random(20261021)
+        specs = [entry.spec for entry in default_entries()]
+        specs += [Hyperbolic(random_pair(rng) if i % 2 else random_concentrated_pair(rng))
+                  for i in range(100)]
+        built = [0]
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(divisor, "_memo", (None, None))
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        if "_from_coprime_ints" in vars(Fraction):
+            coprime = Fraction._from_coprime_ints.__func__
+
+            def counting_coprime(cls, *args):
+                built[0] += 1
+                return coprime(cls, *args)
+
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+        for spec in specs:
+            facts(spec)
+        monkeypatch.undo()
+        assert built[0] <= 5 * len(specs), built[0] / len(specs)

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import random_concentrated_pair, random_pair, random_shift
 from dpdsurf import divisor as divisor_module
+from dpdsurf.classify import facts
 from dpdsurf.divisor import (
     AffineMap,
     Anchored,
@@ -20,12 +21,19 @@ from dpdsurf.divisor import (
     normalize_pair,
     shift_equivalent,
 )
+from dpdsurf.dpdring import Hyperbolic
 from dpdsurf.errors import FractionalPlusSpread, PositiveSum
-from dpdsurf.exactmath import Rat
+from dpdsurf.exactmath import Rat, format_rat, mod_inverse
+from dpdsurf.lnd import DegreeSet
 
 
 def D(*terms) -> QDivisor:
     return QDivisor(terms)
+
+
+def frac(d: QDivisor) -> QDivisor:
+    """Fractional part: coefficients in [0, 1)."""
+    return d - d.floor()
 
 
 class TestQDivisor:
@@ -47,14 +55,14 @@ class TestQDivisor:
 
     def test_floor_frac_examples(self):
         d = D((0, Rat(-3, 2)))
-        f, r = d.floor(), d.frac()
+        f, r = d.floor(), frac(d)
         assert f == D((0, -2)) and r == D((0, Rat(1, 2)))
         d = D((1, 2))
-        f, r = d.floor(), d.frac()
+        f, r = d.floor(), frac(d)
         assert f == D((1, 2)) and r.is_zero()
         for n in range(2, 7):
             d = D((0, Rat(1, n)))
-            f, r = d.floor(), d.frac()
+            f, r = d.floor(), frac(d)
             assert f.is_zero() and r == D((0, Rat(1, n)))
 
     def test_floor_frac_reassembles(self, rng):
@@ -63,7 +71,7 @@ class TestQDivisor:
                 (p, Rat(rng.randint(-9, 9), rng.randint(1, 6)))
                 for p in rng.sample(range(-2, 3), 2)
             )
-            f, r = d.floor(), d.frac()
+            f, r = d.floor(), frac(d)
             assert f + r == d
             assert all(0 <= c < 1 for _, c in r.terms)
 
@@ -147,15 +155,14 @@ class TestAnchored:
 class TestAnchoredMemo:
     """Anchored.of keeps its last successful anchoring, keyed by its input
     under ==, and never answers a call with the anchoring of another input.
-    The work is counted at normalize_pair, which each real anchoring calls
-    once."""
+    The work is counted at _anchor, which each real anchoring calls once."""
 
     @staticmethod
     def count_work(monkeypatch) -> list:
         calls = []
-        normalize = divisor_module.normalize_pair
-        monkeypatch.setattr(divisor_module, "normalize_pair",
-                            lambda pair: calls.append(pair) or normalize(pair))
+        anchor = divisor_module._anchor
+        monkeypatch.setattr(divisor_module, "_anchor",
+                            lambda pair: calls.append(pair) or anchor(pair))
         monkeypatch.setattr(divisor_module, "_memo", (None, None))
         return calls
 
@@ -211,6 +218,97 @@ class TestAnchoredMemo:
             assert anchored(spread) is None
         # the spread pair was never stored: the last anchoring is still kept
         assert Anchored.of(spread.reverse()) is anchoring and len(calls) == 1
+
+
+def _fraction_anchoring(x):
+    """Anchored.of by its Fraction definition: the normalized pair, and the
+    spread message or the fields (pair, translation, d, e', k, l)."""
+    pair = x if isinstance(x, DivisorPair) else DivisorPair(x, -x)
+    e = pair.d_plus.ceil()
+    norm = DivisorPair(pair.d_plus - e, pair.d_minus + e)
+    support = [p for p, c in pair.d_plus.terms if c.denominator != 1]
+    if len(support) > 1:
+        return norm, "fractional part of d_plus is supported at " + ", ".join(
+            map(format_rat, support))
+    translation = support[0] if support else Rat(0)
+    q = norm.translate(-translation)
+    d, k = denom_index(q.d_plus), denom_index(q.d_minus)
+    return norm, (q, translation, d, int(-d * q.d_plus(0)), k, int(-k * q.d_minus(0)))
+
+
+def _fraction_degrees(a: Anchored) -> DegreeSet:
+    """DegreeSet.of by its Fraction definition: d*e >= -1/s(0) at the anchor
+    and e >= -1/s(p) elsewhere."""
+    s = a.pair.sum()
+    bounds = [math.ceil(-1 / ((a.d if p == 0 else 1) * value)) for p, value in s.terms]
+    e_min = 0 if a.d == 1 and s.is_zero() else max([1, *bounds])
+    return DegreeSet(mod_inverse(a.e_prime, a.d), a.d, e_min)
+
+
+def _anchor_family(rng: random.Random):
+    """A pair or a parabolic divisor on up to 6 points with 30-bit coordinates
+    and coefficient denominators up to 10**6: d_plus fractional at one point
+    (mostly away from 0), at none, or at two or more (spread)."""
+    def coeff(fractional: bool) -> Rat:
+        den = rng.randint(2, 10**6) if fractional else 1
+        num = rng.randint(-3 * den, 3 * den)
+        return Rat(num + (fractional and num % den == 0), den)
+
+    points = {Rat(rng.randint(-(1 << 30), 1 << 30), rng.randint(1, 1 << 30))
+              for _ in range(rng.randint(1, 6))}
+    points = sorted(points | ({Rat(0)} if rng.random() < 0.3 else set()))
+    kind = rng.choice(["one", "one", "integral", "spread", "parabolic"])
+    fractional = set(rng.sample(points, {"integral": 0, "spread": min(2, len(points))}.get(kind, 1)))
+    plus = QDivisor((p, coeff(p in fractional) if p in fractional or rng.random() < 0.5 else 0)
+                    for p in points)
+    if kind == "parabolic":
+        return plus
+    # sums <= 0, integral at every point half of the time, so that d_minus is
+    # fractional only where d_plus is, anchors too and MM is defined
+    integral = rng.random() < 0.5
+    minus = QDivisor((p, -abs(coeff(not integral and rng.random() < 0.7)) - plus(p))
+                     for p in points)
+    return DivisorPair(plus, minus)
+
+
+class TestAnchoredCrossCheck:
+    """Anchored.of, DegreeSet.of and MM, all derived in integers, against
+    their Fraction definitions on wide seeded families."""
+
+    def test_matches_the_fraction_definition(self, monkeypatch):
+        rng = random.Random(20261020)
+        seen = {"spread": 0, "translated": 0, "parabolic": 0, "mm": 0}
+        for _ in range(150):
+            x = _anchor_family(rng)
+            norm, want = _fraction_anchoring(x)
+            monkeypatch.setattr(divisor_module, "_memo", (None, None))
+            pair = x if isinstance(x, DivisorPair) else DivisorPair(x, -x)
+            assert normalize_pair(pair) == norm, x
+            if isinstance(want, str):
+                with pytest.raises(FractionalPlusSpread) as exc:
+                    Anchored.of(x)
+                assert str(exc.value) == want
+                seen["spread"] += 1
+                continue
+            a = Anchored.of(x)
+            assert (a.pair, a.translation, a.d, a.e_prime, a.k, a.l) == want, x
+            assert a.normal == norm
+            points = sorted(set(norm.d_plus.support) | set(norm.d_minus.support))
+            assert a.rows == tuple((p, *_ratio(norm.d_plus(p)), *_ratio(norm.d_minus(p)))
+                                   for p in points)
+            assert DegreeSet.of(a) == _fraction_degrees(a)
+            seen["translated"] += a.translation != 0
+            seen["parabolic"] += isinstance(x, QDivisor)
+            minus = anchored(pair.reverse())
+            s = pair.sum()
+            if isinstance(x, DivisorPair) and minus is not None and not s.is_zero():
+                assert facts(Hyperbolic(pair)).mm == -a.d * minus.d * s.degree
+                seen["mm"] += 1
+        assert min(seen.values()) >= 10, seen
+
+
+def _ratio(c: Rat) -> tuple[int, int]:
+    return c.numerator, c.denominator
 
 
 class TestShiftEquivalence:

@@ -419,13 +419,14 @@ class TestOracleTable:
 
     def test_verify_loop_anchors_once(self, monkeypatch, rng, tmp_path, capsys):
         """positive_lnd_exists, admissible_degrees and the e = 0..10 sweep, as
-        the verify command and the library loop run them, normalize a pair
-        once (a spread pair never gets that far).  normalize_pair is counted,
-        not Anchored.of, since the anchoring memo sits inside Anchored.of."""
+        the verify command and the library loop run them, anchor a pair
+        once (a spread pair never gets that far).  divisor._anchor, the work
+        behind an anchoring memo miss, is counted, not Anchored.of, since the
+        memo sits inside Anchored.of."""
         calls = []
-        normalize = divisor_module.normalize_pair
-        monkeypatch.setattr(divisor_module, "normalize_pair",
-                            lambda pair: calls.append(pair) or normalize(pair))
+        anchor = divisor_module._anchor
+        monkeypatch.setattr(divisor_module, "_anchor",
+                            lambda pair: calls.append(pair) or anchor(pair))
         pairs = [entry.spec.pair for entry in default_entries()
                  if isinstance(entry.spec, Hyperbolic)]
         pairs += [random_pair(rng) if i % 2 else random_concentrated_pair(rng)
