@@ -22,7 +22,12 @@ It pins:
   and ``high_index_pair``;
 - as the section ``verify``, the exit code and the sha256 of stdout of
   ``verify``, as text and with ``--json``, on the specs of the ``cli``
-  section.
+  section;
+- as the section ``derivations``, the exit code and the sha256 of stdout of
+  ``DERIVATION_COMMANDS`` (``lnd``, ``kernel`` and ``apply`` across degrees
+  and ``--negative``) on the parabolic and hyperbolic specs of the ``cli``
+  section and on ``PARABOLIC_EXTRA`` (D = 0, an integral D, a spread D and
+  a D with a positive fractional part).
 
 Run from the repository root, and only when an output is meant to change:
 
@@ -79,6 +84,22 @@ CLI_COMMANDS = tuple(
     for flag in ([], ["--json"])
 )
 VERIFY_COMMANDS = (["verify"], ["verify", "--json"])
+APPLY = ["apply", "--element", "t + u", "--times", "2"]
+DERIVATION_COMMANDS = (
+    *(["lnd", "--degree", str(n), *flag] for n in range(-2, 3) for flag in ([], ["--negative"])),
+    ["lnd", "--negative"],
+    *(["kernel", "--degree", str(n)] for n in range(-1, 2)),
+    APPLY,
+    [*APPLY, "--negative"],
+    [*APPLY, "--degree", "1", "--negative"],
+)
+PARABOLIC_EXTRA = [
+    {"label": "parabolic_zero", "spec": {"parabolic": {"divisor": []}}},
+    {"label": "parabolic_integral", "spec": {"parabolic": {"divisor": [["0", "-1"]]}}},
+    {"label": "parabolic_spread", "spec": {"parabolic": {
+        "divisor": [["0", "-1/2"], ["1", "-1/3"]]}}},
+    {"label": "parabolic_positive", "spec": {"parabolic": {"divisor": [["0", "3/7"]]}}},
+]
 ORACLE_SEED = 20261020
 N_ORACLE = 20
 ORACLE_GRID = [(e, window, override) for window in (None, 8) for override in (None, 0, 2)
@@ -192,6 +213,11 @@ def cli_records(spec_obj: dict, commands=CLI_COMMANDS) -> dict[str, list]:
         return runs
 
 
+def derivation_specs(cli_items: list[dict]) -> list[dict]:
+    """The parabolic and hyperbolic items of the cli section, then PARABOLIC_EXTRA."""
+    return [item for item in cli_items if "elliptic" not in item["spec"]] + PARABOLIC_EXTRA
+
+
 def record() -> dict:
     catalog = [
         {"label": e.label, "spec": spec_to_obj(e.spec)} for e in default_entries()
@@ -222,6 +248,10 @@ def record() -> dict:
         "verify": [
             {"label": item["label"], "runs": cli_records(item["spec"], VERIFY_COMMANDS)}
             for item in catalog + seeded[:N_CLI_SPECS]
+        ],
+        "derivations": [
+            {**item, "runs": cli_records(item["spec"], DERIVATION_COMMANDS)}
+            for item in derivation_specs(catalog + seeded[:N_CLI_SPECS])
         ],
     }
 

@@ -13,9 +13,11 @@ import sys
 from pathlib import Path
 
 from golden_record import (
+    DERIVATION_COMMANDS,
     GOLDEN,
     VERIFY_COMMANDS,
     cli_records,
+    derivation_specs,
     oracle_digest,
     report_digest,
     sha256,
@@ -73,6 +75,19 @@ def test_verify_stdout_and_exit_codes():
         got = cli_records(cli_item["spec"], VERIFY_COMMANDS)
         changed += [(item["label"], cmd) for cmd in got if got[cmd] != item["runs"][cmd]]
     assert not changed
+
+
+def test_derivation_stdout_and_exit_codes():
+    """lnd, kernel and apply across degrees and --negative, on the parabolic
+    and hyperbolic specs of the cli section and four parabolic extras."""
+    specs = derivation_specs([{"label": item["label"], "spec": item["spec"]}
+                              for item in DATA["cli"]])
+    assert [item["spec"] for item in DATA["derivations"]] == [item["spec"] for item in specs]
+    changed = []
+    for item in DATA["derivations"]:
+        got = cli_records(item["spec"], DERIVATION_COMMANDS)
+        changed += [(item["label"], cmd) for cmd in got if got[cmd] != item["runs"][cmd]]
+    assert len(DATA["derivations"]) == 41 and not changed
 
 
 _RUN_JSON = """
