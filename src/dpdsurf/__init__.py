@@ -57,7 +57,6 @@ from .lnd import (
     fiber_lnd,
     kernel_generator,
     nilpotency_steps,
-    parabolic_horizontal,
     positive_lnd_exists,
     stabilization_witness,
 )

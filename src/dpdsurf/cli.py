@@ -22,7 +22,7 @@ from .classify import (
     fibers_to_obj,
     report_to_obj,
 )
-from .divisor import DivisorPair, anchored, divisor_text, normalize_pair, pair_text
+from .divisor import DivisorPair, QDivisor, anchored, divisor_text, normalize_pair, pair_text
 from .dpdring import (
     Elliptic,
     Hyperbolic,
@@ -40,7 +40,6 @@ from .errors import (
     CapExceeded,
     DomainError,
     FractionalPlusSpread,
-    InadmissibleDegree,
     InvalidSpecFile,
     NegativeSize,
     check,
@@ -172,38 +171,21 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _pick_degree(spec: SurfaceSpec, degree: int | None, negative: bool) -> int:
+def _pick_degree(side: DivisorPair | QDivisor, degree: int | None, negative: bool) -> int:
     if degree is not None:
         return -degree if negative and degree > 0 else degree
-    if isinstance(spec, Hyperbolic):
-        base = spec.pair if not negative else spec.pair.reverse()
-        ds = lnd_mod.admissible_degrees(base)
-        e = ds.min_degree()
-        if e is None:
-            raise InadmissibleDegree("no admissible degree on this side")
-        return -e if negative else e
-    if isinstance(spec, Parabolic):
-        data = lnd_mod.parabolic_horizontal(spec.divisor)
-        if data is None:
-            raise InadmissibleDegree("no horizontal derivation exists")
-        d, e0 = data
-        return e0 if d > 1 else (0 if negative else 1)
-    raise InvalidSpecFile("pick an axis with --negative for elliptic specs")
+    e = lnd_mod.admissible_degrees(side.reverse() if negative else side).min_degree()
+    return -e if negative else e
 
 
 def _build_lnd(spec: SurfaceSpec, degree: int | None, negative: bool):
     if isinstance(spec, Elliptic):
         dx, dy = lnd_mod.elliptic_lnd(spec.d, spec.e_prime)
         return dy if negative else dx
-    if isinstance(spec, Parabolic):
-        if negative and degree is None:
-            return lnd_mod.fiber_lnd(spec.divisor)
-        e = _pick_degree(spec, degree, negative)
-        if e == -1 and negative:
-            return lnd_mod.fiber_lnd(spec.divisor)
-        return lnd_mod.build_horizontal_parabolic(spec.divisor, e)
-    e = _pick_degree(spec, degree, negative)
-    return lnd_mod.build_horizontal(spec.pair, e)
+    if isinstance(spec, Parabolic) and negative and degree in (None, 1, -1):
+        return lnd_mod.fiber_lnd(spec.divisor)
+    side = spec.divisor if isinstance(spec, Parabolic) else spec.pair
+    return lnd_mod.build_horizontal(side, _pick_degree(side, degree, negative))
 
 
 def _cmd_lnd(args) -> int:
@@ -274,7 +256,7 @@ def _cmd_apply(args) -> int:
 def _cmd_kernel(args) -> int:
     spec = load_spec(args.spec)
     derivation = _build_lnd(spec, args.degree, False)
-    v = lnd_mod.kernel_generator(spec, derivation)
+    v = lnd_mod.kernel_generator(derivation)
     check(lnd_mod.apply(derivation, v).is_zero(), "kernel generator is not annihilated")
     text = render_element(v)
     _emit({"kernel_generator": text, "annihilated": True}, args.json,

@@ -23,14 +23,7 @@ from .divisor import (
     denom_index,
     normalize_pair,
 )
-from .dpdring import (
-    MAX_DEG_P,
-    GradedElement,
-    Hyperbolic,
-    Parabolic,
-    SurfaceSpec,
-    _generator_coefficient,
-)
+from .dpdring import MAX_DEG_P, GradedElement, _generator_coefficient
 from .errors import (
     CapExceeded,
     FractionalPlusSpread,
@@ -199,24 +192,31 @@ def degrees_text(obj: dict) -> str:
     return "{" + base + "}"
 
 
-def positive_lnd_exists(pair: DivisorPair) -> bool:
-    """True iff the fractional part of d_plus sits at one point or is zero."""
-    return anchored(pair) is not None
+def positive_lnd_exists(x: DivisorPair | QDivisor) -> bool:
+    """True iff the fractional part of d_plus (of a parabolic D) sits at one
+    point or is zero."""
+    return anchored(x) is not None
 
 
-def admissible_degrees(pair: DivisorPair) -> DegreeSet:
-    """DegreeSet.of the anchored pair; raises FractionalPlusSpread."""
-    return DegreeSet.of(Anchored.of(pair))
+def admissible_degrees(x: DivisorPair | QDivisor) -> DegreeSet:
+    """DegreeSet.of the anchored pair, or of a parabolic D anchored as the
+    pair (D, -D); raises FractionalPlusSpread."""
+    return DegreeSet.of(Anchored.of(x))
 
 
-def build_horizontal(pair: DivisorPair, e: int, scale: RatLike = 1) -> HorizontalLnd:
+def build_horizontal(x: DivisorPair | QDivisor, e: int, scale: RatLike = 1) -> HorizontalLnd:
     """Construct the degree-e horizontal derivation, unique up to scale.
 
-    Negative e goes through the reversed pair.  Raises InadmissibleDegree
-    naming the violated condition: (i) the congruence e*e' = 1 (mod d),
-    or (ii) the bound -1/(sum) at some degenerate point.
+    x is a pair, or a parabolic D: A_0[D] is the degree >= 0 part of
+    A_0[D, -D], so D is anchored as that pair.  Negative e goes through the
+    reversed pair, and a parabolic ring has none.  Raises
+    FractionalPlusSpread, and InadmissibleDegree naming the violated
+    condition: (i) the congruence e*e' = 1 (mod d), or (ii) the bound
+    -1/(sum) at some degenerate point.
     """
-    a = Anchored.of(pair if e >= 0 else pair.reverse())
+    if e < 0 and isinstance(x, QDivisor):
+        raise InadmissibleDegree(f"degree {e}: a parabolic ring has no negative degrees")
+    a = Anchored.of(x if e >= 0 else x.reverse())
     degrees = DegreeSet.of(a)
     mag = abs(e)
     if not degrees.contains(mag):
@@ -232,7 +232,7 @@ def build_horizontal(pair: DivisorPair, e: int, scale: RatLike = 1) -> Horizonta
     twist: tuple[tuple[Rat, int], ...] = ()
     if e < 0:
         # normalizing the reversed normalized pair shifts by ceil(D-)
-        twist = tuple((p, int(c)) for p, c in normalize_pair(pair).d_minus.ceil().terms)
+        twist = tuple((p, int(c)) for p, c in normalize_pair(x).d_minus.ceil().terms)
     return HorizontalLnd(
         e=mag,
         d=a.d,
@@ -502,25 +502,21 @@ def stabilization_witness(
     return StabilizationReport._pending(next(_scan(table, e), None) is None, table, e)
 
 
-def kernel_generator(spec: SurfaceSpec, lnd: Lnd) -> GradedElement:
+def kernel_generator(lnd: Lnd) -> GradedElement:
     """ker del = C[v] with v = (t - p)^(e') u^(d), the degree-d generator.
 
-    p is the fractional point of d_plus (of D).  Elements are written in
+    d, e' and the anchor p (the fractional point of d_plus, or of D) are
+    read off the HorizontalLnd of degree >= 0 that build_horizontal made;
+    any other derivation raises NoKernelGenerator.  Elements are written in
     the normalized embedding, matching apply().  Raises CapExceeded when e'
     is over MAX_DEG_P, before (t - p)^(e') is built.
     """
-    if isinstance(lnd, HorizontalLnd) and lnd.sign < 0:
-        raise NoKernelGenerator("kernel_generator wants a positive-degree "
-                                "derivation; call on the reversed pair")
-    if isinstance(spec, Hyperbolic):
-        a = Anchored.of(spec.pair)
-    elif isinstance(spec, Parabolic):
-        a = Anchored.of(spec.divisor)
-    else:
-        raise NoKernelGenerator("kernel_generator applies to parabolic/hyperbolic specs")
-    if a.e_prime > MAX_DEG_P:
-        raise CapExceeded(f"the kernel generator's t-degree {a.e_prime} is over {MAX_DEG_P}")
-    return GradedElement.monomial(a.d, ratfunc_monomial_power(a.translation, a.e_prime))
+    if not isinstance(lnd, HorizontalLnd) or lnd.sign < 0:
+        raise NoKernelGenerator("kernel_generator wants a horizontal derivation of degree "
+                                ">= 0; build a negative one on the reversed pair")
+    if lnd.e_prime > MAX_DEG_P:
+        raise CapExceeded(f"the kernel generator's t-degree {lnd.e_prime} is over {MAX_DEG_P}")
+    return GradedElement.monomial(lnd.d, ratfunc_monomial_power(lnd.anchor, lnd.e_prime))
 
 
 def fiber_lnd(d: QDivisor) -> FiberLnd:
@@ -535,35 +531,6 @@ def fiber_lnd(d: QDivisor) -> FiberLnd:
     if sum(abs(math.ceil(c)) for _, c in d.terms) > MAX_DEG_P:
         raise CapExceeded(f"the fiber derivation has over {MAX_DEG_P} zeros and poles")
     return FiberLnd(_generator_coefficient(d, -1))
-
-
-def parabolic_horizontal(d: QDivisor) -> tuple[int, int] | None:
-    """Horizontal data (d, e0) of A_0[D], or None when {D} is spread.
-
-    e0 is the residue of admissible degrees: e*e' = 1 (mod d) with
-    e' read off the normalized fractional coefficient.
-    """
-    a = anchored(d)
-    return None if a is None else (a.d, mod_inverse(a.e_prime, a.d))
-
-
-def build_horizontal_parabolic(d: QDivisor, e: int) -> HorizontalLnd:
-    """Degree-e horizontal derivation on A_0[D] (same monomial action)."""
-    a = anchored(d)
-    if a is None:
-        raise InadmissibleDegree(
-            "fractional part of D is spread: no horizontal derivation exists"
-        )
-    degrees = DegreeSet.of(a)
-    if not degrees.contains(e):
-        raise InadmissibleDegree(
-            f"degree {e}: need e >= 0 with e = {degrees.residue % a.d} (mod {a.d})"
-            + ("" if a.d == 1 else " and e >= 1")
-        )
-    return HorizontalLnd(
-        e=e, d=a.d, e_prime=a.e_prime, k=(e * a.e_prime - 1) // a.d,
-        anchor=a.translation,
-    )
 
 
 def elliptic_lnd(d: int, e_prime: int) -> tuple[EllipticToricLnd, EllipticToricLnd]:

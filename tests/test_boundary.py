@@ -23,9 +23,7 @@ from dpdsurf.exactmath import Poly
 from dpdsurf.lnd import (
     admissible_degrees,
     build_horizontal,
-    build_horizontal_parabolic,
     kernel_generator,
-    parabolic_horizontal,
     stabilization_witness,
 )
 
@@ -105,13 +103,8 @@ specs = st.one_of(
 
 def least_horizontal(spec):
     """The horizontal derivation of least positive degree, as `kernel` picks it."""
-    if isinstance(spec, Hyperbolic):
-        return build_horizontal(spec.pair, admissible_degrees(spec.pair).min_degree())
-    data = parabolic_horizontal(spec.divisor)
-    if data is None:
-        return None
-    d, e0 = data
-    return build_horizontal_parabolic(spec.divisor, e0 if d > 1 else 1)
+    side = spec.pair if isinstance(spec, Hyperbolic) else spec.divisor
+    return build_horizontal(side, admissible_degrees(side).min_degree())
 
 
 #: A kernel generator of t-degree e' = 500000003, over the cap.
@@ -134,7 +127,7 @@ def test_spec_classify_and_oracle(obj, degrees):
     if isinstance(spec, (Hyperbolic, Parabolic)):
         derivation = bounded(least_horizontal, spec)
         if derivation is not None:
-            bounded(kernel_generator, spec, derivation)
+            bounded(kernel_generator, derivation)
 
 
 exponents = st.one_of(st.integers(-3, 12), st.sampled_from([999, 1000, 1001, 10**30]))

@@ -12,11 +12,14 @@ import pytest
 
 from conftest import (
     NEGATIVE_SUMS,
+    SMALL_POINTS,
     from_roots,
     high_index_pair,
     random_concentrated_pair,
+    random_divisor,
     random_element,
     random_pair,
+    random_rat,
 )
 from dpdsurf import cli
 from dpdsurf import divisor as divisor_module
@@ -32,6 +35,7 @@ from dpdsurf.divisor import (
 )
 from dpdsurf.dpdring import (
     MAX_DEG_P,
+    Elliptic,
     GradedElement,
     Hyperbolic,
     Parabolic,
@@ -45,6 +49,7 @@ from dpdsurf.errors import (
     FractionalPlusSpread,
     InadmissibleDegree,
     InternalError,
+    NoKernelGenerator,
     NotSmallGroup,
 )
 from dpdsurf.exactmath import Poly, Rat, RatFunc, ratfunc_monomial_power
@@ -57,14 +62,12 @@ from dpdsurf.lnd import (
     admissible_degrees,
     apply,
     build_horizontal,
-    build_horizontal_parabolic,
     conjugate_kernel,
     elliptic_lnd,
     fiber_lnd,
     kernel_generator,
     nilpotency_steps,
     oracle_window,
-    parabolic_horizontal,
     positive_lnd_exists,
     stabilization_witness,
     taylor_shift,
@@ -163,6 +166,33 @@ class TestBuildHorizontal:
     def test_negative_goes_through_reverse(self):
         lnd = build_horizontal(QUADRIC, -3)
         assert lnd.sign == -1 and lnd.e == 3
+
+    def test_parabolic_has_no_negative_degree(self):
+        for divisor in (QDivisor.zero(), D((0, -1)), D((0, Rat(-2, 5)))):
+            for e in (-1, -2, -5):
+                with pytest.raises(InadmissibleDegree, match="no negative degrees"):
+                    build_horizontal(divisor, e)
+
+    def test_parabolic_spread_raises(self):
+        with pytest.raises(FractionalPlusSpread):
+            build_horizontal(D((0, Rat(-1, 2)), (1, Rat(-1, 3))), 1)
+
+    def test_parabolic_is_the_pair_with_minus_d(self, rng):
+        """A parabolic D builds, at every e >= 0, the derivation of the pair
+        (D, -D), whose degree >= 0 part is A_0[D]."""
+        for _ in range(30):
+            divisor = D(*((p, random_rat(rng)) for p in rng.sample(SMALL_POINTS, 2)))
+            if not positive_lnd_exists(divisor):
+                continue
+            pair = DivisorPair(divisor, -divisor)
+            degrees = admissible_degrees(divisor)
+            assert degrees == admissible_degrees(pair)
+            for e in range(0, 7):
+                if degrees.contains(e):
+                    assert build_horizontal(divisor, e) == build_horizontal(pair, e)
+                else:
+                    with pytest.raises(InadmissibleDegree, match="condition"):
+                        build_horizontal(divisor, e)
 
 
 class TestApply:
@@ -671,42 +701,67 @@ class TestKernel:
         for d in (1, 2, 3):
             pair = danielewski(d)
             lnd = build_horizontal(pair, d)
-            v = kernel_generator(Hyperbolic(pair), lnd)
+            v = kernel_generator(lnd)
             assert v == GradedElement.monomial(1)
             assert apply(lnd, v).is_zero()
 
     def test_conic(self):
         pair = DivisorPair(D((0, Rat(1, 2))), D((0, Rat(-1, 2)), (1, -1)))
         lnd = build_horizontal(pair, 1)
-        v = kernel_generator(Hyperbolic(pair), lnd)
+        v = kernel_generator(lnd)
         assert v == GradedElement.monomial(2, Poly.t())
         assert apply(lnd, v).is_zero()
 
     def test_dihedral(self):
         pair = DivisorPair(QDivisor.zero(), D((0, -3)))
         lnd = build_horizontal(pair, 1)
-        assert kernel_generator(Hyperbolic(pair), lnd) == GradedElement.monomial(1)
+        assert kernel_generator(lnd) == GradedElement.monomial(1)
 
     def test_kernel_random(self, rng):
-        for _ in range(20):
-            pair = random_concentrated_pair(rng)
-            e = admissible_degrees(pair).min_degree()
-            lnd = build_horizontal(pair, e)
-            v = kernel_generator(Hyperbolic(pair), lnd)
-            assert apply(lnd, v).is_zero()
+        """apply(lnd, kernel_generator(lnd)) = 0 at the least admissible e and
+        each admissible e <= 8, on seeded concentrated pairs, seeded parabolic
+        divisors and the catalog."""
+        sides = [random_concentrated_pair(rng) for _ in range(30)]
+        sides += [random_divisor(rng) for _ in range(40)]
+        sides += [entry.spec.pair if isinstance(entry.spec, Hyperbolic) else entry.spec.divisor
+                  for entry in default_entries() if not isinstance(entry.spec, Elliptic)]
+        checked = 0
+        for side in filter(positive_lnd_exists, sides):
+            degrees = admissible_degrees(side)
+            for e in {degrees.min_degree(), *filter(degrees.contains, range(9))}:
+                lnd = build_horizontal(side, e)
+                v = kernel_generator(lnd)
+                assert apply(lnd, v).is_zero(), (side, e)
+                checked += 1
+        assert checked >= 100
 
 
     def test_cap(self):
         # e' = MAX_DEG_P is built, e' = MAX_DEG_P + 1 is refused
         for e_prime in (MAX_DEG_P, MAX_DEG_P + 1):
-            spec = Parabolic(D((0, Rat(-e_prime, e_prime + 1))))
-            lnd = build_horizontal_parabolic(spec.divisor, e_prime)  # e = e' (mod e' + 1)
+            side = D((0, Rat(-e_prime, e_prime + 1)))
+            e = admissible_degrees(side).min_degree()
+            assert e == e_prime  # e = e' (mod e' + 1)
+            lnd = build_horizontal(side, e)
             if e_prime > MAX_DEG_P:
                 with pytest.raises(CapExceeded):
-                    kernel_generator(spec, lnd)
+                    kernel_generator(lnd)
             else:
-                v = kernel_generator(spec, lnd)
+                v = kernel_generator(lnd)
                 assert v == GradedElement.monomial(e_prime + 1, Poly.monomial(e_prime))
+
+    def test_no_kernel_off_positive_horizontal(self):
+        divisor = D((0, Rat(-2, 5)), (1, -1))
+        conic = DivisorPair(D((0, Rat(1, 2))), D((0, Rat(-1, 2)), (1, -1)))
+        refused = [fiber_lnd(divisor), *elliptic_lnd(5, 2), build_horizontal(QUADRIC, -1),
+                   build_horizontal(conic, -admissible_degrees(conic.reverse()).min_degree())]
+        for lnd in refused:
+            with pytest.raises(NoKernelGenerator):
+                kernel_generator(lnd)
+        # the fiber derivation does not annihilate the horizontal kernel t^2 u^5
+        horizontal = kernel_generator(build_horizontal(divisor, 3))
+        assert horizontal == GradedElement.monomial(5, Poly.monomial(2))
+        assert not apply(fiber_lnd(divisor), horizontal).is_zero()
 
 
 class TestFiberType:
@@ -733,20 +788,26 @@ class TestFiberType:
             assert image.degrees == (2,) or image.is_zero()
 
 
+def horizontal_data(divisor: QDivisor) -> tuple[int, int]:
+    """(d, e0) of A_0[D]: the modulus and residue of its admissible degrees."""
+    degrees = admissible_degrees(divisor)
+    return degrees.modulus, degrees.residue
+
+
 class TestParabolicHorizontal:
     def test_examples(self):
-        assert parabolic_horizontal(D((0, Rat(-2, 5)))) == (5, 3)
-        assert parabolic_horizontal(QDivisor.zero()) == (1, 0)
-        assert parabolic_horizontal(D((0, Rat(-1, 2)), (1, Rat(-1, 3)))) is None
+        assert horizontal_data(D((0, Rat(-2, 5)))) == (5, 3)
+        assert horizontal_data(QDivisor.zero()) == (1, 0)
+        assert positive_lnd_exists(D((0, Rat(-1, 2)), (1, Rat(-1, 3)))) is False
 
     def test_integral_shift_invariance(self, rng):
         for _ in range(20):
             base = D((0, Rat(rng.randint(-7, 7), rng.randint(1, 6))))
             shifted = base + D((0, rng.randint(-3, 3)), (2, rng.randint(-2, 2)))
-            assert parabolic_horizontal(base) == parabolic_horizontal(
+            assert horizontal_data(base) == horizontal_data(
                 base + D((0, rng.randint(-3, 3)))
             )
-            assert parabolic_horizontal(shifted) is not None
+            assert positive_lnd_exists(shifted) is True
 
 
 class TestEllipticToric:
@@ -875,7 +936,7 @@ class TestDerivationLaws:
             e = admissible_degrees(pair).min_degree()
             base = build_horizontal(pair, e)
             scaled = build_horizontal(pair, e, scale=Rat(7, 3))
-            v = kernel_generator(Hyperbolic(pair), base)
+            v = kernel_generator(base)
             assert apply(scaled, v).is_zero()
             x = GradedElement.monomial(0, Poly.t())
             assert apply(scaled, x) == apply(base, x) * Rat(7, 3)
