@@ -8,6 +8,7 @@ are checked against the same behaviour.
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 import re
 import subprocess
@@ -206,6 +207,59 @@ def test_record_semantics(rng):
     assert MlResult("plane", 2) != ("plane", 2)
     with pytest.raises(TypeError):
         ClassificationReport(*CASES[ClassificationReport][0].values())  # keyword-only
+
+
+#: class -> its constructor's parameters (inspect.signature): each name in
+#: order, "=" and the default's repr where it has one, after "*" keyword-only
+SIGNATURES = {
+    FiberData: "point, m_plus, m_minus, degenerate, e_plus=None, e_minus=None, delta=None, "
+               "pi_star=None, div_u=None",
+    SingularityRecord: "point, order, smooth, chart_valid, paper_type=None",
+    MlResult: "kind, generator_degree=None",
+    Sl2Model: "model, veronese_degree=None",
+    Recognition: "model, degree=None",
+    LndSummary: "exists_plus, exists_minus, degrees_plus=None, degrees_minus=None, fiber=None, "
+                "elliptic_axes=None",
+    ClassificationReport: "*, spec, grading, normalized_pair=None, normalized_divisor=None, "
+                          "translation=None, d_plus_index=None, d_minus_index=None, lnd, ml, "
+                          "mm, plane, presentation=None, fibers=(), singularities=(), "
+                          "ruling=None, sl2=None, recognition, toric",
+    AffineMap: "scale, offset",
+    Anchored: "pair, translation, d, e_prime, k, l",
+    Elliptic: "d, e_prime",
+    Parabolic: "divisor",
+    Hyperbolic: "pair",
+    Presentation: "k, P, d, e_prime, l, Q, zd_weights, translation",
+    HorizontalLnd: "e, d, e_prime, k, sign=1, scale=Fraction(1, 1), anchor=Fraction(0, 1), "
+                   "twist=()",
+    FiberLnd: "g",
+    EllipticToricLnd: "d, exponent, axis",
+    DegreeSet: "residue, modulus, e_min, empty=False",
+    StabilizationReport: "verdict, failures=()",
+    CatalogEntry: "name, params, spec, expected=None",
+}
+
+
+def _signature_text(cls) -> str:
+    parts = []
+    for p in inspect.signature(cls).parameters.values():
+        assert p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY), (cls, p)
+        if p.kind is p.KEYWORD_ONLY and "*" not in parts:
+            parts.append("*")
+        parts.append(p.name if p.default is p.empty else f"{p.name}={p.default!r}")
+    return ", ".join(parts)
+
+
+def test_constructor_signatures():
+    """Each constructor's parameters, kinds and defaults, and positional
+    construction in slot order (all but the keyword-only report) equal to
+    keyword construction."""
+    assert SIGNATURES.keys() == CASES.keys()
+    for cls, want in SIGNATURES.items():
+        assert _signature_text(cls) == want, cls
+        if cls is not ClassificationReport:
+            fields = CASES[cls][0]
+            assert cls(*(fields[name] for name in cls.__slots__)) == cls(**fields), cls
 
 
 def test_constructor_checks_and_defaults():
