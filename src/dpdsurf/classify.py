@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import math
 
-from .divisor import (Anchored, DivisorPair, QDivisor, Row, anchored, denom_index, normalize_pair,
-                      pair_rows)
+from .divisor import Anchored, DivisorPair, Row, anchored, denom_index, normalize_pair, pair_rows
 from .dpdring import (
     Elliptic,
     Hyperbolic,
@@ -29,7 +28,7 @@ ML_LAURENT = "laurent_ring"
 ML_WHOLE = "whole_ring"
 
 
-class FiberData(Record):
+class FiberData(Record, e_plus=None, e_minus=None, delta=None, pi_star=None, div_u=None):
     """Fiber of the C*-fibration over a point a of the base line.
 
     D+(a) = -e_plus/m_plus and D-(a) = e_minus/m_minus in lowest terms with
@@ -42,22 +41,8 @@ class FiberData(Record):
     __slots__ = ("point", "m_plus", "m_minus", "degenerate", "e_plus", "e_minus",
                  "delta", "pi_star", "div_u")
 
-    def __init__(self, point: Rat, m_plus: int, m_minus: int, degenerate: bool,
-                 e_plus: int | None = None, e_minus: int | None = None,
-                 delta: int | None = None, pi_star: tuple[int, int] | None = None,
-                 div_u: tuple[int, int] | None = None):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "m_plus", m_plus)
-        object.__setattr__(self, "m_minus", m_minus)
-        object.__setattr__(self, "degenerate", degenerate)
-        object.__setattr__(self, "e_plus", e_plus)
-        object.__setattr__(self, "e_minus", e_minus)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "pi_star", pi_star)
-        object.__setattr__(self, "div_u", div_u)
 
-
-class SingularityRecord(Record):
+class SingularityRecord(Record, paper_type=None):
     """Order and smoothness of the surface point over a degenerate fiber.
 
     order = delta, and the point is smooth iff order = 1.  paper_type is
@@ -68,95 +53,44 @@ class SingularityRecord(Record):
 
     __slots__ = ("point", "order", "smooth", "chart_valid", "paper_type")
 
-    def __init__(self, point: Rat, order: int, smooth: bool, chart_valid: bool,
-                 paper_type: tuple[int, int] | None = None):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "smooth", smooth)
-        object.__setattr__(self, "chart_valid", chart_valid)
-        object.__setattr__(self, "paper_type", paper_type)
 
-
-class MlResult(Record):
+class MlResult(Record, generator_degree=None):
     """Makar-Limanov invariant: C, C[v], C[v, v^-1], or the whole ring."""
 
     __slots__ = ("kind", "generator_degree")
 
-    def __init__(self, kind: str, generator_degree: int | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "generator_degree", generator_degree)
 
-
-class Sl2Model(Record):
+class Sl2Model(Record, veronese_degree=None):
     """One of the four reference pairs, with the Veronese cone degree."""
 
     __slots__ = ("model", "veronese_degree")
 
-    def __init__(self, model: str, veronese_degree: int | None = None):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "veronese_degree", veronese_degree)
 
-
-class Recognition(Record):
+class Recognition(Record, degree=None):
     """Homogeneous model: plane, line_cross_torus, quadric,
     conic_complement, or veronese_cone(degree)."""
 
     __slots__ = ("model", "degree")
 
-    def __init__(self, model: str, degree: int | None = None):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "degree", degree)
 
+class LndSummary(Record, degrees_plus=None, degrees_minus=None, fiber=None,
+                 elliptic_axes=None):
+    """Which derivations exist in positive and negative degree, their
+    DegreeSets, and the texts of the fiber (parabolic) or toric (elliptic) ones."""
 
-class LndSummary(Record):
     __slots__ = ("exists_plus", "exists_minus", "degrees_plus", "degrees_minus", "fiber",
                  "elliptic_axes")
 
-    def __init__(self, exists_plus: bool, exists_minus: bool,
-                 degrees_plus: DegreeSet | None = None,
-                 degrees_minus: DegreeSet | None = None, fiber: str | None = None,
-                 elliptic_axes: tuple[str, str] | None = None):
-        object.__setattr__(self, "exists_plus", exists_plus)
-        object.__setattr__(self, "exists_minus", exists_minus)
-        object.__setattr__(self, "degrees_plus", degrees_plus)
-        object.__setattr__(self, "degrees_minus", degrees_minus)
-        object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "elliptic_axes", elliptic_axes)
 
+class ClassificationReport(Record, kw_only=True, normalized_pair=None, normalized_divisor=None,
+                           translation=None, d_plus_index=None, d_minus_index=None,
+                           presentation=None, fibers=(), singularities=(), ruling=None, sl2=None):
+    """What classify derives about a spec, rendered by report_to_obj; a field
+    is None where the grading has no such fact, and presentation in facts()."""
 
-class ClassificationReport(Record):
     __slots__ = ("spec", "grading", "normalized_pair", "normalized_divisor", "translation",
                  "d_plus_index", "d_minus_index", "lnd", "ml", "mm", "plane", "presentation",
                  "fibers", "singularities", "ruling", "sl2", "recognition", "toric")
-
-    def __init__(
-        self, *, spec: SurfaceSpec, grading: str, normalized_pair: DivisorPair | None = None,
-        normalized_divisor: QDivisor | None = None, translation: Rat | None = None,
-        d_plus_index: int | None = None, d_minus_index: int | None = None,
-        lnd: LndSummary, ml: MlResult, mm: int | None, plane: bool,
-        presentation: Presentation | None = None, fibers: tuple[FiberData, ...] = (),
-        singularities: tuple[SingularityRecord, ...] = (),
-        ruling: tuple[tuple[Rat, int], ...] | None = None, sl2: Sl2Model | None = None,
-        recognition: Recognition | None, toric: tuple[int, int] | None,
-    ):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "grading", grading)
-        object.__setattr__(self, "normalized_pair", normalized_pair)
-        object.__setattr__(self, "normalized_divisor", normalized_divisor)
-        object.__setattr__(self, "translation", translation)
-        object.__setattr__(self, "d_plus_index", d_plus_index)
-        object.__setattr__(self, "d_minus_index", d_minus_index)
-        object.__setattr__(self, "lnd", lnd)
-        object.__setattr__(self, "ml", ml)
-        object.__setattr__(self, "mm", mm)
-        object.__setattr__(self, "plane", plane)
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "fibers", fibers)
-        object.__setattr__(self, "singularities", singularities)
-        object.__setattr__(self, "ruling", ruling)
-        object.__setattr__(self, "sl2", sl2)
-        object.__setattr__(self, "recognition", recognition)
-        object.__setattr__(self, "toric", toric)
 
 
 def _fiber(a: Rat, pn: int, pd: int, mn: int, md: int) -> FiberData:

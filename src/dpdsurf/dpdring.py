@@ -55,17 +55,11 @@ class Parabolic(Record):
 
     __slots__ = ("divisor",)
 
-    def __init__(self, divisor: QDivisor):
-        object.__setattr__(self, "divisor", divisor)
-
 
 class Hyperbolic(Record):
     """Two-sided graded ring A_0[D+, D-]."""
 
     __slots__ = ("pair",)
-
-    def __init__(self, pair: DivisorPair):
-        object.__setattr__(self, "pair", pair)
 
 
 SurfaceSpec = Elliptic | Parabolic | Hyperbolic
@@ -158,17 +152,6 @@ class Presentation(Record):
     """
 
     __slots__ = ("k", "P", "d", "e_prime", "l", "Q", "zd_weights", "translation")
-
-    def __init__(self, k: int, P: Poly, d: int, e_prime: int, l: int, Q: Poly,
-                 zd_weights: tuple[int, int, int], translation: Rat):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e_prime", e_prime)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "zd_weights", zd_weights)
-        object.__setattr__(self, "translation", translation)
 
     @classmethod
     def of(cls, a: Anchored) -> Presentation:

@@ -51,7 +51,7 @@ MAX_WINDOW = 1000
 MAX_STEPS = 1000
 
 
-class HorizontalLnd(Record):
+class HorizontalLnd(Record, sign=1, scale=Rat(1), anchor=Rat(0), twist=()):
     """Degree sign*e derivation with monomial action as in the module docstring.
 
     e is the magnitude of the degree and anchor the point the formula is
@@ -66,18 +66,6 @@ class HorizontalLnd(Record):
 
     __slots__ = ("e", "d", "e_prime", "k", "sign", "scale", "anchor", "twist")
 
-    def __init__(self, e: int, d: int, e_prime: int, k: int, sign: int = 1,
-                 scale: Rat = Rat(1), anchor: Rat = Rat(0),
-                 twist: tuple[tuple[Rat, int], ...] = ()):
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e_prime", e_prime)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "twist", twist)
-
     @property
     def degree(self) -> int:
         return self.sign * self.e
@@ -88,9 +76,6 @@ class FiberLnd(Record):
 
     __slots__ = ("g",)
     degree = -1
-
-    def __init__(self, g: RatFunc):
-        object.__setattr__(self, "g", g)
 
 
 class EllipticToricLnd(Record):
@@ -112,19 +97,13 @@ class EllipticToricLnd(Record):
 Lnd = HorizontalLnd | FiberLnd | EllipticToricLnd
 
 
-class DegreeSet(Record):
+class DegreeSet(Record, empty=False):
     """Admissible degrees {e : e >= e_min, e = residue (mod modulus)}.
 
     e_min = 0 exactly in the torus-line case, where e = 0 is admissible too.
     """
 
     __slots__ = ("residue", "modulus", "e_min", "empty")
-
-    def __init__(self, residue: int, modulus: int, e_min: int, empty: bool = False):
-        object.__setattr__(self, "residue", residue)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "e_min", e_min)
-        object.__setattr__(self, "empty", empty)
 
     @classmethod
     def none(cls) -> DegreeSet:
@@ -306,17 +285,13 @@ class _Pending(Record):
     __slots__ = ("_source",)
 
 
-class StabilizationReport(_Pending):
+class StabilizationReport(_Pending, failures=()):
     """Outcome of the extension check: the verdict, and (n, why) per failing
     generator in checking order.  stabilization_witness scans failures from
     its table only when first read, then keeps them; until then the report
     compares, hashes, prints, copies and pickles as the eager one."""
 
     __slots__ = ("verdict", "failures")
-
-    def __init__(self, verdict: bool, failures: tuple[tuple[int | None, str], ...] = ()):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "failures", failures)
 
     @classmethod
     def _pending(cls, verdict: bool, table: tuple, e: int) -> StabilizationReport:
