@@ -450,12 +450,31 @@ def fibers_to_obj(report: ClassificationReport) -> dict:
     }
 
 
+def lnd_to_obj(report: ClassificationReport) -> dict:
+    """The lnd entry of the report document."""
+    lnd = report.lnd
+    return {
+        "exists_positive": lnd.exists_plus,
+        "exists_negative": lnd.exists_minus,
+        "degrees_positive": lnd.degrees_plus and lnd.degrees_plus.to_obj(),
+        "degrees_negative": lnd.degrees_minus and lnd.degrees_minus.to_obj(),
+        "fiber": lnd.fiber,
+        "elliptic": list(lnd.elliptic_axes) if lnd.elliptic_axes else None,
+    }
+
+
+def recognition_to_obj(report: ClassificationReport) -> dict | None:
+    """The recognition entry of the report document."""
+    rec = report.recognition
+    return rec and {"model": rec.model, "degree": rec.degree}
+
+
 def report_to_obj(report: ClassificationReport) -> dict:
     """Stable machine-readable document (field names are a contract).
 
     P is rendered once; Q reuses the text when Q = P, and so does the relation.
     """
-    pres, lnd = report.presentation, report.lnd
+    pres = report.presentation
     p_text = pres and str(pres.P)
     normalized = None
     if report.normalized_pair is not None:
@@ -471,14 +490,7 @@ def report_to_obj(report: ClassificationReport) -> dict:
         ),
         "d_plus_index": report.d_plus_index,
         "d_minus_index": report.d_minus_index,
-        "lnd": {
-            "exists_positive": lnd.exists_plus,
-            "exists_negative": lnd.exists_minus,
-            "degrees_positive": lnd.degrees_plus and lnd.degrees_plus.to_obj(),
-            "degrees_negative": lnd.degrees_minus and lnd.degrees_minus.to_obj(),
-            "fiber": lnd.fiber,
-            "elliptic": list(lnd.elliptic_axes) if lnd.elliptic_axes else None,
-        },
+        "lnd": lnd_to_obj(report),
         "ml": report.ml.kind,
         "ml_generator_degree": report.ml.generator_degree,
         "mm": report.mm,
@@ -503,7 +515,6 @@ def report_to_obj(report: ClassificationReport) -> dict:
             else [[format_rat(a), m] for a, m in report.ruling]
         ),
         "sl2": report.sl2 and {"model": report.sl2.model, "degree": report.sl2.veronese_degree},
-        "recognition": report.recognition and {
-            "model": report.recognition.model, "degree": report.recognition.degree},
+        "recognition": recognition_to_obj(report),
         "toric": list(report.toric) if report.toric else None,
     }

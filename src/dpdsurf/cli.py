@@ -20,9 +20,12 @@ from .classify import (
     fiber_structure,
     fiber_to_obj,
     fibers_to_obj,
+    lnd_to_obj,
+    recognition_to_obj,
     report_to_obj,
 )
-from .divisor import DivisorPair, QDivisor, anchored, divisor_text, normalize_pair, pair_text
+from .divisor import (Anchored, DivisorPair, QDivisor, anchored, divisor_text, normalize_pair,
+                      pair_text)
 from .dpdring import (
     Elliptic,
     Hyperbolic,
@@ -39,12 +42,11 @@ from .element import GradedElement, parse_element, parse_poly, render_element
 from .errors import (
     CapExceeded,
     DomainError,
-    FractionalPlusSpread,
     InvalidSpecFile,
     NegativeSize,
     check,
 )
-from .exactmath import Rat, parse_rat
+from .exactmath import Rat, format_rat, parse_rat
 
 # -- spec loading -------------------------------------------------------------
 
@@ -87,9 +89,8 @@ def _spec_text(obj: dict) -> str:
     return f"V_({body['d']},{body['e_prime']})"
 
 
-def _ml_text(doc: dict) -> str:
-    degree = doc["ml_generator_degree"]
-    return doc["ml"] + (f" (generator degree {degree})" if degree is not None else "")
+def _ml_text(kind: str, degree: int | None) -> str:
+    return kind + (f" (generator degree {degree})" if degree is not None else "")
 
 
 def _model_text(model: dict) -> str:
@@ -137,7 +138,7 @@ def _report_text(doc: dict) -> str:
         lines.append(f"fiber derivation: {lnd['fiber']}")
     if lnd["elliptic"]:
         lines.append("toric derivations: " + " and ".join(lnd["elliptic"]))
-    lines.append(f"ml: {_ml_text(doc)}")
+    lines.append(f"ml: {_ml_text(doc['ml'], doc['ml_generator_degree'])}")
     lines.append(f"mm: {doc['mm'] if doc['mm'] is not None else '-'}"
                  + (" (the affine plane)" if doc["plane"] else ""))
     if doc["presentation"] is not None:
@@ -191,11 +192,11 @@ def _build_lnd(spec: SurfaceSpec, degree: int | None, negative: bool):
 def _cmd_lnd(args) -> int:
     spec = load_spec(args.spec)
     if args.degree is None:
-        doc = report_to_obj(facts(spec))
-        lnd = doc["lnd"]
-        if doc["grading"] == "elliptic":
+        report = facts(spec)
+        lnd = lnd_to_obj(report)
+        if report.grading == "elliptic":
             _emit({"lnd": lnd["elliptic"]}, args.json, lambda: " and ".join(lnd["elliptic"]))
-        elif doc["grading"] == "parabolic":
+        elif report.grading == "parabolic":
             horiz = lnd_mod.degrees_text(lnd["degrees_positive"])
             _emit({"fiber": lnd["fiber"], "horizontal_degrees": horiz}, args.json,
                   lambda: f"fiber type (degree -1): {lnd['fiber']}\nhorizontal degrees: {horiz}")
@@ -272,35 +273,30 @@ def _cmd_equation(args) -> int:
         _emit(obj, args.json, lambda: _spec_text(obj))
         return 0
     spec = load_spec(args.spec)
-    _require_hyperbolic(spec)
-    doc = report_to_obj(classify(spec))
-    pres = doc["presentation"]
-    if pres is None:
-        raise FractionalPlusSpread(
-            "fractional part of d_plus is supported at "
-            + ", ".join(p for p, _ in doc["normalized"]["hyperbolic"]["d_plus"])
-        )
+    Anchored.of(_require_hyperbolic(spec))  # a spread d_plus has no presentation: it raises
+    pres = report_to_obj(classify(spec))["presentation"]
     _emit(pres, args.json,
           lambda: _presentation_text(pres, f"translation {pres['translation']}"))
     return 0
 
 
 def _cmd_ml(args) -> int:
-    doc = report_to_obj(facts(load_spec(args.spec)))
-    _emit({"ml": doc["ml"], "generator_degree": doc["ml_generator_degree"]}, args.json,
-          lambda: _ml_text(doc))
+    ml = facts(load_spec(args.spec)).ml
+    _emit({"ml": ml.kind, "generator_degree": ml.generator_degree}, args.json,
+          lambda: _ml_text(ml.kind, ml.generator_degree))
     return 0
 
 
 def _cmd_mm(args) -> int:
-    mm = report_to_obj(facts(load_spec(args.spec)))["mm"]
-    _emit({"mm": mm}, args.json, lambda: str(mm) if mm is not None else
-          "undefined (Makar-Limanov invariant is nontrivial)")
+    mm = facts(load_spec(args.spec)).mm
+    # format_rat raises CapExceeded where str() and json.dumps raise ValueError
+    text = "undefined (Makar-Limanov invariant is nontrivial)" if mm is None else format_rat(mm)
+    _emit({"mm": mm}, args.json, lambda: text)
     return 0
 
 
 def _cmd_recognize(args) -> int:
-    rec = report_to_obj(facts(load_spec(args.spec)))["recognition"]
+    rec = recognition_to_obj(facts(load_spec(args.spec)))
     _emit({"recognition": rec}, args.json, lambda: _model_text(rec) if rec is not None else
           "no homogeneous model (no algebraic group action with a big open orbit)")
     return 0

@@ -381,7 +381,7 @@ class Anchored(_NormalForm):
 
     @classmethod
     def of(cls, x: DivisorPair | QDivisor) -> Anchored:
-        """Raises FractionalPlusSpread when d_plus has two fractional points.
+        """Raises FractionalPlusSpread when d_plus (or a divisor D) has two fractional points.
 
         The last successful anchoring is kept in a one-entry memo keyed by x
         under ==, which a verify sweep's calls on one pair share; a spread
@@ -394,7 +394,7 @@ class Anchored(_NormalForm):
         support = [p for p, c in pair.d_plus.terms if c.denominator != 1]
         if len(support) > 1:
             raise FractionalPlusSpread(
-                "fractional part of d_plus is supported at "
+                f"fractional part of {'d_plus' if pair is x else 'D'} is supported at "
                 + ", ".join(format_rat(p) for p in support)
             )
         a = _anchor(pair)

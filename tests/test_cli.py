@@ -556,15 +556,26 @@ def test_fibers_cap_matches_classify(tmp_path, capsys, monkeypatch):
 
 
 def test_mm_over_digit_cap_no_traceback(tmp_path, capsys):
-    """D+ = D- = -(10^4300 - 1)*[0] has an MM of 4,301 digits, past what
-    str() converts.  Each command ends in exit 0, or in exit 1 with one line
-    naming a DomainError, never in a traceback."""
+    """D+ = D- = -(10^4300 - 1)*[0] has an MM and a normalized D- of 4,301
+    digits, past what str() converts.  Each command ends in exit 0, or in exit
+    1 with one line naming a DomainError, never in a traceback.  ml, recognize
+    and lnd render only the field they print, so they answer; mm checks its
+    value through format_rat and exits 1 with CapExceeded."""
     from dpdsurf import errors
     from dpdsurf.exactmath import MAX_DIGITS
 
     coeff = "-" + "9" * MAX_DIGITS
     path = _write_spec(tmp_path, {"hyperbolic": {"d_plus": [["0", coeff]],
                                                  "d_minus": [["0", coeff]]}})
+    side = {"empty": False, "residue": 0, "modulus": 1, "e_min": 1, "min_positive_degree": 1,
+            "zero_admissible": False}
+    answers = {  # command -> (--json object, text)
+        "ml": ({"ml": "trivial", "generator_degree": None}, "trivial"),
+        "recognize": ({"recognition": None}, "no homogeneous model (no algebraic group "
+                      "action with a big open orbit)"),
+        "lnd": ({"exists_positive": True, "exists_negative": True, "degrees_positive": side,
+                 "degrees_negative": side}, "positive: {e >= 1}\nnegative: {e >= 1}"),
+    }
     for command in ("classify", "ml", "mm", "recognize", "lnd", "fibers"):
         for flags in ([], ["--json"]):
             code = run([command, path, *flags])
@@ -574,6 +585,27 @@ def test_mm_over_digit_cap_no_traceback(tmp_path, capsys):
                 assert captured.out == "" and len(captured.err.splitlines()) == 1
                 name = captured.err.split(":")[1].strip()
                 assert issubclass(getattr(errors, name), errors.DomainError), command
+            if command == "mm":
+                assert code == 1 and name == "CapExceeded", flags
+            elif command in answers:
+                obj, text = answers[command]
+                want = json.dumps(obj, indent=2) if flags else text
+                assert (code, captured.out) == (0, want + "\n"), (command, flags)
+
+
+def test_spread_message_names_the_divisor(tmp_path, capsys):
+    """Anchored.of is the one source of the spread message: it names D for a
+    parabolic spec (lnd, apply, kernel) and d_plus for a pair (equation)."""
+    for spec, side, commands in (
+            ({"parabolic": {"divisor": [["0", "-1/2"], ["1", "-1/3"]]}}, "D",
+             (["lnd", "--degree", "1"], ["apply", "--element", "t"], ["kernel"])),
+            ({"hyperbolic": {"d_plus": [["0", "-1/2"], ["1", "-1/3"]], "d_minus": []}},
+             "d_plus", (["equation"],))):
+        path = _write_spec(tmp_path, spec)
+        for command, *flags in commands:
+            assert run([command, path, *flags]) == 1
+            assert capsys.readouterr() == ("", "error: FractionalPlusSpread: fractional part "
+                                               f"of {side} is supported at 0, 1\n")
 
 
 def test_command_output_is_a_slice_of_classify(tmp_path, capsys):

@@ -222,13 +222,15 @@ class TestAnchoredMemo:
 
 def _fraction_anchoring(x):
     """Anchored.of by its Fraction definition: the normalized pair, and the
-    spread message or the fields (pair, translation, d, e', k, l)."""
+    spread message (naming d_plus, or D for a divisor) or the fields
+    (pair, translation, d, e', k, l)."""
     pair = x if isinstance(x, DivisorPair) else DivisorPair(x, -x)
     e = pair.d_plus.ceil()
     norm = DivisorPair(pair.d_plus - e, pair.d_minus + e)
     support = [p for p, c in pair.d_plus.terms if c.denominator != 1]
     if len(support) > 1:
-        return norm, "fractional part of d_plus is supported at " + ", ".join(
+        side = "d_plus" if isinstance(x, DivisorPair) else "D"
+        return norm, f"fractional part of {side} is supported at " + ", ".join(
             map(format_rat, support))
     translation = support[0] if support else Rat(0)
     q = norm.translate(-translation)
@@ -248,7 +250,8 @@ def _fraction_degrees(a: Anchored) -> DegreeSet:
 def _anchor_family(rng: random.Random):
     """A pair or a parabolic divisor on up to 6 points with 30-bit coordinates
     and coefficient denominators up to 10**6: d_plus fractional at one point
-    (mostly away from 0), at none, or at two or more (spread)."""
+    (mostly away from 0), at none, or at two or more (spread); a parabolic D
+    fractional at one point or at two or more."""
     def coeff(fractional: bool) -> Rat:
         den = rng.randint(2, 10**6) if fractional else 1
         num = rng.randint(-3 * den, 3 * den)
@@ -257,11 +260,13 @@ def _anchor_family(rng: random.Random):
     points = {Rat(rng.randint(-(1 << 30), 1 << 30), rng.randint(1, 1 << 30))
               for _ in range(rng.randint(1, 6))}
     points = sorted(points | ({Rat(0)} if rng.random() < 0.3 else set()))
-    kind = rng.choice(["one", "one", "integral", "spread", "parabolic"])
-    fractional = set(rng.sample(points, {"integral": 0, "spread": min(2, len(points))}.get(kind, 1)))
+    kind = rng.choice(["one", "one", "integral", "spread", "parabolic", "spread parabolic"])
+    spread = min(2, len(points))
+    fractional = set(rng.sample(points, {"integral": 0, "spread": spread,
+                                         "spread parabolic": spread}.get(kind, 1)))
     plus = QDivisor((p, coeff(p in fractional) if p in fractional or rng.random() < 0.5 else 0)
                     for p in points)
-    if kind == "parabolic":
+    if kind.endswith("parabolic"):
         return plus
     # sums <= 0, integral at every point half of the time, so that d_minus is
     # fractional only where d_plus is, anchors too and MM is defined
@@ -277,7 +282,7 @@ class TestAnchoredCrossCheck:
 
     def test_matches_the_fraction_definition(self, monkeypatch):
         rng = random.Random(20261020)
-        seen = {"spread": 0, "translated": 0, "parabolic": 0, "mm": 0}
+        seen = {"spread": 0, "spread D": 0, "translated": 0, "parabolic": 0, "mm": 0}
         for _ in range(150):
             x = _anchor_family(rng)
             norm, want = _fraction_anchoring(x)
@@ -289,6 +294,7 @@ class TestAnchoredCrossCheck:
                     Anchored.of(x)
                 assert str(exc.value) == want
                 seen["spread"] += 1
+                seen["spread D"] += isinstance(x, QDivisor)
                 continue
             a = Anchored.of(x)
             assert (a.pair, a.translation, a.d, a.e_prime, a.k, a.l) == want, x

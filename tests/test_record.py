@@ -280,12 +280,14 @@ def test_constructor_checks_and_defaults():
 
 
 def test_cli_import_loads_no_dataclasses():
-    """The CLI's start-up imports none of dataclasses, inspect and typing (-S
-    keeps the interpreter's site hooks, which may import anything, out of the
+    """The CLI's start-up imports none of dataclasses, inspect, ast, dis,
+    tokenize and typing, the generated record constructors included (-S keeps
+    the interpreter's site hooks, which may import anything, out of the
     count)."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import dpdsurf.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing'}"
+            " & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True,
                           text=True, timeout=10)
     assert proc.returncode == 0, proc.stderr
