@@ -18,7 +18,7 @@ from .dpdring import (
     spec_to_obj,
 )
 from .errors import NoPositiveLnd, check
-from .exactmath import Rat, format_rat
+from .exactmath import Rat, format_rat, printable
 from .lnd import DegreeSet, describe, elliptic_lnd, fiber_lnd
 from .record import Record
 
@@ -488,8 +488,8 @@ def report_to_obj(report: ClassificationReport) -> dict:
         "translation": (
             format_rat(report.translation) if report.translation is not None else None
         ),
-        "d_plus_index": report.d_plus_index,
-        "d_minus_index": report.d_minus_index,
+        "d_plus_index": printable(report.d_plus_index),
+        "d_minus_index": printable(report.d_minus_index),
         "lnd": lnd_to_obj(report),
         "ml": report.ml.kind,
         "ml_generator_degree": report.ml.generator_degree,

@@ -3,9 +3,10 @@ rational functions, and the two number-theoretic helpers used by the
 classification (modular inverse and rational linear factorization).
 
 All values are immutable and all operations are pure; nothing here ever
-touches floating point.  Rational linear factorization works on the
-primitive integer row of a polynomial, with roots from intpoly, whose
-docstring gives the method and the bound that makes it exact.
+touches floating point.  Gcds, root multiplicities and rational roots are
+taken on the integer row of a polynomial (its coefficients with the
+denominators cleared) by intpoly, whose docstring gives the methods and
+the bounds that make them exact.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from collections.abc import Iterable, Sequence
 
 from .errors import CapExceeded, NotCoprime, ParseError, ZeroPolynomial
-from .intpoly import primitive, quotient, rational_roots
+from .intpoly import gcd, multiplicity, primitive, rational_roots
 
 #: Exact rational number.  ``fractions.Fraction`` already enforces every
 #: invariant we need: reduced form, positive denominator, 0 stored as 0/1,
@@ -68,6 +69,13 @@ def format_rat(q: RatLike) -> str:
     """
     q = q if type(q) is Rat else Rat(q)
     return _ratio_text(q.numerator, q.denominator)
+
+
+def printable(n: int | None) -> int | None:
+    """n, an integer to print or None; CapExceeded past MAX_DIGITS digits."""
+    if n is not None and abs(n) >= _TOO_LONG:
+        raise CapExceeded(f"an integer to print has over {MAX_DIGITS} digits")
+    return n
 
 
 def _ratio_text(num: int, den: int) -> str:
@@ -239,9 +247,6 @@ class Poly:
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
 
-    def __mod__(self, other: Poly) -> Poly:
-        return divmod(self, other)[1]
-
     def __call__(self, x: RatLike) -> Rat:
         acc = Rat(0)
         for c in reversed(self._c):
@@ -264,23 +269,12 @@ class Poly:
         return acc
 
     def multiplicity_at(self, a: RatLike) -> int:
-        """Order of vanishing at the rational point a, by synthetic division."""
+        """Order of vanishing at the rational point a, counted on the
+        integer row by intpoly.multiplicity."""
         if self.is_zero():
             raise ZeroPolynomial("order undefined for the zero polynomial")
         a = Rat(a)
-        mult = 0
-        cur = list(self._c)
-        while len(cur) > 1:
-            quot = [Rat(0)] * (len(cur) - 1)
-            acc = cur[-1]
-            for i in range(len(cur) - 2, -1, -1):
-                quot[i] = acc
-                acc = cur[i] + a * acc
-            if acc != 0:
-                break
-            mult += 1
-            cur = quot
-        return mult
+        return multiplicity(_int_row(self), a.numerator, a.denominator)[0]
 
     def __str__(self) -> str:
         """Highest power first; each coefficient's integers are read once,
@@ -350,20 +344,20 @@ def _as_poly(x: Poly | RatLike) -> Poly:
     return Poly((x,))
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm (gcd(0, 0) = 0)."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+def _int_row(p: Poly) -> list[int]:
+    """The coefficients of p times the lcm of their denominators."""
+    # a list, not a generator: unpacking a generator here grew peak resident
+    # memory by up to 1.4 MB over 29k calls
+    den = math.lcm(*[c.denominator for c in p._c])
+    return [c.numerator * (den // c.denominator) for c in p._c]
 
 
 def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Strip common factors: each rational root of den comes off num as
-    often as both vanish there, then one gcd pass runs on the (usually
-    tiny) rootless remainder of den.  The large linear-power denominators
-    the graded generators produce thus never go through Euclid with num."""
+    """num/den without common factors, as a pair of the same ratio: each
+    rational root of den comes off num as often as both vanish there, then
+    one gcd runs on num and the (usually tiny) rootless remainder of den.
+    The large linear powers (t - a)^k in the denominators of the graded
+    generators thus never go through the gcd's modular rebuilding."""
     leading = den.leading
     _, droots, drem = rational_linear_factorization(den)
     common, kept = [], []
@@ -375,7 +369,7 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         num = num // linear_power_product(common)
     new_den = linear_power_product(kept, leading)
     if drem.degree >= 1:
-        g = poly_gcd(num, drem)
+        g = Poly(gcd(_int_row(num), _int_row(drem))[0])
         if g.degree >= 1:
             num = num // g
             drem = drem // g
@@ -400,10 +394,7 @@ def rational_linear_factorization(
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    # a list, not a generator: unpacking a generator here grew peak resident
-    # memory by up to 1.4 MB over 29k calls
-    den = math.lcm(*[c.denominator for c in p.coeffs])
-    f = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    f = _int_row(p)
     low = 0
     while f[low] == 0:
         low += 1
@@ -411,9 +402,7 @@ def rational_linear_factorization(
     roots = [(Rat(0), low)] if low else []
     if len(f) > 1:
         for a, b in rational_roots(f):
-            mult, linear = 0, (-a, b)
-            while (q := quotient(f, linear)) is not None:
-                mult, f = mult + 1, q
+            mult, f = multiplicity(f, a, b)
             if mult:
                 roots.append((Rat(a, b), mult))
     roots.sort()
@@ -531,13 +520,12 @@ class RatFunc:
             return RatFunc._reduced(self.num.derivative(), Poly.one())
         # (n/d)' = (n'd - n d')/d^2; the repeated part g = gcd(d, d') cancels
         # exactly once and the result is already reduced
-        g = poly_gcd(self.den, self.den.derivative())
-        big = self.num.derivative() * self.den - self.num * self.den.derivative()
+        dd = self.den.derivative()
+        big = self.num.derivative() * self.den - self.num * dd
         if big.is_zero():
             return RatFunc.zero()
-        num = big // g
-        den = (self.den // g) * self.den
-        return RatFunc._reduced(num, den)
+        g = Poly(gcd(_int_row(self.den), _int_row(dd))[0]).monic()
+        return RatFunc._reduced(big // g, (self.den // g) * self.den)
 
     def order_at(self, a: RatLike) -> int:
         """ord_a: zero multiplicity minus pole multiplicity at a rational point."""

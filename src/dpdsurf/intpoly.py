@@ -1,5 +1,7 @@
 """Integer polynomials as coefficient rows, lowest degree first: exact
-division, arithmetic mod a prime, square-free parts and rational roots.
+division, arithmetic mod a prime, the package's one polynomial gcd
+(multi-modular, checked by exact division; von zur Gathen and Gerhard,
+Modern Computer Algebra, ch. 6), root multiplicities and rational roots.
 
 exactmath.rational_linear_factorization clears the denominators and the
 content of a polynomial once, strips its roots at 0 and hands the
@@ -7,8 +9,7 @@ primitive integer row f to rational_roots.  The square-free part s of f
 is f itself when f is square-free mod the
 first odd prime ell not dividing lc(f) (a repeated factor over Q has a
 leading coefficient ell does not divide, so it stays repeated mod ell);
-otherwise s = f / gcd(f, f'), with the gcd rebuilt from its images mod
-word-size primes and checked by exact division.  The roots of s mod an odd
+otherwise s = f / gcd(f, f').  The roots of s mod an odd
 prime ell not dividing lc(s), with s square-free mod ell, are simple, and
 each is Hensel-lifted on s to a modulus m > 2*|s(0)|*lc(s).  A root p/q in
 lowest terms has p | s(0) and q | lc(s), and two such fractions congruent
@@ -157,8 +158,8 @@ def _reconstruct(y: int, m: int, bound: int) -> tuple[int, int]:
 
 
 def _rational_row(images: Sequence[int], m: int) -> list[int] | None:
-    """The primitive integer row whose ratios to its constant term are
-    congruent to images mod m, each ratio read off by rational
+    """The primitive integer row whose ratios to its leading coefficient
+    are congruent to images mod m, each ratio read off by rational
     reconstruction with numerator and denominator at most sqrt(m/2); None
     when some ratio has no such reading."""
     bound = math.isqrt(m // 2)
@@ -172,46 +173,59 @@ def _rational_row(images: Sequence[int], m: int) -> list[int] | None:
     return primitive([p * (den // q) for p, q in ratios])
 
 
-def _squarefree_modular(f: list[int]) -> list[int]:
-    """f / gcd(f, f') for the primitive f with f(0) != 0, multi-modular.
+def gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a/g, b/g) for nonzero integer rows a and b, g their gcd (primitive, lc > 0).
 
-    For word-size primes ell the gcd of f and f' is taken mod ell, and of
-    the two factors g = gcd and f/g the one of lower degree is rebuilt from
-    its images, scaled to constant term 1, by the Chinese remainder theorem
-    and rational reconstruction.  No prime not dividing lc(f) gives a gcd of
-    lower degree than gcd(f, f'), so images of higher degree than the least
-    seen are dropped.  Each candidate is checked by exact division: g | f
-    and g | f' make g a divisor of gcd(f, f') of at least its degree, so g
-    is the gcd.
+    The contents come off first.  Of the two primitive rows, x is the one
+    of lower degree n.  For word-size primes ell dividing neither leading
+    coefficient the gcd is taken mod ell, and of the two factors g and x/g
+    the one of lower degree is rebuilt from its images, scaled to leading
+    coefficient 1, by the Chinese remainder theorem and rational
+    reconstruction.  No such prime gives a gcd of lower degree than the
+    gcd over Q, so images of higher degree than the least seen are
+    dropped.  Each candidate is checked by exact division: g | a and g | b
+    make g a divisor of the gcd of at least its degree, so g is the gcd.
     """
-    df = _derivative(f)
-    n = len(f) - 1
-    least, images, mod = n, [], 1
+    x, y = sorted((primitive(a), primitive(b)), key=len)
+    n = len(x) - 1
+    least, images, mod = n + 1, [], 1
     for ell in _word_primes():
-        if f[-1] % ell == 0 or f[0] % ell == 0:
+        if x[-1] % ell == 0 or y[-1] % ell == 0:
             continue
-        f_ell = [c % ell for c in f]
-        g = _gcd_mod(f_ell, _trim([c % ell for c in df]), ell)
+        x_ell = [c % ell for c in x]
+        g = _gcd_mod([c % ell for c in y], x_ell, ell)
         d = len(g) - 1
         if d == 0:
-            return f
+            break
         if d > least:
             continue
-        h = g if 2 * d <= n else _divmod_mod(f_ell, g, ell)[0]
-        scale = pow(h[0], -1, ell)
+        h = g if 2 * d <= n else _divmod_mod(x_ell, g, ell)[0]
+        scale = pow(h[-1], -1, ell)
         h = [c * scale % ell for c in h]
         if d < least:
             least, images, mod = d, h, ell
         else:
             k = pow(mod, -1, ell)
-            images = [x + mod * ((y - x) * k % ell) for x, y in zip(images, h)]
+            images = [u + mod * ((v - u) * k % ell) for u, v in zip(images, h)]
             mod *= ell
         row = _rational_row(images, mod)
         if row is None:
             continue
-        g, s = (row, quotient(f, row)) if 2 * d <= n else (quotient(f, row), row)
-        if g is not None and s is not None and quotient(df, g) is not None:
-            return s
+        g = row if 2 * d <= n else quotient(x, row)
+        if g is not None:
+            qa, qb = quotient(a, g), quotient(b, g)
+            if qa is not None and qb is not None:
+                return g, qa, qb
+    return [1], a, b
+
+
+def multiplicity(f: list[int], p: int, q: int) -> tuple[int, list[int]]:
+    """(m, f / (q*t - p)^m), m the order of the nonzero row f at p/q (lowest
+    terms, q > 0), counted by exact division in Z[t] (Gauss's lemma)."""
+    m, linear = 0, (-p, q)
+    while (r := quotient(f, linear)) is not None:
+        m, f = m + 1, r
+    return m, f
 
 
 def rational_roots(f: list[int]) -> list[tuple[int, int]]:
@@ -219,7 +233,7 @@ def rational_roots(f: list[int]) -> list[tuple[int, int]]:
     >= 1, as (p, q) pairs: every rational root of f is among them.
 
     The square-free part s is f when f is square-free mod the first odd
-    prime ell not dividing lc(f), else it comes from _squarefree_modular.
+    prime ell not dividing lc(f), else it is f / gcd(f, f').
     Each root of s mod ell, an odd prime not dividing lc(s) with s
     square-free mod ell, is Hensel-lifted on s to ell^e > 2*|s(0)|*lc(s)
     and read off by rational reconstruction; a root p/q has p | s(0) and
@@ -229,7 +243,7 @@ def rational_roots(f: list[int]) -> list[tuple[int, int]]:
     if _squarefree_mod(f, ell):
         s = f
     else:
-        s, ell = _squarefree_modular(f), 0
+        s, ell = gcd(f, _derivative(f))[1], 0
     if len(s) == 2:
         return [(-s[0], s[1])]
     if not ell:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 
 import pytest
@@ -456,6 +457,35 @@ def test_apply_irrational_degree_1000_denominator_exit_one(spec_file, capsys):
     assert time.perf_counter() - start < 5
     _one_error_line(capsys, "IrrationalLocus")
 
+
+def test_apply_dense_degree_160_quotient_exit_one(tmp_path, capsys):
+    """A dense degree-160 quotient element on (0, -[0]): reducing it through
+    a Euclid over Q ran for minutes.  Its denominator has no rational root,
+    so apply ends in exit 1 at once."""
+    rng = random.Random(160)
+
+    def dense():
+        return "+".join(f"{rng.randint(1, 99)}*t^{i}" for i in range(160, -1, -1))
+
+    path = _write_spec(tmp_path, {"hyperbolic": {"d_plus": [], "d_minus": [["0", "-1"]]}})
+    element = f"({dense()})/({dense()})"
+    start = time.perf_counter()
+    assert run(["apply", path, "--degree", "1", "--element", element, "--times", "1"]) == 1
+    assert time.perf_counter() - start < 5
+    _one_error_line(capsys, "IrrationalLocus")
+
+
+def test_index_over_digit_cap_exit_one(tmp_path, capsys):
+    """Three coprime 1,501-digit denominators give a denominator index (their
+    lcm) of about 4,500 digits, past what str() converts: classify ends in
+    exit 1 with CapExceeded, not in a traceback, on D and on the pair (D, D)."""
+    divisor = [[str(p), f"-1/{10**1500 + c}"] for p, c in ((0, 1), (1, 3), (2, 7))]
+    for spec in ({"parabolic": {"divisor": divisor}},
+                 {"hyperbolic": {"d_plus": divisor, "d_minus": divisor}}):
+        path = _write_spec(tmp_path, spec)
+        for flags in ([], ["--json"]):
+            assert run(["classify", path, *flags]) == 1
+            _one_error_line(capsys, "CapExceeded")
 
 def test_deg_p_over_cap_exit_one(tmp_path, capsys):
     """A D- coefficient of -10^9 asks for deg P = 10^9: refused before P is built."""

@@ -23,6 +23,7 @@ from dpdsurf.exactmath import (
     parse_rat,
     rational_linear_factorization,
 )
+from dpdsurf.intpoly import gcd
 
 rats = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30), max_denominator=12
@@ -415,6 +416,93 @@ def test_degree_1000_inputs_finish(p, want):
     assert time.perf_counter() - start < 5
     assert roots == want
     assert rest.degree == 1000 - len(want) and rest.is_unitary()
+
+
+def _sympy_row(rows, op):
+    """op applied to the integer rows (lowest degree first) as sympy
+    polynomials over ZZ, back as a row (test-only oracle)."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    polys = [sympy.Poly(list(reversed(r)), t, domain="ZZ") for r in rows]
+    return [int(c) for c in reversed(op(*polys).all_coeffs())]
+
+
+def _gcd_pairs(rng: random.Random) -> list[tuple[list[int], list[int]]]:
+    """Integer rows a, b with a shared part made of rational linear factors,
+    irreducible-looking factors of degree 2-4 and powers of t, times
+    cofactors and contents; coefficients of 4, 20 or 100 bits; every fifth
+    pair has a | b and every fifth b | a."""
+
+    def row(degree, bits):
+        return [rng.randint(-(2**bits), 2**bits) for _ in range(degree)] + [
+            rng.choice((-1, 1)) * rng.randint(1, 2**bits)]
+
+    def mul(*rows):
+        return _sympy_row(rows, lambda *ps: math.prod(ps))
+
+    pairs = []
+    for i in range(60):
+        bits = (4, 20, 100)[i % 3]
+        shared = [1]
+        for _ in range(rng.randint(0, 3)):
+            factor = rng.choice((row(1, bits), row(rng.randint(2, 4), bits), [0, 1]))
+            shared = mul(shared, *[factor] * rng.randint(1, 3))
+        a = mul(shared, row(rng.randint(0, 5), bits), [rng.randint(1, 2**bits)])
+        b = mul(shared, row(rng.randint(0, 5), bits), [rng.randint(1, 2**bits)])
+        if i % 5 == 0:
+            b = mul(a, row(rng.randint(0, 3), bits))
+        elif i % 5 == 1:
+            a = mul(b, row(rng.randint(0, 3), bits))
+        pairs.append((a, b))
+    return pairs
+
+
+def test_gcd_matches_sympy():
+    """intpoly.gcd against sympy's gcd over ZZ made primitive (test-only
+    oracle), with both cofactors checked by multiplying back.  The pinned
+    pair has a content of 19 on a first argument t: skipping the content
+    made every candidate fail exact division, and the gcd loop forever."""
+    pinned = [([0, 19], [0, -630, 126, -77, -207])]
+    for a, b in pinned + _gcd_pairs(random.Random(20261019)):
+        g, qa, qb = gcd(a, b)
+        want = _sympy_row([a, b], lambda x, y: x.gcd(y))
+        assert g == [c // math.gcd(*want) * (1 if want[-1] > 0 else -1) for c in want]
+        assert _sympy_row([g, qa], lambda x, y: x * y) == a
+        assert _sympy_row([g, qb], lambda x, y: x * y) == b
+
+
+def test_multiplicity_at_matches_sympy():
+    """Poly.multiplicity_at against the root multiplicities of sympy's
+    factorization (test-only oracle), on the wide and edge inputs of the
+    factorization cross-check times a power of t: roots with 64-bit
+    numerators and denominators, and the reconstruction-bound roots with
+    denominators near 2**64.  Next to each root the order is 0."""
+    rng = random.Random(20261019)
+    for p in _wide_inputs(rng) + _edge_inputs():
+        p = p * Poly.monomial(rng.randint(0, 2))
+        roots, _ = _sympy_factorization(p)
+        orders = dict(roots)
+        for a, m in roots:
+            assert p.multiplicity_at(a) == m
+            near = a + Fraction(1, rng.randint(2, 2**64))
+            assert p.multiplicity_at(near) == orders.get(near, 0)
+
+
+def _dense(rng: random.Random, degree: int) -> Poly:
+    return Poly([rng.randint(-99, 99) for _ in range(degree)] + [rng.randint(1, 99)])
+
+
+@pytest.mark.parametrize("op, den_degree", [(lambda f: f, 80), (RatFunc.derivative, 160)],
+                         ids=["reduce", "derivative"])
+def test_dense_degree_80_quotient_finishes(op, den_degree):
+    """Dense degree-80 integer numerator and denominator: the Euclid over Q
+    took 11 s to reduce them and 17 s more for the derivative."""
+    rng = random.Random(80)
+    p, q = _dense(rng, 80), _dense(rng, 80)
+    start = time.perf_counter()
+    f = op(RatFunc(p, q))
+    assert time.perf_counter() - start < 1
+    assert f.den.degree == den_degree
 
 
 class TestRatFunc:

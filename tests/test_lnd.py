@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import random
+import time
 
 import pytest
 
@@ -237,6 +238,23 @@ class TestApply:
         )
         assert apply(lnd_pos, u_plus).is_zero()
 
+
+    def test_dense_degree_100_quotient_finishes(self):
+        """The degree-1 derivation of (0, -[0]) on f = (t^100 + 2t^99 + 5t^50 +
+        11)/(t^100 + t^99 + 3t^50 + 7): reducing f' took 14 s through the
+        Euclid over Q.  D(f) = f' * D(t), D being a derivation."""
+        lnd = build_horizontal(DivisorPair(D(), D((0, -1))), 1)
+
+        def poly(*terms):
+            return Poly([dict(terms).get(i, 0) for i in range(101)])
+
+        f = RatFunc(poly((100, 1), (99, 2), (50, 5), (0, 11)),
+                    poly((100, 1), (99, 1), (50, 3), (0, 7)))
+        start = time.perf_counter()
+        image = apply(lnd, GradedElement.monomial(0, f))
+        assert time.perf_counter() - start < 1
+        dt = apply(lnd, GradedElement.monomial(0, Poly.t()))
+        assert image == GradedElement.monomial(0, f.derivative()) * dt
 
 class TestNilpotency:
     def test_zero(self):
