@@ -22,7 +22,6 @@ from .dpdring import (
     contains,
     from_equation,
     graded_generator,
-    is_line_cross_torus,
     presentation,
 )
 from .exactmath import (
@@ -56,7 +55,6 @@ from .lnd import (
     elliptic_lnd,
     fiber_lnd,
     kernel_generator,
-    nilpotency_steps,
     positive_lnd_exists,
     stabilization_witness,
 )

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import math
 
-from .divisor import Anchored, DivisorPair, Row, anchored, denom_index, normalize_pair, pair_rows
+from .divisor import (Anchored, DivisorPair, Row, anchor_rows, anchored, denom_index,
+                      normalize_pair, pair_rows, reverse_rows)
 from .dpdring import (
     Elliptic,
     Hyperbolic,
@@ -18,7 +19,7 @@ from .dpdring import (
     spec_to_obj,
 )
 from .errors import NoPositiveLnd, check
-from .exactmath import Rat, format_rat, printable
+from .exactmath import Rat, format_rat, poly_texts, printable
 from .lnd import DegreeSet, describe, elliptic_lnd, fiber_lnd
 from .record import Record
 
@@ -335,8 +336,9 @@ def _degrees(side: Anchored | None) -> DegreeSet:
 
 def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
     """The report with no presentation, every field read from the anchored
-    sides (each anchored once), and the anchored plus side the presentation
-    is read from (None unless hyperbolic).  No field needs P."""
+    sides, and the anchored plus side the presentation is read from (None
+    unless hyperbolic).  A hyperbolic pair is normalized once: both sides
+    are anchored from the rows of that one normal form.  No field needs P."""
     if isinstance(spec, Elliptic):
         dx, dy = elliptic_lnd(spec.d, spec.e_prime)
         return ClassificationReport(
@@ -370,9 +372,9 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
         ), None
 
     pair = spec.pair
-    plus, minus = anchored(pair), anchored(pair.reverse())
-    norm = plus.normal if plus else normalize_pair(pair)
-    rows = plus.rows if plus else pair_rows(norm)
+    norm = normalize_pair(pair)
+    rows = pair_rows(norm)
+    plus, minus = anchor_rows(rows, norm), anchor_rows(reverse_rows(rows))
     fibers = _fibers(rows)
     flat = not any(f.degenerate for f in fibers)
     ml = _hyperbolic_ml(flat, plus, minus)
@@ -472,10 +474,14 @@ def recognition_to_obj(report: ClassificationReport) -> dict | None:
 def report_to_obj(report: ClassificationReport) -> dict:
     """Stable machine-readable document (field names are a contract).
 
-    P is rendered once; Q reuses the text when Q = P, and so does the relation.
+    Q's coefficients are rendered once: P(s) = Q(s^d)*s^(k*e' + d*l) has the
+    same ones, and the relation is P in the variable t (d = 1) or s.
     """
     pres = report.presentation
-    p_text = pres and str(pres.P)
+    if pres is not None:
+        s_exp = pres.k * pres.e_prime + pres.d * pres.l
+        q_text, p_text, rhs = poly_texts(pres.Q, ("t", 0, 1), ("t", s_exp, pres.d),
+                                         ("t" if pres.d == 1 else "s", s_exp, pres.d))
     normalized = None
     if report.normalized_pair is not None:
         normalized = spec_to_obj(Hyperbolic(report.normalized_pair))
@@ -503,10 +509,10 @@ def report_to_obj(report: ClassificationReport) -> dict:
             "d": pres.d,
             "e_prime": pres.e_prime,
             "l": pres.l,
-            "Q": p_text if pres.Q == pres.P else str(pres.Q),
+            "Q": q_text,
             "zd_weights": list(pres.zd_weights),
             "translation": format_rat(pres.translation),
-            "relation": pres.relation_text(p_text),
+            "relation": f"u^{pres.k} v = {rhs}",
         },
         **fibers_to_obj(report),
         "ruling": (

@@ -8,6 +8,9 @@ classification is invariant.  :class:`Anchored` is the normal form that
 every later layer reads its toric data from.  It is derived in integers:
 normalize_pair shifts by ceil(d_plus), and every fact of the normal form is
 read off pair_rows, each point's coefficients as (numerator, denominator).
+One normal form serves both sides of a pair: anchor_rows anchors its rows,
+and reverse_rows gives the reversed pair's rows.  The Fraction-valued
+normal form and translated pair of such an anchoring are built when read.
 """
 
 from __future__ import annotations
@@ -364,7 +367,9 @@ class Anchored(_NormalForm):
     the anchor gives d = m+, e' = -n+ and l = -k*n-/m-, and k is the lcm of
     the m-, so that d_plus(0) = -e'/d and d_minus(0) = -l/k.  A parabolic
     divisor D is anchored as the pair (D, -D), whose degree >= 0 part is
-    A_0[D]; its k and l carry no meaning.
+    A_0[D]; its k and l carry no meaning.  An anchoring from anchor_rows
+    builds normal and pair, the Fraction-valued fields, when first read, and
+    compares, hashes, prints, copies and pickles as one built with both.
     """
 
     __slots__ = ("pair", "translation", "d", "e_prime", "k", "l")
@@ -372,12 +377,28 @@ class Anchored(_NormalForm):
     def __init__(self, pair: DivisorPair, translation: Rat, d: int, e_prime: int,
                  k: int, l: int):
         normal = pair.translate(translation)
-        self._fill(pair, translation, d, e_prime, k, l, normal, pair_rows(normal))
+        self._fill(pair=pair, translation=translation, d=d, e_prime=e_prime, k=k, l=l,
+                   normal=normal, rows=pair_rows(normal))
 
-    def _fill(self, *values) -> Anchored:
-        for name, value in zip((*self.__slots__, *_NormalForm.__slots__), values):
+    def _fill(self, **values) -> Anchored:
+        for name, value in values.items():
             object.__setattr__(self, name, value)
         return self
+
+    def __getattr__(self, name: str):
+        """Reached only for an unset slot: build normal from the rows, or pair
+        from normal, and keep it."""
+        if name == "normal":
+            rows = self.rows
+            value = DivisorPair._trusted(
+                QDivisor._canonical(tuple((a, Rat(pn, pd)) for a, pn, pd, _, _ in rows if pn)),
+                QDivisor._canonical(tuple((a, Rat(mn, md)) for a, _, _, mn, md in rows if mn)))
+        elif name == "pair":
+            value = self.normal.translate(-self.translation)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     @classmethod
     def of(cls, x: DivisorPair | QDivisor) -> Anchored:
@@ -405,15 +426,33 @@ class Anchored(_NormalForm):
 def _anchor(pair: DivisorPair) -> Anchored:
     """Anchored.of a pair with d_plus fractional at one point (the anchor) or none (0)."""
     normal = normalize_pair(pair)
-    rows = pair_rows(normal)
-    k = math.lcm(*(md for *_, md in rows))
-    anchor = next((row for row in rows if row[2] != 1), None)
-    if anchor is None:  # d_plus is integral: anchor at 0
+    return anchor_rows(pair_rows(normal), normal)
+
+
+def anchor_rows(rows: tuple[Row, ...], normal: DivisorPair | None = None) -> Anchored | None:
+    """The anchoring of the pair whose normal form has these rows (normal, if
+    built), or None when its d_plus is fractional at two or more points."""
+    fractional = [row for row in rows if row[2] != 1]
+    if len(fractional) > 1:
+        return None
+    if fractional:
+        anchor = fractional[0]
+    else:  # d_plus is integral: anchor at 0
         anchor = next((row for row in rows if row[0] == 0), (_ZERO, 0, 1, 0, 1))
     t, pn, d, mn, md = anchor
-    q = normal.translate(-t) if t else normal
-    a = object.__new__(Anchored)
-    return a._fill(q, t, d, -pn, k, -(k // md) * mn, normal, rows)
+    k = math.lcm(*(md for *_, md in rows))
+    a = object.__new__(Anchored)._fill(translation=t, d=d, e_prime=-pn, k=k,
+                                       l=-(k // md) * mn, rows=rows)
+    return a if normal is None else a._fill(normal=normal)
+
+
+def reverse_rows(rows: tuple[Row, ...]) -> tuple[Row, ...]:
+    """pair_rows(normalize_pair(pair.reverse())) from pair's normal rows: the
+    swapped rows shifted by c = ceil(D-(a)) in integers, as normalize_pair
+    does, since the normal form does not see integral shifts.  No row drops
+    out: both new coefficients vanish only where both old ones do."""
+    return tuple((a, mn - c * md, md, pn + c * pd, pd)
+                 for a, pn, pd, mn, md in rows for c in (-(-mn // md),))
 
 
 #: One-entry memo of Anchored.of, (input, anchored), rebound in one step; keys

@@ -129,16 +129,12 @@ def contains(spec: SurfaceSpec, x: GradedElement) -> bool:
     return True
 
 
-def is_line_cross_torus(pair: DivisorPair) -> bool:
-    """True when d_plus + d_minus = 0, i.e. the ring has a unit of nonzero degree."""
-    return pair.sum().is_zero()
-
-
 #: Largest deg P a presentation may have, checked before P is built.  P is
 #: dense and printed in full: at deg P 5,000 a classify process takes about
-#: 1.1 s when Q has one root and 11-14 s with three (D- = -1666*([0]+[1]+[2]),
-#: nearly all in linear_power_product's integer products; Python 3.11, 2-core
-#: VM), and the cost grows faster than quadratically.
+#: 1.0 s when Q has one root (D- = -5000*[1/2]) and 4.6 s with three
+#: (D- = -1666*([0]+[1]+[2])), nearly all in linear_power_product's integer
+#: products (Python 3.11, 2-core VM).  The cap bounds the degree, not the
+#: size: with the points 1/3, -5/7 and 2/11 it takes 72 s.
 MAX_DEG_P = 5000
 
 
@@ -162,9 +158,10 @@ class Presentation(Record):
         because the sum at 0 is <= 0.  Raises CapExceeded when
         deg P = k*e' + d*l + d*deg Q is over MAX_DEG_P.
         """
-        factors, s_exp, degree = _shape(a)
+        roots, s_exp, degree = _shape(a)
         cap_deg_p(degree)
-        big_q = linear_power_product(factors)
+        t = a.translation
+        big_q = linear_power_product([(p - t, m) for p, m in roots] if t else roots)
         # P(s) = Q(s^d) s^s_exp: coefficient i of Q lands at s_exp + i*d, and
         # Q's leading coefficient is P's
         coeffs = [Rat(0)] * (degree + 1)
@@ -180,22 +177,20 @@ class Presentation(Record):
             translation=a.translation,
         )
 
-    def relation_text(self, p_text: str | None = None) -> str:
-        """u^k v = P in the variable t (d = 1) or s; p_text is str(P) if known."""
-        var = "t" if self.d == 1 else "s"
-        return f"u^{self.k} v = {(p_text or str(self.P)).replace('t', var)}"
-
 
 def _shape(a: Anchored) -> tuple[list[tuple[Rat, int]], int, int]:
-    """The roots of Q with multiplicities, the power k*e' + d*l of s, and deg P."""
-    factors = []
-    for p, c in a.pair.d_minus.terms:
-        if p != 0:
-            check(c < 0, "d_minus > 0 where d_plus = 0 contradicts a sum <= 0")
-            factors.append((p, -a.k * c.numerator // c.denominator))  # k*c is integral
+    """The roots of Q with multiplicities, the power k*e' + d*l of s, and deg P.
+
+    Read off a.rows: a point p of D- away from the anchor is the root
+    p - a.translation of Q, given here as p, with multiplicity -k*D-(p)."""
+    roots = []
+    for p, _, _, mn, md in a.rows:
+        if mn and p != a.translation:
+            check(mn < 0, "d_minus > 0 where d_plus = 0 contradicts a sum <= 0")
+            roots.append((p, -(a.k // md) * mn))  # k*D-(p) is integral
     s_exp = a.k * a.e_prime + a.d * a.l
     check(s_exp >= 0, "k*e' + d*l < 0 contradicts d_plus + d_minus <= 0")
-    return factors, s_exp, s_exp + a.d * sum(m for _, m in factors)
+    return roots, s_exp, s_exp + a.d * sum(m for _, m in roots)
 
 
 def presentation_degree(a: Anchored) -> int:

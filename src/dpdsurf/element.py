@@ -104,10 +104,6 @@ class GradedElement:
             n >>= 1
         return acc
 
-    def euler(self) -> GradedElement:
-        """The grading derivation E: sum n f_n u^n."""
-        return GradedElement((n, f * n) for n, f in self._terms)
-
     def __str__(self) -> str:
         return render_element(self)
 
@@ -198,14 +194,24 @@ def _parse_exponent(toks: _Tokens) -> int:
 
 
 def _parse_expr(toks: _Tokens, allow_u: bool) -> GradedElement:
-    acc = GradedElement.zero()
+    """The sum of the terms, added once at the end: the polynomial terms
+    coefficient by coefficient per (u-degree, t-exponent), and each term
+    with a denominator as a rational function."""
+    rows: dict[int, dict[int, Rat]] = {}
+    fractions = []
     sign = 1
     if toks.peek() == "-":
         toks.next()
         sign = -1
     while True:
-        term = _parse_term(toks, allow_u)
-        acc = acc + (term * sign if sign < 0 else term)
+        upow, coeff = _parse_term(toks, allow_u)
+        if coeff.den.degree == 0:  # den is 1: add the coefficients
+            row = rows.setdefault(upow, {})
+            for i, c in enumerate(coeff.num.coeffs):
+                if c:
+                    row[i] = row.get(i, 0) + sign * c
+        else:
+            fractions.append((upow, coeff if sign > 0 else RatFunc._reduced(-coeff.num, coeff.den)))
         nxt = toks.peek()
         if nxt == "+":
             toks.next()
@@ -214,10 +220,13 @@ def _parse_expr(toks: _Tokens, allow_u: bool) -> GradedElement:
             toks.next()
             sign = -1
         else:
-            return acc
+            polys = [(n, RatFunc(Poly([row.get(i, 0) for i in range(max(row, default=-1) + 1)])))
+                     for n, row in rows.items()]
+            return GradedElement(polys + fractions)
 
 
-def _parse_term(toks: _Tokens, allow_u: bool) -> GradedElement:
+def _parse_term(toks: _Tokens, allow_u: bool) -> tuple[int, RatFunc]:
+    """The u-degree and the coefficient of one term."""
     coeff = RatFunc.one()
     upow = 0
     saw_atom = False
@@ -294,7 +303,7 @@ def _parse_term(toks: _Tokens, allow_u: bool) -> GradedElement:
             )
     if not saw_atom:
         raise ParseError("expected a term", toks.here)
-    return GradedElement.monomial(upow, coeff)
+    return upow, coeff
 
 
 def parse_element(src: str) -> GradedElement:

@@ -138,7 +138,7 @@ class Poly:
     def monomial(cls, exponent: int, coeff: RatLike = 1) -> Poly:
         if exponent < 0:
             raise ValueError("polynomial exponents are nonnegative")
-        return cls((0,) * exponent + (coeff,))
+        return cls((Rat(0),) * exponent + (coeff,))
 
     @property
     def coeffs(self) -> Sequence[Rat]:
@@ -204,11 +204,11 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return Poly()
         out = [Rat(0)] * (len(self._c) + len(other._c) - 1)
+        right = [(j, b) for j, b in enumerate(other._c) if b]  # a monomial costs one product
         for i, a in enumerate(self._c):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._c):
-                out[i + j] += a * b
+            if a:
+                for j, b in right:
+                    out[i + j] += a * b
         return Poly(out)
 
     __rmul__ = __mul__
@@ -277,26 +277,39 @@ class Poly:
         return multiplicity(_int_row(self), a.numerator, a.denominator)[0]
 
     def __str__(self) -> str:
-        """Highest power first; each coefficient's integers are read once,
-        so a zero costs one integer test."""
-        parts = []
-        for i, c in enumerate(self._c):
-            num = c.numerator
-            if not num:
-                continue
-            body = _ratio_text(abs(num), c.denominator)
-            if i:
-                tp = "t" if i == 1 else f"t^{i}"
-                body = tp if body == "1" else f"{body}*{tp}"
-            parts.append(("-" if num < 0 else "+") + body)
-        if not parts:
-            return "0"
-        parts.reverse()
-        text = "".join(parts)
-        return text[1:] if text[0] == "+" else text
+        return poly_texts(self, ("t", 0, 1))[0]
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def poly_texts(p: Poly, *layouts: tuple[str, int, int]) -> list[str]:
+    """The text of x^shift * p(x^step) for each layout (x, shift, step), as
+    str(p) writes p: highest power first, p's coefficients rendered once for
+    all the layouts, and a zero costing one integer test."""
+    terms = []
+    for i, c in enumerate(p._c):
+        num = c.numerator
+        if num:
+            terms.append((i, "-" if num < 0 else "+", _ratio_text(abs(num), c.denominator)))
+    terms.reverse()
+    texts = []
+    for var, shift, step in layouts:
+        parts = []
+        for i, sign, body in terms:
+            if e := shift + step * i:
+                power = var if e == 1 else f"{var}^{e}"
+                body = power if body == "1" else f"{body}*{power}"
+            parts.append(sign + body)
+        text = "".join(parts) or "0"
+        texts.append(text[1:] if text[0] == "+" else text)
+    return texts
+
+
+#: Most bits of the integer linear_power_product evaluates, deg + 1 digits of
+#: its coefficient bound.  D- = -1666*([0] + [1] + [2]) (deg P 4,998) needs
+#: 41.7 Mbit; a root with a 1,848-bit denominator at multiplicity 3,633, 24 Gbit.
+MAX_PRODUCT_BITS = 1 << 27
 
 
 def linear_power_product(
@@ -305,37 +318,42 @@ def linear_power_product(
     """leading * prod (t - a)^m over the pairs (a, m), m >= 0, in exact
     integers.
 
-    With a = num/den, (t - a)^m = den^(-m) (den*t - num)^m, whose
-    coefficient of t^j is C(m, j) den^j (-num)^(m-j).  The integer rows are
-    multiplied by convolution and the product divided once by prod den^m
-    (and by the denominator of leading).
+    With a = num/den, (t - a)^m = den^(-m) (den*t - num)^m.  The integer
+    polynomial n * prod (den*t - num)^m, n the numerator of leading, is
+    evaluated at t = 2^k (Kronecker substitution) with one integer product
+    per factor.  A factor's value (den*2^k - num)^m is taken by pow while it
+    has at most 8 kbit, and packed from its binomial digits
+    C(m, j) den^j (-num)^(m-j) past that.  k is the bit length of the
+    1-norm bound |n| * prod (|num| + den)^m plus a sign bit, in whole bytes;
+    2^(k-1) is added at every digit, so none borrows and one to_bytes pass
+    reads the product back.  It is divided once by prod den^m and the
+    denominator of leading.  Raises CapExceeded past MAX_PRODUCT_BITS.
     """
-    leading = Rat(leading)
-    row, scale = [leading.numerator], leading.denominator
-    for a, m in factors:
-        a = Rat(a)
-        num, den = a.numerator, a.denominator
-        neg_pow = [1]  # (-num)^i
-        for _ in range(m):
-            neg_pow.append(neg_pow[-1] * -num)
-        power, binom, den_j = [], 1, 1
-        for j in range(m + 1):
-            power.append(binom * den_j * neg_pow[m - j])
-            binom = binom * (m - j) // (j + 1)
-            den_j *= den
-        row = _convolve(row, power)
+    value, scale = leading.numerator, leading.denominator
+    rows = [(a.numerator, a.denominator, m) for a, m in factors if m]
+    degree = sum(m for *_, m in rows)
+    bits = value.bit_length() + sum(m * (abs(num) + den).bit_length() for num, den, m in rows)
+    width = bits // 8 + 1  # bytes a digit, the sign bit included
+    if 8 * width * (degree + 1) > MAX_PRODUCT_BITS:
+        raise CapExceeded(f"a product of linear powers is over the cap of {MAX_PRODUCT_BITS} bits")
+    half, offset = b"\0" * (width - 1) + b"\x80", 1 << (8 * width - 1)
+    for num, den, m in rows:
+        if (m + 1) * width <= 1024:  # up to 8 kbit CPython's pow is quicker
+            value *= ((den << 8 * width) - num) ** m
+        else:  # past it, squaring costs far more than packing the digits
+            digits, c = [], (-num) ** m
+            for j in range(m):
+                digits.append((c + offset).to_bytes(width, "little"))
+                c = c * (m - j) * den // ((j + 1) * -num) if num else 0
+            digits.append((den**m + offset).to_bytes(width, "little"))
+            packed = int.from_bytes(b"".join(digits), "little")
+            value *= packed - int.from_bytes(half * (m + 1), "little")
         scale *= den**m
+    digits = (value + int.from_bytes(half * (degree + 1), "little")).to_bytes(
+        width * (degree + 1), "little")
+    row = [int.from_bytes(digits[i:i + width], "little") - offset
+           for i in range(0, len(digits), width)]
     return Poly(row) if scale == 1 else Poly(Rat(c, scale) for c in row)
-
-
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two integer coefficient lists (lowest degree first)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _as_poly(x: Poly | RatLike) -> Poly:

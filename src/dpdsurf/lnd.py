@@ -264,21 +264,6 @@ def apply(lnd: Lnd, x: GradedElement) -> GradedElement:
     return GradedElement((n + lnd.exponent, f.derivative()) for n, f in x.terms)
 
 
-def nilpotency_steps(lnd: Lnd, x: GradedElement, cap: int = 256) -> int:
-    """Minimal N <= cap with apply^N(x) = 0 (caller guarantees x in A).
-
-    CapExceeded signals a bug or an inadmissible derivation; negative tests
-    rely on it.
-    """
-    steps = 0
-    while not x.is_zero():
-        if steps >= cap:
-            raise CapExceeded(f"no zero within {cap} applications")
-        x = apply(lnd, x)
-        steps += 1
-    return steps
-
-
 class _Pending(Record):
     """The (table, e) a report's failures are scanned from: no field."""
 

@@ -17,7 +17,7 @@ from dpdsurf.element import (
     render_element,
 )
 from dpdsurf.errors import CapExceeded, ParseError
-from dpdsurf.exactmath import Poly, Rat, RatFunc
+from dpdsurf.exactmath import Poly, Rat, RatFunc, format_rat
 
 
 class TestElementGrammar:
@@ -62,6 +62,98 @@ class TestElementGrammar:
             assert parse_element(render_element(x)) == x
         assert render_element(GradedElement.zero()) == "0"
         assert parse_element("0").is_zero()
+
+    @staticmethod
+    def random_text(rng) -> tuple[str, GradedElement]:
+        """A sum of random terms, as text, and its value built by adding the
+        terms' GradedElements one at a time.  Terms repeat u-degrees and
+        t-exponents, and some carry a parenthesized sum or a denominator."""
+        text, want = "", GradedElement.zero()
+        for i in range(rng.randint(1, 12)):
+            c = Rat(rng.randint(-30, 30), rng.randint(1, 6))
+            e, n = rng.randint(0, 8), rng.randint(-2, 2)
+            factors = [format_rat(abs(c)), f"t^{e}", f"u^{n}"]
+            value = RatFunc(Poly.monomial(e, abs(c)))
+            if rng.random() < 0.3:
+                inner = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
+                parts = "".join(f" {'-' if a < 0 else '+'} {abs(a)}*t^{j}"
+                                for j, a in enumerate(inner))
+                factors.append("(" + parts.strip().removeprefix("+ ") + ")")
+                value = value * Poly(inner)
+            if rng.random() < 0.2:
+                root = Rat(rng.randint(-4, 4), rng.randint(1, 3))
+                sign = "-" if root >= 0 else "+"
+                factors.append(f"/(t {sign} {format_rat(abs(root))})")
+                value = value / Poly((-root, 1))
+            neg = c < 0
+            body = "*".join(factors).replace("*/", "/")
+            text += (" - " if neg else " + ") + body if i else ("-" if neg else "") + body
+            want = want + GradedElement.monomial(n, -value if neg else value)
+        return text, want
+
+    def test_sums_each_coefficient_once(self):
+        """The terms are summed once at the end: the same element as adding
+        them one at a time, on seeded random sums."""
+        from oracles import parse_element_termwise
+
+        rng = random.Random(20261019)
+        for _ in range(150):
+            text, want = self.random_text(rng)
+            assert parse_element(text) == want == parse_element_termwise(text), text
+
+    def test_errors_unchanged(self):
+        """Every ParseError, message and position, and every other outcome,
+        as from the termwise sum, on seeded random corruptions of sums."""
+        from oracles import parse_element_termwise
+
+        def outcome(parse, text):
+            try:
+                return parse(text)
+            except (ParseError, CapExceeded) as exc:
+                return type(exc).__name__, str(exc), getattr(exc, "position", None)
+
+        rng = random.Random(20261020)
+        errors = 0
+        for _ in range(300):
+            text, _ = self.random_text(rng)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(text) + 1)
+                edit = rng.choice(["", "+", "-", "*", "/", "(", ")", "^", "t", "u", "0", "x"])
+                text = text[:i] + edit + text[i + 1:]
+            got = outcome(parse_element, text)
+            assert got == outcome(parse_element_termwise, text), text
+            errors += isinstance(got, tuple)
+        assert errors >= 100
+
+    def test_apply_unchanged(self, monkeypatch, tmp_path, capsys):
+        """apply prints the same document for an element parsed by either sum."""
+        import oracles
+        from dpdsurf import cli
+
+        rng = random.Random(20261021)
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({"hyperbolic": {"d_plus": [["0", "-1/2"]],
+                                                   "d_minus": [["0", "-1/2"], ["1", "-1"]]}}))
+        for _ in range(12):
+            text, _ = self.random_text(rng)
+            args = ["apply", str(spec), "--element", text, "--times", "2", "--json"]
+            outs = []
+            for parse in (parse_element, oracles.parse_element_termwise):
+                monkeypatch.setattr(cli, "parse_element", parse)
+                code = run(args)
+                outs.append((code, capsys.readouterr().out))
+            assert outs[0] == outs[1] and outs[0][0] == 0, text
+
+    def test_dense_polynomial_parses_in_linear_time(self):
+        """1,001 terms, one per t-exponent up to MAX_EXPONENT: the sum runs
+        once per coefficient (6.7 s term by term)."""
+        rng = random.Random(7)
+        exps = range(MAX_EXPONENT, -1, -1)
+        text = " + ".join(f"{rng.randint(1, 99)}*t^{e}" for e in exps)
+        start = time.perf_counter()
+        x = parse_element(text)
+        assert time.perf_counter() - start < 1.0
+        assert x.degrees == (0,) and x.terms[0][1].num.degree == MAX_EXPONENT
 
     def test_parse_poly(self):
         assert parse_poly("t^2+t") == Poly((0, 1, 1))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -16,9 +18,12 @@ from dpdsurf.divisor import (
     DivisorPair,
     QDivisor,
     affine_equivalent,
+    anchor_rows,
     anchored,
     denom_index,
     normalize_pair,
+    pair_rows,
+    reverse_rows,
     shift_equivalent,
 )
 from dpdsurf.dpdring import Hyperbolic
@@ -311,6 +316,56 @@ class TestAnchoredCrossCheck:
                 assert facts(Hyperbolic(pair)).mm == -a.d * minus.d * s.degree
                 seen["mm"] += 1
         assert min(seen.values()) >= 10, seen
+
+
+class TestBothSides:
+    """classify anchors both sides from one normal form: anchor_rows of its
+    rows for the pair, and of reverse_rows of them for the reversed pair.
+    Each must be Anchored.of that side, the lazily built normal and pair
+    included, and compare, hash, print, copy and pickle as it does."""
+
+    FIELDS = ("pair", "translation", "d", "e_prime", "k", "l", "normal", "rows")
+
+    @staticmethod
+    def sides(pair):
+        """Fresh (plus, minus) anchorings from one normal form, nothing read yet."""
+        norm = normalize_pair(pair)
+        rows = pair_rows(norm)
+        return anchor_rows(rows, norm), anchor_rows(reverse_rows(rows))
+
+    def test_matches_anchoring_each_side(self, monkeypatch):
+        rng = random.Random(20261019)
+        seen = {"spread": 0, "spread reverse": 0, "translated": 0, "reverse translated": 0}
+        for i in range(300):
+            pair = (random_pair(rng), random_concentrated_pair(rng), _anchor_family(rng))[i % 3]
+            if not isinstance(pair, DivisorPair):
+                continue
+            for side, x in enumerate((pair, pair.reverse())):
+                monkeypatch.setattr(divisor_module, "_memo", (None, None))
+                want = anchored(x)
+                seen[("spread", "spread reverse")[side]] += want is None
+                if want is None:
+                    assert self.sides(pair)[side] is None
+                    continue
+                seen[("translated", "reverse translated")[side]] += want.translation != 0
+                got = self.sides(pair)[side]
+                assert repr(got) == repr(want)
+                got = self.sides(pair)[side]
+                assert got == want and hash(got) == hash(want)
+                for name in self.FIELDS:
+                    assert getattr(got, name) == getattr(want, name), (name, pair)
+                for clone in (copy.copy(self.sides(pair)[side]),
+                              copy.deepcopy(self.sides(pair)[side]),
+                              pickle.loads(pickle.dumps(self.sides(pair)[side]))):
+                    assert clone == want
+                    assert all(getattr(clone, n) == getattr(want, n) for n in self.FIELDS)
+        assert min(seen.values()) >= 10, seen
+
+    def test_reverse_rows_are_the_reversed_normal_rows(self, rng):
+        for _ in range(200):
+            pair = random_pair(rng)
+            rows = pair_rows(normalize_pair(pair))
+            assert reverse_rows(rows) == pair_rows(normalize_pair(pair.reverse()))
 
 
 def _ratio(c: Rat) -> tuple[int, int]:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import from_roots
+from oracles import schoolbook_linear_power_product
 from dpdsurf.errors import CapExceeded, NotCoprime, ParseError, ZeroPolynomial
 from dpdsurf.exactmath import (
     MAX_DIGITS,
@@ -94,10 +95,42 @@ class TestPoly:
         st.fractions(min_value=-(2**24), max_value=2**24, max_denominator=2**24),
         st.integers(0, 7)), max_size=4), rats)
     def test_linear_power_product(self, factors, leading):
-        dense = Poly((leading,))
-        for a, m in factors:
-            dense = dense * Poly((-a, 1)) ** m
-        assert linear_power_product(factors, leading) == dense
+        want = schoolbook_linear_power_product(factors, leading)
+        assert linear_power_product(factors, leading) == want
+
+    def test_linear_power_product_wide(self):
+        """The Kronecker product against the schoolbook one on seeded
+        factors: 40-bit points, zero and negative points, m = 0, a leading
+        coefficient with a denominator, no factor at all, and powers packed
+        from their digits (over 8 kbit) as well as taken by pow."""
+        rng = random.Random(20261019)
+
+        def point():
+            kind = rng.choice(["wide", "wide", "zero", "small"])
+            if kind == "zero":
+                return Rat(0)
+            span = 2**40 if kind == "wide" else 5
+            return Rat(rng.randint(-span, span), rng.randint(1, span))
+
+        seen = {"zero": 0, "negative": 0, "m = 0": 0, "leading den": 0, "empty": 0, "digits": 0}
+        for _ in range(300):
+            top = rng.choice([6, 6, 25])
+            factors = [(point(), rng.randint(0, top)) for _ in range(rng.randint(0, 4))]
+            leading = Rat(rng.choice([1, -1, rng.randint(-2**40, 2**40)]),
+                          rng.choice([1, 1, 7, 2**41 + 1]))
+            got = linear_power_product(factors, leading)
+            assert got == schoolbook_linear_power_product(factors, leading), (factors, leading)
+            seen["zero"] += any(a == 0 and m for a, m in factors)
+            seen["negative"] += any(a < 0 and m for a, m in factors)
+            seen["m = 0"] += any(m == 0 for _, m in factors)
+            seen["leading den"] += leading.denominator > 1
+            seen["empty"] += not factors
+            width = (leading.numerator.bit_length() + sum(
+                m * (abs(a.numerator) + a.denominator).bit_length() for a, m in factors)) // 8 + 1
+            seen["digits"] += any(m and (m + 1) * width > 1024 for _, m in factors)
+        assert min(seen.values()) >= 10, seen
+        assert linear_power_product([], 0) == Poly.zero()
+        assert linear_power_product([(Rat(3), 0)], Rat(2, 3)) == Poly((Rat(2, 3),))
 
     @given(small_polys, small_polys, small_polys)
     def test_ring_laws(self, a, b, c):
