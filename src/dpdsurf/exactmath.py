@@ -321,13 +321,12 @@ def linear_power_product(
     With a = num/den, (t - a)^m = den^(-m) (den*t - num)^m.  The integer
     polynomial n * prod (den*t - num)^m, n the numerator of leading, is
     evaluated at t = 2^k (Kronecker substitution) with one integer product
-    per factor.  A factor's value (den*2^k - num)^m is taken by pow while it
-    has at most 8 kbit, and packed from its binomial digits
-    C(m, j) den^j (-num)^(m-j) past that.  k is the bit length of the
-    1-norm bound |n| * prod (|num| + den)^m plus a sign bit, in whole bytes;
-    2^(k-1) is added at every digit, so none borrows and one to_bytes pass
-    reads the product back.  It is divided once by prod den^m and the
-    denominator of leading.  Raises CapExceeded past MAX_PRODUCT_BITS.
+    per factor, each factor's value packed from its binomial digits
+    C(m, j) den^j (-num)^(m-j).  k is the bit length of the 1-norm bound
+    |n| * prod (|num| + den)^m plus a sign bit, in whole bytes; 2^(k-1) is
+    added at every digit, so none borrows and one to_bytes pass reads the
+    product back.  It is divided once by prod den^m and the denominator of
+    leading.  Raises CapExceeded past MAX_PRODUCT_BITS.
     """
     value, scale = leading.numerator, leading.denominator
     rows = [(a.numerator, a.denominator, m) for a, m in factors if m]
@@ -338,16 +337,13 @@ def linear_power_product(
         raise CapExceeded(f"a product of linear powers is over the cap of {MAX_PRODUCT_BITS} bits")
     half, offset = b"\0" * (width - 1) + b"\x80", 1 << (8 * width - 1)
     for num, den, m in rows:
-        if (m + 1) * width <= 1024:  # up to 8 kbit CPython's pow is quicker
-            value *= ((den << 8 * width) - num) ** m
-        else:  # past it, squaring costs far more than packing the digits
-            digits, c = [], (-num) ** m
-            for j in range(m):
-                digits.append((c + offset).to_bytes(width, "little"))
-                c = c * (m - j) * den // ((j + 1) * -num) if num else 0
-            digits.append((den**m + offset).to_bytes(width, "little"))
-            packed = int.from_bytes(b"".join(digits), "little")
-            value *= packed - int.from_bytes(half * (m + 1), "little")
+        digits, c = [], (-num) ** m
+        for j in range(m):
+            digits.append((c + offset).to_bytes(width, "little"))
+            c = c * (m - j) * den // ((j + 1) * -num) if num else 0
+        digits.append((den**m + offset).to_bytes(width, "little"))
+        packed = int.from_bytes(b"".join(digits), "little")
+        value *= packed - int.from_bytes(half * (m + 1), "little")
         scale *= den**m
     digits = (value + int.from_bytes(half * (degree + 1), "little")).to_bytes(
         width * (degree + 1), "little")

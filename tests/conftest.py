@@ -34,6 +34,22 @@ NEGATIVE_SUMS = [
 ]
 
 
+#: A spec the boundary fuzz once drew: Q has a root with a 1,848-bit
+#: denominator at multiplicity 3,633, so its integer evaluation would take
+#: about 24 Gbit, and linear_power_product refuses it with CapExceeded
+#: before building it.  Its other point is a 401-character integer.
+WIDE_Q_POINT = (
+    "-16546069590814030403499665661126847274000993431876076666556499102898775"
+    "322194631215225610301076574451202097883525931977061757355251513550414574"
+    "955490220844146250021217338275526290146682987342458957297116006522642506"
+    "096300103416001483479778019725472954709059342283424497404992509547289763"
+    "417806785047475540582303946367057781937283092056707584752384604105930306"
+    "51706654576417350434627122677205962114369"
+)
+WIDE_Q_SPEC = {"hyperbolic": {"d_plus": [], "d_minus": [
+    [WIDE_Q_POINT, "-62/7"], [("476190" * 16)[:95] + "/" + "1" * 557, "-519"]]}}
+
+
 def random_rat(rng: random.Random, span: int = 4, den: int = 4,
                allow_zero: bool = True) -> Rat:
     while True:

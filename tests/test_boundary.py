@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from conftest import WIDE_Q_SPEC
 from dpdsurf.classify import classify
 from dpdsurf.dpdring import Hyperbolic, Parabolic, from_equation, spec_from_obj
 from dpdsurf.element import parse_element, parse_poly
@@ -114,6 +115,7 @@ HUGE_E_PRIME = [["0", "-500000003/1000000007"]]
 @FUZZ
 @given(specs, st.lists(huge_ints, max_size=3))
 @example({"parabolic": {"divisor": HUGE_E_PRIME}}, [])
+@example(WIDE_Q_SPEC, [])
 @example({"hyperbolic": {"d_plus": HUGE_E_PRIME,
                          "d_minus": [["0", "500000003/1000000007"], ["1", "-1"]]}}, [1])
 def test_spec_classify_and_oracle(obj, degrees):

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from conftest import WIDE_Q_SPEC
 from dpdsurf.cli import run
 from dpdsurf.element import (
     MAX_EXPONENT,
@@ -590,6 +591,20 @@ def test_deg_p_over_cap_exit_one(tmp_path, capsys):
             assert time.perf_counter() - start < 0.5
             _one_error_line(capsys, "CapExceeded")
 
+
+def test_product_over_cap_exit_one(tmp_path, capsys):
+    """WIDE_Q_SPEC's Q would take about 24 Gbit to evaluate: classify and
+    equation exit 1 with CapExceeded before the product is built, and
+    fibers, which needs no Q, prints."""
+    path = _write_spec(tmp_path, WIDE_Q_SPEC)
+    for command in ("classify", "equation"):
+        for flags in ([], ["--json"]):
+            start = time.perf_counter()
+            assert run([command, path, *flags]) == 1
+            assert time.perf_counter() - start < 0.5
+            _one_error_line(capsys, "CapExceeded")
+    assert run(["fibers", path]) == 0
+    assert "delta = 519" in capsys.readouterr().out
 
 def test_fiber_derivation_over_cap_exit_one(tmp_path, capsys):
     """A parabolic D = -10^9*[1/2] asks for the fiber derivation

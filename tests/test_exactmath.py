@@ -15,6 +15,7 @@ from oracles import schoolbook_linear_power_product
 from dpdsurf.errors import CapExceeded, NotCoprime, ParseError, ZeroPolynomial
 from dpdsurf.exactmath import (
     MAX_DIGITS,
+    MAX_PRODUCT_BITS,
     Poly,
     Rat,
     RatFunc,
@@ -101,8 +102,7 @@ class TestPoly:
     def test_linear_power_product_wide(self):
         """The Kronecker product against the schoolbook one on seeded
         factors: 40-bit points, zero and negative points, m = 0, a leading
-        coefficient with a denominator, no factor at all, and powers packed
-        from their digits (over 8 kbit) as well as taken by pow."""
+        coefficient with a denominator and no factor at all."""
         rng = random.Random(20261019)
 
         def point():
@@ -112,7 +112,7 @@ class TestPoly:
             span = 2**40 if kind == "wide" else 5
             return Rat(rng.randint(-span, span), rng.randint(1, span))
 
-        seen = {"zero": 0, "negative": 0, "m = 0": 0, "leading den": 0, "empty": 0, "digits": 0}
+        seen = {"zero": 0, "negative": 0, "m = 0": 0, "leading den": 0, "empty": 0}
         for _ in range(300):
             top = rng.choice([6, 6, 25])
             factors = [(point(), rng.randint(0, top)) for _ in range(rng.randint(0, 4))]
@@ -125,12 +125,25 @@ class TestPoly:
             seen["m = 0"] += any(m == 0 for _, m in factors)
             seen["leading den"] += leading.denominator > 1
             seen["empty"] += not factors
-            width = (leading.numerator.bit_length() + sum(
-                m * (abs(a.numerator) + a.denominator).bit_length() for a, m in factors)) // 8 + 1
-            seen["digits"] += any(m and (m + 1) * width > 1024 for _, m in factors)
         assert min(seen.values()) >= 10, seen
         assert linear_power_product([], 0) == Poly.zero()
         assert linear_power_product([(Rat(3), 0)], Rat(2, 3)) == Poly((Rat(2, 3),))
+
+    def test_linear_power_product_cap(self):
+        """(t - 1)^m packs m + 1 digits of m // 4 + 1 bytes: m = 8,191 is
+        exactly MAX_PRODUCT_BITS and is built, m = 8,192 raises at once."""
+        assert MAX_PRODUCT_BITS == 8 * 2048 * 8192
+        c = linear_power_product([(Rat(1), 8191)]).coeffs
+        assert len(c) == 8192
+        for j in (0, 1, 2, 4095, 4096, 8190, 8191):
+            assert c[j] == (-1) ** (8191 - j) * math.comb(8191, j), j
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=f"over the cap of {MAX_PRODUCT_BITS} bits"):
+            linear_power_product([(Rat(1), 8192)])
+        # 6,689 digits of 2,509 bytes, 43,880 bits over (6,686 is 29,696 under)
+        with pytest.raises(CapExceeded):
+            linear_power_product([(Rat(1, 3), 6687), (Rat(-5, 7), 1)], Rat(-1, 2))
+        assert time.perf_counter() - start < 0.1
 
     @given(small_polys, small_polys, small_polys)
     def test_ring_laws(self, a, b, c):
