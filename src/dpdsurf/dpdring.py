@@ -28,6 +28,7 @@ from .exactmath import (
     Poly,
     Rat,
     RatFunc,
+    _poly,
     linear_power_product,
     rational_linear_factorization,
 )
@@ -134,7 +135,7 @@ def contains(spec: SurfaceSpec, x: GradedElement) -> bool:
 #: 1.0 s when Q has one root (D- = -5000*[1/2]) and 4.6 s with three
 #: (D- = -1666*([0]+[1]+[2])), nearly all in linear_power_product's integer
 #: products (Python 3.11, 2-core VM).  The cap bounds the degree, not the
-#: size: with the points 1/3, -5/7 and 2/11 it takes 72 s.
+#: size: with the points 1/3, -5/7 and 2/11 it takes 101.8 s.
 MAX_DEG_P = 5000
 
 
@@ -162,13 +163,13 @@ class Presentation(Record):
         cap_deg_p(degree)
         t = a.translation
         big_q = linear_power_product([(p - t, m) for p, m in roots] if t else roots)
-        # P(s) = Q(s^d) s^s_exp: coefficient i of Q lands at s_exp + i*d, and
-        # Q's leading coefficient is P's
-        coeffs = [Rat(0)] * (degree + 1)
-        coeffs[s_exp::a.d] = big_q.coeffs
+        # P(s) = Q(s^d) s^s_exp: coefficient i of Q's row lands at s_exp + i*d
+        # of P's, over Q's denominator
+        row = [0] * (degree + 1)
+        row[s_exp::a.d] = big_q.row
         return cls(
             k=a.k,
-            P=Poly._trusted(tuple(coeffs)),
+            P=_poly(row, big_q.den),
             d=a.d,
             e_prime=a.e_prime,
             l=a.l,

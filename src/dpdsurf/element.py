@@ -206,10 +206,10 @@ def _parse_expr(toks: _Tokens, allow_u: bool) -> GradedElement:
     while True:
         upow, coeff = _parse_term(toks, allow_u)
         if coeff.den.degree == 0:  # den is 1: add the coefficients
-            row = rows.setdefault(upow, {})
-            for i, c in enumerate(coeff.num.coeffs):
+            row, num = rows.setdefault(upow, {}), coeff.num
+            for i, c in enumerate(num.row):
                 if c:
-                    row[i] = row.get(i, 0) + sign * c
+                    row[i] = row.get(i, 0) + Rat(sign * c, num.den)
         else:
             fractions.append((upow, coeff if sign > 0 else RatFunc._reduced(-coeff.num, coeff.den)))
         nxt = toks.peek()
@@ -329,7 +329,7 @@ def parse_poly(src: str) -> Poly:
 
 
 def _is_monomial(p: Poly) -> bool:
-    return sum(1 for c in p.coeffs if c != 0) == 1
+    return sum(1 for c in p.row if c) == 1
 
 
 def _render_term(n: int, f: RatFunc) -> tuple[str, str]:

@@ -3,10 +3,11 @@ rational functions, and the two number-theoretic helpers used by the
 classification (modular inverse and rational linear factorization).
 
 All values are immutable and all operations are pure; nothing here ever
-touches floating point.  Gcds, root multiplicities and rational roots are
-taken on the integer row of a polynomial (its coefficients with the
-denominators cleared) by intpoly, whose docstring gives the methods and
-the bounds that make them exact.
+touches floating point.  A polynomial is an integer row over one
+denominator.  Every product of polynomials is one Kronecker substitution
+(_kronecker), and gcds, exact quotients, root multiplicities and rational
+roots are taken on the rows by intpoly, whose docstring gives the methods
+and the bounds that make them exact.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import math
 import re
 from fractions import Fraction
 from collections.abc import Iterable, Sequence
+from itertools import zip_longest
 
 from .errors import CapExceeded, NotCoprime, ParseError, ZeroPolynomial
-from .intpoly import gcd, multiplicity, primitive, rational_roots
+from .intpoly import gcd, multiplicity, primitive, quotient, rational_roots
 
 #: Exact rational number.  ``fractions.Fraction`` already enforces every
 #: invariant we need: reduced form, positive denominator, 0 stored as 0/1,
@@ -101,26 +103,23 @@ def mod_inverse(e: int, d: int) -> int:
 
 
 class Poly:
-    """A univariate polynomial over Q in the variable t.
+    """A univariate polynomial over Q in the variable t, stored as an integer
+    row over one denominator: coefficient i is row[i] / den.
 
-    Coefficients are stored densely, indexed by exponent, with trailing
-    zeros never kept; the zero polynomial is the empty sequence.
+    row is a tuple of ints, lowest degree first, with no trailing zero; den
+    is positive and prime to the content of row, so the zero polynomial is
+    ((), 1) and == and hash compare the pair (the primitive representation
+    of von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6).
+    coeffs, [] and leading build Fractions only when read.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("row", "den")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        c = [x if type(x) is Rat else Rat(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self._c = tuple(c)
-
-    @classmethod
-    def _trusted(cls, coeffs: tuple[Rat, ...]) -> Poly:
-        """Trusted constructor: Rat coefficients, no trailing zero."""
-        obj = object.__new__(cls)
-        obj._c = coeffs
-        return obj
+        c = [x if isinstance(x, (int, Rat)) else Rat(x) for x in coeffs]
+        den = math.lcm(*[x.denominator for x in c])
+        p = _poly([x.numerator * (den // x.denominator) for x in c], den)
+        self.row, self.den = p.row, p.den
 
     @classmethod
     def zero(cls) -> Poly:
@@ -128,65 +127,65 @@ class Poly:
 
     @classmethod
     def one(cls) -> Poly:
-        return cls((1,))
+        return _poly([1])
 
     @classmethod
     def t(cls) -> Poly:
-        return cls((0, 1))
+        return _poly([0, 1])
 
     @classmethod
     def monomial(cls, exponent: int, coeff: RatLike = 1) -> Poly:
         if exponent < 0:
             raise ValueError("polynomial exponents are nonnegative")
-        return cls((Rat(0),) * exponent + (coeff,))
+        return _poly([0] * exponent + [coeff.numerator], coeff.denominator)
 
     @property
     def coeffs(self) -> Sequence[Rat]:
-        return self._c
+        return tuple(Rat(c, self.den) for c in self.row)
 
     @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
-        return len(self._c) - 1
+        return len(self.row) - 1
 
     @property
     def leading(self) -> Rat:
-        if not self._c:
-            return Rat(0)
-        return self._c[-1]
+        return self[self.degree]
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self.row
 
     def is_unitary(self) -> bool:
         """True when the leading coefficient is 1 (monic)."""
-        return bool(self._c) and self._c[-1] == 1
+        return bool(self.row) and self.row[-1] == self.den
 
     def __getitem__(self, exponent: int) -> Rat:
-        if 0 <= exponent < len(self._c):
-            return self._c[exponent]
+        if 0 <= exponent < len(self.row):
+            return Rat(self.row[exponent], self.den)
         return Rat(0)
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self.row)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self._c == other._c
         if isinstance(other, (int, Fraction)):
-            return self._c == Poly((other,))._c
+            other = _as_poly(other)
+        if isinstance(other, Poly):
+            return self.row == other.row and self.den == other.den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        return hash((self.row, self.den))
 
     def __neg__(self) -> Poly:
-        return Poly(-x for x in self._c)
+        return _poly([-c for c in self.row], self.den)
 
     def __add__(self, other: Poly | RatLike) -> Poly:
         other = _as_poly(other)
-        n = max(len(self._c), len(other._c))
-        return Poly(self[i] + other[i] for i in range(n))
+        den = math.lcm(self.den, other.den)
+        x, y = den // self.den, den // other.den
+        return _poly([a * x + b * y for a, b in zip_longest(self.row, other.row, fillvalue=0)],
+                     den)
 
     __radd__ = __add__
 
@@ -198,75 +197,66 @@ class Poly:
 
     def __mul__(self, other: Poly | RatLike) -> Poly:
         if isinstance(other, (int, Fraction)):
-            return Poly(x * other for x in self._c)
+            return _poly([c * other.numerator for c in self.row], self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Rat(0)] * (len(self._c) + len(other._c) - 1)
-        right = [(j, b) for j, b in enumerate(other._c) if b]  # a monomial costs one product
-        for i, a in enumerate(self._c):
-            if a:
-                for j, b in right:
-                    out[i + j] += a * b
-        return Poly(out)
+        # the product of the 1-norms bounds every coefficient of the product
+        bits = sum(map(abs, self.row)).bit_length() + sum(map(abs, other.row)).bit_length()
+        return _poly(_kronecker([self.row, other.row], bits // 8 + 1), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n and self.is_zero():
+            return self
+        bits = n * sum(map(abs, self.row)).bit_length()
+        return _poly(_kronecker([self.row] * n, bits // 8 + 1), self.den**n)
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
+        """Pseudo-division of the integer rows: lc^n * row = q * other.row + r
+        in Z[t], n = deg self - deg other + 1, so each step divides exactly."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        d, lc = other.degree, other.leading
-        if self.degree < d:
+        b, db = other.row, other.degree
+        n = self.degree - db + 1
+        if n <= 0:
             return Poly(), self
-        q = [Rat(0)] * (self.degree - d + 1)
-        rem = list(self._c)
-        for k in range(len(q) - 1, -1, -1):
-            c = rem[k + d]
-            if c == 0:
-                continue
-            c = c / lc
-            q[k] = c
-            for i in range(d):
-                if other._c[i]:
-                    rem[k + i] -= c * other._c[i]
-        return Poly(q), Poly(rem[:d])
+        scale = b[-1] ** n
+        r, q = [c * scale for c in self.row], [0] * n
+        for k in range(n - 1, -1, -1):
+            c = q[k] = r[k + db] // b[-1]
+            for i in range(db):
+                r[k + i] -= c * b[i]
+        den = scale * self.den
+        return _poly([c * other.den for c in q], den), _poly(r[:db], den)
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
 
     def __call__(self, x: RatLike) -> Rat:
         acc = Rat(0)
-        for c in reversed(self._c):
+        for c in reversed(self.row):
             acc = acc * x + c
-        return acc
+        return acc / self.den
 
     def derivative(self) -> Poly:
-        return Poly(i * c for i, c in enumerate(self._c) if i > 0)
+        return _poly([i * c for i, c in enumerate(self.row)][1:], self.den)
 
     def monic(self) -> Poly:
         if self.is_zero():
             raise ZeroPolynomial("no monic form of the zero polynomial")
-        return self * (1 / self.leading)
+        return _poly(self.row, self.row[-1])
 
     def compose(self, inner: Poly) -> Poly:
         """Evaluate self at another polynomial (e.g. Q(s^d))."""
         acc = Poly()
-        for c in reversed(self._c):
-            acc = acc * inner + Poly((c,))
-        return acc
+        for c in reversed(self.row):
+            acc = acc * inner + _poly([c])
+        return acc * Rat(1, self.den)
 
     def multiplicity_at(self, a: RatLike) -> int:
         """Order of vanishing at the rational point a, counted on the
@@ -274,7 +264,7 @@ class Poly:
         if self.is_zero():
             raise ZeroPolynomial("order undefined for the zero polynomial")
         a = Rat(a)
-        return multiplicity(_int_row(self), a.numerator, a.denominator)[0]
+        return multiplicity(self.row, a.numerator, a.denominator)[0]
 
     def __str__(self) -> str:
         return poly_texts(self, ("t", 0, 1))[0]
@@ -283,15 +273,48 @@ class Poly:
         return f"Poly({self})"
 
 
+def _poly(row: Sequence[int], den: int = 1) -> Poly:
+    """The Poly row/den, for an integer row and a nonzero den: trailing
+    zeros dropped, den made positive and prime to the content."""
+    n = len(row)
+    while n and not row[n - 1]:
+        n -= 1
+    g = math.gcd(den, *row[:n]) if den > 0 else -math.gcd(den, *row[:n])
+    p = object.__new__(Poly)
+    p.row = tuple(row[:n]) if g == 1 else tuple(c // g for c in row[:n])
+    p.den = den // g
+    return p
+
+
+def _kronecker(rows: Iterable[Sequence[int]], width: int) -> list[int]:
+    """The coefficient row of the product of the nonempty integer rows, by
+    Kronecker substitution (von zur Gathen and Gerhard, section 8.4).
+
+    Each row is evaluated at X = 2^(8*width) from its digits, the values
+    are multiplied as CPython integers and one to_bytes pass reads the
+    product back.  Every coefficient of the rows and of the product must
+    fit width bytes with a sign bit; 2^(8*width - 1) is added at every
+    digit, so none borrows."""
+    half, offset = b"\0" * (width - 1) + b"\x80", 1 << (8 * width - 1)
+    value, size = 1, 1
+    for row in rows:
+        packed = b"".join((c + offset).to_bytes(width, "little") for c in row)
+        value *= int.from_bytes(packed, "little") - int.from_bytes(half * len(row), "little")
+        size += len(row) - 1
+    digits = (value + int.from_bytes(half * size, "little")).to_bytes(width * size, "little")
+    return [int.from_bytes(digits[i:i + width], "little") - offset
+            for i in range(0, len(digits), width)]
+
+
 def poly_texts(p: Poly, *layouts: tuple[str, int, int]) -> list[str]:
     """The text of x^shift * p(x^step) for each layout (x, shift, step), as
     str(p) writes p: highest power first, p's coefficients rendered once for
     all the layouts, and a zero costing one integer test."""
-    terms = []
-    for i, c in enumerate(p._c):
-        num = c.numerator
-        if num:
-            terms.append((i, "-" if num < 0 else "+", _ratio_text(abs(num), c.denominator)))
+    terms, den = [], p.den
+    for i, c in enumerate(p.row):
+        if c:
+            g = math.gcd(c, den) if den != 1 else 1
+            terms.append((i, "-" if c < 0 else "+", _ratio_text(abs(c) // g, den // g)))
     terms.reverse()
     texts = []
     for var, shift, step in layouts:
@@ -319,14 +342,12 @@ def linear_power_product(
     integers.
 
     With a = num/den, (t - a)^m = den^(-m) (den*t - num)^m.  The integer
-    polynomial n * prod (den*t - num)^m, n the numerator of leading, is
-    evaluated at t = 2^k (Kronecker substitution) with one integer product
-    per factor, each factor's value packed from its binomial digits
-    C(m, j) den^j (-num)^(m-j).  k is the bit length of the 1-norm bound
-    |n| * prod (|num| + den)^m plus a sign bit, in whole bytes; 2^(k-1) is
-    added at every digit, so none borrows and one to_bytes pass reads the
-    product back.  It is divided once by prod den^m and the denominator of
-    leading.  Raises CapExceeded past MAX_PRODUCT_BITS.
+    polynomial n * prod (den*t - num)^m, n the numerator of leading, is one
+    _kronecker product of the binomial rows C(m, j) den^j (-num)^(m-j),
+    with digits as wide as the bit length of the 1-norm bound
+    |n| * prod (|num| + den)^m plus a sign bit, in whole bytes.  Its
+    denominator is prod den^m times the denominator of leading.  Raises
+    CapExceeded past MAX_PRODUCT_BITS.
     """
     value, scale = leading.numerator, leading.denominator
     rows = [(a.numerator, a.denominator, m) for a, m in factors if m]
@@ -335,60 +356,46 @@ def linear_power_product(
     width = bits // 8 + 1  # bytes a digit, the sign bit included
     if 8 * width * (degree + 1) > MAX_PRODUCT_BITS:
         raise CapExceeded(f"a product of linear powers is over the cap of {MAX_PRODUCT_BITS} bits")
-    half, offset = b"\0" * (width - 1) + b"\x80", 1 << (8 * width - 1)
+    powers = [(value,)]
     for num, den, m in rows:
-        digits, c = [], (-num) ** m
+        row, c = [], (-num) ** m
         for j in range(m):
-            digits.append((c + offset).to_bytes(width, "little"))
+            row.append(c)
             c = c * (m - j) * den // ((j + 1) * -num) if num else 0
-        digits.append((den**m + offset).to_bytes(width, "little"))
-        packed = int.from_bytes(b"".join(digits), "little")
-        value *= packed - int.from_bytes(half * (m + 1), "little")
+        row.append(den**m)
+        powers.append(row)
         scale *= den**m
-    digits = (value + int.from_bytes(half * (degree + 1), "little")).to_bytes(
-        width * (degree + 1), "little")
-    row = [int.from_bytes(digits[i:i + width], "little") - offset
-           for i in range(0, len(digits), width)]
-    return Poly(row) if scale == 1 else Poly(Rat(c, scale) for c in row)
+    return _poly(_kronecker(powers, width), scale)
 
 
 def _as_poly(x: Poly | RatLike) -> Poly:
     if isinstance(x, Poly):
         return x
-    return Poly((x,))
-
-
-def _int_row(p: Poly) -> list[int]:
-    """The coefficients of p times the lcm of their denominators."""
-    # a list, not a generator: unpacking a generator here grew peak resident
-    # memory by up to 1.4 MB over 29k calls
-    den = math.lcm(*[c.denominator for c in p._c])
-    return [c.numerator * (den // c.denominator) for c in p._c]
+    return _poly([x.numerator], x.denominator)
 
 
 def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """num/den without common factors, as a pair of the same ratio: each
-    rational root of den comes off num as often as both vanish there, then
-    one gcd runs on num and the (usually tiny) rootless remainder of den.
-    The large linear powers (t - a)^k in the denominators of the graded
-    generators thus never go through the gcd's modular rebuilding."""
-    leading = den.leading
+    """num/den without common factors, as a pair of the same ratio with a
+    monic denominator: each rational root of den is deflated off num's row
+    as often as both vanish there, then one gcd runs on that row and the
+    (usually tiny) rootless remainder of den, whose cofactors are the
+    reduced rows.  The large linear powers (t - a)^k in the denominators of
+    the graded generators thus never go through the gcd's modular
+    rebuilding."""
     _, droots, drem = rational_linear_factorization(den)
-    common, kept = [], []
+    # num's row is scaled by up/down: 1/lc(den), and q^k for each (q*t - p)^k
+    # it drops, a = p/q
+    row, kept, up, down = num.row, [], den.den, num.den * den.row[-1]
     for a, m in droots:
-        k = min(m, num.multiplicity_at(a))
-        common.append((a, k))
+        k, row = multiplicity(row, a.numerator, a.denominator, m)
         kept.append((a, m - k))
-    if any(k for _, k in common):
-        num = num // linear_power_product(common)
-    new_den = linear_power_product(kept, leading)
+        up *= a.denominator**k
+    new_den = linear_power_product(kept)
     if drem.degree >= 1:
-        g = Poly(gcd(_int_row(num), _int_row(drem))[0])
-        if g.degree >= 1:
-            num = num // g
-            drem = drem // g
-        new_den = new_den * drem
-    return num, new_den
+        _, row, rest = gcd(row, drem.row)
+        new_den = new_den * _poly(rest, rest[-1])
+        up, down = up * drem.den, down * rest[-1]
+    return _poly([c * up for c in row], down), new_den
 
 
 def rational_linear_factorization(
@@ -408,7 +415,7 @@ def rational_linear_factorization(
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    f = _int_row(p)
+    f = p.row
     low = 0
     while f[low] == 0:
         low += 1
@@ -420,8 +427,7 @@ def rational_linear_factorization(
             if mult:
                 roots.append((Rat(a, b), mult))
     roots.sort()
-    lc = f[-1]
-    return p.leading, roots, Poly(Rat(c, lc) for c in f)
+    return p.leading, roots, _poly(f, f[-1])
 
 
 class RatFunc:
@@ -437,11 +443,8 @@ class RatFunc:
         if num.is_zero():
             self.num, self.den = Poly(), Poly.one()
             return
-        if den.degree >= 1:
+        if den.degree or not den.is_unitary():
             num, den = _cancel(num, den)
-        lc = den.leading
-        if lc != 1:
-            num, den = num * (1 / lc), den * (1 / lc)
         self.num, self.den = num, den
 
     @classmethod
@@ -506,17 +509,13 @@ class RatFunc:
             return RatFunc.zero()
         # cross-cancel first: each operand is reduced, so the cross-reduced
         # products are coprime and no further gcd is needed
-        n1, d2 = (self.num, other.den)
+        n1, d2 = self.num, other.den
         if d2.degree >= 1:
             n1, d2 = _cancel(n1, d2)
-        n2, d1 = (other.num, self.den)
+        n2, d1 = other.num, self.den
         if d1.degree >= 1:
             n2, d1 = _cancel(n2, d1)
-        num, den = n1 * n2, d1 * d2
-        lc = den.leading
-        if lc != 1:
-            num, den = num * (1 / lc), den * (1 / lc)
-        return RatFunc._reduced(num, den)
+        return RatFunc._reduced(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -533,13 +532,14 @@ class RatFunc:
         if self.den.degree == 0:
             return RatFunc._reduced(self.num.derivative(), Poly.one())
         # (n/d)' = (n'd - n d')/d^2; the repeated part g = gcd(d, d') cancels
-        # exactly once and the result is already reduced
+        # exactly once and the result is reduced; g/lc(g) keeps it monic
         dd = self.den.derivative()
         big = self.num.derivative() * self.den - self.num * dd
         if big.is_zero():
             return RatFunc.zero()
-        g = Poly(gcd(_int_row(self.den), _int_row(dd))[0]).monic()
-        return RatFunc._reduced(big // g, (self.den // g) * self.den)
+        g, rest, _ = gcd(self.den.row, dd.row)
+        num = _poly([c * g[-1] for c in quotient(big.row, g)], big.den)
+        return RatFunc._reduced(num, _poly([c * g[-1] for c in rest], self.den.den) * self.den)
 
     def order_at(self, a: RatLike) -> int:
         """ord_a: zero multiplicity minus pole multiplicity at a rational point."""

@@ -173,7 +173,7 @@ def _rational_row(images: Sequence[int], m: int) -> list[int] | None:
     return primitive([p * (den // q) for p, q in ratios])
 
 
-def gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+def gcd(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], Sequence[int], Sequence[int]]:
     """(g, a/g, b/g) for nonzero integer rows a and b, g their gcd (primitive, lc > 0).
 
     The contents come off first.  Of the two primitive rows, x is the one
@@ -219,11 +219,14 @@ def gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
     return [1], a, b
 
 
-def multiplicity(f: list[int], p: int, q: int) -> tuple[int, list[int]]:
+def multiplicity(
+    f: Sequence[int], p: int, q: int, most: int | None = None
+) -> tuple[int, Sequence[int]]:
     """(m, f / (q*t - p)^m), m the order of the nonzero row f at p/q (lowest
-    terms, q > 0), counted by exact division in Z[t] (Gauss's lemma)."""
+    terms, q > 0), or most when that is lower, counted by exact division in
+    Z[t] (Gauss's lemma)."""
     m, linear = 0, (-p, q)
-    while (r := quotient(f, linear)) is not None:
+    while m != most and (r := quotient(f, linear)) is not None:
         m, f = m + 1, r
     return m, f
 

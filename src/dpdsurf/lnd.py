@@ -517,14 +517,7 @@ def conjugate_kernel(p: Poly, e: int, alpha: RatLike) -> GradedElement:
     u_alpha = P(t) u^-1 + sum_{j=1..deg P} P^(j)(t) alpha^j / j! * u^(j*e-1),
     i.e. u^-1 * P(t + alpha u^e) written out inside Frac(A_0)[u, u^-1].
     """
-    a = Rat(alpha)
-    terms: list[tuple[int, RatFunc]] = [(-1, RatFunc(p))]
-    deriv, factorial = p, 1
-    for j in range(1, p.degree + 1):
-        deriv = deriv.derivative()
-        factorial *= j
-        terms.append((j * e - 1, RatFunc(deriv * (a**j / factorial))))
-    return GradedElement(terms)
+    return GradedElement((n - 1, f) for n, f in taylor_shift(p, alpha, e).terms)
 
 
 def taylor_shift(p: Poly, alpha: RatLike, e: int) -> GradedElement:

@@ -525,15 +525,12 @@ class TestDerivedOnce:
             assert counts["Anchored.of"] == 0 and counts["normalize_pair"] == 1, pair
             assert counts["DivisorPair"] == 0 and counts["affine_equivalent"] == 0
 
-    def test_fraction_budget(self, monkeypatch):
-        """facts() derives the normal form once and every fact it reads off
-        it in integers, so it builds few Fractions: 0.75 a spec on this set
-        when pinned, against 2.9 when each side of a pair was normalized and
-        translated apart and 25.4 when the anchoring, the degree bounds, MM
-        and the fibers were Fraction arithmetic.  The pin leaves headroom
-        over the first and stays below the others.  Every Fraction is built
-        by Fraction.__new__ or, from Python 3.12 on, by the arithmetic's
-        Fraction._from_coprime_ints, which bypasses it; both are counted."""
+    @staticmethod
+    def fractions_per_spec(monkeypatch, fn) -> float:
+        """Fractions fn builds a spec over the catalog and 100 seeded random
+        pairs.  Every Fraction is built by Fraction.__new__ or, from Python
+        3.12 on, by the arithmetic's Fraction._from_coprime_ints, which
+        bypasses it; both are counted."""
         rng = random.Random(20261021)
         specs = [entry.spec for entry in default_entries()]
         specs += [Hyperbolic(random_pair(rng) if i % 2 else random_concentrated_pair(rng))
@@ -556,6 +553,24 @@ class TestDerivedOnce:
 
             monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
         for spec in specs:
-            facts(spec)
+            fn(spec)
         monkeypatch.undo()
-        assert built[0] <= 1.25 * len(specs), built[0] / len(specs)
+        return built[0] / len(specs)
+
+    def test_fraction_budget(self, monkeypatch):
+        """facts() derives the normal form once and every fact it reads off
+        it in integers, so it builds few Fractions: 0.75 a spec on this set
+        when pinned, against 2.9 when each side of a pair was normalized and
+        translated apart and 25.4 when the anchoring, the degree bounds, MM
+        and the fibers were Fraction arithmetic.  The pin leaves headroom
+        over the first and stays below the others."""
+        per_spec = self.fractions_per_spec(monkeypatch, facts)
+        assert per_spec <= 1.25, per_spec
+
+    def test_classify_fraction_budget(self, monkeypatch):
+        """classify() places P from Q's integer row, and Poly builds a
+        Fraction only for a coefficient that is read: 1.03 a spec on the
+        set of test_fraction_budget when pinned, against 8.8 when Poly held
+        a Fraction for every coefficient."""
+        per_spec = self.fractions_per_spec(monkeypatch, classify)
+        assert per_spec <= 1.25, per_spec

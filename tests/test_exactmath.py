@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -11,7 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import from_roots
-from oracles import schoolbook_linear_power_product
+from oracles import (
+    fraction_add,
+    fraction_compose,
+    fraction_derivative,
+    fraction_divmod,
+    fraction_mul,
+    fraction_str,
+    schoolbook_linear_power_product,
+)
 from dpdsurf.errors import CapExceeded, NotCoprime, ParseError, ZeroPolynomial
 from dpdsurf.exactmath import (
     MAX_DIGITS,
@@ -97,7 +107,7 @@ class TestPoly:
         st.integers(0, 7)), max_size=4), rats)
     def test_linear_power_product(self, factors, leading):
         want = schoolbook_linear_power_product(factors, leading)
-        assert linear_power_product(factors, leading) == want
+        assert list(linear_power_product(factors, leading).coeffs) == want
 
     def test_linear_power_product_wide(self):
         """The Kronecker product against the schoolbook one on seeded
@@ -118,7 +128,7 @@ class TestPoly:
             factors = [(point(), rng.randint(0, top)) for _ in range(rng.randint(0, 4))]
             leading = Rat(rng.choice([1, -1, rng.randint(-2**40, 2**40)]),
                           rng.choice([1, 1, 7, 2**41 + 1]))
-            got = linear_power_product(factors, leading)
+            got = list(linear_power_product(factors, leading).coeffs)
             assert got == schoolbook_linear_power_product(factors, leading), (factors, leading)
             seen["zero"] += any(a == 0 and m for a, m in factors)
             seen["negative"] += any(a < 0 and m for a, m in factors)
@@ -170,25 +180,7 @@ class TestPoly:
 
 
 def reference_str(p: Poly) -> str:
-    """The renderer Poly.__str__ had before it read integers: a Fraction
-    comparison, abs and format_rat for every coefficient, zeros included."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if i == 0:
-            body = format_rat(mag)
-        else:
-            tp = "t" if i == 1 else f"t^{i}"
-            body = tp if mag == 1 else f"{format_rat(mag)}*{tp}"
-        parts.append((sign, body))
-    text = "".join(sign + body for sign, body in parts)
-    return text[1:] if text[0] == "+" else text
+    return fraction_str(p.coeffs)
 
 
 def _sparse_poly(rng: random.Random) -> Poly:
@@ -211,8 +203,86 @@ def _sparse_poly(rng: random.Random) -> Poly:
     return Poly(coeffs)
 
 
+wide_ints = st.one_of(st.integers(-(2**64), 2**64), st.sampled_from([0, 1, -1]))
+
+
+@st.composite
+def wide_polys(draw):
+    """(p, the coefficients of p as Fractions), with 64-bit numerators and
+    denominators, leading coefficients of either sign, trailing zeros and
+    the zero polynomial.  p is an integer row times 1/(g*h) whose content
+    shares the factor g with that denominator."""
+    g, h = draw(st.integers(1, 2**64)), draw(st.integers(1, 2**64))
+    row = [x * g for x in draw(st.lists(wide_ints, max_size=6))]
+    row += [0] * draw(st.integers(0, 2))
+    c = [Fraction(x, g * h) for x in row]
+    while c and not c[-1]:
+        c.pop()
+    return Poly(row) * Fraction(1, g * h), c
+
+
+def check_canonical(p: Poly) -> None:
+    """The row format: ints, no trailing zero, den > 0 and prime to the
+    content, the zero polynomial as ((), 1)."""
+    assert type(p.row) is tuple and all(type(c) is int for c in p.row)
+    assert not p.row or p.row[-1] != 0
+    assert p.den > 0 and math.gcd(p.den, *p.row) == 1
+
+
+class TestRowFormat:
+    """Poly over integer rows against the Fraction-list oracle of oracles.py."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(wide_polys(), wide_polys())
+    def test_against_fraction_lists(self, pa_a, pb_b):
+        (pa, a), (pb, b) = pa_a, pb_b
+        assert list(pa.coeffs) == a and pa == Poly(a) and pb == Poly(b)
+        results = {
+            "+": (pa + pb, fraction_add(a, b)),
+            "*": (pa * pb, fraction_mul(a, b)),
+            "**": (pa**3, fraction_mul(a, fraction_mul(a, a))),
+            "derivative": (pa.derivative(), fraction_derivative(a)),
+            "compose": (pa.compose(pb), fraction_compose(a, b)),
+        }
+        if pb:
+            q, r = divmod(pa, pb)
+            want_q, want_r = fraction_divmod(a, b)
+            results["divmod q"], results["divmod r"] = (q, want_q), (r, want_r)
+        for name, (got, want) in results.items():
+            check_canonical(got)
+            assert list(got.coeffs) == want, name
+        for p, c in ((pa, a), (pb, b)):
+            check_canonical(p)
+            assert str(p) == fraction_str(c)
+            assert p.leading == (c[-1] if c else 0) and p[0] == (c[0] if c else 0)
+
+    def test_equal_values_built_apart(self):
+        """Equal values built different ways are equal and hash alike, and
+        pickle and copy give them back."""
+        half = [
+            Poly((Fraction(1, 2), 1)),
+            Poly((1, 2)) * Fraction(1, 2),
+            Poly((-2, -4)) * Fraction(1, -4),
+            Poly.t() + Fraction(1, 2),
+            Poly((Fraction(3, 6), Fraction(4, 4), 0, 0)),
+            (Poly((1, 1)) * Poly((1, 2))) // Poly((2, 2)),
+            linear_power_product([(Fraction(-1, 2), 1)]),
+        ]
+        zero = [Poly(), Poly((0, 0)), half[0] - half[1], Poly((3, 1)) * 0,
+                linear_power_product([], 0), Poly.monomial(4, 0)]
+        for group in (half, zero):
+            for p in group:
+                assert p == group[0] and hash(p) == hash(group[0]), p
+                for back in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+                    assert back == p and hash(back) == hash(p)
+                    assert (back.row, back.den) == (p.row, p.den)
+        assert (zero[0].row, zero[0].den) == ((), 1)
+        assert zero[0] ** 0 == Poly.one() and zero[0] ** 2 == zero[0]
+        assert Poly((5,)) == 5 and Poly((Fraction(1, 3),)) == Fraction(1, 3) and zero[0] == 0
+
+
 class TestRender:
-    """str(P) against reference_str, the Fraction-based renderer it replaced."""
+    """str(P) against oracles.fraction_str, the Fraction-based renderer it replaced."""
 
     def test_seeded_sparse(self):
         rng = random.Random(4301)
@@ -233,7 +303,7 @@ class TestRender:
             if not a:
                 continue
             pres = Presentation.of(a)
-            # built by the trusted constructor: Rat coefficients, no trailing zero
+            # placed from Q's row: canonical, and Rat coefficients when read
             assert pres.P == Poly(pres.P.coeffs)
             assert all(type(c) is Rat for c in pres.P.coeffs)
             for p in (pres.P, pres.Q):
