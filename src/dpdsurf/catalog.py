@@ -8,7 +8,7 @@ values, so a formula regression fails loudly.
 from __future__ import annotations
 
 from .divisor import DivisorPair, QDivisor
-from .dpdring import Elliptic, Hyperbolic, SurfaceSpec
+from .dpdring import Elliptic, Hyperbolic, SurfaceSpec, cap_deg_p
 from .errors import BadParams, UnknownName
 from .exactmath import Poly, Rat
 from .record import Record
@@ -67,6 +67,7 @@ def _danielewski(d: int) -> CatalogEntry:
 def _bertin(d: int, n: int) -> CatalogEntry:
     if d < 2 or n < 2:
         raise BadParams("bertin needs d, n >= 2 (smaller values degenerate)")
+    cap_deg_p(n)  # deg P = n
     pair = DivisorPair(
         QDivisor.single(0, Rat(1, n)),
         QDivisor([(0, Rat(-1, n)), (-1, Rat(-1, n * (d - 1)))]),
@@ -156,6 +157,7 @@ def _conic_complement() -> CatalogEntry:
 def _dihedral(d: int) -> CatalogEntry:
     if d < 1:
         raise BadParams("dihedral needs d >= 1")
+    cap_deg_p(d)  # deg P = d
     pair = DivisorPair(QDivisor.zero(), QDivisor.single(0, -d))
     if d == 1:
         recognition = "plane"

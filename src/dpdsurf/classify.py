@@ -359,7 +359,7 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
         return ClassificationReport(
             spec=spec,
             grading="parabolic",
-            normalized_divisor=a.normal.d_plus if a else divisor - divisor.ceil(),
+            normalized_divisor=divisor - divisor.ceil(),
             translation=a and a.translation,
             d_plus_index=a.d if a else denom_index(divisor),
             lnd=LndSummary(a is not None, True, degrees_plus=_degrees(a),
@@ -374,7 +374,7 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
     pair = spec.pair
     norm = normalize_pair(pair)
     rows = pair_rows(norm)
-    plus, minus = anchor_rows(rows, norm), anchor_rows(reverse_rows(rows))
+    plus, minus = anchor_rows(rows), anchor_rows(reverse_rows(rows))
     fibers = _fibers(rows)
     flat = not any(f.degenerate for f in fibers)
     ml = _hyperbolic_ml(flat, plus, minus)

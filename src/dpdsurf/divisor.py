@@ -9,8 +9,7 @@ every later layer reads its toric data from.  It is derived in integers:
 normalize_pair shifts by ceil(d_plus), and every fact of the normal form is
 read off pair_rows, each point's coefficients as (numerator, denominator).
 One normal form serves both sides of a pair: anchor_rows anchors its rows,
-and reverse_rows gives the reversed pair's rows.  The Fraction-valued
-normal form and translated pair of such an anchoring are built when read.
+and reverse_rows gives the reversed pair's rows.
 """
 
 from __future__ import annotations
@@ -30,10 +29,6 @@ _ZERO = Rat(0)
 
 def _ceil(q: Rat) -> int:
     return -((-q.numerator) // q.denominator)
-
-
-def _floor(q: Rat) -> int:
-    return q.numerator // q.denominator
 
 
 class QDivisor:
@@ -114,21 +109,12 @@ class QDivisor:
         return bool(self._terms)
 
     def __add__(self, other: QDivisor) -> QDivisor:
-        a, b = self._terms, other._terms
-        out, i, j = [], 0, 0
-        while i < len(a) and j < len(b):
-            (p, c), (q, e) = a[i], b[j]
-            if p == q:
-                if s := c + e:
-                    out.append((p, s))
-                i, j = i + 1, j + 1
-            elif p < q:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        return QDivisor._canonical((*out, *a[i:], *b[j:]))
+        out = []
+        for p, x, y in _merged(self._terms, other._terms):
+            # a point of one support only keeps its term: no Fraction sum with _ZERO
+            if s := y if x is _ZERO else x if y is _ZERO else x + y:
+                out.append((p, s))
+        return QDivisor._canonical(tuple(out))
 
     def __sub__(self, other: QDivisor) -> QDivisor:
         return self + (-other)
@@ -150,8 +136,7 @@ class QDivisor:
         return QDivisor._canonical(tuple((p, Rat(n)) for p, n in terms if n))
 
     def floor(self) -> QDivisor:
-        terms = ((p, _floor(c)) for p, c in self._terms)
-        return QDivisor._canonical(tuple((p, Rat(n)) for p, n in terms if n))
+        return -(-self).ceil()
 
     def translate(self, offset: RatLike) -> QDivisor:
         if not offset:
@@ -352,53 +337,20 @@ def pair_rows(pair: DivisorPair) -> tuple[Row, ...]:
                  for a, x, y in _merged(pair.d_plus.terms, pair.d_minus.terms))
 
 
-class _NormalForm(Record):
-    __slots__ = ("normal", "rows")  # kept by Anchored outside its fields
-
-
-class Anchored(_NormalForm):
+class Anchored(Record):
     """The normal form of a pair, from which all toric data is read.
 
-    pair is the pair shifted so every coefficient of d_plus lies in (-1, 0]
-    (normalize_pair), kept as normal, and then translated so the single
-    fractional point of d_plus sits at 0; translation is that point in the
-    original coordinate (0 when d_plus is integral).  rows are normal's
-    pair_rows, and the rest is read off them in integers: the row at
+    rows are the pair_rows of the pair shifted so every coefficient of
+    d_plus lies in (-1, 0] (normalize_pair); translation is the single
+    fractional point of d_plus (0 when d_plus is integral), where the
+    anchor sits.  The rest is read off the rows in integers: the row at
     the anchor gives d = m+, e' = -n+ and l = -k*n-/m-, and k is the lcm of
-    the m-, so that d_plus(0) = -e'/d and d_minus(0) = -l/k.  A parabolic
-    divisor D is anchored as the pair (D, -D), whose degree >= 0 part is
-    A_0[D]; its k and l carry no meaning.  An anchoring from anchor_rows
-    builds normal and pair, the Fraction-valued fields, when first read, and
-    compares, hashes, prints, copies and pickles as one built with both.
+    the m-, so that d_plus(translation) = -e'/d and d_minus(translation) =
+    -l/k in the normal form.  A parabolic divisor D is anchored as the pair
+    (D, -D), whose degree >= 0 part is A_0[D]; its k and l carry no meaning.
     """
 
-    __slots__ = ("pair", "translation", "d", "e_prime", "k", "l")
-
-    def __init__(self, pair: DivisorPair, translation: Rat, d: int, e_prime: int,
-                 k: int, l: int):
-        normal = pair.translate(translation)
-        self._fill(pair=pair, translation=translation, d=d, e_prime=e_prime, k=k, l=l,
-                   normal=normal, rows=pair_rows(normal))
-
-    def _fill(self, **values) -> Anchored:
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-        return self
-
-    def __getattr__(self, name: str):
-        """Reached only for an unset slot: build normal from the rows, or pair
-        from normal, and keep it."""
-        if name == "normal":
-            rows = self.rows
-            value = DivisorPair._trusted(
-                QDivisor._canonical(tuple((a, Rat(pn, pd)) for a, pn, pd, _, _ in rows if pn)),
-                QDivisor._canonical(tuple((a, Rat(mn, md)) for a, _, _, mn, md in rows if mn)))
-        elif name == "pair":
-            value = self.normal.translate(-self.translation)
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
+    __slots__ = ("translation", "d", "e_prime", "k", "l", "rows")
 
     @classmethod
     def of(cls, x: DivisorPair | QDivisor) -> Anchored:
@@ -425,13 +377,12 @@ class Anchored(_NormalForm):
 
 def _anchor(pair: DivisorPair) -> Anchored:
     """Anchored.of a pair with d_plus fractional at one point (the anchor) or none (0)."""
-    normal = normalize_pair(pair)
-    return anchor_rows(pair_rows(normal), normal)
+    return anchor_rows(pair_rows(normalize_pair(pair)))
 
 
-def anchor_rows(rows: tuple[Row, ...], normal: DivisorPair | None = None) -> Anchored | None:
-    """The anchoring of the pair whose normal form has these rows (normal, if
-    built), or None when its d_plus is fractional at two or more points."""
+def anchor_rows(rows: tuple[Row, ...]) -> Anchored | None:
+    """The anchoring of the pair whose normal form has these rows, or None
+    when its d_plus is fractional at two or more points."""
     fractional = [row for row in rows if row[2] != 1]
     if len(fractional) > 1:
         return None
@@ -441,9 +392,7 @@ def anchor_rows(rows: tuple[Row, ...], normal: DivisorPair | None = None) -> Anc
         anchor = next((row for row in rows if row[0] == 0), (_ZERO, 0, 1, 0, 1))
     t, pn, d, mn, md = anchor
     k = math.lcm(*(md for *_, md in rows))
-    a = object.__new__(Anchored)._fill(translation=t, d=d, e_prime=-pn, k=k,
-                                       l=-(k // md) * mn, rows=rows)
-    return a if normal is None else a._fill(normal=normal)
+    return Anchored(t, d, -pn, k, -(k // md) * mn, rows)
 
 
 def reverse_rows(rows: tuple[Row, ...]) -> tuple[Row, ...]:

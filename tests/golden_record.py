@@ -54,7 +54,7 @@ from conftest import (
     random_pair,
 )
 
-from dpdsurf import cli
+from dpdsurf import cli, dpdring
 from dpdsurf.catalog import default_entries
 from dpdsurf.classify import classify, report_to_obj
 from dpdsurf.divisor import anchored
@@ -131,13 +131,10 @@ def random_spec(rng: random.Random, i: int):
 
 
 def presentation_degree(spec) -> int | None:
-    """deg P of the presentation, read off the anchored pair without
-    building P; None when the spec has no presentation."""
+    """deg P of the presentation, read off the anchoring without building P;
+    None when the spec has no presentation."""
     a = isinstance(spec, Hyperbolic) and anchored(spec.pair)
-    if not a:
-        return None
-    deg_q = sum(int(-a.k * c) for p, c in a.pair.d_minus.terms if p != 0)
-    return a.d * deg_q + a.k * a.e_prime + a.d * a.l
+    return dpdring.presentation_degree(a) if a else None
 
 
 def seeded_specs(seed: int, count: int, max_deg_p: int | None) -> list[dict]:

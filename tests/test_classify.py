@@ -453,6 +453,32 @@ class TestClassifyReport:
             )
             assert invariant_signature(classify(Hyperbolic(moved))) == base
 
+    def test_swapping_the_pair_swaps_the_report(self):
+        """Metamorphic: (D-, D+) is the same surface with the grading
+        negated, so its report swaps the plus and minus facts, negates the
+        ML generator's degree and keeps the rest.  facts of the pair anchors
+        the minus side by reverse_rows; facts of the reversed pair normalizes
+        that pair itself."""
+        rng = random.Random(7)
+        seen: Counter = Counter()
+        for i in range(600):
+            pair = (random_pair, random_concentrated_pair)[i % 2](rng)
+            r, s = facts(Hyperbolic(pair)), facts(Hyperbolic(pair.reverse()))
+            assert (s.lnd.exists_plus, s.lnd.exists_minus) == (r.lnd.exists_minus,
+                                                               r.lnd.exists_plus), pair
+            assert (s.lnd.degrees_plus, s.lnd.degrees_minus) == (r.lnd.degrees_minus,
+                                                                 r.lnd.degrees_plus), pair
+            assert (s.d_plus_index, s.d_minus_index) == (r.d_minus_index, r.d_plus_index), pair
+            assert s.ml.kind == r.ml.kind, pair
+            negated = None if r.ml.generator_degree is None else -r.ml.generator_degree
+            assert s.ml.generator_degree == negated, pair
+            assert (s.mm, s.plane, s.sl2, s.recognition) == (r.mm, r.plane, r.sl2,
+                                                             r.recognition), pair
+            fibers = [Counter((f.delta, f.degenerate) for f in x.fibers) for x in (r, s)]
+            assert fibers[0] == fibers[1], pair
+            seen[r.ml.kind if r.ml.kind in ("trivial", "polynomial_ring") else "other"] += 1
+        assert min(seen.values()) >= 50, seen
+
     def test_mm_one_iff_plane_in_catalog(self):
         for entry in default_entries():
             report = classify(entry.spec)

@@ -370,6 +370,13 @@ class TestRun:
         assert "UnknownName" in capsys.readouterr().err
         assert run(["catalog", "bertin", "1", "2"]) == 1
         assert "BadParams" in capsys.readouterr().err
+        # a parameter that sets deg P over MAX_DEG_P is refused before P is built
+        for params in (["dihedral", "10000000"], ["bertin", "2", "99999999999999999999"]):
+            assert run(["catalog", *params]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "CapExceeded" in captured.err
+        assert run(["catalog", "dihedral", "5000"]) == 0
+        assert '"hyperbolic"' in capsys.readouterr().out
 
     def test_usage_error_exit_two(self, capsys):
         assert run(["no-such-command"]) == 2

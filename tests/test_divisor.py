@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import copy
 import math
-import pickle
 import random
 
 import pytest
@@ -126,16 +124,26 @@ class TestNormalize:
             assert all(-1 < c <= 0 for _, c in q.d_plus.terms)
 
 
+def _anchored_pair(pair: DivisorPair, a: Anchored) -> DivisorPair:
+    """The normal form of pair translated by a's translation, which moves the
+    anchor to 0: the pair the toric data of a is read from."""
+    return normalize_pair(pair).translate(-a.translation)
+
+
 class TestAnchored:
     def test_conic_complement(self):
-        a = Anchored.of(DivisorPair(D((0, Rat(1, 2))), D((0, Rat(-1, 2)), (1, -1))))
-        assert a.pair == DivisorPair(D((0, Rat(-1, 2))), D((0, Rat(1, 2)), (1, -1)))
+        pair = DivisorPair(D((0, Rat(1, 2))), D((0, Rat(-1, 2)), (1, -1)))
+        a = Anchored.of(pair)
+        want = DivisorPair(D((0, Rat(-1, 2))), D((0, Rat(1, 2)), (1, -1)))
+        assert _anchored_pair(pair, a) == want
         assert (a.translation, a.d, a.e_prime, a.k, a.l) == (0, 2, 1, 2, -1)
 
     def test_moves_the_fractional_point_to_zero(self):
-        a = Anchored.of(DivisorPair(D((3, Rat(-2, 5))), D((3, Rat(-1, 5)), (1, -2))))
+        pair = DivisorPair(D((3, Rat(-2, 5))), D((3, Rat(-1, 5)), (1, -2)))
+        a = Anchored.of(pair)
         assert a.translation == 3
-        assert a.pair == DivisorPair(D((0, Rat(-2, 5))), D((0, Rat(-1, 5)), (-2, -2)))
+        want = DivisorPair(D((0, Rat(-2, 5))), D((0, Rat(-1, 5)), (-2, -2)))
+        assert _anchored_pair(pair, a) == want
         assert (a.d, a.e_prime, a.k, a.l) == (5, 2, 5, 1)
 
     def test_parabolic_divisor_is_the_pair_d_minus_d(self):
@@ -243,10 +251,11 @@ def _fraction_anchoring(x):
     return norm, (q, translation, d, int(-d * q.d_plus(0)), k, int(-k * q.d_minus(0)))
 
 
-def _fraction_degrees(a: Anchored) -> DegreeSet:
-    """DegreeSet.of by its Fraction definition: d*e >= -1/s(0) at the anchor
-    and e >= -1/s(p) elsewhere."""
-    s = a.pair.sum()
+def _fraction_degrees(a: Anchored, pair: DivisorPair) -> DegreeSet:
+    """DegreeSet.of(a) for a = Anchored.of(pair) by its Fraction definition:
+    with s the sum moved by a's translation, d*e >= -1/s(0) at the anchor and
+    e >= -1/s(p) elsewhere."""
+    s = pair.sum().translate(-a.translation)
     bounds = [math.ceil(-1 / ((a.d if p == 0 else 1) * value)) for p, value in s.terms]
     e_min = 0 if a.d == 1 and s.is_zero() else max([1, *bounds])
     return DegreeSet(mod_inverse(a.e_prime, a.d), a.d, e_min)
@@ -302,12 +311,12 @@ class TestAnchoredCrossCheck:
                 seen["spread D"] += isinstance(x, QDivisor)
                 continue
             a = Anchored.of(x)
-            assert (a.pair, a.translation, a.d, a.e_prime, a.k, a.l) == want, x
-            assert a.normal == norm
+            q = _anchored_pair(pair, a)
+            assert (q, a.translation, a.d, a.e_prime, a.k, a.l) == want, x
             points = sorted(set(norm.d_plus.support) | set(norm.d_minus.support))
             assert a.rows == tuple((p, *_ratio(norm.d_plus(p)), *_ratio(norm.d_minus(p)))
                                    for p in points)
-            assert DegreeSet.of(a) == _fraction_degrees(a)
+            assert DegreeSet.of(a) == _fraction_degrees(a, pair)
             seen["translated"] += a.translation != 0
             seen["parabolic"] += isinstance(x, QDivisor)
             minus = anchored(pair.reverse())
@@ -321,17 +330,13 @@ class TestAnchoredCrossCheck:
 class TestBothSides:
     """classify anchors both sides from one normal form: anchor_rows of its
     rows for the pair, and of reverse_rows of them for the reversed pair.
-    Each must be Anchored.of that side, the lazily built normal and pair
-    included, and compare, hash, print, copy and pickle as it does."""
-
-    FIELDS = ("pair", "translation", "d", "e_prime", "k", "l", "normal", "rows")
+    Each must equal Anchored.of that side, and hash and print as it does."""
 
     @staticmethod
     def sides(pair):
-        """Fresh (plus, minus) anchorings from one normal form, nothing read yet."""
-        norm = normalize_pair(pair)
-        rows = pair_rows(norm)
-        return anchor_rows(rows, norm), anchor_rows(reverse_rows(rows))
+        """(plus, minus) anchorings from one normal form."""
+        rows = pair_rows(normalize_pair(pair))
+        return anchor_rows(rows), anchor_rows(reverse_rows(rows))
 
     def test_matches_anchoring_each_side(self, monkeypatch):
         rng = random.Random(20261019)
@@ -343,22 +348,14 @@ class TestBothSides:
             for side, x in enumerate((pair, pair.reverse())):
                 monkeypatch.setattr(divisor_module, "_memo", (None, None))
                 want = anchored(x)
+                got = self.sides(pair)[side]
                 seen[("spread", "spread reverse")[side]] += want is None
                 if want is None:
-                    assert self.sides(pair)[side] is None
+                    assert got is None
                     continue
                 seen[("translated", "reverse translated")[side]] += want.translation != 0
-                got = self.sides(pair)[side]
+                assert got == want and hash(got) == hash(want), pair
                 assert repr(got) == repr(want)
-                got = self.sides(pair)[side]
-                assert got == want and hash(got) == hash(want)
-                for name in self.FIELDS:
-                    assert getattr(got, name) == getattr(want, name), (name, pair)
-                for clone in (copy.copy(self.sides(pair)[side]),
-                              copy.deepcopy(self.sides(pair)[side]),
-                              pickle.loads(pickle.dumps(self.sides(pair)[side]))):
-                    assert clone == want
-                    assert all(getattr(clone, n) == getattr(want, n) for n in self.FIELDS)
         assert min(seen.values()) >= 10, seen
 
     def test_reverse_rows_are_the_reversed_normal_rows(self, rng):

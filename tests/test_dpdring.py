@@ -244,11 +244,12 @@ class TestPresentation:
             presentation(pair(MAX_DEG_P))
 
 
-def dense_presentation(a: Anchored) -> tuple[Poly, Poly]:
-    """Q and P by the dense definition: Q = prod (t - p)^(-k D-(p)) as
-    Fraction products, P = Q(s^d) * s^(k e' + d l) by composition."""
+def dense_presentation(a: Anchored, minus: QDivisor) -> tuple[Poly, Poly]:
+    """Q and P by the dense definition, with minus the anchored d_minus:
+    Q = prod (t - p)^(-k D-(p)) as Fraction products, P = Q(s^d) *
+    s^(k e' + d l) by composition."""
     q = Poly.one()
-    for p, c in a.pair.d_minus.terms:
+    for p, c in minus.terms:
         if p != 0:
             q = q * Poly((-p, 1)) ** int(-a.k * c)
     s_exp = a.k * a.e_prime + a.d * a.l
@@ -262,9 +263,10 @@ def _wide_point(rng) -> Rat:
     return Rat(rng.choice((-1, 1)) * rng.randint(2**20, 2**24), rng.randint(2**20, 2**24))
 
 
-def wide_anchored_pairs(rng, count: int = 200) -> list[Anchored]:
-    """Anchored pairs with deg Q <= 40 (the dense definition is slow beyond)
-    and deg P <= 600, most of it from the s-power and from d."""
+def wide_anchored_pairs(rng, count: int = 200) -> list[tuple[Anchored, QDivisor]]:
+    """Anchorings with deg Q <= 40 (the dense definition is slow beyond)
+    and deg P <= 600, most of it from the s-power and from d, each with its
+    anchored d_minus: that of the normal form translated to the anchor."""
     out = []
     while len(out) < count:
         d = rng.choice([1, 1, 2, 3, 5, 7])
@@ -274,10 +276,12 @@ def wide_anchored_pairs(rng, count: int = 200) -> list[Anchored]:
         minus = [(anchor, Rat(e_prime, d) - Rat(rng.randint(0, 24), rng.randint(1, 3)))]
         for p in {_wide_point(rng) for _ in range(rng.randint(0, 3))} - {anchor}:
             minus.append((p, -Rat(rng.randint(1, 12), rng.randint(1, 4))))
-        a = Anchored.of(DivisorPair(QDivisor(plus), QDivisor(minus)))
-        deg_q = sum(int(-a.k * c) for p, c in a.pair.d_minus.terms if p != 0)
+        pair = DivisorPair(QDivisor(plus), QDivisor(minus))
+        a = Anchored.of(pair)
+        anchored_minus = normalize_pair(pair).d_minus.translate(-a.translation)
+        deg_q = sum(int(-a.k * c) for p, c in anchored_minus.terms if p != 0)
         if deg_q <= 40 and a.d * deg_q + a.k * a.e_prime + a.d * a.l <= 600:
-            out.append(a)
+            out.append((a, anchored_minus))
     return out
 
 
@@ -287,9 +291,9 @@ class TestPresentationCrossCheck:
 
     def test_matches_dense_definition(self, rng):
         degrees = []
-        for a in wide_anchored_pairs(rng):
+        for a, minus in wide_anchored_pairs(rng):
             pres = Presentation.of(a)
-            assert (pres.Q, pres.P) == dense_presentation(a)
+            assert (pres.Q, pres.P) == dense_presentation(a, minus)
             degrees.append(pres.P.degree)
         assert max(degrees) >= 500 and sum(d > 128 for d in degrees) >= 20
 
@@ -297,10 +301,10 @@ class TestPresentationCrossCheck:
         """div P read off the divisor: -k*D-(p) at each p != 0 and
         k e' + d l at 0.  For d > 1 the roots of Q(s^d) need not be
         rational, so Q is factored and P's order at 0 is read apart."""
-        for a in wide_anchored_pairs(rng):
+        for a, minus in wide_anchored_pairs(rng):
             pres = Presentation.of(a)
             s_exp = a.k * a.e_prime + a.d * a.l
-            want = [(p, int(-a.k * c)) for p, c in a.pair.d_minus.terms if p != 0]
+            want = [(p, int(-a.k * c)) for p, c in minus.terms if p != 0]
             if a.d == 1:
                 target = pres.P
                 want += [(Rat(0), s_exp)] if s_exp else []

@@ -331,7 +331,7 @@ def dense_witness(pair, e, window, e_prime_override=None) -> bool:
         a = Anchored.of(pair)
     except FractionalPlusSpread:
         return False
-    spec = Hyperbolic(a.pair)
+    spec = Hyperbolic(normalize_pair(pair).translate(-a.translation))
     e_prime = a.e_prime if e_prime_override is None else e_prime_override
     t = RatFunc(Poly.t())
     candidates = [(0, t)] + [(n, graded_generator(spec, n).coefficient(n))

@@ -27,7 +27,7 @@ from dpdsurf.classify import (
     SingularityRecord,
     Sl2Model,
 )
-from dpdsurf.divisor import AffineMap, Anchored, DivisorPair, QDivisor
+from dpdsurf.divisor import AffineMap, Anchored, DivisorPair, QDivisor, pair_rows
 from dpdsurf.dpdring import Elliptic, Hyperbolic, Parabolic, Presentation
 from dpdsurf.exactmath import Poly, Rat, RatFunc
 from dpdsurf.lnd import (
@@ -109,10 +109,10 @@ CASES = {
         "AffineMap(scale=Fraction(2, 1), offset=Fraction(1, 3))",
     ),
     Anchored: (
-        dict(pair=_PAIR, translation=Rat(0), d=2, e_prime=1, k=2, l=-1),
-        dict(pair=_OTHER_PAIR, translation=_HALF, d=1, e_prime=0, k=1, l=2),
-        "Anchored(pair=DivisorPair(D+ = -1/2*[0], D- = 1/2*[0] - [1]), "
-        "translation=Fraction(0, 1), d=2, e_prime=1, k=2, l=-1)",
+        dict(translation=Rat(0), d=2, e_prime=1, k=2, l=-1, rows=pair_rows(_PAIR)),
+        dict(translation=_HALF, d=1, e_prime=0, k=1, l=2, rows=pair_rows(_OTHER_PAIR)),
+        "Anchored(translation=Fraction(0, 1), d=2, e_prime=1, k=2, l=-1, "
+        "rows=((Fraction(0, 1), -1, 2, 1, 2), (Fraction(1, 1), 0, 1, -1, 1)))",
     ),
     Elliptic: (
         dict(d=5, e_prime=2),
@@ -225,7 +225,7 @@ SIGNATURES = {
                           "mm, plane, presentation=None, fibers=(), singularities=(), "
                           "ruling=None, sl2=None, recognition, toric",
     AffineMap: "scale, offset",
-    Anchored: "pair, translation, d, e_prime, k, l",
+    Anchored: "translation, d, e_prime, k, l, rows",
     Elliptic: "d, e_prime",
     Parabolic: "divisor",
     Hyperbolic: "pair",
