@@ -475,20 +475,25 @@ def report_to_obj(report: ClassificationReport) -> dict:
     """Stable machine-readable document (field names are a contract).
 
     Q's coefficients are rendered once: P(s) = Q(s^d)*s^(k*e' + d*l) has the
-    same ones, and the relation is P in the variable t (d = 1) or s.
+    same ones, and the relation is P's text, in the variable s when d > 1
+    (t is the only letter in it).  A pair that normalizing leaves as it is
+    is rendered once too, as the input.
     """
     pres = report.presentation
     if pres is not None:
         s_exp = pres.k * pres.e_prime + pres.d * pres.l
-        q_text, p_text, rhs = poly_texts(pres.Q, ("t", 0, 1), ("t", s_exp, pres.d),
-                                         ("t" if pres.d == 1 else "s", s_exp, pres.d))
-    normalized = None
-    if report.normalized_pair is not None:
-        normalized = spec_to_obj(Hyperbolic(report.normalized_pair))
+        q_text, p_text = poly_texts(pres.Q, (0, 1), (s_exp, pres.d))
+        relation = f"u^{pres.k} v = {p_text if pres.d == 1 else p_text.replace('t', 's')}"
+    given, normalized, norm = spec_to_obj(report.spec), None, report.normalized_pair
+    if norm is not None and norm is report.spec.pair:
+        normalized = {"hyperbolic": {side: [[*term] for term in terms]
+                                     for side, terms in given["hyperbolic"].items()}}
+    elif norm is not None:
+        normalized = spec_to_obj(Hyperbolic(norm))
     elif report.normalized_divisor is not None:
         normalized = spec_to_obj(Parabolic(report.normalized_divisor))
     return {
-        "input": spec_to_obj(report.spec),
+        "input": given,
         "grading": report.grading,
         "normalized": normalized,
         "translation": (
@@ -512,7 +517,7 @@ def report_to_obj(report: ClassificationReport) -> dict:
             "Q": q_text,
             "zd_weights": list(pres.zd_weights),
             "translation": format_rat(pres.translation),
-            "relation": f"u^{pres.k} v = {rhs}",
+            "relation": relation,
         },
         **fibers_to_obj(report),
         "ruling": (

@@ -109,6 +109,8 @@ class QDivisor:
         return bool(self._terms)
 
     def __add__(self, other: QDivisor) -> QDivisor:
+        if not self._terms or not other._terms:
+            return self or other
         out = []
         for p, x, y in _merged(self._terms, other._terms):
             # a point of one support only keeps its term: no Fraction sum with _ZERO
@@ -315,16 +317,22 @@ def normalize_pair(pair: DivisorPair) -> DivisorPair:
                                 QDivisor._canonical(tuple(minus)))
 
 
-def _merged(a: tuple, b: tuple):
-    """(p, x, y) over two sorted term tuples in order of p, _ZERO where one has no term."""
-    i = j = 0
-    while i < len(a) or j < len(b):
-        in_a = j == len(b) or i < len(a) and a[i][0] <= b[j][0]
-        in_b = i == len(a) or j < len(b) and b[j][0] <= a[i][0]
-        point = a[i][0] if in_a else b[j][0]
-        yield point, a[i][1] if in_a else _ZERO, b[j][1] if in_b else _ZERO
-        i += in_a
-        j += in_b
+def _merged(a: tuple, b: tuple) -> list[tuple[Rat, Rat, Rat]]:
+    """(p, x, y) over two sorted term tuples in order of p, _ZERO where one
+    has no term; each pair of points is compared once, == before <."""
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        (p, x), (q, y) = a[i], b[j]
+        if p == q:
+            out.append((p, x, y))
+            i, j = i + 1, j + 1
+        elif p < q:
+            out.append((p, x, _ZERO))
+            i += 1
+        else:
+            out.append((q, _ZERO, y))
+            j += 1
+    return out + [(p, x, _ZERO) for p, x in a[i:]] + [(q, _ZERO, y) for q, y in b[j:]]
 
 
 #: (a, n+, m+, n-, m-): D+(a) = n+/m+ and D-(a) = n-/m- in lowest terms, 0/1 off a support

@@ -28,7 +28,6 @@ from .exactmath import (
     Poly,
     Rat,
     RatFunc,
-    _poly,
     linear_power_product,
     rational_linear_factorization,
 )
@@ -131,11 +130,11 @@ def contains(spec: SurfaceSpec, x: GradedElement) -> bool:
 
 
 #: Largest deg P a presentation may have, checked before P is built.  P is
-#: dense and printed in full: at deg P 5,000 a classify process takes about
-#: 1.0 s when Q has one root (D- = -5000*[1/2]) and 4.6 s with three
+#: dense and printed in full: at deg P 5,000 a classify --json process takes
+#: 1.1-1.3 s when Q has one root (D- = -5000*[1/2]) and 4.4-6.7 s with three
 #: (D- = -1666*([0]+[1]+[2])), nearly all in linear_power_product's integer
 #: products (Python 3.11, 2-core VM).  The cap bounds the degree, not the
-#: size: with the points 1/3, -5/7 and 2/11 it takes 101.8 s.
+#: size: with the points 1/3, -5/7 and 2/11 it takes 82 s.
 MAX_DEG_P = 5000
 
 
@@ -167,9 +166,11 @@ class Presentation(Record):
         # of P's, over Q's denominator
         row = [0] * (degree + 1)
         row[s_exp::a.d] = big_q.row
+        big_p = object.__new__(Poly)  # Q's entries: lowest terms, last entry nonzero
+        big_p.row, big_p.den = tuple(row), big_q.den
         return cls(
             k=a.k,
-            P=_poly(row, big_q.den),
+            P=big_p,
             d=a.d,
             e_prime=a.e_prime,
             l=a.l,

@@ -4,8 +4,8 @@ classification (modular inverse and rational linear factorization).
 
 All values are immutable and all operations are pure; nothing here ever
 touches floating point.  A polynomial is an integer row over one
-denominator.  Every product of polynomials is one Kronecker substitution
-(_kronecker), and gcds, exact quotients, root multiplicities and rational
+denominator.  Every product of polynomials is a Kronecker substitution
+(_at, _row_at), and gcds, exact quotients, root multiplicities and rational
 roots are taken on the rows by intpoly, whose docstring gives the methods
 and the bounds that make them exact.
 """
@@ -69,8 +69,10 @@ def format_rat(q: RatLike) -> str:
     Raises CapExceeded when the numerator or the denominator has more
     than MAX_DIGITS digits (str() would raise ValueError).
     """
-    q = q if type(q) is Rat else Rat(q)
-    return _ratio_text(q.numerator, q.denominator)
+    num, den = q.numerator, q.denominator
+    if abs(num) >= _TOO_LONG or den >= _TOO_LONG:
+        raise CapExceeded(f"a rational to print has over {MAX_DIGITS} digits")
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def printable(n: int | None) -> int | None:
@@ -78,13 +80,6 @@ def printable(n: int | None) -> int | None:
     if n is not None and abs(n) >= _TOO_LONG:
         raise CapExceeded(f"an integer to print has over {MAX_DIGITS} digits")
     return n
-
-
-def _ratio_text(num: int, den: int) -> str:
-    """format_rat of num/den, given in lowest terms with den > 0."""
-    if abs(num) >= _TOO_LONG or den >= _TOO_LONG:
-        raise CapExceeded(f"a rational to print has over {MAX_DIGITS} digits")
-    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def mod_inverse(e: int, d: int) -> int:
@@ -203,18 +198,16 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return Poly()
         # the product of the 1-norms bounds every coefficient of the product
-        bits = sum(map(abs, self.row)).bit_length() + sum(map(abs, other.row)).bit_length()
-        return _poly(_kronecker([self.row, other.row], bits // 8 + 1), self.den * other.den)
+        width = (sum(map(abs, self.row)) * sum(map(abs, other.row))).bit_length() // 8 + 1
+        value = _at(self.row, width) * _at(other.row, width)
+        return _poly(_row_at(value, self.degree + other.degree + 1, width), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative polynomial power")
-        if n and self.is_zero():
-            return self
-        bits = n * sum(map(abs, self.row)).bit_length()
-        return _poly(_kronecker([self.row] * n, bits // 8 + 1), self.den**n)
+        return poly_product([self] * n)
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         """Pseudo-division of the integer rows: lc^n * row = q * other.row + r
@@ -267,7 +260,7 @@ class Poly:
         return multiplicity(self.row, a.numerator, a.denominator)[0]
 
     def __str__(self) -> str:
-        return poly_texts(self, ("t", 0, 1))[0]
+        return poly_texts(self, (0, 1))[0]
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -286,42 +279,54 @@ def _poly(row: Sequence[int], den: int = 1) -> Poly:
     return p
 
 
-def _kronecker(rows: Iterable[Sequence[int]], width: int) -> list[int]:
-    """The coefficient row of the product of the nonempty integer rows, by
-    Kronecker substitution (von zur Gathen and Gerhard, section 8.4).
-
-    Each row is evaluated at X = 2^(8*width) from its digits, the values
-    are multiplied as CPython integers and one to_bytes pass reads the
-    product back.  Every coefficient of the rows and of the product must
-    fit width bytes with a sign bit; 2^(8*width - 1) is added at every
-    digit, so none borrows."""
+def _at(row: Sequence[int], width: int) -> int:
+    """The integer row at X = 2^(8*width) (Kronecker substitution, von zur
+    Gathen and Gerhard, section 8.4).  Every entry must fit width bytes with
+    a sign bit: 2^(8*width - 1) is added at each digit, so none borrows."""
     half, offset = b"\0" * (width - 1) + b"\x80", 1 << (8 * width - 1)
-    value, size = 1, 1
-    for row in rows:
-        packed = b"".join((c + offset).to_bytes(width, "little") for c in row)
-        value *= int.from_bytes(packed, "little") - int.from_bytes(half * len(row), "little")
-        size += len(row) - 1
+    packed = b"".join((c + offset).to_bytes(width, "little") for c in row)
+    return int.from_bytes(packed, "little") - int.from_bytes(half * len(row), "little")
+
+
+def _row_at(value: int, size: int, width: int) -> list[int]:
+    """The row of size entries whose value at X = 2^(8*width) is value, read
+    back in one to_bytes pass; every entry must fit as in _at."""
+    half, offset = b"\0" * (width - 1) + b"\x80", 1 << (8 * width - 1)
     digits = (value + int.from_bytes(half * size, "little")).to_bytes(width * size, "little")
     return [int.from_bytes(digits[i:i + width], "little") - offset
             for i in range(0, len(digits), width)]
 
 
-def poly_texts(p: Poly, *layouts: tuple[str, int, int]) -> list[str]:
-    """The text of x^shift * p(x^step) for each layout (x, shift, step), as
+def poly_product(polys: Sequence[Poly]) -> Poly:
+    """The product of the polys by a product tree: operands of like size
+    meet, and each product packs its digits only as wide as its own
+    coefficients need."""
+    polys = list(polys) or [Poly.one()]
+    while len(polys) > 1:
+        pairs = [a * b for a, b in zip(polys[::2], polys[1::2])]
+        polys = pairs + polys[2 * len(pairs):]
+    return polys[0]
+
+
+def poly_texts(p: Poly, *layouts: tuple[int, int]) -> list[str]:
+    """The text of t^shift * p(t^step) for each layout (shift, step), as
     str(p) writes p: highest power first, p's coefficients rendered once for
     all the layouts, and a zero costing one integer test."""
     terms, den = [], p.den
     for i, c in enumerate(p.row):
         if c:
             g = math.gcd(c, den) if den != 1 else 1
-            terms.append((i, "-" if c < 0 else "+", _ratio_text(abs(c) // g, den // g)))
+            n, d = abs(c) // g, den // g
+            if n >= _TOO_LONG or d >= _TOO_LONG:
+                raise CapExceeded(f"a rational to print has over {MAX_DIGITS} digits")
+            terms.append((i, "-" if c < 0 else "+", str(n) if d == 1 else f"{n}/{d}"))
     terms.reverse()
     texts = []
-    for var, shift, step in layouts:
+    for shift, step in layouts:
         parts = []
         for i, sign, body in terms:
             if e := shift + step * i:
-                power = var if e == 1 else f"{var}^{e}"
+                power = "t" if e == 1 else f"t^{e}"
                 body = power if body == "1" else f"{body}*{power}"
             parts.append(sign + body)
         text = "".join(parts) or "0"
@@ -334,6 +339,13 @@ def poly_texts(p: Poly, *layouts: tuple[str, int, int]) -> list[str]:
 #: 41.7 Mbit; a root with a 1,848-bit denominator at multiplicity 3,633, 24 Gbit.
 MAX_PRODUCT_BITS = 1 << 27
 
+#: Most bytes m*width of a factor (den*t - num)^m that linear_power_product
+#: takes by one pow.  Time of the pow over time of packing the digits, swept
+#: on -5/7 with m 1-128 and 4-512 B digits (Python 3.11, 2-core VM): 0.05-0.4
+#: up to 256 B, 0.4-1.1 at 512 B, 0.6-1.3 at 768 B, 1.0-1.6 at 1 KB, 1.2-7 at
+#: 1.5-4 KB.
+POW_BYTES = 512
+
 
 def linear_power_product(
     factors: Iterable[tuple[RatLike, int]], leading: RatLike = 1
@@ -342,12 +354,14 @@ def linear_power_product(
     integers.
 
     With a = num/den, (t - a)^m = den^(-m) (den*t - num)^m.  The integer
-    polynomial n * prod (den*t - num)^m, n the numerator of leading, is one
-    _kronecker product of the binomial rows C(m, j) den^j (-num)^(m-j),
-    with digits as wide as the bit length of the 1-norm bound
-    |n| * prod (|num| + den)^m plus a sign bit, in whole bytes.  Its
-    denominator is prod den^m times the denominator of leading.  Raises
-    CapExceeded past MAX_PRODUCT_BITS.
+    polynomial n * prod (den*t - num)^m, n the numerator of leading, is read
+    by _row_at off its value at X, with digits as wide as the bit length of
+    the 1-norm bound |n| * prod (|num| + den)^m plus a sign bit, in whole
+    bytes.  A factor of at most POW_BYTES is the power (den*X - num)^m; a
+    larger one is _at of its binomial row C(m, j) den^j (-num)^(m-j), linear
+    in its size where repeated squaring is not.  The denominator is
+    prod den^m times that of leading.  Raises CapExceeded past
+    MAX_PRODUCT_BITS.
     """
     value, scale = leading.numerator, leading.denominator
     rows = [(a.numerator, a.denominator, m) for a, m in factors if m]
@@ -356,16 +370,18 @@ def linear_power_product(
     width = bits // 8 + 1  # bytes a digit, the sign bit included
     if 8 * width * (degree + 1) > MAX_PRODUCT_BITS:
         raise CapExceeded(f"a product of linear powers is over the cap of {MAX_PRODUCT_BITS} bits")
-    powers = [(value,)]
     for num, den, m in rows:
+        scale *= den**m
+        if m * width <= POW_BYTES:
+            value *= ((den << 8 * width) - num) ** m
+            continue
         row, c = [], (-num) ** m
         for j in range(m):
             row.append(c)
             c = c * (m - j) * den // ((j + 1) * -num) if num else 0
         row.append(den**m)
-        powers.append(row)
-        scale *= den**m
-    return _poly(_kronecker(powers, width), scale)
+        value *= _at(row, width)
+    return _poly(_row_at(value, degree + 1, width), scale)
 
 
 def _as_poly(x: Poly | RatLike) -> Poly:

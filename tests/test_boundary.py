@@ -8,9 +8,11 @@ type, no hang.
 
 from __future__ import annotations
 
+import json
 import signal
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -111,6 +113,18 @@ def least_horizontal(spec):
 #: A kernel generator of t-degree e' = 500000003, over the cap.
 HUGE_E_PRIME = [["0", "-500000003/1000000007"]]
 
+#: Drawn examples that reached a cap or an error path before a change of a
+#: literal in src/ moved the derandomized sequences (hypothesis draws the
+#: constants of the code under test), kept by test name so that they still run.
+PINS = json.loads((Path(__file__).parent / "data" / "boundary_pins.json").read_text())
+
+
+def pinned(test):
+    """test with an @example for each of its PINS entries."""
+    for args in PINS[test.__name__.removeprefix("test_")]:
+        test = example(*args)(test)
+    return test
+
 
 @FUZZ
 @given(specs, st.lists(huge_ints, max_size=3))
@@ -118,6 +132,7 @@ HUGE_E_PRIME = [["0", "-500000003/1000000007"]]
 @example(WIDE_Q_SPEC, [])
 @example({"hyperbolic": {"d_plus": HUGE_E_PRIME,
                          "d_minus": [["0", "500000003/1000000007"], ["1", "-1"]]}}, [1])
+@pinned
 def test_spec_classify_and_oracle(obj, degrees):
     spec = bounded(spec_from_obj, obj)
     if spec is None:
@@ -153,6 +168,7 @@ element_texts = st.one_of(
 
 @FUZZ
 @given(element_texts)
+@pinned
 def test_parse_element_and_poly(text):
     bounded(parse_element, text)
     bounded(parse_poly, text)
@@ -176,6 +192,7 @@ def wide_unitary(draw):
 
 @FUZZ
 @given(st.one_of(huge_ints, st.integers(-3, 4)), st.one_of(wide_unitary(), element_texts))
+@example(4300, Poly((Fraction(9, 4),)))  # NotUnitary, pinned as PINS are
 def test_from_equation(k, p):
     if isinstance(p, str):
         p = bounded(parse_poly, p)

@@ -15,6 +15,7 @@ from conftest import (
     random_pair,
     random_shift,
 )
+from oracles import fraction_str
 from dpdsurf import divisor
 from dpdsurf.catalog import catalog_surface, default_entries
 from dpdsurf.classify import (
@@ -25,6 +26,7 @@ from dpdsurf.classify import (
     mm_invariant,
     recognize_homogeneous,
     recognize_sl2,
+    report_to_obj,
     ruling_divisor,
     singular_points,
 )
@@ -38,11 +40,12 @@ from dpdsurf.divisor import (
     denom_index,
     normalize_pair,
 )
-from dpdsurf.dpdring import Elliptic, Hyperbolic, Parabolic, presentation
+from dpdsurf.dpdring import Elliptic, Hyperbolic, Parabolic, presentation, spec_to_obj
 from dpdsurf.errors import DomainError, InternalError, NoPositiveLnd, check
 from dpdsurf.exactmath import Rat
 from dpdsurf.lnd import positive_lnd_exists
 from signature import invariant_signature
+from test_dpdring import dense_presentation, wide_anchored_pairs
 
 
 # the package re-exports the function classify() under the module's name
@@ -477,6 +480,43 @@ class TestClassifyReport:
             fibers = [Counter((f.delta, f.degenerate) for f in x.fibers) for x in (r, s)]
             assert fibers[0] == fibers[1], pair
             seen[r.ml.kind if r.ml.kind in ("trivial", "polynomial_ring") else "other"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_presentation_texts_match_the_dense_definition(self, rng):
+        """P, Q and the relation of the report against oracles.fraction_str
+        of the dense definition, for d = 1 and d > 1: the relation's right
+        side is P's text, with s for t when d > 1."""
+        seen: Counter = Counter()
+        for pair, a, minus in wide_anchored_pairs(rng, 120):
+            doc = report_to_obj(classify(Hyperbolic(pair)))["presentation"]
+            q, p = dense_presentation(a, minus)
+            p_text = fraction_str(list(p.coeffs))
+            assert (doc["Q"], doc["P"]) == (fraction_str(list(q.coeffs)), p_text), pair
+            rhs = p_text if a.d == 1 else p_text.replace("t", "s")
+            assert doc["relation"] == f"u^{a.k} v = {rhs}", pair
+            seen["d = 1" if a.d == 1 else "d > 1"] += 1
+        assert min(seen.values()) >= 30, seen
+
+    def test_normalized_entry(self, rng):
+        """normalized is the normal form rendered, whether normalizing moves
+        the pair or leaves it as it is (and the input's text is reused), and
+        shares no list with input."""
+        def lists(obj):
+            if isinstance(obj, list):
+                yield obj
+            for x in obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ():
+                yield from lists(x)
+
+        seen: Counter = Counter()
+        for i in range(300):
+            pair = (random_pair, random_concentrated_pair)[i % 2](rng)
+            pair = random_shift(rng, pair) if i % 3 == 0 else pair
+            doc = report_to_obj(classify(Hyperbolic(pair)))
+            norm = normalize_pair(pair)
+            assert doc["normalized"] == spec_to_obj(Hyperbolic(norm)), pair
+            assert not {id(x) for x in lists(doc["input"])} & {id(x) for x in lists(
+                doc["normalized"])}, pair
+            seen["moved" if norm is not pair else "unmoved"] += 1
         assert min(seen.values()) >= 50, seen
 
     def test_mm_one_iff_plane_in_catalog(self):

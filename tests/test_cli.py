@@ -156,6 +156,62 @@ class TestElementGrammar:
         assert time.perf_counter() - start < 1.0
         assert x.degrees == (0,) and x.terms[0][1].num.degree == MAX_EXPONENT
 
+    def test_term_equals_the_product_one_factor_at_a_time(self):
+        """A term's polynomial factors are multiplied in one product tree;
+        on seeded terms of up to 40 atoms, with wide coefficients, zeros,
+        divisions that cancel or leave poles, and u-powers, the parsed
+        element equals the term taken one factor at a time here."""
+        rng = random.Random(20261020)
+        wide = f"{rng.randint(2**60, 2**61)}/{rng.randint(2**40, 2**41)}"
+        atoms = {"t": Poly.t(), "t^3": Poly.monomial(3), "2": Poly((2,)),
+                 "3/4": Poly((Rat(3, 4),)), "0": Poly(), "(t-1)": Poly((-1, 1)),
+                 f"(t-{wide})": Poly((-Rat(wide), 1)), "(2*t^2-3)": Poly((-3, 0, 2)),
+                 f"({wide}*t+1)": Poly((1, Rat(wide)))}
+        divisors = {"/(t-1)": Poly((-1, 1)), "/(t^2+1)": Poly((1, 0, 1)), "/5": Poly((5,)),
+                    f"/(t-{wide})": Poly((-Rat(wide), 1))}
+        seen = {"zero": 0, "pole": 0, "cancelled": 0, "u": 0}
+        for _ in range(300):
+            text, want, upow = "", RatFunc.one(), 0
+            for i in range(rng.randint(1, 40)):
+                if i and rng.random() < 0.2:
+                    atom = rng.choice(list(divisors))
+                    want = want / divisors[atom]
+                elif rng.random() < 0.1:
+                    atom = rng.choice(["u", "u^-2"])
+                    upow += 1 if atom == "u" else -2
+                else:
+                    atom = rng.choice(list(atoms))
+                    want = want * atoms[atom]
+                text += atom if atom[0] == "/" or not i else "*" + atom
+            assert parse_element(text) == GradedElement.monomial(upow, want), text
+            seen["zero"] += want.is_zero()
+            seen["pole"] += want.den.degree > 0
+            seen["cancelled"] += "/(" in text and want.den.degree == 0 and not want.is_zero()
+            seen["u"] += "u" in text
+        assert min(seen.values()) >= 10, seen
+
+    def test_positions_of_term_errors(self):
+        """The cap is checked on the summed degree at the atom that crosses
+        it; the errors name the positions they did factor by factor."""
+        cases = {
+            "(t-1)*" * 1000 + "(t-1)": 6000,
+            "(t-1)*(t^600+1)*(t^400+1)": 16,
+            "t^1000/(t)*t*t": 13,
+            "1/(t^600+1)/(t^401)": 11,
+            "0*t^1000*t^1000": 0,
+        }
+        for text, at in cases.items():
+            if at:
+                with pytest.raises(CapExceeded, match=rf"over the cap 1000 \(at position {at}\)$"):
+                    parse_element(text)
+            else:
+                assert parse_element(text).is_zero()
+        for text, at in {"/2": 0, "t*/": 2, "t/(t-t)": 1, "t/0": 2, "2/0*t": 2, "t*(t": 4,
+                         "(t+1)^2": 5}.items():
+            with pytest.raises(ParseError) as err:
+                parse_element(text)
+            assert err.value.position == at, (text, err.value)
+
     def test_parse_poly(self):
         assert parse_poly("t^2+t") == Poly((0, 1, 1))
         assert parse_poly("3") == Poly((3,))

@@ -32,7 +32,7 @@ from dpdsurf.errors import (
     NonRationalRoots,
     NotUnitary,
 )
-from dpdsurf.exactmath import Poly, Rat, RatFunc, rational_linear_factorization
+from dpdsurf.exactmath import POW_BYTES, Poly, Rat, RatFunc, rational_linear_factorization
 
 
 def D(*terms) -> QDivisor:
@@ -263,10 +263,11 @@ def _wide_point(rng) -> Rat:
     return Rat(rng.choice((-1, 1)) * rng.randint(2**20, 2**24), rng.randint(2**20, 2**24))
 
 
-def wide_anchored_pairs(rng, count: int = 200) -> list[tuple[Anchored, QDivisor]]:
-    """Anchorings with deg Q <= 40 (the dense definition is slow beyond)
-    and deg P <= 600, most of it from the s-power and from d, each with its
-    anchored d_minus: that of the normal form translated to the anchor."""
+def wide_anchored_pairs(rng, count: int = 200) -> list[tuple[DivisorPair, Anchored, QDivisor]]:
+    """Pairs whose anchoring has deg Q <= 40 (the dense definition is slow
+    beyond) and deg P <= 600, most of it from the s-power and from d, each
+    with its anchoring and its anchored d_minus: that of the normal form
+    translated to the anchor."""
     out = []
     while len(out) < count:
         d = rng.choice([1, 1, 2, 3, 5, 7])
@@ -281,7 +282,7 @@ def wide_anchored_pairs(rng, count: int = 200) -> list[tuple[Anchored, QDivisor]
         anchored_minus = normalize_pair(pair).d_minus.translate(-a.translation)
         deg_q = sum(int(-a.k * c) for p, c in anchored_minus.terms if p != 0)
         if deg_q <= 40 and a.d * deg_q + a.k * a.e_prime + a.d * a.l <= 600:
-            out.append((a, anchored_minus))
+            out.append((pair, a, anchored_minus))
     return out
 
 
@@ -291,7 +292,7 @@ class TestPresentationCrossCheck:
 
     def test_matches_dense_definition(self, rng):
         degrees = []
-        for a, minus in wide_anchored_pairs(rng):
+        for _, a, minus in wide_anchored_pairs(rng):
             pres = Presentation.of(a)
             assert (pres.Q, pres.P) == dense_presentation(a, minus)
             degrees.append(pres.P.degree)
@@ -301,7 +302,7 @@ class TestPresentationCrossCheck:
         """div P read off the divisor: -k*D-(p) at each p != 0 and
         k e' + d l at 0.  For d > 1 the roots of Q(s^d) need not be
         rational, so Q is factored and P's order at 0 is read apart."""
-        for a, minus in wide_anchored_pairs(rng):
+        for _, a, minus in wide_anchored_pairs(rng):
             pres = Presentation.of(a)
             s_exp = a.k * a.e_prime + a.d * a.l
             want = [(p, int(-a.k * c)) for p, c in minus.terms if p != 0]
@@ -314,6 +315,91 @@ class TestPresentationCrossCheck:
             assert rational_linear_factorization(target) == (1, sorted(want), Poly.one())
 
 
+#: The Mersenne prime 2^61 - 1; no denominator drawn below is a multiple of it.
+PRIME = 2**61 - 1
+
+
+def _mod(q: Rat) -> int:
+    return q.numerator * pow(q.denominator, -1, PRIME) % PRIME
+
+
+def _defining_pair(rng) -> tuple[DivisorPair, int, int, int, int, Rat, list[tuple[Rat, int]]]:
+    """A pair (D+, D-) with D+ = -e'/d [anchor] already normalized, and its
+    k, d, e', l, anchor point t0 and roots (p - t0, -k*D-(p)) of Q, read off
+    the drawn Fractions: k is the lcm of the denominators of D-, l is
+    -k*D-(t0), and t0 is 0 when D+ is integral.  One to three points: most
+    of deg P comes from the power of s, from d and from small roots of Q
+    with multiplicities up to a few hundred, so that a presentation takes
+    milliseconds; the other roots have 8 to 60 bits."""
+    d = rng.choice([1, 1, 1, 2, 3, 7, 50, 997])
+    e_prime = rng.choice([e for e in range(1, d) if math.gcd(e, d) == 1]) if d > 1 else 0
+    anchor = Rat(rng.randint(-9, 9), rng.randint(1, 3)) if e_prime else Rat(0)
+    minus = {anchor: Rat(e_prime, d) - Rat(rng.choice([0, 1, 40, 4000]) // d + rng.randint(0, 3),
+                                           rng.randint(1, 3))}
+    for _ in range(rng.randint(0, 2)):
+        bits = rng.choice([2, 2, 8, 60])
+        point = Rat(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits))
+        top = {2: rng.choice([4, 300]), 8: 60, 60: 4}[bits]
+        minus.setdefault(point, -Rat(rng.randint(1, top), rng.randint(1, 3)))
+    plus = QDivisor([(anchor, Rat(-e_prime, d))])
+    pair = DivisorPair(plus, QDivisor(minus.items()))
+    k = math.lcm(*(c.denominator for c in minus.values()))
+    t0 = anchor
+    l = int(-k * minus.get(t0, 0))
+    roots = [(p - t0, int(-k * c)) for p, c in minus.items() if c and p != t0]
+    return pair, k, d, e_prime, l, t0, roots
+
+
+class TestPresentationModular:
+    """P(s) = Q(s^d) * s^(k e' + d l) with Q = prod (t - p)^(-k D-(p)),
+    evaluated modulo a 61-bit prime at random s from the divisor alone and
+    compared with P's row as Presentation.of builds it, up to MAX_DEG_P.
+    Each check is linear in deg P; the drawn factors of Q fall on both sides
+    of exactmath.POW_BYTES, by the width linear_power_product's docstring
+    gives (the bit length of 1 + sum m*(|num| + den), plus a sign bit)."""
+
+    def test_p_matches_definition_mod_prime(self, rng):
+        sides, degrees = {"pow": 0, "digits": 0}, []
+        for _ in range(160):
+            pair, k, d, e_prime, l, t0, roots = _defining_pair(rng)
+            s_exp = k * e_prime + d * l
+            degree = s_exp + d * sum(m for _, m in roots)
+            if degree > MAX_DEG_P:
+                with pytest.raises(CapExceeded):
+                    presentation(pair)
+                continue
+            pres = presentation(pair)
+            assert (pres.k, pres.d, pres.e_prime, pres.l, pres.translation) == (
+                k, d, e_prime, l, t0)
+            assert pres.P.degree == degree and pres.P.is_unitary()
+            for _ in range(3):
+                s = rng.randrange(PRIME)
+                want = pow(s, s_exp, PRIME)
+                for a, m in roots:
+                    want = want * pow(pow(s, d, PRIME) - _mod(a), m, PRIME) % PRIME
+                got = 0
+                for c in reversed(pres.P.row):
+                    got = (got * s + c) % PRIME
+                assert got * pow(pres.P.den, -1, PRIME) % PRIME == want, pair
+            bits = 1 + sum(m * (abs(a.numerator) + a.denominator).bit_length() for a, m in roots)
+            for _, m in roots:
+                sides["pow" if m * (bits // 8 + 1) <= POW_BYTES else "digits"] += 1
+            degrees.append(degree)
+        assert min(sides.values()) >= 20, sides
+        assert max(degrees) > 4000 and sum(x > 1000 for x in degrees) >= 10, degrees
+
+    def test_at_the_cap(self):
+        """deg P = MAX_DEG_P exactly, from the power of s (k = 1, l = 5000)
+        and from Q(s^d) (d = 1000, Q = (t - 1)^5), is built; s^(d l) with
+        d l one more is refused."""
+        shapes = [(QDivisor(), D((0, -MAX_DEG_P)), (1, 1, MAX_DEG_P)),
+                  (D((0, Rat(-1, 1000))), D((0, Rat(1, 1000)), (1, Rat(-1, 200))), (1000, 1000, -1))]
+        for plus, minus, (k, d, l) in shapes:
+            pres = presentation(DivisorPair(plus, minus))
+            assert (pres.k, pres.d, pres.l, pres.P.degree) == (k, d, l, MAX_DEG_P)
+            assert pres.P.row[-1] == pres.P.den and sum(map(bool, pres.P.row)) == len(pres.Q.row)
+        with pytest.raises(CapExceeded):
+            presentation(DivisorPair(QDivisor(), D((0, -MAX_DEG_P - 1))))
 class TestSpecSerialization:
     def test_roundtrip(self, rng):
         specs = [

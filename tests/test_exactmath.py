@@ -23,12 +23,15 @@ from oracles import (
     schoolbook_linear_power_product,
 )
 from dpdsurf.errors import CapExceeded, NotCoprime, ParseError, ZeroPolynomial
+from dpdsurf import exactmath
 from dpdsurf.exactmath import (
     MAX_DIGITS,
     MAX_PRODUCT_BITS,
+    POW_BYTES,
     Poly,
     Rat,
     RatFunc,
+    _at,
     format_rat,
     linear_power_product,
     mod_inverse,
@@ -109,11 +112,22 @@ class TestPoly:
         want = schoolbook_linear_power_product(factors, leading)
         assert list(linear_power_product(factors, leading).coeffs) == want
 
-    def test_linear_power_product_wide(self):
+    def test_linear_power_product_wide(self, monkeypatch):
         """The Kronecker product against the schoolbook one on seeded
         factors: 40-bit points, zero and negative points, m = 0, a leading
-        coefficient with a denominator and no factor at all."""
+        coefficient with a denominator and no factor at all, and factors on
+        both sides of POW_BYTES: one pow up to it, packed binomial digits
+        (exactmath._at) past it, counted by m * width as the docstring has
+        it and, at the bound, by the calls to _at."""
         rng = random.Random(20261019)
+        packed = []
+        monkeypatch.setattr(exactmath, "_at", lambda row, size: packed.append(len(row))
+                            or _at(row, size))
+
+        def width(factors, leading):
+            bits = leading.numerator.bit_length() + sum(
+                m * (abs(a.numerator) + a.denominator).bit_length() for a, m in factors)
+            return bits // 8 + 1
 
         def point():
             kind = rng.choice(["wide", "wide", "zero", "small"])
@@ -122,20 +136,36 @@ class TestPoly:
             span = 2**40 if kind == "wide" else 5
             return Rat(rng.randint(-span, span), rng.randint(1, span))
 
-        seen = {"zero": 0, "negative": 0, "m = 0": 0, "leading den": 0, "empty": 0}
+        seen = {"zero": 0, "negative": 0, "m = 0": 0, "leading den": 0, "empty": 0,
+                "pow": 0, "digits": 0}
         for _ in range(300):
             top = rng.choice([6, 6, 25])
             factors = [(point(), rng.randint(0, top)) for _ in range(rng.randint(0, 4))]
             leading = Rat(rng.choice([1, -1, rng.randint(-2**40, 2**40)]),
                           rng.choice([1, 1, 7, 2**41 + 1]))
+            packed.clear()
             got = list(linear_power_product(factors, leading).coeffs)
             assert got == schoolbook_linear_power_product(factors, leading), (factors, leading)
+            sizes = [m * width(factors, leading) for _, m in factors if m]
+            assert len(packed) == sum(size > POW_BYTES for size in sizes)
+            seen["pow"] += sum(size <= POW_BYTES for size in sizes)
+            seen["digits"] += len(packed)
             seen["zero"] += any(a == 0 and m for a, m in factors)
             seen["negative"] += any(a < 0 and m for a, m in factors)
             seen["m = 0"] += any(m == 0 for _, m in factors)
             seen["leading den"] += leading.denominator > 1
             seen["empty"] += not factors
         assert min(seen.values()) >= 10, seen
+        # the first factor at 8 * 64 bytes is POW_BYTES exactly, at 3 * 171 one
+        # byte over, and at 8 * 65 over once a second factor widens the digits
+        for factors, size, packs in (([(Rat(2**62), 8)], POW_BYTES, []),
+                                     ([(Rat(-(2**454)), 3)], POW_BYTES + 1, [4]),
+                                     ([(Rat(2**62), 8), (Rat(1, 100), 1)], 8 * 65, [9])):
+            packed.clear()
+            assert factors[0][1] * width(factors, Rat(1)) == size
+            got = list(linear_power_product(factors).coeffs)
+            assert got == schoolbook_linear_power_product(factors), factors
+            assert packed == packs, factors  # the lengths of the rows packed by _at
         assert linear_power_product([], 0) == Poly.zero()
         assert linear_power_product([(Rat(3), 0)], Rat(2, 3)) == Poly((Rat(2, 3),))
 
