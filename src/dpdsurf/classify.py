@@ -16,6 +16,7 @@ from .dpdring import (
     Presentation,
     SurfaceSpec,
     presentation_degree,
+    spec_obj_copy,
     spec_to_obj,
 )
 from .errors import NoPositiveLnd, check
@@ -475,9 +476,8 @@ def report_to_obj(report: ClassificationReport) -> dict:
     """Stable machine-readable document (field names are a contract).
 
     Q's coefficients are rendered once: P(s) = Q(s^d)*s^(k*e' + d*l) has the
-    same ones, and the relation is P's text, in the variable s when d > 1
-    (t is the only letter in it).  A pair that normalizing leaves as it is
-    is rendered once too, as the input.
+    same ones, and the relation is P's text, in s when d > 1 (t is its only
+    letter).  A pair that normalizing leaves as it is is rendered once.
     """
     pres = report.presentation
     if pres is not None:
@@ -485,11 +485,9 @@ def report_to_obj(report: ClassificationReport) -> dict:
         q_text, p_text = poly_texts(pres.Q, (0, 1), (s_exp, pres.d))
         relation = f"u^{pres.k} v = {p_text if pres.d == 1 else p_text.replace('t', 's')}"
     given, normalized, norm = spec_to_obj(report.spec), None, report.normalized_pair
-    if norm is not None and norm is report.spec.pair:
-        normalized = {"hyperbolic": {side: [[*term] for term in terms]
-                                     for side, terms in given["hyperbolic"].items()}}
-    elif norm is not None:
-        normalized = spec_to_obj(Hyperbolic(norm))
+    if norm is not None:
+        normalized = (spec_obj_copy(given) if norm is report.spec.pair
+                      else spec_to_obj(Hyperbolic(norm)))
     elif report.normalized_divisor is not None:
         normalized = spec_to_obj(Parabolic(report.normalized_divisor))
     return {

@@ -318,20 +318,14 @@ def normalize_pair(pair: DivisorPair) -> DivisorPair:
 
 
 def _merged(a: tuple, b: tuple) -> list[tuple[Rat, Rat, Rat]]:
-    """(p, x, y) over two sorted term tuples in order of p, _ZERO where one
-    has no term; each pair of points is compared once, == before <."""
+    """(p, x, y) over two sorted term tuples by p, _ZERO off a support; == before <."""
     out, i, j = [], 0, 0
     while i < len(a) and j < len(b):
         (p, x), (q, y) = a[i], b[j]
-        if p == q:
-            out.append((p, x, y))
-            i, j = i + 1, j + 1
-        elif p < q:
-            out.append((p, x, _ZERO))
-            i += 1
-        else:
-            out.append((q, _ZERO, y))
-            j += 1
+        both = p == q
+        in_a = both or p < q
+        out.append((p, x, y if both else _ZERO) if in_a else (q, _ZERO, y))
+        i, j = i + in_a, j + (both or not in_a)
     return out + [(p, x, _ZERO) for p, x in a[i:]] + [(q, _ZERO, y) for q, y in b[j:]]
 
 

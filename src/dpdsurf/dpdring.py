@@ -28,6 +28,7 @@ from .exactmath import (
     Poly,
     Rat,
     RatFunc,
+    _poly,
     linear_power_product,
     rational_linear_factorization,
 )
@@ -131,7 +132,7 @@ def contains(spec: SurfaceSpec, x: GradedElement) -> bool:
 
 #: Largest deg P a presentation may have, checked before P is built.  P is
 #: dense and printed in full: at deg P 5,000 a classify --json process takes
-#: 1.1-1.3 s when Q has one root (D- = -5000*[1/2]) and 4.4-6.7 s with three
+#: 1.1-1.3 s when Q has one root (D- = -5000*[1/2]) and 4.4-8.2 s with three
 #: (D- = -1666*([0]+[1]+[2])), nearly all in linear_power_product's integer
 #: products (Python 3.11, 2-core VM).  The cap bounds the degree, not the
 #: size: with the points 1/3, -5/7 and 2/11 it takes 82 s.
@@ -166,11 +167,9 @@ class Presentation(Record):
         # of P's, over Q's denominator
         row = [0] * (degree + 1)
         row[s_exp::a.d] = big_q.row
-        big_p = object.__new__(Poly)  # Q's entries: lowest terms, last entry nonzero
-        big_p.row, big_p.den = tuple(row), big_q.den
         return cls(
             k=a.k,
-            P=big_p,
+            P=_poly(row, big_q.den),
             d=a.d,
             e_prime=a.e_prime,
             l=a.l,
@@ -253,6 +252,12 @@ def spec_to_obj(spec: SurfaceSpec) -> dict:
     if isinstance(spec, Parabolic):
         return {"parabolic": {"divisor": spec.divisor.to_pairs()}}
     return {"hyperbolic": spec.pair.to_obj()}
+
+
+def spec_obj_copy(obj: dict) -> dict:
+    """A copy of a hyperbolic or parabolic spec_to_obj document sharing no list with it."""
+    return {kind: {key: [[*t] for t in terms] for key, terms in body.items()}
+            for kind, body in obj.items()}
 
 
 def spec_from_obj(obj: object) -> SurfaceSpec:

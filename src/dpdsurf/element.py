@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .errors import CapExceeded, ParseError
-from .exactmath import Poly, Rat, RatFunc, RatLike, format_rat, parse_int, poly_product
+from .exactmath import Poly, Rat, RatFunc, RatLike, format_rat, parse_int
 
 
 class GradedElement:
@@ -226,17 +226,13 @@ def _parse_expr(toks: _Tokens, allow_u: bool) -> GradedElement:
 
 
 def _parse_term(toks: _Tokens, allow_u: bool) -> tuple[int, RatFunc]:
-    """The u-degree and the coefficient of one term, coeff * prod(polys): while
-    coeff has no pole, the polynomial factors wait in polys, their t-degrees
-    summed in degree, for one poly_product; after a pole each factor goes
-    into coeff at once, as cancellations then set the degree."""
-    coeff, polys, degree = RatFunc.one(), [], 0
+    """The u-degree and the coefficient of one term."""
+    coeff = RatFunc.one()
     upow = 0
     saw_atom = False
     while True:
         kind = toks.peek()
         atom_at = toks.here
-        factor = None
         if kind == "num":
             _, digits, at = toks.next()
             value = Rat(parse_int(digits, at))
@@ -249,7 +245,7 @@ def _parse_term(toks: _Tokens, allow_u: bool) -> tuple[int, RatFunc]:
                 if den == 0:
                     raise ParseError("zero denominator", at)
                 value /= den
-            factor = Poly.monomial(0, value)
+            coeff = coeff * value
         elif kind == "t":
             toks.next()
             expo = 1
@@ -259,7 +255,7 @@ def _parse_term(toks: _Tokens, allow_u: bool) -> tuple[int, RatFunc]:
                 expo = _parse_exponent(toks)
                 if expo < 0:
                     raise ParseError("negative t-powers: use /(...) instead", at)
-            factor = Poly.monomial(expo)
+            coeff = coeff * Poly.monomial(expo)
         elif kind == "u":
             at = toks.here
             toks.next()
@@ -274,7 +270,7 @@ def _parse_term(toks: _Tokens, allow_u: bool) -> tuple[int, RatFunc]:
             toks.next()
             inner = _parse_expr(toks, allow_u=False)
             toks.expect(")")
-            factor = inner.coefficient(0)
+            coeff = coeff * inner.coefficient(0)
         elif kind == "/":
             at = toks.here
             if not saw_atom:
@@ -292,7 +288,7 @@ def _parse_term(toks: _Tokens, allow_u: bool) -> tuple[int, RatFunc]:
                 raise ParseError("expected '(' or a number after '/'", at)
             if div.is_zero():
                 raise ParseError("division by zero", at)
-            factor = RatFunc(div.den, div.num)
+            coeff = coeff / div
         elif kind == "*":
             if not saw_atom:
                 raise ParseError("expected a term before '*'", toks.here)
@@ -301,29 +297,13 @@ def _parse_term(toks: _Tokens, allow_u: bool) -> tuple[int, RatFunc]:
         else:
             break
         saw_atom = True
-        if isinstance(factor, RatFunc) and factor.is_polynomial():
-            factor = factor.num
-        if isinstance(factor, Poly) and factor and coeff and coeff.is_polynomial():
-            polys.append(factor)
-            degree += factor.degree
-        elif factor is not None:
-            coeff, polys = _times(coeff, polys) * factor, []
-            degree = coeff.num.degree
-        if max(degree, coeff.den.degree, abs(upow)) > MAX_EXPONENT:
+        if max(coeff.num.degree, coeff.den.degree, abs(upow)) > MAX_EXPONENT:
             raise CapExceeded(
                 f"term degree is over the cap {MAX_EXPONENT} (at position {atom_at})"
             )
     if not saw_atom:
         raise ParseError("expected a term", toks.here)
-    return upow, _times(coeff, polys)
-
-
-def _times(coeff: RatFunc, polys: list[Poly]) -> RatFunc:
-    """coeff * prod(polys), coeff a polynomial when there are polys."""
-    if not polys:
-        return coeff
-    return RatFunc._reduced(poly_product(polys if coeff.num == 1 else [coeff.num, *polys]),
-                            coeff.den)
+    return upow, coeff
 
 
 def parse_element(src: str) -> GradedElement:

@@ -207,7 +207,10 @@ class Poly:
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative polynomial power")
-        return poly_product([self] * n)
+        if n and self.is_zero():
+            return self
+        width = n * sum(map(abs, self.row)).bit_length() // 8 + 1
+        return _poly(_row_at(_at(self.row, width) ** n, n * self.degree + 1, width), self.den**n)
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         """Pseudo-division of the integer rows: lc^n * row = q * other.row + r
@@ -297,17 +300,6 @@ def _row_at(value: int, size: int, width: int) -> list[int]:
             for i in range(0, len(digits), width)]
 
 
-def poly_product(polys: Sequence[Poly]) -> Poly:
-    """The product of the polys by a product tree: operands of like size
-    meet, and each product packs its digits only as wide as its own
-    coefficients need."""
-    polys = list(polys) or [Poly.one()]
-    while len(polys) > 1:
-        pairs = [a * b for a, b in zip(polys[::2], polys[1::2])]
-        polys = pairs + polys[2 * len(pairs):]
-    return polys[0]
-
-
 def poly_texts(p: Poly, *layouts: tuple[int, int]) -> list[str]:
     """The text of t^shift * p(t^step) for each layout (shift, step), as
     str(p) writes p: highest power first, p's coefficients rendered once for
@@ -316,8 +308,7 @@ def poly_texts(p: Poly, *layouts: tuple[int, int]) -> list[str]:
     for i, c in enumerate(p.row):
         if c:
             g = math.gcd(c, den) if den != 1 else 1
-            n, d = abs(c) // g, den // g
-            if n >= _TOO_LONG or d >= _TOO_LONG:
+            if (n := abs(c) // g) >= _TOO_LONG or (d := den // g) >= _TOO_LONG:
                 raise CapExceeded(f"a rational to print has over {MAX_DIGITS} digits")
             terms.append((i, "-" if c < 0 else "+", str(n) if d == 1 else f"{n}/{d}"))
     terms.reverse()
@@ -339,11 +330,9 @@ def poly_texts(p: Poly, *layouts: tuple[int, int]) -> list[str]:
 #: 41.7 Mbit; a root with a 1,848-bit denominator at multiplicity 3,633, 24 Gbit.
 MAX_PRODUCT_BITS = 1 << 27
 
-#: Most bytes m*width of a factor (den*t - num)^m that linear_power_product
-#: takes by one pow.  Time of the pow over time of packing the digits, swept
-#: on -5/7 with m 1-128 and 4-512 B digits (Python 3.11, 2-core VM): 0.05-0.4
-#: up to 256 B, 0.4-1.1 at 512 B, 0.6-1.3 at 768 B, 1.0-1.6 at 1 KB, 1.2-7 at
-#: 1.5-4 KB.
+#: Most bytes m*width of a factor (den*t - num)^m that linear_power_product takes
+#: by one pow.  Pow time over packing time, on -5/7 with m 1-128 (Python 3.11, 2-core
+#: VM): 0.05-0.4 to 256 B, 0.4-1.1 at 512 B, 0.6-1.3 at 768 B, 1.0-1.6 at 1 KB.
 POW_BYTES = 512
 
 
@@ -354,14 +343,12 @@ def linear_power_product(
     integers.
 
     With a = num/den, (t - a)^m = den^(-m) (den*t - num)^m.  The integer
-    polynomial n * prod (den*t - num)^m, n the numerator of leading, is read
-    by _row_at off its value at X, with digits as wide as the bit length of
-    the 1-norm bound |n| * prod (|num| + den)^m plus a sign bit, in whole
-    bytes.  A factor of at most POW_BYTES is the power (den*X - num)^m; a
-    larger one is _at of its binomial row C(m, j) den^j (-num)^(m-j), linear
-    in its size where repeated squaring is not.  The denominator is
-    prod den^m times that of leading.  Raises CapExceeded past
-    MAX_PRODUCT_BITS.
+    polynomial n * prod (den*t - num)^m, n the numerator of leading, is read by
+    _row_at off its value at X, digits as wide as the 1-norm bound
+    |n| * prod (|num| + den)^m and a sign bit.  A factor of at most POW_BYTES is
+    (den*X - num)^m; a larger one is _at of its binomial row C(m, j) den^j (-num)^(m-j),
+    linear in its size where repeated squaring is not.  The denominator is
+    prod den^m times that of leading.  Raises CapExceeded past MAX_PRODUCT_BITS.
     """
     value, scale = leading.numerator, leading.denominator
     rows = [(a.numerator, a.denominator, m) for a, m in factors if m]

@@ -157,8 +157,7 @@ class TestElementGrammar:
         assert x.degrees == (0,) and x.terms[0][1].num.degree == MAX_EXPONENT
 
     def test_term_equals_the_product_one_factor_at_a_time(self):
-        """A term's polynomial factors are multiplied in one product tree;
-        on seeded terms of up to 40 atoms, with wide coefficients, zeros,
+        """On seeded terms of up to 40 atoms, with wide coefficients, zeros,
         divisions that cancel or leave poles, and u-powers, the parsed
         element equals the term taken one factor at a time here."""
         rng = random.Random(20261020)
@@ -191,8 +190,8 @@ class TestElementGrammar:
         assert min(seen.values()) >= 10, seen
 
     def test_positions_of_term_errors(self):
-        """The cap is checked on the summed degree at the atom that crosses
-        it; the errors name the positions they did factor by factor."""
+        """The degree cap is reported at the atom that crosses it, and each
+        parse error at the position of the atom or token it names."""
         cases = {
             "(t-1)*" * 1000 + "(t-1)": 6000,
             "(t-1)*(t^600+1)*(t^400+1)": 16,
