@@ -8,31 +8,14 @@ values, so a formula regression fails loudly.
 from __future__ import annotations
 
 from .divisor import DivisorPair, QDivisor
-from .dpdring import Elliptic, Hyperbolic, SurfaceSpec, cap_deg_p
+from .dpdring import Elliptic, Hyperbolic, cap_deg_p
 from .errors import BadParams, UnknownName
 from .exactmath import Poly, Rat
 from .record import Record
 
-NAMES = (
-    "danielewski",
-    "bertin",
-    "veronese",
-    "quadric",
-    "conic_complement",
-    "dihedral",
-    "toric",
-)
-
 
 class CatalogEntry(Record):
     __slots__ = ("name", "params", "spec", "expected")
-
-    def __init__(self, name: str, params: tuple[int, ...], spec: SurfaceSpec,
-                 expected: dict | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "expected", {} if expected is None else expected)
 
     @property
     def label(self) -> str:
@@ -212,6 +195,7 @@ _BUILDERS = {
     "dihedral": (_dihedral, 1),
     "toric": (_toric, 2),
 }
+NAMES = tuple(_BUILDERS)
 
 
 def entry_arity(name: str) -> int:

@@ -122,18 +122,16 @@ def fiber_structure(pair: DivisorPair, a: Rat) -> FiberData:
 
 
 def ruling_divisor(pair: DivisorPair) -> list[tuple[Rat, int]]:
-    """div(v) of the affine ruling v: one entry per degenerate point.
-
-    The multiplicity is d_plus_index * m_minus(a) * (D+(a) + D-(a)), a
-    positive integer.  Every quantity is shift invariant, so the pair need
-    not be normalized; the fractional part of d_plus is read off directly.
+    """div(v) of the affine ruling v, as classify() derives it: one entry per
+    degenerate point, of multiplicity d_plus_index * m_minus(a) * (D+(a) + D-(a)).
     """
-    if sum(c.denominator != 1 for _, c in pair.d_plus.terms) > 1:
+    ruling = facts(Hyperbolic(pair)).ruling
+    if ruling is None:
         raise NoPositiveLnd(
             "the fractional part of d_plus is spread: no affine ruling from "
             "a positive-degree derivation"
         )
-    return _ruling(_fibers(pair_rows(pair)), denom_index(pair.d_plus))
+    return list(ruling)
 
 
 def _ruling(fibers: tuple[FiberData, ...], d: int) -> list[tuple[Rat, int]]:
@@ -149,9 +147,8 @@ def _ruling(fibers: tuple[FiberData, ...], d: int) -> list[tuple[Rat, int]]:
 
 
 def singular_points(pair: DivisorPair) -> list[SingularityRecord]:
-    """One record per degenerate point of the normalized pair."""
-    q = normalize_pair(pair)
-    return _singular_points(_fibers(pair_rows(q)), denom_index(q.d_minus))
+    """One record per degenerate point, as classify() derives them."""
+    return list(facts(Hyperbolic(pair)).singularities)
 
 
 def _singular_points(fibers: tuple[FiberData, ...], k: int) -> list[SingularityRecord]:
@@ -208,8 +205,9 @@ def recognize_homogeneous(spec: SurfaceSpec) -> Recognition | None:
 
 
 def recognize_sl2(pair: DivisorPair) -> Sl2Model | None:
-    """Match against the four reference pairs up to affine maps and shifts."""
-    return _sl2_model(pair_rows(normalize_pair(pair)))
+    """Match against the four reference pairs up to affine maps and shifts,
+    as classify() derives it."""
+    return facts(Hyperbolic(pair)).sl2
 
 
 def _sl2_model(rows: tuple[Row, ...]) -> Sl2Model | None:

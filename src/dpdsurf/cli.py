@@ -57,7 +57,7 @@ def load_spec(path: str) -> SurfaceSpec:
             obj = json.load(fh)
     except OSError as exc:
         raise InvalidSpecFile(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, nesting
         raise InvalidSpecFile(f"{path} is not valid JSON: {exc}") from None
     return spec_from_obj(obj)
 

@@ -130,9 +130,6 @@ class QDivisor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar: RatLike) -> QDivisor:
-        return self * (Rat(1) / Rat(scalar))
-
     def ceil(self) -> QDivisor:
         terms = ((p, _ceil(c)) for p, c in self._terms)
         return QDivisor._canonical(tuple((p, Rat(n)) for p, n in terms if n))
@@ -220,9 +217,6 @@ class AffineMap(Record):
 
     def inverse(self) -> AffineMap:
         return AffineMap(1 / self.scale, -self.offset / self.scale)
-
-    def __str__(self) -> str:
-        return f"a -> {format_rat(self.scale)}*a + {format_rat(self.offset)}"
 
 
 class DivisorPair:

@@ -119,7 +119,9 @@ class GradedElement:
 #   atom := NUMBER ['/' NUMBER] | 't' ['^' NUMBER]
 #         | 'u' ['^' ['-'] NUMBER] | '(' expr-over-t ')'
 #
-# whitespace-insensitive; rationals have no embedded whitespace.  Exponents
+# whitespace-insensitive; rationals have no embedded whitespace, NUMBER is
+# decimal digits (str.isdecimal, as int() reads them), and parentheses nest
+# at most MAX_DEPTH deep, which bounds the parser's recursion.  Exponents
 # of t and u, and the degrees a term builds from its atoms (in t, of the
 # numerator and of the denominator, and in u), are at most MAX_EXPONENT in
 # absolute value: t^N builds a dense polynomial of degree N and u^N a
@@ -128,26 +130,32 @@ class GradedElement:
 
 #: Far above any exponent the tests or the benchmark parse (at most 4).
 MAX_EXPONENT = 1000
+#: Far above any nesting the tests or the benchmark parse (at most 4); each
+#: level is two Python frames.
+MAX_DEPTH = 64
 
 
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.items: list[tuple[str, str, int]] = []
-        i = 0
+        i = depth = 0
         while i < len(text):
             ch = text[i]
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
                 self.items.append(("num", text[i:j], i))
                 i = j
                 continue
             if ch in "tu^*/+-()":
+                depth += (ch == "(") - (ch == ")")
+                if depth > MAX_DEPTH:
+                    raise CapExceeded(f"nesting is over the cap {MAX_DEPTH} (at position {i})")
                 self.items.append((ch, ch, i))
                 i += 1
                 continue
@@ -350,8 +358,6 @@ def _render_term(n: int, f: RatFunc) -> tuple[str, str]:
         parts.append(f"({g.num})")
     if n != 0:
         parts.append(f"u^{n}")
-    if not parts:
-        parts = ["1"]
     return ("-" if neg else "+", "*".join(parts))
 
 

@@ -336,24 +336,21 @@ MAX_PRODUCT_BITS = 1 << 27
 POW_BYTES = 512
 
 
-def linear_power_product(
-    factors: Iterable[tuple[RatLike, int]], leading: RatLike = 1
-) -> Poly:
-    """leading * prod (t - a)^m over the pairs (a, m), m >= 0, in exact
-    integers.
+def linear_power_product(factors: Iterable[tuple[RatLike, int]]) -> Poly:
+    """prod (t - a)^m over the pairs (a, m), m >= 0, in exact integers.
 
     With a = num/den, (t - a)^m = den^(-m) (den*t - num)^m.  The integer
-    polynomial n * prod (den*t - num)^m, n the numerator of leading, is read by
-    _row_at off its value at X, digits as wide as the 1-norm bound
-    |n| * prod (|num| + den)^m and a sign bit.  A factor of at most POW_BYTES is
-    (den*X - num)^m; a larger one is _at of its binomial row C(m, j) den^j (-num)^(m-j),
-    linear in its size where repeated squaring is not.  The denominator is
-    prod den^m times that of leading.  Raises CapExceeded past MAX_PRODUCT_BITS.
+    polynomial prod (den*t - num)^m is read by _row_at off its value at X,
+    digits as wide as the 1-norm bound prod (|num| + den)^m and a sign bit.
+    A factor of at most POW_BYTES is (den*X - num)^m; a larger one is _at of
+    its binomial row C(m, j) den^j (-num)^(m-j), linear in its size where
+    repeated squaring is not.  The denominator is prod den^m.  Raises
+    CapExceeded past MAX_PRODUCT_BITS.
     """
-    value, scale = leading.numerator, leading.denominator
+    value = scale = 1
     rows = [(a.numerator, a.denominator, m) for a, m in factors if m]
     degree = sum(m for *_, m in rows)
-    bits = value.bit_length() + sum(m * (abs(num) + den).bit_length() for num, den, m in rows)
+    bits = 1 + sum(m * (abs(num) + den).bit_length() for num, den, m in rows)
     width = bits // 8 + 1  # bytes a digit, the sign bit included
     if 8 * width * (degree + 1) > MAX_PRODUCT_BITS:
         raise CapExceeded(f"a product of linear powers is over the cap of {MAX_PRODUCT_BITS} bits")
@@ -551,12 +548,6 @@ class RatFunc:
         up = self.num.multiplicity_at(a)
         down = self.den.multiplicity_at(a)
         return up - down
-
-    def __call__(self, x: RatLike) -> Rat:
-        d = self.den(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {format_rat(Rat(x))}")
-        return self.num(x) / d
 
     def __str__(self) -> str:
         if self.is_polynomial():

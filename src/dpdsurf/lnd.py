@@ -51,7 +51,7 @@ MAX_WINDOW = 1000
 MAX_STEPS = 1000
 
 
-class HorizontalLnd(Record, sign=1, scale=Rat(1), anchor=Rat(0), twist=()):
+class HorizontalLnd(Record, sign=1, anchor=Rat(0), twist=()):
     """Degree sign*e derivation with monomial action as in the module docstring.
 
     e is the magnitude of the degree and anchor the point the formula is
@@ -64,7 +64,7 @@ class HorizontalLnd(Record, sign=1, scale=Rat(1), anchor=Rat(0), twist=()):
     pair (d_plus coefficients in (-1, 0]).
     """
 
-    __slots__ = ("e", "d", "e_prime", "k", "sign", "scale", "anchor", "twist")
+    __slots__ = ("e", "d", "e_prime", "k", "sign", "anchor", "twist")
 
     @property
     def degree(self) -> int:
@@ -155,9 +155,6 @@ class DegreeSet(Record, empty=False):
             "zero_admissible": self.e_min == 0,
         }
 
-    def __str__(self) -> str:
-        return degrees_text(self.to_obj())
-
 
 def degrees_text(obj: dict) -> str:
     """{e >= m, e = r (mod n), and e = 0}, or none, from DegreeSet.to_obj."""
@@ -183,7 +180,7 @@ def admissible_degrees(x: DivisorPair | QDivisor) -> DegreeSet:
     return DegreeSet.of(Anchored.of(x))
 
 
-def build_horizontal(x: DivisorPair | QDivisor, e: int, scale: RatLike = 1) -> HorizontalLnd:
+def build_horizontal(x: DivisorPair | QDivisor, e: int) -> HorizontalLnd:
     """Construct the degree-e horizontal derivation, unique up to scale.
 
     x is a pair, or a parabolic D: A_0[D] is the degree >= 0 part of
@@ -218,7 +215,6 @@ def build_horizontal(x: DivisorPair | QDivisor, e: int, scale: RatLike = 1) -> H
         e_prime=a.e_prime,
         k=(mag * a.e_prime - 1) // a.d,
         sign=1 if e >= 0 else -1,
-        scale=Rat(scale),
         anchor=a.translation,
         twist=twist,
     )
@@ -227,16 +223,16 @@ def build_horizontal(x: DivisorPair | QDivisor, e: int, scale: RatLike = 1) -> H
 _T = RatFunc(Poly.t())
 
 
-def _twist_power(twist: tuple[tuple[Rat, int], ...], j: int) -> RatFunc:
-    """phi^j where phi = prod (t - p)^(-c) over the twist divisor."""
-    f = RatFunc.one()
+def _twist(f: RatFunc, twist: tuple[tuple[Rat, int], ...], j: int) -> RatFunc:
+    """f*phi^j where phi = prod (t - p)^(-c) over the twist divisor."""
     for p, c in twist:
         f = f * ratfunc_monomial_power(p, -c * j)
     return f
 
 
 def apply(lnd: Lnd, x: GradedElement) -> GradedElement:
-    """Linear extension of the monomial action over all graded terms.
+    """Linear extension of the monomial action over all graded terms, for
+    sign -1 read on u^-n and conjugated by the twist (empty for sign +1).
 
     The result may leave the ring; stabilization is checked separately.
     """
@@ -244,17 +240,11 @@ def apply(lnd: Lnd, x: GradedElement) -> GradedElement:
         shifted_t = _T - RatFunc(Poly((lnd.anchor,)))
         tk = ratfunc_monomial_power(lnd.anchor, lnd.k)
         out = []
-        if lnd.sign > 0:
-            for m, f in x.terms:
-                r = shifted_t * f.derivative() * lnd.d - f * (lnd.e_prime * m)
-                out.append((m + lnd.e, r * tk * lnd.scale))
-            return GradedElement(out)
         for n, f in x.terms:
-            m = -n
-            g = f * _twist_power(lnd.twist, -m)
+            m = lnd.sign * n
+            g = _twist(f, lnd.twist, -m)
             r = shifted_t * g.derivative() * lnd.d - g * (lnd.e_prime * m)
-            back = r * tk * _twist_power(lnd.twist, m + lnd.e)
-            out.append((-(m + lnd.e), back * lnd.scale))
+            out.append((lnd.sign * (m + lnd.e), _twist(r * tk, lnd.twist, m + lnd.e)))
         return GradedElement(out)
     if isinstance(lnd, FiberLnd):
         return GradedElement((n - 1, f * lnd.g * n) for n, f in x.terms)
@@ -540,8 +530,6 @@ def describe(lnd: Lnd) -> str:
             f"{var}^{lnd.k} u^{lnd.e} "
             f"({lnd.d}*{var}*d/dt - {lnd.e_prime}*u*d/du)"
         )
-        if lnd.scale != 1:
-            core += f" * {format_rat(lnd.scale)}"
         if lnd.sign < 0:
             core += "  [in the reversed grading u -> u^-1]"
         return core

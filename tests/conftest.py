@@ -124,7 +124,7 @@ def random_poly(rng: random.Random, max_deg: int = 3) -> Poly:
 
 def from_roots(roots, leading=1) -> Poly:
     """leading * prod (t - r) over the roots."""
-    return linear_power_product([(r, 1) for r in roots], leading)
+    return linear_power_product([(r, 1) for r in roots]) * leading
 
 
 def random_ratfunc(rng: random.Random) -> RatFunc:

@@ -168,6 +168,8 @@ element_texts = st.one_of(
 
 @FUZZ
 @given(element_texts)
+@example("t^\u00b2")  # a digit to str.isdigit, not to int()
+@example("(" * 495 + "t" + ")" * 495)  # past the recursion limit of the parser
 @pinned
 def test_parse_element_and_poly(text):
     bounded(parse_element, text)

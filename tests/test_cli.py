@@ -11,6 +11,7 @@ import pytest
 from conftest import WIDE_Q_SPEC
 from dpdsurf.cli import run
 from dpdsurf.element import (
+    MAX_DEPTH,
     MAX_EXPONENT,
     GradedElement,
     parse_element,
@@ -516,6 +517,36 @@ class TestExponentCap:
             assert captured.out == "" and "CapExceeded" in captured.err
 
 
+class TestNestingCap:
+    """Parentheses nest at most MAX_DEPTH deep, so the recursive parser ends
+    in a named error, not a RecursionError, and only decimal digits are
+    numbers."""
+
+    def test_cap_value(self):
+        assert MAX_DEPTH == 64
+        nested = "(" * MAX_DEPTH + "t+1" + ")" * MAX_DEPTH
+        assert parse_poly(nested) == Poly((1, 1))
+        with pytest.raises(CapExceeded, match=f"at position {MAX_DEPTH}\\)"):
+            parse_element("(" + nested + ")")
+        # closed parentheses free their depth again
+        assert parse_poly("+".join([nested] * 3)) == Poly((3, 3))
+
+    def test_deep_and_non_decimal_exit_one(self, spec_file, capsys):
+        path = spec_file("danielewski", (2,))
+        deep = "(" * 3000 + "t" + ")" * 3000
+        for argv in (["equation", "--poly", deep, "--degree", "1"],
+                     ["family", "--poly", deep],
+                     ["apply", path, "--degree", "2", "--element", deep]):
+            assert run(argv) == 1
+            _one_error_line(capsys, "CapExceeded")
+        # superscript and other non-decimal digits that str.isdigit accepts
+        for text in ("t^\u00b2", "\u00b9", "t+\u1369"):
+            with pytest.raises(ParseError, match="unexpected character"):
+                parse_element(text)
+            assert run(["apply", path, "--degree", "2", "--element", text]) == 1
+            _one_error_line(capsys, "ParseError")
+
+
 REPRODUCTION = {"hyperbolic": {"d_plus": [["0", "-1/2"]],
                                "d_minus": [["0", "1/2"], ["1", "-1/17"]]}}
 
@@ -883,6 +914,22 @@ class TestInputErrors:
             "d_plus": [], "d_minus": [["1" + "0" * 5000, "-1/2"]]}})
         assert run(["classify", path]) == 1
         _one_error_line(capsys, "ParseError")
+
+    def test_spec_file_not_utf8_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "utf16.spec"
+        path.write_bytes('{"elliptic": {"d": 1, "e_prime": 0}}'.encode("utf-16"))
+        assert path.read_bytes()[:2] == b"\xff\xfe"
+        assert run(["classify", str(path)]) == 1
+        _one_error_line(capsys, "InvalidSpecFile")
+
+    def test_spec_file_nested_too_deep_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "deep.spec"
+        path.write_text("[" * 1000 + "]" * 1000, encoding="utf-8")
+        assert run(["classify", str(path)]) == 1
+        _one_error_line(capsys, "InvalidSpecFile")
+        path.write_text("{", encoding="utf-8")  # the JSONDecodeError message is kept
+        assert run(["classify", str(path)]) == 1
+        assert "is not valid JSON: Expecting property name" in capsys.readouterr().err
 
     def test_long_integer_at_render(self):
         from dpdsurf.exactmath import MAX_DIGITS, format_rat

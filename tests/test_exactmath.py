@@ -110,22 +110,22 @@ class TestPoly:
         st.integers(0, 7)), max_size=4), rats)
     def test_linear_power_product(self, factors, leading):
         want = schoolbook_linear_power_product(factors, leading)
-        assert list(linear_power_product(factors, leading).coeffs) == want
+        assert list((linear_power_product(factors) * leading).coeffs) == want
 
     def test_linear_power_product_wide(self, monkeypatch):
         """The Kronecker product against the schoolbook one on seeded
         factors: 40-bit points, zero and negative points, m = 0, a leading
-        coefficient with a denominator and no factor at all, and factors on
-        both sides of POW_BYTES: one pow up to it, packed binomial digits
-        (exactmath._at) past it, counted by m * width as the docstring has
-        it and, at the bound, by the calls to _at."""
+        coefficient with a denominator multiplied in after, no factor at all,
+        and factors on both sides of POW_BYTES: one pow up to it, packed
+        binomial digits (exactmath._at) past it, counted by m * width as the
+        docstring has it and, at the bound, by the calls to _at."""
         rng = random.Random(20261019)
         packed = []
         monkeypatch.setattr(exactmath, "_at", lambda row, size: packed.append(len(row))
                             or _at(row, size))
 
-        def width(factors, leading):
-            bits = leading.numerator.bit_length() + sum(
+        def width(factors):
+            bits = 1 + sum(
                 m * (abs(a.numerator) + a.denominator).bit_length() for a, m in factors)
             return bits // 8 + 1
 
@@ -144,9 +144,9 @@ class TestPoly:
             leading = Rat(rng.choice([1, -1, rng.randint(-2**40, 2**40)]),
                           rng.choice([1, 1, 7, 2**41 + 1]))
             packed.clear()
-            got = list(linear_power_product(factors, leading).coeffs)
+            got = list((linear_power_product(factors) * leading).coeffs)
             assert got == schoolbook_linear_power_product(factors, leading), (factors, leading)
-            sizes = [m * width(factors, leading) for _, m in factors if m]
+            sizes = [m * width(factors) for _, m in factors if m]
             assert len(packed) == sum(size > POW_BYTES for size in sizes)
             seen["pow"] += sum(size <= POW_BYTES for size in sizes)
             seen["digits"] += len(packed)
@@ -162,12 +162,12 @@ class TestPoly:
                                      ([(Rat(-(2**454)), 3)], POW_BYTES + 1, [4]),
                                      ([(Rat(2**62), 8), (Rat(1, 100), 1)], 8 * 65, [9])):
             packed.clear()
-            assert factors[0][1] * width(factors, Rat(1)) == size
+            assert factors[0][1] * width(factors) == size
             got = list(linear_power_product(factors).coeffs)
             assert got == schoolbook_linear_power_product(factors), factors
             assert packed == packs, factors  # the lengths of the rows packed by _at
-        assert linear_power_product([], 0) == Poly.zero()
-        assert linear_power_product([(Rat(3), 0)], Rat(2, 3)) == Poly((Rat(2, 3),))
+        assert linear_power_product([]) * 0 == Poly.zero()
+        assert linear_power_product([(Rat(3), 0)]) * Rat(2, 3) == Poly((Rat(2, 3),))
 
     def test_linear_power_product_cap(self):
         """(t - 1)^m packs m + 1 digits of m // 4 + 1 bytes: m = 8,191 is
@@ -182,7 +182,7 @@ class TestPoly:
             linear_power_product([(Rat(1), 8192)])
         # 6,689 digits of 2,509 bytes, 43,880 bits over (6,686 is 29,696 under)
         with pytest.raises(CapExceeded):
-            linear_power_product([(Rat(1, 3), 6687), (Rat(-5, 7), 1)], Rat(-1, 2))
+            linear_power_product([(Rat(1, 3), 6687), (Rat(-5, 7), 1)])
         assert time.perf_counter() - start < 0.1
 
     @given(small_polys, small_polys, small_polys)
@@ -299,7 +299,7 @@ class TestRowFormat:
             linear_power_product([(Fraction(-1, 2), 1)]),
         ]
         zero = [Poly(), Poly((0, 0)), half[0] - half[1], Poly((3, 1)) * 0,
-                linear_power_product([], 0), Poly.monomial(4, 0)]
+                linear_power_product([]) * 0, Poly.monomial(4, 0)]
         for group in (half, zero):
             for p in group:
                 assert p == group[0] and hash(p) == hash(group[0]), p

@@ -893,28 +893,42 @@ def _random_admissible(rng):
     return pair, build_horizontal(pair, e)
 
 
+def _both_signs(rng):
+    """The derivation of _random_admissible and, when the reversed pair has
+    one, a derivation of degree e < 0 drawn from the reversed pair's
+    DegreeSet, which apply() conjugates by its twist."""
+    pair, lnd = _random_admissible(rng)
+    if not positive_lnd_exists(pair.reverse()):
+        return [lnd]
+    ds = admissible_degrees(pair.reverse())
+    return [lnd, build_horizontal(pair, -(ds.min_degree() + ds.modulus * rng.randint(0, 2)))]
+
+
 class TestDerivationLaws:
     def test_leibniz(self, rng):
+        twisted = 0
         for _ in range(60):
-            _, lnd = _random_admissible(rng)
-            x, y = random_element(rng), random_element(rng)
-            assert apply(lnd, x * y) == apply(lnd, x) * y + x * apply(lnd, y)
+            for lnd in _both_signs(rng):
+                x, y = random_element(rng), random_element(rng)
+                assert apply(lnd, x * y) == apply(lnd, x) * y + x * apply(lnd, y)
+                twisted += bool(lnd.twist)
+        assert twisted >= 20, twisted
 
     def test_homogeneity(self, rng):
         for _ in range(60):
-            _, lnd = _random_admissible(rng)
-            m = rng.randint(-4, 4)
-            x = GradedElement.monomial(m, Poly((1, 1, 2)))
-            image = apply(lnd, x)
-            assert image.is_zero() or image.degrees == (m + lnd.degree,)
+            for lnd in _both_signs(rng):
+                m = rng.randint(-4, 4)
+                x = GradedElement.monomial(m, Poly((1, 1, 2)))
+                image = apply(lnd, x)
+                assert image.is_zero() or image.degrees == (m + lnd.degree,)
 
     def test_euler_commutator(self, rng):
         for _ in range(60):
-            _, lnd = _random_admissible(rng)
-            x = random_element(rng)
-            lhs = euler(apply(lnd, x)) - apply(lnd, euler(x))
-            rhs = apply(lnd, x) * lnd.degree
-            assert lhs == rhs
+            for lnd in _both_signs(rng):
+                x = random_element(rng)
+                lhs = euler(apply(lnd, x)) - apply(lnd, euler(x))
+                rhs = apply(lnd, x) * lnd.degree
+                assert lhs == rhs
 
     def test_kernel_inert_on_monomials(self, rng):
         for _ in range(40):
@@ -947,14 +961,3 @@ class TestDerivationLaws:
                 x = apply(lnd, x)
                 seen += 1
             assert seen == c + 1
-
-    def test_scale_invariance_of_kernel(self, rng):
-        for _ in range(20):
-            pair = random_concentrated_pair(rng)
-            e = admissible_degrees(pair).min_degree()
-            base = build_horizontal(pair, e)
-            scaled = build_horizontal(pair, e, scale=Rat(7, 3))
-            v = kernel_generator(base)
-            assert apply(scaled, v).is_zero()
-            x = GradedElement.monomial(0, Poly.t())
-            assert apply(scaled, x) == apply(base, x) * Rat(7, 3)

@@ -138,10 +138,9 @@ CASES = {
         "zd_weights=(1, 0, 0), translation=Fraction(0, 1))",
     ),
     HorizontalLnd: (
-        dict(e=3, d=2, e_prime=1, k=1, sign=-1, scale=Rat(1), anchor=_HALF,
-             twist=((Rat(1), 2),)),
-        dict(e=5, d=3, e_prime=2, k=3, sign=1, scale=Rat(2), anchor=Rat(0), twist=()),
-        "HorizontalLnd(e=3, d=2, e_prime=1, k=1, sign=-1, scale=Fraction(1, 1), "
+        dict(e=3, d=2, e_prime=1, k=1, sign=-1, anchor=_HALF, twist=((Rat(1), 2),)),
+        dict(e=5, d=3, e_prime=2, k=3, sign=1, anchor=Rat(0), twist=()),
+        "HorizontalLnd(e=3, d=2, e_prime=1, k=1, sign=-1, "
         "anchor=Fraction(1, 2), twist=((Fraction(1, 1), 2),))",
     ),
     FiberLnd: (
@@ -230,13 +229,12 @@ SIGNATURES = {
     Parabolic: "divisor",
     Hyperbolic: "pair",
     Presentation: "k, P, d, e_prime, l, Q, zd_weights, translation",
-    HorizontalLnd: "e, d, e_prime, k, sign=1, scale=Fraction(1, 1), anchor=Fraction(0, 1), "
-                   "twist=()",
+    HorizontalLnd: "e, d, e_prime, k, sign=1, anchor=Fraction(0, 1), twist=()",
     FiberLnd: "g",
     EllipticToricLnd: "d, exponent, axis",
     DegreeSet: "residue, modulus, e_min, empty=False",
     StabilizationReport: "verdict, failures=()",
-    CatalogEntry: "name, params, spec, expected=None",
+    CatalogEntry: "name, params, spec, expected",
 }
 
 
@@ -273,9 +271,7 @@ def test_constructor_checks_and_defaults():
         EllipticToricLnd(2, 1, "Z")
     g = AffineMap(2, 1)
     assert type(g.scale) is Rat and type(g.offset) is Rat
-    first, second = CatalogEntry("quadric", (), Elliptic(1, 0)), CatalogEntry("x", (), None)
-    assert first.expected == {} and first.expected is not second.expected
-    assert HorizontalLnd(1, 1, 0, -1) == HorizontalLnd(1, 1, 0, -1, 1, Rat(1), Rat(0), ())
+    assert HorizontalLnd(1, 1, 0, -1) == HorizontalLnd(1, 1, 0, -1, 1, Rat(0), ())
     assert FiberLnd(RatFunc.one()).degree == -1
 
 
