@@ -16,7 +16,6 @@ from .dpdring import (
     Presentation,
     SurfaceSpec,
     presentation_degree,
-    spec_obj_copy,
     spec_to_obj,
 )
 from .errors import NoPositiveLnd, check
@@ -324,9 +323,8 @@ def _hyperbolic_recognition(
         return None
     if sl2.model in ("quadric", "conic_complement"):
         return Recognition(sl2.model)
-    if sl2.veronese_degree is not None and sl2.veronese_degree >= 2:
-        return Recognition("veronese_cone", sl2.veronese_degree)
-    return None
+    # a Veronese match of degree 1 is (0, -[a]), the plane, whose MM of 1 returned above
+    return Recognition("veronese_cone", sl2.veronese_degree)
 
 
 def _degrees(side: Anchored | None) -> DegreeSet:
@@ -475,21 +473,20 @@ def report_to_obj(report: ClassificationReport) -> dict:
 
     Q's coefficients are rendered once: P(s) = Q(s^d)*s^(k*e' + d*l) has the
     same ones, and the relation is P's text, in s when d > 1 (t is its only
-    letter).  A pair that normalizing leaves as it is is rendered once.
+    letter).
     """
     pres = report.presentation
     if pres is not None:
         s_exp = pres.k * pres.e_prime + pres.d * pres.l
         q_text, p_text = poly_texts(pres.Q, (0, 1), (s_exp, pres.d))
         relation = f"u^{pres.k} v = {p_text if pres.d == 1 else p_text.replace('t', 's')}"
-    given, normalized, norm = spec_to_obj(report.spec), None, report.normalized_pair
-    if norm is not None:
-        normalized = (spec_obj_copy(given) if norm is report.spec.pair
-                      else spec_to_obj(Hyperbolic(norm)))
+    normalized = None
+    if report.normalized_pair is not None:
+        normalized = spec_to_obj(Hyperbolic(report.normalized_pair))
     elif report.normalized_divisor is not None:
         normalized = spec_to_obj(Parabolic(report.normalized_divisor))
     return {
-        "input": given,
+        "input": spec_to_obj(report.spec),
         "grading": report.grading,
         "normalized": normalized,
         "translation": (

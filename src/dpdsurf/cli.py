@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import catalog as catalog_mod
@@ -24,8 +25,7 @@ from .classify import (
     recognition_to_obj,
     report_to_obj,
 )
-from .divisor import (Anchored, DivisorPair, QDivisor, anchored, divisor_text, normalize_pair,
-                      pair_text)
+from .divisor import Anchored, DivisorPair, QDivisor, anchored, divisor_text, pair_text
 from .dpdring import (
     Elliptic,
     Hyperbolic,
@@ -46,7 +46,7 @@ from .errors import (
     NegativeSize,
     check,
 )
-from .exactmath import Rat, format_rat, parse_rat
+from .exactmath import Poly, Rat, RatFunc, format_rat, parse_rat
 
 # -- spec loading -------------------------------------------------------------
 
@@ -175,7 +175,7 @@ def _cmd_classify(args) -> int:
 def _pick_degree(side: DivisorPair | QDivisor, degree: int | None, negative: bool) -> int:
     if degree is not None:
         return -degree if negative and degree > 0 else degree
-    e = lnd_mod.admissible_degrees(side.reverse() if negative else side).min_degree()
+    e = lnd_mod.DegreeSet.of(lnd_mod.anchored_side(side, negative)).min_degree()
     return -e if negative else e
 
 
@@ -311,7 +311,7 @@ def _cmd_fibers(args) -> int:
         cap_deg_p(presentation_degree(plus))
     doc = fibers_to_obj(report)
     if at is not None:
-        doc["fibers"] = [fiber_to_obj(fiber_structure(normalize_pair(pair), at))]
+        doc["fibers"] = [fiber_to_obj(fiber_structure(report.normalized_pair, at))]
     obj = {
         "fibers": [{key: value for key, value in f.items() if key not in ("pi_star", "div_u")}
                    for f in doc["fibers"]],
@@ -372,6 +372,16 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _binomial_shift(p: Poly, alpha: Rat, e: int) -> GradedElement:
+    """P(t + alpha u^e) by the binomial theorem, sharing no code with
+    lnd.taylor_shift: its u^(j*e) coefficient is alpha^j*sum_i P_i*C(i, j)*t^(i-j)."""
+    row = p.row
+    return GradedElement(
+        (j * e, RatFunc(Poly([row[i] * math.comb(i, j) for i in range(j, len(row))])
+                        * (alpha**j / p.den)))
+        for j in range(len(row)))
+
+
 def _cmd_family(args) -> int:
     p = parse_poly(args.poly)
     e = args.degree if args.degree is not None else 1
@@ -379,9 +389,7 @@ def _cmd_family(args) -> int:
     spec = Hyperbolic(from_equation(1, p))
     u_alpha = lnd_mod.conjugate_kernel(p, e, alpha)
     inside = contains(spec, u_alpha)
-    product = GradedElement.monomial(1) * u_alpha
-    expected = lnd_mod.taylor_shift(p, alpha, e)
-    identity = product == expected
+    identity = GradedElement.monomial(1) * u_alpha == _binomial_shift(p, alpha, e)
     obj = {
         "u_alpha": render_element(u_alpha),
         "in_ring": inside,

@@ -191,8 +191,6 @@ def pair_text(obj: dict) -> str:
 
 def denom_index(d: QDivisor) -> int:
     """Least d >= 1 making d*D integral (lcm of coefficient denominators)."""
-    if d.is_zero():
-        return 1
     return math.lcm(*(c.denominator for _, c in d.terms))
 
 

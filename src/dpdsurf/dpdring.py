@@ -254,12 +254,6 @@ def spec_to_obj(spec: SurfaceSpec) -> dict:
     return {"hyperbolic": spec.pair.to_obj()}
 
 
-def spec_obj_copy(obj: dict) -> dict:
-    """A copy of a hyperbolic or parabolic spec_to_obj document sharing no list with it."""
-    return {kind: {key: [[*t] for t in terms] for key, terms in body.items()}
-            for kind, body in obj.items()}
-
-
 def spec_from_obj(obj: object) -> SurfaceSpec:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise InvalidSpecFile(

@@ -115,11 +115,10 @@ class GradedElement:
 # -- element grammar ----------------------------------------------------------
 #
 #   expr := ['-'] term (('+'|'-') term)*
-#   term := atom (['*'|'/'] atom)*        ('/' only before numbers or '(')
-#   atom := NUMBER ['/' NUMBER] | 't' ['^' NUMBER]
-#         | 'u' ['^' ['-'] NUMBER] | '(' expr-over-t ')'
+#   term := atom (['*'|'/'] atom)*        ('/' only before NUMBER or '(')
+#   atom := NUMBER | 't' ['^' NUMBER] | 'u' ['^' ['-'] NUMBER] | '(' expr-over-t ')'
 #
-# whitespace-insensitive; rationals have no embedded whitespace, NUMBER is
+# whitespace-insensitive; a rational n/m is n divided by m, NUMBER is
 # decimal digits (str.isdecimal, as int() reads them), and parentheses nest
 # at most MAX_DEPTH deep, which bounds the parser's recursion.  Exponents
 # of t and u, and the degrees a term builds from its atoms (in t, of the
@@ -240,32 +239,18 @@ def _parse_term(toks: _Tokens, allow_u: bool) -> tuple[int, RatFunc]:
     saw_atom = False
     while True:
         kind = toks.peek()
-        atom_at = toks.here
-        if kind == "num":
-            _, digits, at = toks.next()
-            value = Rat(parse_int(digits, at))
-            if toks.peek() == "/" and toks.pos + 1 < len(toks.items) and toks.items[
-                toks.pos + 1
-            ][0] == "num":
-                toks.next()
-                _, den, at = toks.next()
-                den = parse_int(den, at)
-                if den == 0:
-                    raise ParseError("zero denominator", at)
-                value /= den
-            coeff = coeff * value
-        elif kind == "t":
+        atom_at = at = toks.here
+        divide = kind == "/"
+        if kind in ("*", "/"):
+            if not saw_atom:
+                raise ParseError(f"expected a term before {kind!r}", at)
             toks.next()
-            expo = 1
-            if toks.peek() == "^":
-                toks.next()
-                at = toks.here
-                expo = _parse_exponent(toks)
-                if expo < 0:
-                    raise ParseError("negative t-powers: use /(...) instead", at)
-            coeff = coeff * Poly.monomial(expo)
-        elif kind == "u":
-            at = toks.here
+            if not divide:
+                continue
+            kind = toks.peek()
+            if kind not in ("num", "("):
+                raise ParseError("expected '(' or a number after '/'", at)
+        if kind == "u":
             toks.next()
             if not allow_u:
                 raise ParseError("'u' is not allowed inside a polynomial", at)
@@ -274,36 +259,29 @@ def _parse_term(toks: _Tokens, allow_u: bool) -> tuple[int, RatFunc]:
                 toks.next()
                 expo = _parse_exponent(toks)
             upow += expo
-        elif kind == "(":
-            toks.next()
-            inner = _parse_expr(toks, allow_u=False)
-            toks.expect(")")
-            coeff = coeff * inner.coefficient(0)
-        elif kind == "/":
-            at = toks.here
-            if not saw_atom:
-                raise ParseError("expected a term before '/'", at)
-            toks.next()
-            if toks.peek() == "(":
-                toks.next()
-                inner = _parse_expr(toks, allow_u=False)
-                toks.expect(")")
-                div = inner.coefficient(0)
-            elif toks.peek() == "num":
-                _, digits, at = toks.next()
-                div = RatFunc(Poly((parse_int(digits, at),)))
-            else:
-                raise ParseError("expected '(' or a number after '/'", at)
-            if div.is_zero():
-                raise ParseError("division by zero", at)
-            coeff = coeff / div
-        elif kind == "*":
-            if not saw_atom:
-                raise ParseError("expected a term before '*'", toks.here)
-            toks.next()
-            continue
         else:
-            break
+            if kind == "num":
+                _, digits, at = toks.next()
+                value = Rat(parse_int(digits, at))
+            elif kind == "(":
+                toks.next()
+                value = _parse_expr(toks, allow_u=False).coefficient(0)
+                toks.expect(")")
+            elif kind == "t":
+                toks.next()
+                expo = 1
+                if toks.peek() == "^":
+                    toks.next()
+                    at = toks.here
+                    expo = _parse_exponent(toks)
+                    if expo < 0:
+                        raise ParseError("negative t-powers: use /(...) instead", at)
+                value = Poly.monomial(expo)
+            else:
+                break
+            if divide and not value:
+                raise ParseError("division by zero", at)
+            coeff = coeff / value if divide else coeff * value
         saw_atom = True
         if max(coeff.num.degree, coeff.den.degree, abs(upow)) > MAX_EXPONENT:
             raise CapExceeded(

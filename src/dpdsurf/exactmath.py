@@ -89,8 +89,6 @@ def mod_inverse(e: int, d: int) -> int:
     """
     if d < 1:
         raise ValueError(f"modulus must be positive, got {d}")
-    if d == 1:
-        return 0
     try:
         return pow(e, -1, d)
     except ValueError:

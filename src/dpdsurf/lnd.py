@@ -180,6 +180,17 @@ def admissible_degrees(x: DivisorPair | QDivisor) -> DegreeSet:
     return DegreeSet.of(Anchored.of(x))
 
 
+def anchored_side(x: DivisorPair | QDivisor, negative: bool) -> Anchored:
+    """Anchored.of x, or of the reversed pair x for negative degrees, whose
+    FractionalPlusSpread then names d_minus, the spread divisor of x."""
+    if not negative:
+        return Anchored.of(x)
+    try:
+        return Anchored.of(x.reverse())
+    except FractionalPlusSpread as exc:
+        raise FractionalPlusSpread(str(exc).replace("d_plus", "d_minus")) from None
+
+
 def build_horizontal(x: DivisorPair | QDivisor, e: int) -> HorizontalLnd:
     """Construct the degree-e horizontal derivation, unique up to scale.
 
@@ -192,7 +203,7 @@ def build_horizontal(x: DivisorPair | QDivisor, e: int) -> HorizontalLnd:
     """
     if e < 0 and isinstance(x, QDivisor):
         raise InadmissibleDegree(f"degree {e}: a parabolic ring has no negative degrees")
-    a = Anchored.of(x if e >= 0 else x.reverse())
+    a = anchored_side(x, e < 0)
     degrees = DegreeSet.of(a)
     mag = abs(e)
     if not degrees.contains(mag):

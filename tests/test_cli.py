@@ -394,6 +394,22 @@ class TestRun:
         out = capsys.readouterr().out
         assert "verified" in out and "membership: yes" in out
 
+    def test_family_fails_a_wrong_shift(self, capsys, monkeypatch):
+        """u*u_alpha is checked against the binomial expansion of P's
+        monomials, not against lnd.taylor_shift, from which u_alpha is built:
+        a shift whose u^j term is over (j+1)! in place of j! exits 1."""
+        from dpdsurf import lnd
+
+        shift = lnd.taylor_shift
+        monkeypatch.setattr(lnd, "taylor_shift", lambda p, alpha, e: GradedElement(
+            (n, f / (n + 1)) for n, f in shift(p, alpha, e).terms))
+        argv = ["family", "--poly", "t^2+t", "--degree", "1", "--alpha", "2"]
+        assert run(argv) == 1
+        out = capsys.readouterr().out
+        assert "u_alpha = (t^2+t)*u^-1 + (2*t+1) + 4/3*u^1\n" in out and "FAILED" in out
+        assert run([*argv, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["relation_holds"] is False
+
     def test_catalog_listing_and_emission(self, capsys):
         assert run(["catalog"]) == 0
         out = capsys.readouterr().out
@@ -825,12 +841,16 @@ def test_mm_over_digit_cap_no_traceback(tmp_path, capsys):
 
 def test_spread_message_names_the_divisor(tmp_path, capsys):
     """Anchored.of is the one source of the spread message: it names D for a
-    parabolic spec (lnd, apply, kernel) and d_plus for a pair (equation)."""
+    parabolic spec (lnd, apply, kernel), d_plus for a pair (equation) and
+    d_minus for a pair in negative degrees, which anchor the reversed pair."""
     for spec, side, commands in (
             ({"parabolic": {"divisor": [["0", "-1/2"], ["1", "-1/3"]]}}, "D",
              (["lnd", "--degree", "1"], ["apply", "--element", "t"], ["kernel"])),
             ({"hyperbolic": {"d_plus": [["0", "-1/2"], ["1", "-1/3"]], "d_minus": []}},
-             "d_plus", (["equation"],))):
+             "d_plus", (["equation"],)),
+            ({"hyperbolic": {"d_plus": [["0", "-1"]], "d_minus": [["0", "-1/2"], ["1", "-1/3"]]}},
+             "d_minus", (["lnd", "--degree", "2", "--negative"], ["lnd", "--degree", "-2"],
+                         ["apply", "--element", "t", "--negative"]))):
         path = _write_spec(tmp_path, spec)
         for command, *flags in commands:
             assert run([command, path, *flags]) == 1
@@ -930,6 +950,27 @@ class TestInputErrors:
         path.write_text("{", encoding="utf-8")  # the JSONDecodeError message is kept
         assert run(["classify", str(path)]) == 1
         assert "is not valid JSON: Expecting property name" in capsys.readouterr().err
+
+    def test_each_reachable_exit_one(self, tmp_path, spec_file, capsys):
+        """The spec document's missing keys and unknown kind, apply running out
+        of --max-iter steps, equation --poly without --degree and catalog
+        parameters below 1 each exit 1 with one error line."""
+        for spec, message in (
+                ({"elliptic": {"d": 2}}, "elliptic spec needs 'e_prime'"),
+                ({"parabolic": {}}, 'parabolic spec needs "divisor"'),
+                ({"hyperbolic": {"d_plus": []}}, 'hyperbolic spec needs "d_plus" and "d_minus"'),
+                ({"toric": {}}, "unknown spec kind 'toric'")):
+            assert run(["classify", _write_spec(tmp_path, spec)]) == 1
+            assert capsys.readouterr() == ("", f"error: InvalidSpecFile: {message}\n")
+        for argv, line in (
+                (["apply", spec_file("quadric"), "--element", "t", "--max-iter", "1"],
+                 "CapExceeded: element not annihilated within 1 applications"),
+                (["equation", "--poly", "t^2-1"],
+                 "InvalidSpecFile: equation --poly needs --degree K (the u-power)"),
+                (["catalog", "veronese", "0"], "BadParams: veronese needs d >= 1"),
+                (["catalog", "dihedral", "0"], "BadParams: dihedral needs d >= 1")):
+            assert run(argv) == 1, argv
+            assert capsys.readouterr() == ("", f"error: {line}\n")
 
     def test_long_integer_at_render(self):
         from dpdsurf.exactmath import MAX_DIGITS, format_rat

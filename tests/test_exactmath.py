@@ -617,6 +617,50 @@ def test_gcd_matches_sympy():
         assert _sympy_row([g, qb], lambda x, y: x * y) == b
 
 
+def test_gcd_unlucky_primes(monkeypatch):
+    """The two unlucky-prime branches of intpoly.gcd, seen through the
+    (prime, degree) of each modular gcd: a prime dividing a leading
+    coefficient is skipped, and an image of higher degree than one seen
+    before is dropped; the gcd is still found."""
+    from itertools import islice
+
+    from dpdsurf import intpoly
+
+    first, second = islice(intpoly._word_primes(), 2)
+    seen, gcd_mod = [], intpoly._gcd_mod
+
+    def spy(y, x, ell):
+        g = gcd_mod(y, x, ell)
+        seen.append((ell, len(g) - 1))
+        return g
+
+    monkeypatch.setattr(intpoly, "_gcd_mod", spy)
+    a, b = Poly((-1, first)) * Poly((-2, 1)), Poly((-2, 1)) * Poly((5, 1))
+    assert gcd(a.row, b.row)[0] == [-2, 1]
+    assert seen[0] == (second, 1)  # lc(a) = first: skipped
+    g = Poly((-(2**100 + 1), 1))
+    a, b = g * Poly((-3, 1)), g * Poly((-3 - second, 1))
+    seen.clear()
+    assert gcd(a.row, b.row) == (list(g.row), [-3, 1], [-3 - second, 1])
+    assert seen[:2] == [(first, 1), (second, 2)]  # mod second, b = g*(t - 3): dropped
+
+
+def test_cancel_deflates_a_shared_linear_power():
+    """num and den share (t - a)^200 with a = (10^12 + 39)/(10^9 + 7), and
+    den has 200 more rational roots: deflating den's roots off num reduces
+    it in about 0.5 s, where intpoly.gcd alone rebuilds the monic
+    (t - a)^200 from its images in about 19 s."""
+    rng = random.Random(200)
+    a = Rat(10**12 + 39, 10**9 + 7)
+    cofactor = Poly([rng.randint(-256, 256) for _ in range(250)] + [1])
+    rest = linear_power_product([(1, 100), (Rat(-5, 2), 100)])
+    num, den = linear_power_product([(a, 200)]) * cofactor, linear_power_product([(a, 200)]) * rest
+    start = time.perf_counter()
+    f = RatFunc(num, den)
+    assert time.perf_counter() - start < 3
+    assert (f.num, f.den) == (cofactor, rest)
+
+
 def test_multiplicity_at_matches_sympy():
     """Poly.multiplicity_at against the root multiplicities of sympy's
     factorization (test-only oracle), on the wide and edge inputs of the
