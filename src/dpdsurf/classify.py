@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 
 from .divisor import (Anchored, DivisorPair, Row, anchor_rows, anchored, denom_index,
-                      normalize_pair, pair_rows, reverse_rows)
+                      normalize_pair, reverse_rows)
 from .dpdring import (
     Elliptic,
     Hyperbolic,
@@ -110,14 +110,13 @@ def _fiber(a: Rat, pn: int, pd: int, mn: int, md: int) -> FiberData:
 
 def _fibers(rows: tuple[Row, ...]) -> tuple[FiberData, ...]:
     """The fiber over each point of supp D+ and supp D-, in order of the
-    point, read off the rows of the pair (divisor.pair_rows)."""
+    point, read off the rows of the pair (DivisorPair.rows)."""
     return tuple(_fiber(*row) for row in rows)
 
 
 def fiber_structure(pair: DivisorPair, a: Rat) -> FiberData:
     """Multiplicity data of the fiber over a (expects a normalized pair)."""
-    x, y = pair.d_plus(a), pair.d_minus(a)
-    return _fiber(a, x.numerator, x.denominator, y.numerator, y.denominator)
+    return _fiber(a, *next((row[1:] for row in pair.rows if row[0] == a), (0, 1, 0, 1)))
 
 
 def ruling_divisor(pair: DivisorPair) -> list[tuple[Rat, int]]:
@@ -370,20 +369,20 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
 
     pair = spec.pair
     norm = normalize_pair(pair)
-    rows = pair_rows(norm)
+    rows = norm.rows
     plus, minus = anchor_rows(rows), anchor_rows(reverse_rows(rows))
     fibers = _fibers(rows)
     flat = not any(f.degenerate for f in fibers)
     ml = _hyperbolic_ml(flat, plus, minus)
     mm = _hyperbolic_mm(fibers, plus, minus) if ml.kind == ML_TRIVIAL else None
     sl2 = _sl2_model(rows)
-    k = plus.k if plus else minus.d if minus else denom_index(pair.d_minus)
+    k = plus.k if plus else minus.d if minus else math.lcm(*(row[4] for row in rows))
     return ClassificationReport(
         spec=spec,
         grading="hyperbolic",
         normalized_pair=norm,
         translation=plus and plus.translation,
-        d_plus_index=plus.d if plus else minus.k if minus else denom_index(pair.d_plus),
+        d_plus_index=plus.d if plus else minus.k if minus else math.lcm(*(row[2] for row in rows)),
         d_minus_index=k,
         lnd=LndSummary(plus is not None, minus is not None, _degrees(plus), _degrees(minus)),
         ml=ml,

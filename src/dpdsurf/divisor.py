@@ -4,12 +4,12 @@ A divisor is a finite formal sum of rational points with rational
 coefficients.  The pair (d_plus, d_minus) with d_plus + d_minus <= 0
 pointwise is the master datum of a hyperbolic surface; the shift and
 affine equivalences implemented here are the ones under which the
-classification is invariant.  :class:`Anchored` is the normal form that
-every later layer reads its toric data from.  It is derived in integers:
-normalize_pair shifts by ceil(d_plus), and every fact of the normal form is
-read off pair_rows, each point's coefficients as (numerator, denominator).
-One normal form serves both sides of a pair: anchor_rows anchors its rows,
-and reverse_rows gives the reversed pair's rows.
+classification is invariant.  A pair is held as its rows, each point's
+coefficients as integers (numerator, denominator).  :class:`Anchored` is
+the normal form that every later layer reads its toric data from: one map
+over the rows (normalize_pair) shifts by ceil(d_plus), and anchor_rows
+anchors the result; reverse_rows gives the reversed pair's normal rows by
+the same map.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterable
 
 from .errors import FractionalPlusSpread, InvalidSpecFile, PositiveSum
-from .exactmath import Rat, RatLike, format_rat, parse_rat
+from .exactmath import Rat, RatLike, format_rat, format_ratio, parse_rat
 from .record import Record
 
 #: A point of the affine line, i.e. an exact rational coordinate.
@@ -38,9 +38,8 @@ class QDivisor:
     is always derived.  The constructor merges and sorts arbitrary terms; the
     operations build their results with the trusted _canonical, as each keeps
     that form: + and - merge two sorted supports and drop what cancels;
-    negation, ceil/floor and a nonzero scalar change coefficients only;
-    translation and an affine map move the points monotonically (reversed for
-    a negative scale).
+    negation, ceil/floor and a nonzero scalar change coefficients only; an
+    affine map moves the points monotonically (reversed for a negative scale).
     """
 
     __slots__ = ("_terms",)
@@ -137,12 +136,6 @@ class QDivisor:
     def floor(self) -> QDivisor:
         return -(-self).ceil()
 
-    def translate(self, offset: RatLike) -> QDivisor:
-        if not offset:
-            return self
-        o = offset if type(offset) is Rat else Rat(offset)
-        return QDivisor._canonical(tuple((p + o, c) for p, c in self._terms))
-
     def apply_map(self, g: AffineMap) -> QDivisor:
         terms = tuple((g(p), c) for p, c in self._terms)
         return QDivisor._canonical(terms if g.scale > 0 else terms[::-1])
@@ -217,64 +210,78 @@ class AffineMap(Record):
         return AffineMap(1 / self.scale, -self.offset / self.scale)
 
 
+#: (a, n+, m+, n-, m-): D+(a) = n+/m+ and D-(a) = n-/m- in lowest terms, 0/1 off a support
+Row = tuple[Rat, int, int, int, int]
+
+
 class DivisorPair:
     """The pair (d_plus, d_minus) with d_plus + d_minus <= 0 pointwise.
 
-    The constructor checks the sum and raises PositiveSum.  reverse,
-    translate, apply_map, shift and normalize_pair build their results with
-    the trusted _trusted instead: a swap leaves the sum as it is, a shift by
-    E adds E to one side and -E to the other, and a translation or an affine
-    map moves the points of the sum without changing its values.
+    It is stored as rows, one Row per point of supp D+ and supp D- in order,
+    never 0/1 on both sides; d_plus and d_minus are views built on each read.
+    The constructor merges the two divisors once and checks n+*m- + n-*m+ <= 0
+    on each row, raising PositiveSum.  reverse, apply_map and normalize_pair
+    build their results with the trusted _trusted: a swap or an affine map
+    leaves the values of the sum as they are.
     """
 
-    __slots__ = ("d_plus", "d_minus")
+    __slots__ = ("rows",)
 
     def __init__(self, d_plus: QDivisor, d_minus: QDivisor):
-        for p, s in (d_plus + d_minus).terms:
-            if s > 0:
-                raise PositiveSum(
-                    f"d_plus + d_minus = {format_rat(s)} > 0 at point {format_rat(p)}"
-                )
-        self.d_plus = d_plus
-        self.d_minus = d_minus
+        rows = tuple((a, x.numerator, x.denominator, y.numerator, y.denominator)
+                     for a, x, y in _merged(d_plus.terms, d_minus.terms))
+        for a, pn, pd, mn, md in rows:
+            if pn * md + mn * pd > 0:
+                s = format_rat(Rat(pn * md + mn * pd, pd * md))
+                raise PositiveSum(f"d_plus + d_minus = {s} > 0 at point {format_rat(a)}")
+        self.rows = rows
 
     @classmethod
-    def _trusted(cls, d_plus: QDivisor, d_minus: QDivisor) -> DivisorPair:
-        """Trusted constructor: d_plus + d_minus <= 0 is known to hold."""
+    def _trusted(cls, rows: tuple[Row, ...]) -> DivisorPair:
+        """Trusted constructor: rows in the stored form, with sums <= 0."""
         obj = object.__new__(cls)
-        obj.d_plus, obj.d_minus = d_plus, d_minus
+        obj.rows = rows
         return obj
+
+    @property
+    def d_plus(self) -> QDivisor:
+        return QDivisor._canonical(tuple((a, Rat(n, m)) for a, n, m, _, _ in self.rows if n))
+
+    @property
+    def d_minus(self) -> QDivisor:
+        return QDivisor._canonical(tuple((a, Rat(n, m)) for a, _, _, n, m in self.rows if n))
 
     def sum(self) -> QDivisor:
         return self.d_plus + self.d_minus
 
     def reverse(self) -> DivisorPair:
-        return DivisorPair._trusted(self.d_minus, self.d_plus)
+        return DivisorPair._trusted(_swapped(self.rows))
 
     def translate(self, offset: RatLike) -> DivisorPair:
-        return DivisorPair._trusted(
-            self.d_plus.translate(offset), self.d_minus.translate(offset)
-        )
+        return self.apply_map(AffineMap(1, offset))
 
     def apply_map(self, g: AffineMap) -> DivisorPair:
-        return DivisorPair._trusted(self.d_plus.apply_map(g), self.d_minus.apply_map(g))
+        rows = tuple((g(a), *row) for a, *row in self.rows)
+        return DivisorPair._trusted(rows if g.scale > 0 else rows[::-1])
 
     def shift(self, integral: QDivisor) -> DivisorPair:
         """(d_plus + E, d_minus - E) for an integral divisor E."""
         if not integral.is_integral():
             raise ValueError("shift divisor must be integral")
-        return DivisorPair._trusted(self.d_plus + integral, self.d_minus - integral)
+        return DivisorPair(self.d_plus + integral, self.d_minus - integral)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DivisorPair):
-            return self.d_plus == other.d_plus and self.d_minus == other.d_minus
+            return self.rows == other.rows
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.d_plus, self.d_minus))
+        return hash(self.rows)
 
     def to_obj(self) -> dict:
-        return {"d_plus": self.d_plus.to_pairs(), "d_minus": self.d_minus.to_pairs()}
+        rows = self.rows
+        return {"d_plus": [[format_rat(a), format_ratio(n, m)] for a, n, m, _, _ in rows if n],
+                "d_minus": [[format_rat(a), format_ratio(n, m)] for a, _, _, n, m in rows if n]}
 
     def __str__(self) -> str:
         return pair_text(self.to_obj())
@@ -283,30 +290,35 @@ class DivisorPair:
         return f"DivisorPair{self}"
 
 
+def _swapped(rows: tuple[Row, ...]) -> tuple[Row, ...]:
+    """The rows of the reversed pair (D-, D+)."""
+    return tuple((a, mn, md, pn, pd) for a, pn, pd, mn, md in rows)
+
+
+def _normal_rows(rows: tuple[Row, ...]) -> tuple[Row, ...]:
+    """The rows shifted by c = ceil(n+/m+) at each point: n+/m+ moves to
+    (n+ - c*m+)/m+ in (-1, 0] and n-/m- to (n- + c*m-)/m-, both still in
+    lowest terms, and a row both of whose coefficients vanish drops out."""
+    out = []
+    for a, pn, pd, mn, md in rows:
+        c = -(-pn // pd)
+        pn, mn = pn - c * pd, mn + c * md
+        if pn or mn:
+            out.append((a, pn, pd, mn, md))
+    return tuple(out)
+
+
 def normalize_pair(pair: DivisorPair) -> DivisorPair:
     """Shift so every coefficient of d_plus lands in (-1, 0].
 
     The shift is by ceil(d_plus), so the normalized d_plus coefficient at
     the single fractional point reads off -e'/d directly.  The pointwise
     sum is untouched, and a pair that is already normalized is returned as
-    it is.  In integers: where c = ceil(D+(a)) is not 0, n+/m+ moves to
-    (n+ - c*m+)/m+ and n-/m- to (n- + c*m-)/m-, both still in lowest terms.
+    it is.
     """
-    plus, minus, moved = [], [], False
-    for a, x, y in _merged(pair.d_plus.terms, pair.d_minus.terms):
-        pn, pd, mn, md = x.numerator, x.denominator, y.numerator, y.denominator
-        c = -(-pn // pd)
-        if c:
-            moved = True
-            pn, mn = pn - c * pd, mn + c * md
-        if pn:
-            plus.append((a, Rat(pn, pd) if c else x))
-        if mn:
-            minus.append((a, Rat(mn, md) if c else y))
-    if not moved:
+    if all(-pd < pn <= 0 for _, pn, pd, _, _ in pair.rows):
         return pair
-    return DivisorPair._trusted(QDivisor._canonical(tuple(plus)),
-                                QDivisor._canonical(tuple(minus)))
+    return DivisorPair._trusted(_normal_rows(pair.rows))
 
 
 def _merged(a: tuple, b: tuple) -> list[tuple[Rat, Rat, Rat]]:
@@ -321,20 +333,10 @@ def _merged(a: tuple, b: tuple) -> list[tuple[Rat, Rat, Rat]]:
     return out + [(p, x, _ZERO) for p, x in a[i:]] + [(q, _ZERO, y) for q, y in b[j:]]
 
 
-#: (a, n+, m+, n-, m-): D+(a) = n+/m+ and D-(a) = n-/m- in lowest terms, 0/1 off a support
-Row = tuple[Rat, int, int, int, int]
-
-
-def pair_rows(pair: DivisorPair) -> tuple[Row, ...]:
-    """The rows of the pair at each point of supp D+ and supp D-, in order."""
-    return tuple((a, x.numerator, x.denominator, y.numerator, y.denominator)
-                 for a, x, y in _merged(pair.d_plus.terms, pair.d_minus.terms))
-
-
 class Anchored(Record):
     """The normal form of a pair, from which all toric data is read.
 
-    rows are the pair_rows of the pair shifted so every coefficient of
+    rows are the rows of the pair shifted so every coefficient of
     d_plus lies in (-1, 0] (normalize_pair); translation is the single
     fractional point of d_plus (0 when d_plus is integral), where the
     anchor sits.  The rest is read off the rows in integers: the row at
@@ -357,8 +359,9 @@ class Anchored(Record):
         memo = _memo
         if memo[0] == x:
             return memo[1]
-        pair = x if isinstance(x, DivisorPair) else DivisorPair._trusted(x, -x)
-        support = [p for p, c in pair.d_plus.terms if c.denominator != 1]
+        pair = x if isinstance(x, DivisorPair) else DivisorPair._trusted(
+            tuple((a, c.numerator, c.denominator, -c.numerator, c.denominator) for a, c in x.terms))
+        support = [row[0] for row in pair.rows if row[2] != 1]
         if len(support) > 1:
             raise FractionalPlusSpread(
                 f"fractional part of {'d_plus' if pair is x else 'D'} is supported at "
@@ -371,7 +374,7 @@ class Anchored(Record):
 
 def _anchor(pair: DivisorPair) -> Anchored:
     """Anchored.of a pair with d_plus fractional at one point (the anchor) or none (0)."""
-    return anchor_rows(pair_rows(normalize_pair(pair)))
+    return anchor_rows(normalize_pair(pair).rows)
 
 
 def anchor_rows(rows: tuple[Row, ...]) -> Anchored | None:
@@ -390,12 +393,10 @@ def anchor_rows(rows: tuple[Row, ...]) -> Anchored | None:
 
 
 def reverse_rows(rows: tuple[Row, ...]) -> tuple[Row, ...]:
-    """pair_rows(normalize_pair(pair.reverse())) from pair's normal rows: the
-    swapped rows shifted by c = ceil(D-(a)) in integers, as normalize_pair
-    does, since the normal form does not see integral shifts.  No row drops
-    out: both new coefficients vanish only where both old ones do."""
-    return tuple((a, mn - c * md, md, pn + c * pd, pd)
-                 for a, pn, pd, mn, md in rows for c in (-(-mn // md),))
+    """normalize_pair(pair.reverse()).rows from pair's normal rows: the
+    swapped rows through normalize_pair's own row map, since the normal
+    form does not see integral shifts."""
+    return _normal_rows(_swapped(rows))
 
 
 #: One-entry memo of Anchored.of, (input, anchored), rebound in one step; keys
@@ -418,7 +419,7 @@ def shift_equivalent(p1: DivisorPair, p2: DivisorPair) -> bool:
 
 def _labeled_support(pair: DivisorPair) -> dict[Rat, tuple[int, int, int, int]]:
     """Each point of the normalized pair, labeled by its row's coefficients."""
-    return {p: tuple(label) for p, *label in pair_rows(normalize_pair(pair))}
+    return {p: tuple(label) for p, *label in normalize_pair(pair).rows}
 
 
 def affine_equivalent(p1: DivisorPair, p2: DivisorPair) -> AffineMap | None:

@@ -233,8 +233,8 @@ def from_equation(k: int, p: Poly) -> DivisorPair:
         raise GcdViolation(
             f"gcd(k, multiplicities) = {g} > 1; divide the equation down"
         )
-    d_minus = QDivisor((a, Rat(-m, k)) for a, m in roots)
-    return DivisorPair(QDivisor.zero(), d_minus)
+    return DivisorPair._trusted(tuple((a, 0, 1, -m // g, k // g)
+                                      for a, m in roots for g in (math.gcd(m, k),)))
 
 
 # -- surface-spec document format -------------------------------------------

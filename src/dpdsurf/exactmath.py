@@ -69,7 +69,11 @@ def format_rat(q: RatLike) -> str:
     Raises CapExceeded when the numerator or the denominator has more
     than MAX_DIGITS digits (str() would raise ValueError).
     """
-    num, den = q.numerator, q.denominator
+    return format_ratio(q.numerator, q.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """format_rat of num/den, given in lowest terms with den > 0."""
     if abs(num) >= _TOO_LONG or den >= _TOO_LONG:
         raise CapExceeded(f"a rational to print has over {MAX_DIGITS} digits")
     return str(num) if den == 1 else f"{num}/{den}"
@@ -306,9 +310,7 @@ def poly_texts(p: Poly, *layouts: tuple[int, int]) -> list[str]:
     for i, c in enumerate(p.row):
         if c:
             g = math.gcd(c, den) if den != 1 else 1
-            if (n := abs(c) // g) >= _TOO_LONG or (d := den // g) >= _TOO_LONG:
-                raise CapExceeded(f"a rational to print has over {MAX_DIGITS} digits")
-            terms.append((i, "-" if c < 0 else "+", str(n) if d == 1 else f"{n}/{d}"))
+            terms.append((i, "-" if c < 0 else "+", format_ratio(abs(c) // g, den // g)))
     terms.reverse()
     texts = []
     for shift, step in layouts:

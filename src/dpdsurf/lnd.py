@@ -15,14 +15,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .divisor import (
-    Anchored,
-    DivisorPair,
-    QDivisor,
-    anchored,
-    denom_index,
-    normalize_pair,
-)
+from .divisor import Anchored, DivisorPair, QDivisor, anchored, normalize_pair
 from .dpdring import MAX_DEG_P, GradedElement, _generator_coefficient
 from .errors import (
     CapExceeded,
@@ -219,7 +212,7 @@ def build_horizontal(x: DivisorPair | QDivisor, e: int) -> HorizontalLnd:
     twist: tuple[tuple[Rat, int], ...] = ()
     if e < 0:
         # normalizing the reversed normalized pair shifts by ceil(D-)
-        twist = tuple((p, int(c)) for p, c in normalize_pair(x).d_minus.ceil().terms)
+        twist = tuple((a, c) for a, _, _, mn, md in normalize_pair(x).rows if (c := -(-mn // md)))
     return HorizontalLnd(
         e=mag,
         d=a.d,
@@ -307,7 +300,8 @@ class StabilizationReport(_Pending, failures=()):
 
 def oracle_window(pair: DivisorPair) -> int:
     """The denominator index max(d, k): the default stabilization window."""
-    return max(denom_index(pair.d_plus), denom_index(pair.d_minus))
+    rows = pair.rows
+    return max(math.lcm(*(row[2] for row in rows)), math.lcm(*(row[4] for row in rows)))
 
 
 def _zero_order(exps: list[int], r: list[int], w: list[int]) -> int:
@@ -339,7 +333,7 @@ def _point_rows(points: list[Rat]) -> list[tuple[int, list[int], list[int]]]:
 
 
 #: One-entry memo of _table, ((pair, window, e_prime_override), table), rebound in
-#: one step; keys compare by == (hashing a DivisorPair hashes each Fraction in it).
+#: one step; keys compare by == (hashing a DivisorPair hashes each point's Fraction).
 _memo: tuple = (None, None)
 
 

@@ -1,4 +1,4 @@
-"""invariant_signature: what shifts and translations must leave unchanged
+"""invariant_signature: what shifts and affine maps must leave unchanged
 in a classification report, for the invariance tests."""
 
 from __future__ import annotations
@@ -8,16 +8,22 @@ from dpdsurf.exactmath import rational_linear_factorization
 
 
 def invariant_signature(report: ClassificationReport) -> tuple:
-    """Everything in the report that shifts and translations must preserve.
+    """Everything in the report that shifts and affine maps must preserve.
 
     Point coordinates and root locations are positional labels, not
-    isomorphism invariants, so they are left out.
+    isomorphism invariants, so they are left out.  The multiplicities of the
+    roots of P are kept when d = 1, where P splits over the rationals.  When
+    d > 1, P(s) = Q(s^d)*s^(k*e' + d*l) has a rational root over a point a
+    only when a - anchor is a d-th power, which an affine map changes (a
+    negative scale, or a scale that is not a d-th power), so the
+    multiplicities of the roots of Q are kept instead: one per point off the
+    anchor, which is the fractional point of D+ and moves with the map.
     """
     pres = report.presentation
     if pres is None:
         pres_sig = None
     else:
-        _, roots, _ = rational_linear_factorization(pres.P)
+        _, roots, _ = rational_linear_factorization(pres.P if pres.d == 1 else pres.Q)
         pres_sig = (
             pres.k,
             pres.d,

@@ -292,17 +292,15 @@ def test_criterion_7():
         assert u * u_alpha == taylor_shift(p, alpha, 1)
 
 
-@criterion(8, "shift and translation invariance")
+@criterion(8, "shift and affine invariance")
 def test_criterion_8():
     rng = random.Random(SEED)
-    from conftest import random_pair, random_shift
+    from conftest import random_affine_map, random_pair, random_shift
 
     for i in range(100):
         pair = _concentrated(rng) if i % 2 == 0 else random_pair(rng)
         base = invariant_signature(classify(Hyperbolic(pair)))
-        moved = random_shift(rng, pair).translate(
-            Rat(rng.randint(-5, 5), rng.randint(1, 3))
-        )
+        moved = random_shift(rng, pair).apply_map(random_affine_map(rng))
         assert invariant_signature(classify(Hyperbolic(moved))) == base
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    random_affine_map,
     random_concentrated_pair,
     random_pair,
     random_shift,
@@ -444,17 +445,21 @@ class TestClassifyReport:
             assert (report.mm is not None) == (report.ml.kind == "trivial")
 
     def test_shift_translation_invariance(self, rng):
-        for _ in range(40):
+        """Shifts and affine maps, translations, negative scales and scales
+        of up to 20 bits, leave the invariants as they are."""
+        scales: Counter = Counter()
+        for _ in range(60):
             pair = (
                 random_concentrated_pair(rng)
                 if rng.random() < 0.7
                 else random_pair(rng)
             )
             base = invariant_signature(classify(Hyperbolic(pair)))
-            moved = random_shift(rng, pair).translate(
-                Rat(rng.randint(-4, 4), rng.randint(1, 3))
-            )
-            assert invariant_signature(classify(Hyperbolic(moved))) == base
+            g = random_affine_map(rng)
+            moved = random_shift(rng, pair).apply_map(g)
+            assert invariant_signature(classify(Hyperbolic(moved))) == base, (pair, g)
+            scales["negative" if g.scale < 0 else "one" if g.scale == 1 else "wide"] += 1
+        assert min(scales.values()) >= 10, scales
 
     def test_swapping_the_pair_swaps_the_report(self):
         """Metamorphic: (D-, D+) is the same surface with the grading
@@ -632,6 +637,14 @@ class TestDerivedOnce:
         over the first and stays below the others."""
         per_spec = self.fractions_per_spec(monkeypatch, facts)
         assert per_spec <= 1.25, per_spec
+
+    def test_fraction_count_of_the_row_form(self, monkeypatch):
+        """A pair holds its integer rows and normalize_pair maps them, so
+        facts() builds no Fraction on this set when pinned, against 0.75
+        when the normal form was rebuilt as Fraction-term divisors and
+        merged into rows a second time."""
+        per_spec = self.fractions_per_spec(monkeypatch, facts)
+        assert per_spec <= 0.25, per_spec
 
     def test_classify_fraction_budget(self, monkeypatch):
         """classify() places P from Q's integer row, and Poly builds a

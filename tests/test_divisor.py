@@ -20,7 +20,6 @@ from dpdsurf.divisor import (
     anchored,
     denom_index,
     normalize_pair,
-    pair_rows,
     reverse_rows,
     shift_equivalent,
 )
@@ -255,7 +254,7 @@ def _fraction_degrees(a: Anchored, pair: DivisorPair) -> DegreeSet:
     """DegreeSet.of(a) for a = Anchored.of(pair) by its Fraction definition:
     with s the sum moved by a's translation, d*e >= -1/s(0) at the anchor and
     e >= -1/s(p) elsewhere."""
-    s = pair.sum().translate(-a.translation)
+    s = pair.translate(-a.translation).sum()
     bounds = [math.ceil(-1 / ((a.d if p == 0 else 1) * value)) for p, value in s.terms]
     e_min = 0 if a.d == 1 and s.is_zero() else max([1, *bounds])
     return DegreeSet(mod_inverse(a.e_prime, a.d), a.d, e_min)
@@ -335,7 +334,7 @@ class TestBothSides:
     @staticmethod
     def sides(pair):
         """(plus, minus) anchorings from one normal form."""
-        rows = pair_rows(normalize_pair(pair))
+        rows = normalize_pair(pair).rows
         return anchor_rows(rows), anchor_rows(reverse_rows(rows))
 
     def test_matches_anchoring_each_side(self, monkeypatch):
@@ -359,14 +358,74 @@ class TestBothSides:
         assert min(seen.values()) >= 10, seen
 
     def test_reverse_rows_are_the_reversed_normal_rows(self, rng):
-        for _ in range(200):
-            pair = random_pair(rng)
-            rows = pair_rows(normalize_pair(pair))
-            assert reverse_rows(rows) == pair_rows(normalize_pair(pair.reverse()))
+        wide = random.Random(20261022)
+        pairs = [random_pair(rng) for _ in range(200)]
+        pairs += [DivisorPair(*sides) for sides in (_row_divisors(wide) for _ in range(300))
+                  if all(c <= 0 for _, c in (sides[0] + sides[1]).terms)]
+        for pair in pairs:
+            rows = normalize_pair(pair).rows
+            assert reverse_rows(rows) == normalize_pair(pair.reverse()).rows, pair
 
 
 def _ratio(c: Rat) -> tuple[int, int]:
     return c.numerator, c.denominator
+
+
+def _row_divisors(rng: random.Random) -> tuple[QDivisor, QDivisor]:
+    """(D+, D-) on up to 5 shared points with 20-64-bit numerators and
+    denominators.  At each point D+ is wide (in (-1, 0] a third of the
+    time), integral or 0, and the sum is wide and negative, integral and
+    negative, 0 (so an integral D+ gives a row that normalizes to 0/1 on
+    both sides) or, now and then, positive."""
+    bits = rng.randint(20, 64)
+
+    def wide() -> Rat:
+        return Rat(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits))
+
+    plus, minus = [], []
+    for p in {wide() for _ in range(rng.randint(1, 5))}:
+        x = rng.choice([wide(), -(abs(wide()) % 1), Rat(rng.randint(-3, 3))])
+        s = rng.choice([-abs(wide()), Rat(-rng.randint(1, 3)), Rat(0), Rat(0),
+                        abs(wide()) if rng.random() < 0.2 else Rat(0)])
+        plus.append((p, x))
+        minus.append((p, s - x))
+    return QDivisor(plus), QDivisor(minus)
+
+
+class TestRows:
+    """A pair holds its merged integer rows: against its two QDivisors on
+    wide families, the rows, the sum check, the document and the normal
+    form."""
+
+    def test_rows_match_the_divisors(self, rng):
+        wide = random.Random(20261023)
+        seen = {"positive": 0, "zero sum": 0, "moved": 0, "unmoved": 0, "dropped": 0}
+        for _ in range(400):
+            d_plus, d_minus = _row_divisors(wide)
+            positive = [(p, c) for p, c in (d_plus + d_minus).terms if c > 0]
+            if positive:
+                p, c = positive[0]
+                with pytest.raises(PositiveSum) as exc:
+                    DivisorPair(d_plus, d_minus)
+                assert str(exc.value) == (f"d_plus + d_minus = {format_rat(c)} > 0 "
+                                          f"at point {format_rat(p)}")
+                seen["positive"] += 1
+                continue
+            pair = DivisorPair(d_plus, d_minus)
+            assert (pair.d_plus, pair.d_minus) == (d_plus, d_minus)
+            points = sorted(set(d_plus.support) | set(d_minus.support))
+            assert pair.rows == tuple((p, *_ratio(d_plus(p)), *_ratio(d_minus(p)))
+                                      for p in points)
+            assert pair.to_obj() == {"d_plus": d_plus.to_pairs(), "d_minus": d_minus.to_pairs()}
+            seen["zero sum"] += len(points) > len((d_plus + d_minus).terms)
+            norm = normalize_pair(pair)
+            e = d_plus.ceil()
+            assert norm == DivisorPair(d_plus - e, d_minus + e), pair
+            assert normalize_pair(norm) is norm
+            assert normalize_pair(random_shift(rng, pair)) == norm
+            seen["moved" if norm is not pair else "unmoved"] += 1
+            seen["dropped"] += len(norm.rows) < len(pair.rows)
+        assert min(seen.values()) >= 20, seen
 
 
 class TestShiftEquivalence:
@@ -474,7 +533,6 @@ class TestTrustedConstructors:
                 (-a, ((p, -c) for p, c in a.terms)),
                 (a.ceil(), ((p, math.ceil(c)) for p, c in a.terms)),
                 (a.floor(), ((p, math.floor(c)) for p, c in a.terms)),
-                (a.translate(x), ((p + x, c) for p, c in a.terms)),
                 (a.apply_map(g), ((g.scale * p + g.offset, c) for p, c in a.terms)),
                 (a * scalar, ((p, c * scalar) for p, c in a.terms)),
             ]

@@ -279,7 +279,7 @@ def wide_anchored_pairs(rng, count: int = 200) -> list[tuple[DivisorPair, Anchor
             minus.append((p, -Rat(rng.randint(1, 12), rng.randint(1, 4))))
         pair = DivisorPair(QDivisor(plus), QDivisor(minus))
         a = Anchored.of(pair)
-        anchored_minus = normalize_pair(pair).d_minus.translate(-a.translation)
+        anchored_minus = normalize_pair(pair).translate(-a.translation).d_minus
         deg_q = sum(int(-a.k * c) for p, c in anchored_minus.terms if p != 0)
         if deg_q <= 40 and a.d * deg_q + a.k * a.e_prime + a.d * a.l <= 600:
             out.append((pair, a, anchored_minus))

@@ -27,7 +27,7 @@ from dpdsurf.classify import (
     SingularityRecord,
     Sl2Model,
 )
-from dpdsurf.divisor import AffineMap, Anchored, DivisorPair, QDivisor, pair_rows
+from dpdsurf.divisor import AffineMap, Anchored, DivisorPair, QDivisor
 from dpdsurf.dpdring import Elliptic, Hyperbolic, Parabolic, Presentation
 from dpdsurf.exactmath import Poly, Rat, RatFunc
 from dpdsurf.lnd import (
@@ -109,8 +109,8 @@ CASES = {
         "AffineMap(scale=Fraction(2, 1), offset=Fraction(1, 3))",
     ),
     Anchored: (
-        dict(translation=Rat(0), d=2, e_prime=1, k=2, l=-1, rows=pair_rows(_PAIR)),
-        dict(translation=_HALF, d=1, e_prime=0, k=1, l=2, rows=pair_rows(_OTHER_PAIR)),
+        dict(translation=Rat(0), d=2, e_prime=1, k=2, l=-1, rows=_PAIR.rows),
+        dict(translation=_HALF, d=1, e_prime=0, k=1, l=2, rows=_OTHER_PAIR.rows),
         "Anchored(translation=Fraction(0, 1), d=2, e_prime=1, k=2, l=-1, "
         "rows=((Fraction(0, 1), -1, 2, 1, 2), (Fraction(1, 1), 0, 1, -1, 1)))",
     ),
