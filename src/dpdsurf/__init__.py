@@ -35,12 +35,6 @@ from .classify import (
     ClassificationReport,
     classify,
     fiber_structure,
-    ml_invariant,
-    mm_invariant,
-    recognize_homogeneous,
-    recognize_sl2,
-    ruling_divisor,
-    singular_points,
 )
 from .catalog import CatalogEntry, catalog_surface
 from .lnd import (

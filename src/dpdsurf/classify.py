@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import math
 
-from .divisor import (Anchored, DivisorPair, Row, anchor_rows, anchored, denom_index,
-                      normalize_pair, reverse_rows)
+from .divisor import Anchored, DivisorPair, Row, anchor_rows, normalize_pair, reverse_rows
 from .dpdring import (
     Elliptic,
     Hyperbolic,
@@ -18,7 +17,7 @@ from .dpdring import (
     presentation_degree,
     spec_to_obj,
 )
-from .errors import NoPositiveLnd, check
+from .errors import check
 from .exactmath import Rat, format_rat, poly_texts, printable
 from .lnd import DegreeSet, describe, elliptic_lnd, fiber_lnd
 from .record import Record
@@ -108,33 +107,15 @@ def _fiber(a: Rat, pn: int, pd: int, mn: int, md: int) -> FiberData:
                      pi_star=(m_plus, -m_minus), div_u=(-e_plus, e_minus))
 
 
-def _fibers(rows: tuple[Row, ...]) -> tuple[FiberData, ...]:
-    """The fiber over each point of supp D+ and supp D-, in order of the
-    point, read off the rows of the pair (DivisorPair.rows)."""
-    return tuple(_fiber(*row) for row in rows)
-
-
 def fiber_structure(pair: DivisorPair, a: Rat) -> FiberData:
     """Multiplicity data of the fiber over a (expects a normalized pair)."""
     return _fiber(a, *next((row[1:] for row in pair.rows if row[0] == a), (0, 1, 0, 1)))
 
 
-def ruling_divisor(pair: DivisorPair) -> list[tuple[Rat, int]]:
-    """div(v) of the affine ruling v, as classify() derives it: one entry per
-    degenerate point, of multiplicity d_plus_index * m_minus(a) * (D+(a) + D-(a)).
-    """
-    ruling = facts(Hyperbolic(pair)).ruling
-    if ruling is None:
-        raise NoPositiveLnd(
-            "the fractional part of d_plus is spread: no affine ruling from "
-            "a positive-degree derivation"
-        )
-    return list(ruling)
-
-
 def _ruling(fibers: tuple[FiberData, ...], d: int) -> list[tuple[Rat, int]]:
-    """The ruling read off the fibers, d the denominator index of D+:
-    d*m_minus*(D+ + D-)(a) = d*delta/m_plus at each degenerate point."""
+    """div(v) of the affine ruling v, read off the fibers, d the denominator
+    index of D+: d*m_minus*(D+ + D-)(a) = d*delta/m_plus at each degenerate
+    point.  v generates a positive-degree kernel: none where D+ is spread."""
     out = []
     for f in fibers:
         if f.degenerate:
@@ -142,11 +123,6 @@ def _ruling(fibers: tuple[FiberData, ...], d: int) -> list[tuple[Rat, int]]:
             check(not rem and mult > 0, "ruling multiplicity %d*%d/%d", d, f.delta, f.m_plus)
             out.append((f.point, mult))
     return out
-
-
-def singular_points(pair: DivisorPair) -> list[SingularityRecord]:
-    """One record per degenerate point, as classify() derives them."""
-    return list(facts(Hyperbolic(pair)).singularities)
 
 
 def _singular_points(fibers: tuple[FiberData, ...], k: int) -> list[SingularityRecord]:
@@ -169,47 +145,9 @@ def _singular_points(fibers: tuple[FiberData, ...], k: int) -> list[SingularityR
     return out
 
 
-def ml_invariant(spec: SurfaceSpec) -> MlResult:
-    """Makar-Limanov invariant, as classify() derives it.
-
-    Elliptic specs are toric, hence trivial.  Parabolic: trivial iff the
-    fractional part of D is concentrated; otherwise only fiber-type
-    derivations exist and the common kernel is A_0 = C[t].  Hyperbolic:
-    trivial iff both fractional parts are concentrated and the sum is
-    nonzero; a zero sum gives the line-cross-torus ring C[z, v, v^-1] with
-    invariant C[v, v^-1] (provided a derivation exists at all); one-sided
-    existence leaves C[v] in the stated degree; no derivation leaves A.
-    """
-    return facts(spec).ml
-
-
-def mm_invariant(spec: SurfaceSpec) -> int | None:
-    """Homogeneous Miyanishi-Masuda invariant, as classify() derives it.
-
-    Defined only for trivial ML.  Parabolic toric: the denominator index
-    d(A).  Elliptic (d, e'): d.  Hyperbolic: see _hyperbolic_mm.
-    """
-    return facts(spec).mm
-
-
-def recognize_homogeneous(spec: SurfaceSpec) -> Recognition | None:
-    """Gizatullin-Popov recognition, as classify() derives it.
-
-    Returns plane (mm = 1), line_cross_torus, quadric, conic_complement or
-    veronese_cone(d); None means no algebraic group acts with a big open
-    orbit.
-    """
-    return facts(spec).recognition
-
-
-def recognize_sl2(pair: DivisorPair) -> Sl2Model | None:
-    """Match against the four reference pairs up to affine maps and shifts,
-    as classify() derives it."""
-    return facts(Hyperbolic(pair)).sl2
-
-
 def _sl2_model(rows: tuple[Row, ...]) -> Sl2Model | None:
-    """The SL2 model of a normalized pair, read off the rows of its normal form.
+    """The reference pair a normalized pair matches up to affine maps and
+    shifts, its SL2 model, read off the rows of its normal form.
 
     Normalized, the reference pairs are (0, -[1] - [-1]) (quadric),
     (-1/2 [0], 1/2 [0] - [1]) (conic complement), (-1/d' [0], -1/d' [0]) or
@@ -274,7 +212,11 @@ def _cone_recognition(d: int, e_prime: int) -> Recognition | None:
 
 
 def _hyperbolic_ml(flat: bool, plus: Anchored | None, minus: Anchored | None) -> MlResult:
-    """flat: the sum D+ + D- is zero."""
+    """flat: the sum D+ + D- is zero; plus, minus: the anchored sides, None if spread.
+
+    ML is trivial iff both sides anchor and the sum is nonzero.  A zero sum
+    gives the line cross the torus C[z, v, v^-1], of ML C[v, v^-1] if some
+    derivation exists; one side alone leaves C[v] in its degree; none, A."""
     if flat:
         # Spread fractional parts kill every homogeneous derivation even
         # here, and with them every derivation at all.
@@ -314,6 +256,9 @@ def _hyperbolic_mm(fibers: tuple[FiberData, ...], plus: Anchored, minus: Anchore
 def _hyperbolic_recognition(
     flat: bool, mm: int | None, plus: Anchored | None, sl2: Sl2Model | None,
 ) -> Recognition | None:
+    """Gizatullin-Popov: the plane (MM = 1), the line cross the torus, or the
+    quadric, conic complement or Veronese cone of the SL2 model; None means
+    no algebraic group acts with a big open orbit."""
     if mm == 1:
         return Recognition("plane")
     if flat and plus is not None:  # the line cross the torus
@@ -334,7 +279,13 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
     """The report with no presentation, every field read from the anchored
     sides, and the anchored plus side the presentation is read from (None
     unless hyperbolic).  A hyperbolic pair is normalized once: both sides
-    are anchored from the rows of that one normal form.  No field needs P."""
+    are anchored from the rows of that one normal form.  No field needs P.
+
+    Elliptic (d, e'): toric, so ML is trivial and MM is d.  Parabolic D, as
+    (D, -D): ML is trivial iff D's fractional part is concentrated, with MM
+    the denominator index d(A); else only fiber-type derivations exist and
+    the common kernel is A_0 = C[t].  MM is defined only for trivial ML.
+    """
     if isinstance(spec, Elliptic):
         dx, dy = elliptic_lnd(spec.d, spec.e_prime)
         return ClassificationReport(
@@ -350,16 +301,16 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
         ), None
 
     if isinstance(spec, Parabolic):
-        divisor = spec.divisor
-        a = anchored(divisor)
+        norm = normalize_pair(DivisorPair.parabolic(spec.divisor))
+        a = anchor_rows(norm.rows)
         return ClassificationReport(
             spec=spec,
             grading="parabolic",
-            normalized_divisor=divisor - divisor.ceil(),
+            normalized_divisor=norm.d_plus,
             translation=a and a.translation,
-            d_plus_index=a.d if a else denom_index(divisor),
+            d_plus_index=math.lcm(*(row[2] for row in norm.rows)),
             lnd=LndSummary(a is not None, True, degrees_plus=_degrees(a),
-                           fiber=describe(fiber_lnd(divisor))),
+                           fiber=describe(fiber_lnd(spec.divisor))),
             ml=MlResult(ML_TRIVIAL) if a else MlResult(ML_POLYNOMIAL, generator_degree=0),
             mm=a and a.d,
             plane=a is not None and a.d == 1,
@@ -371,18 +322,18 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
     norm = normalize_pair(pair)
     rows = norm.rows
     plus, minus = anchor_rows(rows), anchor_rows(reverse_rows(rows))
-    fibers = _fibers(rows)
+    fibers = tuple(_fiber(*row) for row in rows)  # over supp D+ and supp D-, in order
     flat = not any(f.degenerate for f in fibers)
     ml = _hyperbolic_ml(flat, plus, minus)
     mm = _hyperbolic_mm(fibers, plus, minus) if ml.kind == ML_TRIVIAL else None
     sl2 = _sl2_model(rows)
-    k = plus.k if plus else minus.d if minus else math.lcm(*(row[4] for row in rows))
+    k = math.lcm(*(row[4] for row in rows))
     return ClassificationReport(
         spec=spec,
         grading="hyperbolic",
         normalized_pair=norm,
         translation=plus and plus.translation,
-        d_plus_index=plus.d if plus else minus.k if minus else math.lcm(*(row[2] for row in rows)),
+        d_plus_index=math.lcm(*(row[2] for row in rows)),
         d_minus_index=k,
         lnd=LndSummary(plus is not None, minus is not None, _degrees(plus), _degrees(minus)),
         ml=ml,

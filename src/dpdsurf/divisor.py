@@ -243,6 +243,12 @@ class DivisorPair:
         obj.rows = rows
         return obj
 
+    @classmethod
+    def parabolic(cls, d: QDivisor) -> DivisorPair:
+        """The pair (D, -D), whose degree >= 0 part is A_0[D]."""
+        return cls._trusted(tuple((a, c.numerator, c.denominator, -c.numerator, c.denominator)
+                                  for a, c in d.terms))
+
     @property
     def d_plus(self) -> QDivisor:
         return QDivisor._canonical(tuple((a, Rat(n, m)) for a, n, m, _, _ in self.rows if n))
@@ -359,8 +365,7 @@ class Anchored(Record):
         memo = _memo
         if memo[0] == x:
             return memo[1]
-        pair = x if isinstance(x, DivisorPair) else DivisorPair._trusted(
-            tuple((a, c.numerator, c.denominator, -c.numerator, c.denominator) for a, c in x.terms))
+        pair = x if isinstance(x, DivisorPair) else DivisorPair.parabolic(x)
         support = [row[0] for row in pair.rows if row[2] != 1]
         if len(support) > 1:
             raise FractionalPlusSpread(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .divisor import Anchored, DivisorPair, QDivisor
+from .divisor import Anchored, DivisorPair, QDivisor, Row
 from .element import GradedElement
 from .errors import (
     CapExceeded,
@@ -66,17 +66,27 @@ class Hyperbolic(Record):
 SurfaceSpec = Elliptic | Parabolic | Hyperbolic
 
 
-def _generator_coefficient(d: QDivisor, n: int) -> RatFunc:
-    """prod_p (t - p)^{ceil(-n * D(p))} for the degree-|n| piece along D."""
+def _generator_coefficient(rows: tuple[Row, ...], n: int) -> RatFunc:
+    """prod_p (t - p)^{ceil(-|n| * D(p))} for the degree-n piece, D(p) = c/m on
+    the side of the rows of the sign of n: the exponent is -(|n|*c // m)."""
+    i = 1 if n > 0 else 3
     up, down = [], []
-    for p, c in d.terms:
-        q = -n * c
-        expo = -((-q.numerator) // q.denominator)  # ceil(q), exactly
+    for row in rows:
+        expo = -(abs(n) * row[i] // row[i + 1])
         if expo > 0:
-            up.append((p, expo))
+            up.append((row[0], expo))
         elif expo < 0:
-            down.append((p, -expo))
+            down.append((row[0], -expo))
     return RatFunc._reduced(linear_power_product(up), linear_power_product(down))
+
+
+def _rows(spec: SurfaceSpec, what: str) -> tuple[Row, ...]:
+    """The rows of the spec's pair; a parabolic D is (D, -D), of degree >= 0 part A_0[D]."""
+    if isinstance(spec, Elliptic):
+        raise ValueError(f"{what} applies to parabolic/hyperbolic specs")
+    if isinstance(spec, Hyperbolic):
+        return spec.pair.rows
+    return DivisorPair.parabolic(spec.divisor).rows
 
 
 def graded_generator(spec: SurfaceSpec, n: int) -> GradedElement:
@@ -86,18 +96,12 @@ def graded_generator(spec: SurfaceSpec, n: int) -> GradedElement:
     for n < 0 it is D- taken with |n|.  The degree-0 piece is generated
     by 1.
     """
-    if isinstance(spec, Elliptic):
-        raise ValueError("graded_generator applies to parabolic/hyperbolic specs")
+    rows = _rows(spec, "graded_generator")
     if n == 0:
         return GradedElement.one()
-    if isinstance(spec, Parabolic):
-        if n < 0:
-            raise NegativeDegreeParabolic(
-                f"parabolic rings have no degree {n} piece"
-            )
-        return GradedElement.monomial(n, _generator_coefficient(spec.divisor, n))
-    d = spec.pair.d_plus if n > 0 else spec.pair.d_minus
-    return GradedElement.monomial(n, _generator_coefficient(d, abs(n)))
+    if n < 0 and isinstance(spec, Parabolic):
+        raise NegativeDegreeParabolic(f"parabolic rings have no degree {n} piece")
+    return GradedElement.monomial(n, _generator_coefficient(rows, n))
 
 
 def _rational_pole_points(f: RatFunc) -> list[Rat]:
@@ -113,19 +117,17 @@ def _rational_pole_points(f: RatFunc) -> list[Rat]:
 
 
 def contains(spec: SurfaceSpec, x: GradedElement) -> bool:
-    """Membership test: ord_p(f_n) + |n| * D(p) >= 0 at every relevant point."""
-    if isinstance(spec, Elliptic):
-        raise ValueError("contains applies to parabolic/hyperbolic specs")
+    """Membership test: ord_p(f_n) + |n| * D(p) >= 0 at every relevant point,
+    as ord_p(f_n)*m + |n|*c >= 0 with D(p) = c/m, D the side of the sign of n."""
+    rows = _rows(spec, "contains")
+    plus, minus = ({row[0]: row[i:i + 2] for row in rows if row[i]} for i in (1, 3))
     for n, f in x.terms:
-        if isinstance(spec, Parabolic):
-            if n < 0:
-                return False
-            d = spec.divisor
-        else:
-            d = spec.pair.d_plus if n >= 0 else spec.pair.d_minus
-        points = set(_rational_pole_points(f)) | set(d.support)
-        for p in points:
-            if f.order_at(p) + abs(n) * d(p) < 0:
+        if n < 0 and isinstance(spec, Parabolic):
+            return False
+        side = minus if n < 0 else plus
+        for p in set(_rational_pole_points(f)) | side.keys():
+            c, m = side.get(p, (0, 1))
+            if f.order_at(p) * m + abs(n) * c < 0:
                 return False
     return True
 

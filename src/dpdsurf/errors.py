@@ -82,10 +82,6 @@ class NoKernelGenerator(DomainError):
     """No closed-form kernel generator: elliptic spec or negative degree."""
 
 
-class NoPositiveLnd(DomainError):
-    """Operation requires a positive-degree derivation which does not exist."""
-
-
 class NotSmallGroup(DomainError):
     """Cyclic group data with gcd(e', d) > 1 defines a non-small action."""
 

@@ -478,14 +478,16 @@ def fiber_lnd(d: QDivisor) -> FiberLnd:
     """The fiber-type derivation of degree -1: g = prod (t-p)^(ceil D(p)).
 
     Every parabolic DPD ring carries one; g may legitimately have poles,
-    membership of images is the correctness criterion.  g is built as the
-    graded generators' coefficients are, with n = -1: one product of linear
-    powers over its zeros and one over its poles, which never cancel.
-    Raises CapExceeded when g has more than MAX_DEG_P zeros and poles.
+    membership of images is the correctness criterion.  g is f_-1 of the
+    pair (D, -D), built from its rows as the graded generators' coefficients
+    are: one product of linear powers over its zeros and one over its poles,
+    which never cancel.  Raises CapExceeded when g has more than MAX_DEG_P
+    zeros and poles, |floor(-D(p))| at each point.
     """
-    if sum(abs(math.ceil(c)) for _, c in d.terms) > MAX_DEG_P:
+    rows = DivisorPair.parabolic(d).rows
+    if sum(abs(mn // md) for *_, mn, md in rows) > MAX_DEG_P:
         raise CapExceeded(f"the fiber derivation has over {MAX_DEG_P} zeros and poles")
-    return FiberLnd(_generator_coefficient(d, -1))
+    return FiberLnd(_generator_coefficient(rows, -1))
 
 
 def elliptic_lnd(d: int, e_prime: int) -> tuple[EllipticToricLnd, EllipticToricLnd]:

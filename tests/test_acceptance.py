@@ -11,15 +11,7 @@ import math
 import random
 
 from dpdsurf.catalog import catalog_surface, default_entries
-from dpdsurf.classify import (
-    classify,
-    fiber_structure,
-    ml_invariant,
-    mm_invariant,
-    recognize_homogeneous,
-    recognize_sl2,
-    singular_points,
-)
+from dpdsurf.classify import classify, facts, fiber_structure
 from dpdsurf.divisor import (
     AffineMap,
     DivisorPair,
@@ -99,7 +91,7 @@ def test_criterion_1():
         assert pair == danielewski_pair(d)
     for d in range(2, 7):
         spec = Hyperbolic(danielewski_pair(d))
-        ml = ml_invariant(spec)
+        ml = facts(spec).ml
         assert ml.kind == "polynomial_ring" and ml.generator_degree == 1
         lnd = build_horizontal(spec.pair, d)
         assert kernel_generator(lnd) == GradedElement.monomial(1)
@@ -107,8 +99,8 @@ def test_criterion_1():
         assert degrees.modulus == 1 and degrees.e_min == d
         assert all(degrees.contains(e) == (e >= d) for e in range(0, 3 * d))
     w1 = Hyperbolic(danielewski_pair(1))
-    assert ml_invariant(w1).kind == "trivial"
-    assert recognize_sl2(w1.pair).model == "quadric"
+    assert facts(w1).ml.kind == "trivial"
+    assert facts(w1).sl2.model == "quadric"
 
 
 @criterion(2, "bertin golden")
@@ -122,9 +114,9 @@ def test_criterion_2():
             assert pres.P == Poly.monomial(n) + 1
             assert pres.zd_weights == (1, n - 1, 0)
             assert admissible_degrees(pair).min_degree() == n * d - 1
-            recs = singular_points(pair)
+            recs = facts(entry.spec).singularities
             assert recs and all(s.smooth for s in recs)
-            assert ml_invariant(entry.spec).kind == "polynomial_ring"
+            assert facts(entry.spec).ml.kind == "polynomial_ring"
 
 
 @criterion(3, "reference-pair recognition")
@@ -147,7 +139,7 @@ def test_criterion_3():
             moved = shifted.apply_map(
                 AffineMap(Rat(1), Rat(rng.randint(-5, 5), rng.randint(1, 3)))
             )
-            got = recognize_sl2(moved)
+            got = facts(Hyperbolic(moved)).sl2
             assert got is not None and got.model == model
             assert got.veronese_degree == degree
 
@@ -169,32 +161,32 @@ def test_criterion_3():
             moved = base.translate(Rat(rng.randint(-4, 4))).shift(
                 QDivisor([(Rat(1), rng.randint(-2, 2))])
             )
-            assert recognize_sl2(moved) is None
+            assert facts(Hyperbolic(moved)).sl2 is None
             count += 1
     assert count == 20
 
 
 @criterion(4, "miyanishi-masuda invariant")
 def test_criterion_4():
-    assert mm_invariant(Hyperbolic(catalog_surface("quadric").spec.pair)) == 2
-    assert mm_invariant(catalog_surface("conic_complement").spec) == 4
+    assert facts(Hyperbolic(catalog_surface("quadric").spec.pair)).mm == 2
+    assert facts(catalog_surface("conic_complement").spec).mm == 4
     for d in range(1, 9):
         spec = catalog_surface("veronese", (d,)).spec
-        assert mm_invariant(spec) == d
-        rec = recognize_homogeneous(spec)
+        assert facts(spec).mm == d
+        rec = facts(spec).recognition
         if d == 1:
             assert rec is not None and rec.model == "plane"
     for d in range(1, 7):
         for e_prime in range(d):
             if math.gcd(e_prime, d) != 1:
                 continue
-            assert mm_invariant(Parabolic(D((0, Rat(-e_prime, d))))) == d
+            assert facts(Parabolic(D((0, Rat(-e_prime, d))))).mm == d
     # divisor formula vs k * deg P through eq. (dip), wherever defined
     checked = 0
     for entry in default_entries():
         if not isinstance(entry.spec, Hyperbolic):
             continue
-        mm = mm_invariant(entry.spec)
+        mm = facts(entry.spec).mm
         if mm is None:
             continue
         pair = entry.spec.pair
@@ -307,9 +299,9 @@ def test_criterion_8():
 @criterion(9, "singularity suite")
 def test_criterion_9():
     for d in range(2, 9):
-        recs = singular_points(catalog_surface("dihedral", (d,)).spec.pair)
+        recs = facts(catalog_surface("dihedral", (d,)).spec).singularities
         assert [s.order for s in recs] == [d] and not recs[0].smooth
-    recs = singular_points(catalog_surface("dihedral", (1,)).spec.pair)
+    recs = facts(catalog_surface("dihedral", (1,)).spec).singularities
     assert all(s.smooth for s in recs)
     for k in range(1, 13):
         for r in range(1, 13):
@@ -333,7 +325,7 @@ def test_criterion_9():
 @criterion(10, "negative results")
 def test_criterion_10():
     for d in range(3, 9):
-        assert recognize_homogeneous(catalog_surface("dihedral", (d,)).spec) is None
+        assert facts(catalog_surface("dihedral", (d,)).spec).recognition is None
     for d in range(2, 7):
         assert not positive_lnd_exists(danielewski_pair(d).reverse())
         assert positive_lnd_exists(danielewski_pair(d))

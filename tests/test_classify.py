@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     random_affine_map,
     random_concentrated_pair,
+    random_divisor,
     random_pair,
     random_shift,
 )
@@ -23,13 +24,7 @@ from dpdsurf.classify import (
     classify,
     facts,
     fiber_structure,
-    ml_invariant,
-    mm_invariant,
-    recognize_homogeneous,
-    recognize_sl2,
     report_to_obj,
-    ruling_divisor,
-    singular_points,
 )
 from dpdsurf.divisor import (
     AffineMap,
@@ -42,7 +37,7 @@ from dpdsurf.divisor import (
     normalize_pair,
 )
 from dpdsurf.dpdring import Elliptic, Hyperbolic, Parabolic, presentation, spec_to_obj
-from dpdsurf.errors import DomainError, InternalError, NoPositiveLnd, check
+from dpdsurf.errors import DomainError, InternalError, check
 from dpdsurf.exactmath import Rat
 from dpdsurf.lnd import positive_lnd_exists
 from signature import invariant_signature
@@ -91,20 +86,19 @@ class TestFiberStructure:
 
 class TestRulingDivisor:
     def test_danielewski(self):
-        assert ruling_divisor(danielewski(2)) == [(Rat(-1), 1), (Rat(0), 1)]
+        assert facts(Hyperbolic(danielewski(2))).ruling == ((Rat(-1), 1), (Rat(0), 1))
 
     def test_dihedral(self):
         for d in (1, 2, 5):
             pair = DivisorPair(QDivisor.zero(), D((0, -d)))
-            assert ruling_divisor(pair) == [(Rat(0), d)]
+            assert facts(Hyperbolic(pair)).ruling == ((Rat(0), d),)
 
     def test_torus_line_empty(self):
-        assert ruling_divisor(TORUS_LINE) == []
+        assert facts(Hyperbolic(TORUS_LINE)).ruling == ()
 
     def test_requires_positive_lnd(self):
         pair = DivisorPair(D((0, Rat(-1, 2)), (1, Rat(-1, 2))), QDivisor.zero())
-        with pytest.raises(NoPositiveLnd):
-            ruling_divisor(pair)
+        assert facts(Hyperbolic(pair)).ruling is None
 
     def test_matches_delta_factoring(self):
         # div(v) coefficient is Delta(a) at the anchor chart (m_+ = d_+)
@@ -116,7 +110,7 @@ class TestRulingDivisor:
             if not positive_lnd_exists(pair):
                 continue
             d_plus_idx = denom_index(pair.d_plus)
-            ruling = dict(ruling_divisor(pair))
+            ruling = dict(facts(Hyperbolic(pair)).ruling)
             for a, s in pair.sum().terms:
                 if s >= 0:
                     continue
@@ -130,7 +124,7 @@ class TestRulingDivisor:
 class TestSingularPoints:
     def test_danielewski_smooth(self):
         for d in (1, 2, 3):
-            assert all(s.smooth for s in singular_points(danielewski(d)))
+            assert all(s.smooth for s in facts(Hyperbolic(danielewski(d))).singularities)
 
     def test_bertin_smooth(self):
         for d in (2, 3):
@@ -139,13 +133,13 @@ class TestSingularPoints:
                     D((0, Rat(1, n))),
                     D((0, Rat(-1, n)), (-1, Rat(-1, n * (d - 1)))),
                 )
-                recs = singular_points(pair)
+                recs = facts(Hyperbolic(pair)).singularities
                 assert recs and all(s.smooth for s in recs)
 
     def test_dihedral_orders(self):
         for d in range(1, 8):
             pair = DivisorPair(QDivisor.zero(), D((0, -d)))
-            recs = singular_points(pair)
+            recs = facts(Hyperbolic(pair)).singularities
             assert len(recs) == 1
             assert recs[0].order == d and recs[0].smooth == (d == 1)
             assert recs[0].chart_valid and recs[0].paper_type == (d, 1 % d)
@@ -153,7 +147,7 @@ class TestSingularPoints:
     def test_veronese_vertex(self):
         for d in (2, 3, 4, 5):
             entry = catalog_surface("veronese", (d,))
-            recs = singular_points(entry.spec.pair)
+            recs = facts(entry.spec).singularities
             orders = [s.order for s in recs if not s.smooth]
             assert orders == [d]
 
@@ -179,7 +173,7 @@ class TestPointwiseFormulas:
             assert [f.point for f in report.fibers if f.degenerate] == degenerate
             assert report.fibers == tuple(fiber_structure(q, a) for a in points)
             k = denom_index(q.d_minus)
-            records = singular_points(pair)
+            records = facts(Hyperbolic(pair)).singularities
             assert tuple(records) == report.singularities
             assert [rec.point for rec in records] == degenerate
             for rec in records:
@@ -198,9 +192,9 @@ class TestPointwiseFormulas:
             d = denom_index(pair.d_plus)
             want = [(a, d * -pair.d_minus(a).denominator * c)
                     for a, c in pair.sum().terms if c < 0]
-            got = ruling_divisor(pair)
-            assert got == want and all(type(m) is int and m > 0 for _, m in got)
-            assert report.ruling == tuple(got) == tuple(ruling_divisor(q))
+            got = facts(Hyperbolic(pair)).ruling
+            assert got == tuple(want) and all(type(m) is int and m > 0 for _, m in got)
+            assert report.ruling == got == facts(Hyperbolic(q)).ruling
             rulings += len(got)
         assert rulings >= 400 and charts >= 300
 
@@ -222,7 +216,7 @@ class TestSmoothnessCriteria:
                 pair = DivisorPair(
                     QDivisor.zero(), D((0, Rat(-r, k)), (1, Rat(-1, k)))
                 )
-                recs = {s.point: s for s in singular_points(pair)}
+                recs = {s.point: s for s in facts(Hyperbolic(pair)).singularities}
                 rec = recs[Rat(0)]
                 g = math.gcd(r, k)
                 assert rec.order == r // g
@@ -247,68 +241,68 @@ class TestSmoothnessCriteria:
 
 class TestMlInvariant:
     def test_danielewski(self):
-        assert ml_invariant(Hyperbolic(danielewski(1))).kind == "trivial"
+        assert facts(Hyperbolic(danielewski(1))).ml.kind == "trivial"
         for d in (2, 3, 5):
-            ml = ml_invariant(Hyperbolic(danielewski(d)))
+            ml = facts(Hyperbolic(danielewski(d))).ml
             assert ml.kind == "polynomial_ring" and ml.generator_degree == 1
 
     def test_bertin(self):
         for d, n in ((2, 2), (3, 2), (2, 3)):
             pair = catalog_surface("bertin", (d, n)).spec.pair
-            ml = ml_invariant(Hyperbolic(pair))
+            ml = facts(Hyperbolic(pair)).ml
             assert ml.kind == "polynomial_ring" and ml.generator_degree == n
 
     def test_minus_side_only(self):
-        ml = ml_invariant(Hyperbolic(danielewski(2).reverse()))
+        ml = facts(Hyperbolic(danielewski(2).reverse())).ml
         assert ml.kind == "polynomial_ring" and ml.generator_degree == -1
 
     def test_parabolic(self):
-        assert ml_invariant(Parabolic(D((0, Rat(-1, 2))))).kind == "trivial"
-        ml = ml_invariant(Parabolic(D((0, Rat(-1, 2)), (1, Rat(-1, 3)))))
+        assert facts(Parabolic(D((0, Rat(-1, 2))))).ml.kind == "trivial"
+        ml = facts(Parabolic(D((0, Rat(-1, 2)), (1, Rat(-1, 3))))).ml
         assert ml.kind == "polynomial_ring" and ml.generator_degree == 0
 
     def test_torus_line(self):
-        assert ml_invariant(Hyperbolic(TORUS_LINE)).kind == "laurent_ring"
+        assert facts(Hyperbolic(TORUS_LINE)).ml.kind == "laurent_ring"
         conc = DivisorPair(D((0, Rat(-1, 3))), D((0, Rat(1, 3))))
-        assert ml_invariant(Hyperbolic(conc)).kind == "laurent_ring"
+        assert facts(Hyperbolic(conc)).ml.kind == "laurent_ring"
 
     def test_zero_sum_spread_has_no_derivations(self):
         spread = DivisorPair(
             D((0, Rat(-1, 2)), (1, Rat(-1, 2))),
             D((0, Rat(1, 2)), (1, Rat(1, 2))),
         )
-        assert ml_invariant(Hyperbolic(spread)).kind == "whole_ring"
+        assert facts(Hyperbolic(spread)).ml.kind == "whole_ring"
 
     def test_whole_ring(self):
         pair = DivisorPair(
             D((0, Rat(-1, 2)), (1, Rat(-1, 2))),
             D((2, Rat(-1, 3)), (3, Rat(-1, 3))),
         )
-        assert ml_invariant(Hyperbolic(pair)).kind == "whole_ring"
+        assert facts(Hyperbolic(pair)).ml.kind == "whole_ring"
 
     def test_elliptic(self):
-        assert ml_invariant(Elliptic(5, 2)).kind == "trivial"
+        assert facts(Elliptic(5, 2)).ml.kind == "trivial"
 
 
 class TestMmInvariant:
     def test_examples(self):
-        assert mm_invariant(Hyperbolic(QUADRIC)) == 2
+        assert facts(Hyperbolic(QUADRIC)).mm == 2
         conic = catalog_surface("conic_complement").spec
-        assert mm_invariant(conic) == 4
+        assert facts(conic).mm == 4
         for d in range(1, 9):
-            assert mm_invariant(catalog_surface("veronese", (d,)).spec) == d
-        assert mm_invariant(Elliptic(7, 3)) == 7
-        assert mm_invariant(Parabolic(D((0, Rat(-2, 5))))) == 5
+            assert facts(catalog_surface("veronese", (d,)).spec).mm == d
+        assert facts(Elliptic(7, 3)).mm == 7
+        assert facts(Parabolic(D((0, Rat(-2, 5))))).mm == 5
 
     def test_undefined_for_nontrivial_ml(self):
-        assert mm_invariant(Hyperbolic(danielewski(2))) is None
+        assert facts(Hyperbolic(danielewski(2))).mm is None
 
     def test_dip_identity(self):
         # divisor formula vs k * deg P with k = gcd(d+, d-)
         for entry in default_entries():
             if not isinstance(entry.spec, Hyperbolic):
                 continue
-            mm = mm_invariant(entry.spec)
+            mm = facts(entry.spec).mm
             if mm is None:
                 continue
             pair = entry.spec.pair
@@ -322,23 +316,23 @@ class TestMmInvariant:
 
 class TestRecognizeSl2:
     def test_reference_pairs(self):
-        assert recognize_sl2(QUADRIC).model == "quadric"
-        conic = catalog_surface("conic_complement").spec.pair
-        assert recognize_sl2(conic).model == "conic_complement"
+        assert facts(Hyperbolic(QUADRIC)).sl2.model == "quadric"
+        conic = catalog_surface("conic_complement").spec
+        assert facts(conic).sl2.model == "conic_complement"
         for d in (2, 4, 6):
-            got = recognize_sl2(catalog_surface("veronese", (d,)).spec.pair)
+            got = facts(catalog_surface("veronese", (d,)).spec).sl2
             assert (got.model, got.veronese_degree) == ("veronese_even", d)
         for d in (1, 3, 5):
-            got = recognize_sl2(catalog_surface("veronese", (d,)).spec.pair)
+            got = facts(catalog_surface("veronese", (d,)).spec).sl2
             assert (got.model, got.veronese_degree) == ("veronese_odd", d)
 
     def test_translated_quadric(self):
         moved = DivisorPair(QDivisor.zero(), D((0, -1), (2, -1)))
-        assert recognize_sl2(moved).model == "quadric"
+        assert facts(Hyperbolic(moved)).sl2.model == "quadric"
 
     def test_danielewski_not_recognized(self):
         for d in (2, 3):
-            assert recognize_sl2(danielewski(d)) is None
+            assert facts(Hyperbolic(danielewski(d))).sl2 is None
 
     def test_perturbations(self, rng):
         templates = [
@@ -353,11 +347,11 @@ class TestRecognizeSl2:
                 moved = random_shift(rng, pair).apply_map(
                     AffineMap(Rat(1), Rat(rng.randint(-3, 3)))
                 )
-                got = recognize_sl2(moved)
+                got = facts(Hyperbolic(moved)).sl2
                 assert got is not None and got.model == name
 
     def test_matches_affine_equivalence_to_the_reference_pairs(self, rng):
-        """recognize_sl2 reads the normal form; affine_equivalent searches
+        """facts' sl2 reads the normal form; affine_equivalent searches
         for a map to each reference pair built here."""
         refs = [("quadric", None, QUADRIC),
                 ("conic_complement", None, DivisorPair(
@@ -381,50 +375,49 @@ class TestRecognizeSl2:
         for pair in pairs:
             want = next(((model, degree) for model, degree, ref in refs
                          if affine_equivalent(pair, ref) is not None), None)
-            got = recognize_sl2(pair)
+            got = facts(Hyperbolic(pair)).sl2
             assert (got and (got.model, got.veronese_degree)) == want
 
     def test_implies_trivial_ml(self, rng):
         pairs = [random_pair(rng) for _ in range(40)]
         pairs += [random_concentrated_pair(rng) for _ in range(40)]
         for pair in pairs:
-            if recognize_sl2(pair) is not None:
-                assert ml_invariant(Hyperbolic(pair)).kind == "trivial"
+            report = facts(Hyperbolic(pair))
+            if report.sl2 is not None:
+                assert report.ml.kind == "trivial"
 
 
 class TestRecognizeHomogeneous:
     def test_plane(self):
         pair = DivisorPair(QDivisor.zero(), D((0, -1)))
-        got = recognize_homogeneous(Hyperbolic(pair))
+        got = facts(Hyperbolic(pair)).recognition
         assert got is not None and got.model == "plane"
 
     def test_elliptic_veronese(self):
         for d in (2, 3, 7):
-            got = recognize_homogeneous(Elliptic(d, 1))
+            got = facts(Elliptic(d, 1)).recognition
             assert (got.model, got.degree) == ("veronese_cone", d)
-        assert recognize_homogeneous(Elliptic(5, 2)) is None
-        assert recognize_homogeneous(Elliptic(1, 0)).model == "plane"
+        assert facts(Elliptic(5, 2)).recognition is None
+        assert facts(Elliptic(1, 0)).recognition.model == "plane"
 
     def test_parabolic_routes(self):
-        got = recognize_homogeneous(Parabolic(D((0, Rat(-1, 2)))))
+        got = facts(Parabolic(D((0, Rat(-1, 2))))).recognition
         assert (got.model, got.degree) == ("veronese_cone", 2)
-        assert recognize_homogeneous(Parabolic(QDivisor.zero())).model == "plane"
-        assert recognize_homogeneous(Parabolic(D((0, Rat(-2, 5))))) is None
+        assert facts(Parabolic(QDivisor.zero())).recognition.model == "plane"
+        assert facts(Parabolic(D((0, Rat(-2, 5))))).recognition is None
 
     def test_line_cross_torus(self):
-        got = recognize_homogeneous(Hyperbolic(TORUS_LINE))
+        got = facts(Hyperbolic(TORUS_LINE)).recognition
         assert got.model == "line_cross_torus"
 
     def test_dihedral_negative(self):
         for d in range(3, 9):
             spec = catalog_surface("dihedral", (d,)).spec
-            assert recognize_homogeneous(spec) is None
+            assert facts(spec).recognition is None
 
     def test_two_veronese_routes_to_the_cone(self):
-        via_elliptic = recognize_homogeneous(Elliptic(2, 1))
-        via_pair = recognize_homogeneous(
-            Hyperbolic(DivisorPair(D((0, -1)), D((0, -1))))
-        )
+        via_elliptic = facts(Elliptic(2, 1)).recognition
+        via_pair = facts(Hyperbolic(DivisorPair(D((0, -1)), D((0, -1))))).recognition
         assert via_elliptic == via_pair
         assert via_elliptic.model == "veronese_cone" and via_elliptic.degree == 2
 
@@ -597,15 +590,18 @@ class TestDerivedOnce:
             assert counts["DivisorPair"] == 0 and counts["affine_equivalent"] == 0
 
     @staticmethod
-    def fractions_per_spec(monkeypatch, fn) -> float:
-        """Fractions fn builds a spec over the catalog and 100 seeded random
-        pairs.  Every Fraction is built by Fraction.__new__ or, from Python
-        3.12 on, by the arithmetic's Fraction._from_coprime_ints, which
-        bypasses it; both are counted."""
+    def catalog_and_pairs() -> list:
+        """The catalog and 100 seeded random pairs."""
         rng = random.Random(20261021)
         specs = [entry.spec for entry in default_entries()]
-        specs += [Hyperbolic(random_pair(rng) if i % 2 else random_concentrated_pair(rng))
-                  for i in range(100)]
+        return specs + [Hyperbolic(random_pair(rng) if i % 2 else random_concentrated_pair(rng))
+                        for i in range(100)]
+
+    @staticmethod
+    def fractions_per_spec(monkeypatch, fn, specs: list) -> float:
+        """Fractions fn builds a spec over specs.  Every Fraction is built by
+        Fraction.__new__ or, from Python 3.12 on, by the arithmetic's
+        Fraction._from_coprime_ints, which bypasses it; both are counted."""
         built = [0]
         new = Fraction.__new__
 
@@ -635,7 +631,7 @@ class TestDerivedOnce:
         translated apart and 25.4 when the anchoring, the degree bounds, MM
         and the fibers were Fraction arithmetic.  The pin leaves headroom
         over the first and stays below the others."""
-        per_spec = self.fractions_per_spec(monkeypatch, facts)
+        per_spec = self.fractions_per_spec(monkeypatch, facts, self.catalog_and_pairs())
         assert per_spec <= 1.25, per_spec
 
     def test_fraction_count_of_the_row_form(self, monkeypatch):
@@ -643,7 +639,7 @@ class TestDerivedOnce:
         facts() builds no Fraction on this set when pinned, against 0.75
         when the normal form was rebuilt as Fraction-term divisors and
         merged into rows a second time."""
-        per_spec = self.fractions_per_spec(monkeypatch, facts)
+        per_spec = self.fractions_per_spec(monkeypatch, facts, self.catalog_and_pairs())
         assert per_spec <= 0.25, per_spec
 
     def test_classify_fraction_budget(self, monkeypatch):
@@ -651,5 +647,16 @@ class TestDerivedOnce:
         Fraction only for a coefficient that is read: 1.03 a spec on the
         set of test_fraction_budget when pinned, against 8.8 when Poly held
         a Fraction for every coefficient."""
-        per_spec = self.fractions_per_spec(monkeypatch, classify)
+        per_spec = self.fractions_per_spec(monkeypatch, classify, self.catalog_and_pairs())
         assert per_spec <= 1.25, per_spec
+
+    def test_parabolic_fraction_count(self, monkeypatch):
+        """A parabolic D is read as the rows of the pair (D, -D): its normal
+        form, indices and fiber derivation's exponents are integers, so facts()
+        builds 0.73 Fractions a spec on 200 seeded divisors when pinned, all
+        for the normalized divisor's terms, against 5.0 when D was normalized
+        as D - ceil(D) and each exponent of g was a Fraction's ceiling."""
+        rng = random.Random(20261021)
+        specs = [Parabolic(random_divisor(rng)) for _ in range(200)]
+        per_spec = self.fractions_per_spec(monkeypatch, facts, specs)
+        assert per_spec <= 1.0, per_spec

@@ -789,6 +789,14 @@ class TestFiberType:
         g = fiber_lnd(D((0, -1))).g
         assert g == RatFunc(Poly.one(), Poly.t())
 
+    def test_cap_counts_the_exponents_of_g(self):
+        """The cap counts |ceil D(p)|, the exponents of g, at each point: 4999
+        zeros and 2 more are over it, 4999 zeros and 1 pole are at it."""
+        with pytest.raises(CapExceeded):
+            fiber_lnd(D((0, MAX_DEG_P - 1), (1, Rat(3, 2))))
+        g = fiber_lnd(D((0, MAX_DEG_P - 1), (1, Rat(-3, 2)))).g
+        assert (g.num.degree, g.den.degree) == (MAX_DEG_P - 1, 1)
+
     def test_images_stay_inside(self):
         divisor = D((0, -1))
         spec = Parabolic(divisor)
