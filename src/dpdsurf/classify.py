@@ -10,7 +10,6 @@ import math
 from .divisor import Anchored, DivisorPair, Row, anchor_rows, normalize_pair, reverse_rows
 from .dpdring import (
     Elliptic,
-    Hyperbolic,
     Parabolic,
     Presentation,
     SurfaceSpec,
@@ -82,15 +81,16 @@ class LndSummary(Record, degrees_plus=None, degrees_minus=None, fiber=None,
                  "elliptic_axes")
 
 
-class ClassificationReport(Record, kw_only=True, normalized_pair=None, normalized_divisor=None,
-                           translation=None, d_plus_index=None, d_minus_index=None,
-                           presentation=None, fibers=(), singularities=(), ruling=None, sl2=None):
+class ClassificationReport(Record, kw_only=True, normalized_pair=None, translation=None,
+                           d_plus_index=None, d_minus_index=None, presentation=None, fibers=(),
+                           singularities=(), ruling=None, sl2=None):
     """What classify derives about a spec, rendered by report_to_obj; a field
-    is None where the grading has no such fact, and presentation in facts()."""
+    is None where the grading has no such fact, and presentation in facts().
+    normalized_pair is the normal form of the pair, or of (D, -D)."""
 
-    __slots__ = ("spec", "grading", "normalized_pair", "normalized_divisor", "translation",
-                 "d_plus_index", "d_minus_index", "lnd", "ml", "mm", "plane", "presentation",
-                 "fibers", "singularities", "ruling", "sl2", "recognition", "toric")
+    __slots__ = ("spec", "grading", "normalized_pair", "translation", "d_plus_index",
+                 "d_minus_index", "lnd", "ml", "mm", "plane", "presentation", "fibers",
+                 "singularities", "ruling", "sl2", "recognition", "toric")
 
 
 def _fiber(a: Rat, pn: int, pd: int, mn: int, md: int) -> FiberData:
@@ -278,8 +278,9 @@ def _degrees(side: Anchored | None) -> DegreeSet:
 def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
     """The report with no presentation, every field read from the anchored
     sides, and the anchored plus side the presentation is read from (None
-    unless hyperbolic).  A hyperbolic pair is normalized once: both sides
-    are anchored from the rows of that one normal form.  No field needs P.
+    unless hyperbolic).  A pair, or a parabolic D as (D, -D), is normalized
+    once: both sides are anchored from the rows of that one normal form.
+    No field needs P.
 
     Elliptic (d, e'): toric, so ML is trivial and MM is d.  Parabolic D, as
     (D, -D): ML is trivial iff D's fractional part is concentrated, with MM
@@ -300,28 +301,26 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
             toric=(spec.d, spec.e_prime),
         ), None
 
-    if isinstance(spec, Parabolic):
-        norm = normalize_pair(DivisorPair.parabolic(spec.divisor))
-        a = anchor_rows(norm.rows)
+    parabolic = isinstance(spec, Parabolic)
+    norm = normalize_pair(DivisorPair.parabolic(spec.divisor) if parabolic else spec.pair)
+    rows = norm.rows
+    plus = anchor_rows(rows)
+    common = dict(spec=spec, normalized_pair=norm, translation=plus and plus.translation,
+                  d_plus_index=math.lcm(*(row[2] for row in rows)))
+    if parabolic:
         return ClassificationReport(
-            spec=spec,
+            **common,
             grading="parabolic",
-            normalized_divisor=norm.d_plus,
-            translation=a and a.translation,
-            d_plus_index=math.lcm(*(row[2] for row in norm.rows)),
-            lnd=LndSummary(a is not None, True, degrees_plus=_degrees(a),
+            lnd=LndSummary(plus is not None, True, degrees_plus=_degrees(plus),
                            fiber=describe(fiber_lnd(spec.divisor))),
-            ml=MlResult(ML_TRIVIAL) if a else MlResult(ML_POLYNOMIAL, generator_degree=0),
-            mm=a and a.d,
-            plane=a is not None and a.d == 1,
-            recognition=a and _cone_recognition(a.d, a.e_prime),
-            toric=a and (a.d, a.e_prime),
+            ml=MlResult(ML_TRIVIAL) if plus else MlResult(ML_POLYNOMIAL, generator_degree=0),
+            mm=plus and plus.d,
+            plane=plus is not None and plus.d == 1,
+            recognition=plus and _cone_recognition(plus.d, plus.e_prime),
+            toric=plus and (plus.d, plus.e_prime),
         ), None
 
-    pair = spec.pair
-    norm = normalize_pair(pair)
-    rows = norm.rows
-    plus, minus = anchor_rows(rows), anchor_rows(reverse_rows(rows))
+    minus = anchor_rows(reverse_rows(rows))
     fibers = tuple(_fiber(*row) for row in rows)  # over supp D+ and supp D-, in order
     flat = not any(f.degenerate for f in fibers)
     ml = _hyperbolic_ml(flat, plus, minus)
@@ -329,11 +328,8 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
     sl2 = _sl2_model(rows)
     k = math.lcm(*(row[4] for row in rows))
     return ClassificationReport(
-        spec=spec,
+        **common,
         grading="hyperbolic",
-        normalized_pair=norm,
-        translation=plus and plus.translation,
-        d_plus_index=math.lcm(*(row[2] for row in rows)),
         d_minus_index=k,
         lnd=LndSummary(plus is not None, minus is not None, _degrees(plus), _degrees(minus)),
         ml=ml,
@@ -430,15 +426,13 @@ def report_to_obj(report: ClassificationReport) -> dict:
         s_exp = pres.k * pres.e_prime + pres.d * pres.l
         q_text, p_text = poly_texts(pres.Q, (0, 1), (s_exp, pres.d))
         relation = f"u^{pres.k} v = {p_text if pres.d == 1 else p_text.replace('t', 's')}"
-    normalized = None
-    if report.normalized_pair is not None:
-        normalized = spec_to_obj(Hyperbolic(report.normalized_pair))
-    elif report.normalized_divisor is not None:
-        normalized = spec_to_obj(Parabolic(report.normalized_divisor))
+    norm = report.normalized_pair and report.normalized_pair.to_obj()
+    if report.grading == "parabolic":  # D is the d_plus of its pair (D, -D)
+        norm = {"divisor": norm["d_plus"]}
     return {
         "input": spec_to_obj(report.spec),
         "grading": report.grading,
-        "normalized": normalized,
+        "normalized": norm and {report.grading: norm},
         "translation": (
             format_rat(report.translation) if report.translation is not None else None
         ),

@@ -12,6 +12,7 @@ fiber-type derivations act as del(f u^n) = n*g*f*u^(n-1).
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 
@@ -120,13 +121,9 @@ class DegreeSet(Record, empty=False):
         return cls(residue=mod_inverse(a.e_prime, a.d), modulus=a.d, e_min=e_min)
 
     def contains(self, e: int) -> bool:
-        if self.empty or e < 0:
+        if self.empty or e < 0 or e < self.e_min:
             return False
-        if e == 0:
-            return self.e_min == 0
-        if e < max(self.e_min, 1):
-            return False
-        return e % self.modulus == self.residue % self.modulus
+        return e % self.modulus == self.residue % self.modulus if e else self.e_min == 0
 
     def min_degree(self) -> int | None:
         """Smallest admissible positive degree."""
@@ -317,18 +314,17 @@ def _zero_order(exps: list[int], r: list[int], w: list[int]) -> int:
     return j
 
 
-def _point_rows(points: list[Rat]) -> list[tuple[int, list[int], list[int]]]:
-    """(M_q, r, w) per point q: M_q the lcm of the nonzero q_n*p_d - p_n*q_d,
-    r_p = M_q*p/(q - p) and w_p = p_d*M_q/(q_n*p_d - p_n*q_d), all integers
-    and both 0 at p = q."""
-    fracs = [(p.numerator, p.denominator) for p in points]
+def _point_rows(points: list[tuple[int, int]]) -> list[tuple[int, list[int], list[int]]]:
+    """(M_q, r, w) per point q = (q_n, q_d), a fraction not necessarily in
+    lowest terms: M_q the lcm of the nonzero q_n*p_d - p_n*q_d, r_p = M_q*p/(q - p)
+    and w_p = p_d*M_q/(q_n*p_d - p_n*q_d), all integers and both 0 at p = q."""
     rows = []
-    for qn, qd in fracs:
-        dens = [qn * pd - pn * qd for pn, pd in fracs]
+    for qn, qd in points:
+        dens = [qn * pd - pn * qd for pn, pd in points]
         m = math.lcm(*filter(None, dens))
         quots = [m // den if den else 0 for den in dens]
-        rows.append((m, [pn * qd * x for (pn, _), x in zip(fracs, quots)],
-                     [pd * x for (_, pd), x in zip(fracs, quots)]))
+        rows.append((m, [pn * qd * x for (pn, _), x in zip(points, quots)],
+                     [pd * x for (_, pd), x in zip(points, quots)]))
     return rows
 
 
@@ -338,64 +334,78 @@ _memo: tuple = (None, None)
 
 
 def _table(pair: DivisorPair, window: int, e_prime_override: int | None):
-    """The part of stabilization_witness free of e: d, e', z (the index of
-    the anchor among the sorted points), the D+ and D- rows (a.rows, and 0/1
-    at the anchor if it is off the support), the sorted points in
-    the original coordinate (only to name a failing point) and, in checking
-    order, (n, base) per generator with h_n != 0, where
-    base_i = a_i + ord_(q_i)(h_n) is -1 + a_i at a pole, a_i where
-    h_n(q_i) != 0 and a_i plus the order of the zero otherwise; or the report
-    itself if D+ is spread.  At most (2*MAX_WINDOW + 1) rows of #points
-    integers; the rows of _point_rows are dropped once the orders are in.
-    Anchored.of's memo shares the anchoring with the rest of a verify sweep."""
+    """The part of stabilization_witness free of e, (d, e', z, points, ns,
+    columns), or the report itself if D+ is spread: a.rows' points with the
+    anchor (index z) put in by bisection, ns the degrees, ascending, of the
+    generators with h_n != 0, and per point its (n+, m+, n-, m-) and keys
+    base*m+ + n*n+ and base*m- - n*n- over ns, base = a_q + ord_q(h_n).
+    Over n = -L..L, a_q(n), C_n and the numerator M_q*C_n + d*sum_p r_p*a_p(n)
+    of h_n(q) are a comprehension each, on the points p - t as int pairs."""
     try:
         a = Anchored.of(pair)
     except FractionalPlusSpread as exc:
         return StabilizationReport(False, ((None, str(exc)),))
     d = a.d
     e_prime = e_prime_override if e_prime_override is not None else a.e_prime
-    t, cells = a.translation, {p: row for p, *row in a.rows}
-    points = sorted({t, *cells})
-    z = points.index(t)
-    plus, minus = ([cells.get(p, (0, 1, 0, 1))[i:i + 2] for p in points] for i in (0, 2))
-    rows = _point_rows([p - t for p in points])
-    unit = [int(i == z) for i in range(len(points))]
-    gens = []
-    for n in (0, *range(-window, 0), *range(1, window + 1)):
-        exps = [-(abs(n) * c // k) for c, k in (plus if n > 0 else minus)] if n else unit
-        const = d * sum(exps) - e_prime * n
-        if const == 0 and not any(exps[:z]) and not any(exps[z + 1:]):
-            continue  # h_n = 0: the image is zero
-        base = []
-        for i, (x, (m, r, w)) in enumerate(zip(exps, rows)):
-            if x and i != z:
-                base.append(x - 1)  # a simple pole of h_n
-            elif m * const + d * sum(map(operator.mul, exps, r)):
-                base.append(x)  # h_n(q) = M_q*C + d*sum_p a_p*r_p over M_q, nonzero
-            else:
-                base.append(x + _zero_order(exps, r, w))
-        gens.append((n, base))
-    return d, e_prime, z, plus, minus, points, gens
+    t, rows = a.translation, a.rows
+    z = bisect.bisect_left(rows, t, key=operator.itemgetter(0))
+    if z == len(rows) or rows[z][0] != t:
+        rows = (*rows[:z], (t, 0, 1, 0, 1), *rows[z:])
+    tn, td = t.numerator, t.denominator
+    rel = [(p.numerator * td - tn * p.denominator, p.denominator * td) for p, *_ in rows]
+    ns = range(-window, window + 1)
+    exps = [[-(j * mn // md) for j in range(window, 0, -1)] + [int(i == z)]
+            + [-(j * pn // pd) for j in range(1, window + 1)]
+            for i, (_, pn, pd, mn, md) in enumerate(rows)]
+    consts = [d * x - e_prime * n for n, x in zip(ns, map(sum, zip(*exps)))]
+    if 0 in consts:  # h_n = 0, the image zero, iff C_n = 0 and no a_q(n) off the anchor
+        keep = list(map(any, zip(consts, *exps[:z], *exps[z + 1:])))
+        ns, consts, *exps = ([x for x, k in zip(v, keep) if k] for v in (ns, consts, *exps))
+    columns = []
+    for i, ((m, r, w), col, (_, pn, pd, mn, md)) in enumerate(zip(_point_rows(rel), exps, rows)):
+        h = [m * c for c in consts]
+        for rp, other in zip(r, exps):
+            if rp:
+                h = [y + d * rp * x for y, x in zip(h, other)]
+        base = [x - 1 if x and i != z else x if y else None for x, y in zip(col, h)]
+        for j in [j for j, b in enumerate(base) if b is None]:  # the zeros of h_n at q
+            base[j] = col[j] + _zero_order([c[j] for c in exps], r, w)
+        columns.append((pn, pd, mn, md, [b * pd + n * pn for n, b in zip(ns, base)],
+                        [b * md - n * mn for n, b in zip(ns, base)]))
+    return d, e_prime, z, [row[0] for row in rows], ns, columns
+
+
+def _holds(table: tuple, e: int) -> bool:
+    """The verdict on a _table: condition (i) (t, n = 0, is always a
+    generator), then at each point the least key on each side of n = -e,
+    plus e*n+ (or -e*n-) and, at the anchor, lift*m+ (or lift*m-)."""
+    d, e_prime, z, _, ns, columns = table
+    num = e * e_prime - 1
+    if num % d:
+        return False
+    s = bisect.bisect_left(ns, -e)  # ns[:s] are the n with n + e < 0
+    for i, (pn, pd, mn, md, plus, minus) in enumerate(columns):
+        lift = num // d if i == z else 0
+        if min(plus[s:]) + e * pn + lift * pd < 0 or s and min(minus[:s]) - e * mn + lift * md < 0:
+            return False
+    return True
 
 
 def _scan(table: tuple, e: int):
-    """The failures of the degree-e candidate on a _table, (n, why) in
-    checking order: under condition (i) every generator, else each one whose
-    image fails a bound test, at its first failing point."""
-    d, e_prime, z, plus, minus, points, gens = table
-    num = e * e_prime - 1
-    if num % d != 0:
-        why = f"condition (i): t-exponent (e*e'-1)/d = {num}/{d} is not integral"
-        yield from ((n, why) for n, _ in gens)
-        return
-    lift = num // d
-    for n, base in gens:
-        s = abs(n + e)
-        for i, (order, (bn, bd)) in enumerate(zip(base, plus if n + e >= 0 else minus)):
-            if (order + lift if i == z else order) * bd + s * bn < 0:
+    """The failures on a _table, (n, why) in checking order (t, n = -L..-1,
+    1..L): all under condition (i), else each at its first failing point."""
+    d, e_prime, z, points, ns, columns = table
+    num, j0 = e * e_prime - 1, ns.index(0)
+    for j in (j0, *range(j0), *range(j0 + 1, len(ns))):
+        n = ns[j]
+        if num % d:
+            yield n, f"condition (i): t-exponent (e*e'-1)/d = {num}/{d} is not integral"
+            continue
+        for i, (pn, pd, mn, md, plus, minus) in enumerate(columns):
+            lift = num // d if i == z else 0
+            if (plus[j] + e * pn + lift * pd if n + e >= 0 else minus[j] - e * mn + lift * md) < 0:
                 what = "t" if n == 0 else f"the generator of degree {n}"
-                where = format_rat(points[i])
-                yield n, f"image of {what} leaves the ring at q = {where}"
+                yield n, f"image of {what} leaves the ring at q = {format_rat(points[i])}"
                 break
 
 
@@ -426,18 +436,14 @@ def stabilization_witness(
     C = d*sum_p a_p - e'*n (h = d for t: a_0 = 1, n = 0).  The image lies in
     the ring iff a_q + ord_q(h_n) + [q = 0]*(e*e'-1)/d + |n+e|*D(q) >= 0, D
     the divisor of the sign of n + e, at every point q of supp D+, supp D-
-    and 0; no other point can break it.  ord_q(h_n) is -1 at a pole;
-    elsewhere h_n(q) = 0 is one dot product with the integer row
-    M_q*p/(q - p), and a zero has the order of the first nonzero derivative
-    sum, also in integers (_zero_order).  Raises CapExceeded for a window
-    over MAX_WINDOW and NegativeSize for a negative one.
+    and 0; no other point can break it.  ord_q(h_n) is -1 at a pole, and a
+    zero's order is read off integer sums (_zero_order).  Raises
+    CapExceeded for a window over MAX_WINDOW, NegativeSize for a negative one.
 
-    Only the bound tests depend on e: a_q + ord_q(h_n) comes per generator
-    and point from _table through a one-entry memo, built (and the default
-    window resolved) once per sweep over e.  The memo keeps one table: at
-    most (2*MAX_WINDOW + 1) rows of #points integers.  The first failing
-    generator (_scan) decides the verdict; the failures and their text are
-    scanned from the report's own table only when first read.
+    Only the bound tests depend on e; the rest is _table, behind a one-entry
+    memo: per point, columns over the generators of at most 2*MAX_WINDOW + 1
+    integers.  The verdict takes at most two minima a point (_holds); the
+    failures are scanned generator by generator (_scan) when first read.
     """
     if e < 0:
         return stabilization_witness(pair.reverse(), -e, window, e_prime_override)
@@ -454,7 +460,7 @@ def stabilization_witness(
     table = memo[1]
     if isinstance(table, StabilizationReport):
         return table
-    return StabilizationReport._pending(next(_scan(table, e), None) is None, table, e)
+    return StabilizationReport._pending(_holds(table, e), table, e)
 
 
 def kernel_generator(lnd: Lnd) -> GradedElement:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -48,6 +50,32 @@ WIDE_Q_POINT = (
 )
 WIDE_Q_SPEC = {"hyperbolic": {"d_plus": [], "d_minus": [
     [WIDE_Q_POINT, "-62/7"], [("476190" * 16)[:95] + "/" + "1" * 557, "-519"]]}}
+
+
+@contextlib.contextmanager
+def fractions_built():
+    """Count the Fractions built inside the block into the one-item list it
+    yields.  Every Fraction is built by Fraction.__new__ or, from Python
+    3.12 on, by the arithmetic's Fraction._from_coprime_ints, which
+    bypasses it; both are counted."""
+    built = [0]
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", counting)
+        if "_from_coprime_ints" in vars(Fraction):
+            coprime = Fraction._from_coprime_ints.__func__
+
+            def counting_coprime(cls, *args):
+                built[0] += 1
+                return coprime(cls, *args)
+
+            mp.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+        yield built
 
 
 def random_rat(rng: random.Random, span: int = 4, den: int = 4,

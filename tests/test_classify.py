@@ -6,11 +6,11 @@ import importlib
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    fractions_built,
     random_affine_map,
     random_concentrated_pair,
     random_divisor,
@@ -599,29 +599,11 @@ class TestDerivedOnce:
 
     @staticmethod
     def fractions_per_spec(monkeypatch, fn, specs: list) -> float:
-        """Fractions fn builds a spec over specs.  Every Fraction is built by
-        Fraction.__new__ or, from Python 3.12 on, by the arithmetic's
-        Fraction._from_coprime_ints, which bypasses it; both are counted."""
-        built = [0]
-        new = Fraction.__new__
-
-        def counting(cls, *args, **kwargs):
-            built[0] += 1
-            return new(cls, *args, **kwargs)
-
+        """Fractions fn builds a spec over specs, from a cold anchoring memo."""
         monkeypatch.setattr(divisor, "_memo", (None, None))
-        monkeypatch.setattr(Fraction, "__new__", counting)
-        if "_from_coprime_ints" in vars(Fraction):
-            coprime = Fraction._from_coprime_ints.__func__
-
-            def counting_coprime(cls, *args):
-                built[0] += 1
-                return coprime(cls, *args)
-
-            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
-        for spec in specs:
-            fn(spec)
-        monkeypatch.undo()
+        with fractions_built() as built:
+            for spec in specs:
+                fn(spec)
         return built[0] / len(specs)
 
     def test_fraction_budget(self, monkeypatch):
@@ -652,11 +634,12 @@ class TestDerivedOnce:
 
     def test_parabolic_fraction_count(self, monkeypatch):
         """A parabolic D is read as the rows of the pair (D, -D): its normal
-        form, indices and fiber derivation's exponents are integers, so facts()
-        builds 0.73 Fractions a spec on 200 seeded divisors when pinned, all
-        for the normalized divisor's terms, against 5.0 when D was normalized
-        as D - ceil(D) and each exponent of g was a Fraction's ceiling."""
+        form, indices and fiber derivation's exponents are integers, and the
+        report holds the normalized pair, so facts() builds no Fraction on
+        200 seeded divisors when pinned, against 0.73 a spec when the report
+        held the normalized divisor's terms and 5.0 when D was normalized as
+        D - ceil(D) and each exponent of g was a Fraction's ceiling."""
         rng = random.Random(20261021)
         specs = [Parabolic(random_divisor(rng)) for _ in range(200)]
         per_spec = self.fractions_per_spec(monkeypatch, facts, specs)
-        assert per_spec <= 1.0, per_spec
+        assert per_spec <= 0.25, per_spec

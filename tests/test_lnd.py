@@ -14,6 +14,7 @@ import pytest
 from conftest import (
     NEGATIVE_SUMS,
     SMALL_POINTS,
+    fractions_built,
     from_roots,
     high_index_pair,
     random_concentrated_pair,
@@ -530,6 +531,26 @@ class TestOracleTable:
         # an equal key, pair object or not, reuses the table
         assert len(anchoring) == 1 + sum(a != b for a, b in zip(keys, keys[1:]))
 
+    def test_table_builds_no_fraction(self, monkeypatch, rng):
+        """The table reads the points off the anchored rows as integer
+        (numerator, denominator) pairs, so with the anchoring memo warm an
+        e = 0..10 sweep builds no Fraction on the catalog's hyperbolic pairs
+        and 100 seeded ones, against 2.0 a pair when the points were sorted,
+        keyed and moved to the anchor as Fractions."""
+        pairs = [entry.spec.pair for entry in default_entries()
+                 if isinstance(entry.spec, Hyperbolic)]
+        pairs += [random_pair(rng) if i % 2 else random_concentrated_pair(rng)
+                  for i in range(100)]
+        built = 0
+        for pair in pairs:
+            monkeypatch.setattr(lnd_module, "_memo", (None, None))
+            anchored(pair)
+            with fractions_built() as count:
+                for e in range(11):
+                    stabilization_witness(pair, e)
+            built += count[0]
+        assert built == 0
+
     def test_wide_pairs_match_closed_form(self, rng):
         """Oracle against DegreeSet on wide_pair draws, e = 0..10."""
         verdicts = set()
@@ -603,6 +624,27 @@ class TestLazyFailures:
                 assert report.failures == eager.failures
             with pytest.raises(AttributeError):
                 fresh().unknown
+        assert kinds == {(True, False), (False, False), (False, True)}
+
+    def test_verdict_agrees_with_failures(self, rng):
+        """The verdict (per point, the least bound test on each side of
+        n = -e) and the failures (a scan of the same table generator by
+        generator) agree, and the failures come in checking order: t, then
+        n = -L..-1, then 1..L."""
+        pairs = [draw(rng) for _ in range(5)
+                 for draw in (random_pair, random_concentrated_pair, high_index_pair)]
+        kinds = set()
+        for pair in pairs:
+            for w in (None, 3, 8):
+                for o in (None, 0, 1, 2):
+                    for e in range(-6, 14):
+                        report = stabilization_witness(pair, e, w, o)
+                        ns = [n for n, _ in report.failures]
+                        assert report.verdict == (not ns), (pair, e, w, o)
+                        if ns != [None]:  # None: the pair of the sign of e is spread
+                            keys = [(n != 0, n > 0, n) for n in ns]
+                            assert all(a < b for a, b in zip(keys, keys[1:])), (pair, e, w, o)
+                        kinds.add((report.verdict, len(ns) > 1))
         assert kinds == {(True, False), (False, False), (False, True)}
 
     def test_report_outlives_the_memo(self, monkeypatch, rng):
@@ -680,14 +722,14 @@ class TestZeroOrder:
             want = num.multiplicity_at(q)
             assert want >= forced + 1, (q, row)
             points = sorted({q, *row})
-            _, r, w = _point_rows(points)[points.index(q)]
+            _, r, w = _point_rows([(p.numerator, p.denominator) for p in points])[points.index(q)]
             got = _zero_order([row.get(p, 0) for p in points], r, w)
             assert got == want, (q, row, d)
             seen[want] = seen.get(want, 0) + 1
         assert seen.get(2, 0) >= 20 and seen.get(3, 0) >= 20, seen
 
     def test_order_past_pole_count_is_internal_error(self):
-        _, r, w = _point_rows([Rat(0), Rat(1)])[0]
+        _, r, w = _point_rows([(0, 1), (1, 1)])[0]
         with pytest.raises(InternalError):
             _zero_order([0, 0], r, w)  # an exponent 0 is no pole
 

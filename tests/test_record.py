@@ -84,19 +84,19 @@ CASES = {
     ),
     ClassificationReport: (
         dict(spec=Elliptic(2, 1), grading="elliptic", normalized_pair=None,
-             normalized_divisor=None, translation=None, d_plus_index=2, d_minus_index=None,
+             translation=None, d_plus_index=2, d_minus_index=None,
              lnd=LndSummary(True, True), ml=MlResult("trivial"), mm=2, plane=False,
              presentation=None, fibers=(), singularities=(), ruling=None, sl2=None,
              recognition=Recognition("veronese_cone", 2), toric=(2, 1)),
         dict(spec=Elliptic(1, 0), grading="hyperbolic", normalized_pair=_PAIR,
-             normalized_divisor=QDivisor.zero(), translation=_HALF, d_plus_index=1,
+             translation=_HALF, d_plus_index=1,
              d_minus_index=3, lnd=LndSummary(False, True), ml=MlResult("whole_ring"),
              mm=None, plane=True, presentation=Presentation(1, Poly.t(), 1, 0, 1, Poly.one(),
              (1, 0, 0), Rat(0)), fibers=(FiberData(_HALF, 1, -1, False),),
              singularities=(SingularityRecord(_HALF, 1, True, False),), ruling=((_HALF, 1),),
              sl2=Sl2Model("quadric"), recognition=None, toric=None),
         "ClassificationReport(spec=Elliptic(d=2, e_prime=1), grading='elliptic', "
-        "normalized_pair=None, normalized_divisor=None, translation=None, d_plus_index=2, "
+        "normalized_pair=None, translation=None, d_plus_index=2, "
         "d_minus_index=None, lnd=LndSummary(exists_plus=True, exists_minus=True, "
         "degrees_plus=None, degrees_minus=None, fiber=None, elliptic_axes=None), "
         "ml=MlResult(kind='trivial', generator_degree=None), mm=2, plane=False, "
@@ -219,7 +219,7 @@ SIGNATURES = {
     Recognition: "model, degree=None",
     LndSummary: "exists_plus, exists_minus, degrees_plus=None, degrees_minus=None, fiber=None, "
                 "elliptic_axes=None",
-    ClassificationReport: "*, spec, grading, normalized_pair=None, normalized_divisor=None, "
+    ClassificationReport: "*, spec, grading, normalized_pair=None, "
                           "translation=None, d_plus_index=None, d_minus_index=None, lnd, ml, "
                           "mm, plane, presentation=None, fibers=(), singularities=(), "
                           "ruling=None, sl2=None, recognition, toric",
