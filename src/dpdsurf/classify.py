@@ -7,7 +7,15 @@ from __future__ import annotations
 
 import math
 
-from .divisor import Anchored, DivisorPair, Row, anchor_rows, normalize_pair, reverse_rows
+from .divisor import (
+    Anchored,
+    DivisorPair,
+    Row,
+    anchor_rows,
+    indices,
+    normalize_pair,
+    reverse_rows,
+)
 from .dpdring import (
     Elliptic,
     Parabolic,
@@ -305,8 +313,9 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
     norm = normalize_pair(DivisorPair.parabolic(spec.divisor) if parabolic else spec.pair)
     rows = norm.rows
     plus = anchor_rows(rows)
+    d, k = indices(rows)
     common = dict(spec=spec, normalized_pair=norm, translation=plus and plus.translation,
-                  d_plus_index=math.lcm(*(row[2] for row in rows)))
+                  d_plus_index=d)
     if parabolic:
         return ClassificationReport(
             **common,
@@ -326,7 +335,6 @@ def _facts(spec: SurfaceSpec) -> tuple[ClassificationReport, Anchored | None]:
     ml = _hyperbolic_ml(flat, plus, minus)
     mm = _hyperbolic_mm(fibers, plus, minus) if ml.kind == ML_TRIVIAL else None
     sl2 = _sl2_model(rows)
-    k = math.lcm(*(row[4] for row in rows))
     return ClassificationReport(
         **common,
         grading="hyperbolic",

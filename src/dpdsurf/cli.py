@@ -461,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("verify", _cmd_verify, help="oracle vs closed-form degree sweep")
     sp.add_argument("--window", type=int,
-                    help="generator degrees to check (default: the denominator index)")
+                    help="caps each side's generator degrees, which stop at that side's "
+                         "denominator index (default: the larger index)")
 
     sp = add("family", _cmd_family, needs_spec=False,
              help="conjugation family kernel u_alpha on u v = P(t)")

@@ -296,6 +296,12 @@ class DivisorPair:
         return f"DivisorPair{self}"
 
 
+def indices(rows: tuple[Row, ...]) -> tuple[int, int]:
+    """(d, k), the denominator indices of D+ and D-: the least integers
+    making d*D+ and k*D- integral, the lcm's of the rows' m+ and m-."""
+    return math.lcm(*(row[2] for row in rows)), math.lcm(*(row[4] for row in rows))
+
+
 def _swapped(rows: tuple[Row, ...]) -> tuple[Row, ...]:
     """The rows of the reversed pair (D-, D+)."""
     return tuple((a, mn, md, pn, pd) for a, pn, pd, mn, md in rows)

@@ -16,7 +16,7 @@ import bisect
 import math
 import operator
 
-from .divisor import Anchored, DivisorPair, QDivisor, anchored, normalize_pair
+from .divisor import Anchored, DivisorPair, QDivisor, anchored, indices, normalize_pair
 from .dpdring import MAX_DEG_P, GradedElement, _generator_coefficient
 from .errors import (
     CapExceeded,
@@ -256,7 +256,8 @@ def apply(lnd: Lnd, x: GradedElement) -> GradedElement:
 
 
 class _Pending(Record):
-    """The (table, e) a report's failures are scanned from: no field."""
+    """The ((anchored pair, window, e'), e) a report's failures are scanned
+    from, on a full -window..window table: no field."""
 
     __slots__ = ("_source",)
 
@@ -264,23 +265,25 @@ class _Pending(Record):
 class StabilizationReport(_Pending, failures=()):
     """Outcome of the extension check: the verdict, and (n, why) per failing
     generator in checking order.  stabilization_witness scans failures from
-    its table only when first read, then keeps them; until then the report
-    compares, hashes, prints, copies and pickles as the eager one."""
+    a full -window..window table only when first read, then keeps them;
+    until then the report compares, hashes, prints, copies and pickles as
+    the eager one."""
 
     __slots__ = ("verdict", "failures")
 
     @classmethod
-    def _pending(cls, verdict: bool, table: tuple, e: int) -> StabilizationReport:
+    def _pending(cls, verdict: bool, source: tuple, e: int) -> StabilizationReport:
         report = object.__new__(cls)
         object.__setattr__(report, "verdict", verdict)
-        object.__setattr__(report, "_source", (table, e))
+        object.__setattr__(report, "_source", (source, e))
         return report
 
     def __getattr__(self, name: str):
         """Reached only for an unset slot: build a pending report's failures."""
         if name != "failures":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        failures = tuple(_scan(*self._source))
+        (a, window, e_prime), e = self._source
+        failures = tuple(_scan(_table(a, window, window, e_prime), e))
         object.__setattr__(self, "failures", failures)
         return failures
 
@@ -297,8 +300,7 @@ class StabilizationReport(_Pending, failures=()):
 
 def oracle_window(pair: DivisorPair) -> int:
     """The denominator index max(d, k): the default stabilization window."""
-    rows = pair.rows
-    return max(math.lcm(*(row[2] for row in rows)), math.lcm(*(row[4] for row in rows)))
+    return max(indices(pair.rows))
 
 
 def _zero_order(exps: list[int], r: list[int], w: list[int]) -> int:
@@ -309,6 +311,8 @@ def _zero_order(exps: list[int], r: list[int], w: list[int]) -> int:
     h^(j)(q) up to a nonzero factor.  A nonzero h with m simple poles has at
     most m zeros with multiplicity."""
     terms = [(y * x, v) for y, x, v in zip(exps, r, w) if y and x]
+    if len(terms) == 1:  # h = C + c/(t - p) has h' = -c/(t - p)^2: every zero is simple
+        return 1
     j = next((j for j in range(1, len(terms) + 1) if sum(c * v**j for c, v in terms)), 0)
     check(j > 0, "h_n vanishes past order %d", len(terms))
     return j
@@ -328,39 +332,40 @@ def _point_rows(points: list[tuple[int, int]]) -> list[tuple[int, list[int], lis
     return rows
 
 
-#: One-entry memo of _table, ((pair, window, e_prime_override), table), rebound in
-#: one step; keys compare by == (hashing a DivisorPair hashes each point's Fraction).
+#: One-entry memo of stabilization_witness, ((pair, window, e_prime_override),
+#: entry), rebound in one step: the entry is the report of a spread pair, or the
+#: ((anchored pair, window, e'), verdict table) of one that anchors.  Keys
+#: compare by == (hashing a DivisorPair hashes each point's Fraction).
 _memo: tuple = (None, None)
 
 
-def _table(pair: DivisorPair, window: int, e_prime_override: int | None):
-    """The part of stabilization_witness free of e, (d, e', z, points, ns,
-    columns), or the report itself if D+ is spread: a.rows' points with the
-    anchor (index z) put in by bisection, ns the degrees, ascending, of the
-    generators with h_n != 0, and per point its (n+, m+, n-, m-) and keys
-    base*m+ + n*n+ and base*m- - n*n- over ns, base = a_q + ord_q(h_n).
-    Over n = -L..L, a_q(n), C_n and the numerator M_q*C_n + d*sum_p r_p*a_p(n)
-    of h_n(q) are a comprehension each, on the points p - t as int pairs."""
-    try:
-        a = Anchored.of(pair)
-    except FractionalPlusSpread as exc:
-        return StabilizationReport(False, ((None, str(exc)),))
+def _table(a: Anchored, minus: int, plus: int, e_prime: int):
+    """The part of stabilization_witness free of e on the anchored pair a,
+    over the generators of degree n = -minus..plus: (d, e', z, points, ns,
+    columns), a.rows' points with the anchor (index z) put in by bisection,
+    ns the degrees, ascending, of the generators with h_n != 0, and per
+    point its (n+, m+, n-, m-) and keys base*m+ + n*n+ and base*m- - n*n-
+    over ns, base = a_q + ord_q(h_n).  Over those n, a_q(n), C_n and the
+    numerator M_q*C_n + d*sum_p r_p*a_p(n) of h_n(q) are a comprehension
+    each, on the points p - t as int pairs."""
     d = a.d
-    e_prime = e_prime_override if e_prime_override is not None else a.e_prime
     t, rows = a.translation, a.rows
     z = bisect.bisect_left(rows, t, key=operator.itemgetter(0))
     if z == len(rows) or rows[z][0] != t:
         rows = (*rows[:z], (t, 0, 1, 0, 1), *rows[z:])
     tn, td = t.numerator, t.denominator
     rel = [(p.numerator * td - tn * p.denominator, p.denominator * td) for p, *_ in rows]
-    ns = range(-window, window + 1)
-    exps = [[-(j * mn // md) for j in range(window, 0, -1)] + [int(i == z)]
-            + [-(j * pn // pd) for j in range(1, window + 1)]
+    ns = range(-minus, plus + 1)
+    exps = [[-(j * mn // md) for j in range(minus, 0, -1)] + [int(i == z)]
+            + [-(j * pn // pd) for j in range(1, plus + 1)]
             for i, (_, pn, pd, mn, md) in enumerate(rows)]
     consts = [d * x - e_prime * n for n, x in zip(ns, map(sum, zip(*exps)))]
     if 0 in consts:  # h_n = 0, the image zero, iff C_n = 0 and no a_q(n) off the anchor
-        keep = list(map(any, zip(consts, *exps[:z], *exps[z + 1:])))
-        ns, consts, *exps = ([x for x, k in zip(v, keep) if k] for v in (ns, consts, *exps))
+        # deleted in place: at the default e' the kernel generator, of degree d, is one
+        ns, off = list(ns), (*exps[:z], *exps[z + 1:])
+        for j in [j for j, c in enumerate(consts) if not c and not any(x[j] for x in off)][::-1]:
+            for v in (ns, consts, *exps):
+                del v[j]
     columns = []
     for i, ((m, r, w), col, (_, pn, pd, mn, md)) in enumerate(zip(_point_rows(rel), exps, rows)):
         h = [m * c for c in consts]
@@ -392,8 +397,8 @@ def _holds(table: tuple, e: int) -> bool:
 
 
 def _scan(table: tuple, e: int):
-    """The failures on a _table, (n, why) in checking order (t, n = -L..-1,
-    1..L): all under condition (i), else each at its first failing point."""
+    """The failures on a _table, (n, why) in checking order (t, n = -w..-1,
+    1..w): all under condition (i), else each at its first failing point."""
     d, e_prime, z, points, ns, columns = table
     num, j0 = e * e_prime - 1, ns.index(0)
     for j in (j0, *range(j0), *range(j0 + 1, len(ns))):
@@ -418,16 +423,20 @@ def stabilization_witness(
     """Decide whether the degree-e candidate derivation preserves the ring.
 
     The candidate, built ignoring admissibility, is applied to t and to the
-    module generators f_n u^n of every degree 0 < |n| <= window of the
-    anchored pair; the verdict is True iff every image stays in the ring.
-    By A_0-linearity and the Leibniz rule these finitely many checks decide
-    stabilization of the whole ring once the window reaches the denominator
-    index L = max(d, k), the default (oracle_window): L*D is integral on
-    each side, so ceil(-(n + L)*D(p)) = ceil(-n*D(p)) - L*D(p) and
-    f_(n+L) = f_n*f_L, i.e. the ring is generated in degrees |n| <= L.  A
-    smaller window is an override that may wrongly admit a degree.
-    e_prime_override substitutes a (possibly wrong) e' to probe
-    non-solutions of e*e' = 1 (mod d).
+    module generators f_n u^n of the anchored pair of degree 0 < |n| <= window
+    that lie within their own side's denominator index, n = -min(w, k)..
+    min(w, d) for the window w: d and k are the least integers making d*D+
+    and k*D- integral (divisor.indices).  The verdict is True iff every
+    image stays in the ring.  d*D+ is integral, so ceil(-(n + d)*D+(p)) =
+    ceil(-n*D+(p)) - d*D+(p) and f_(n+d) = f_n*f_d for n >= 1; likewise
+    f_(-n-k) = f_(-n)*f_(-k).  So t and the generators of degree 1..d and
+    -1..-k generate the ring, and by A_0-linearity and the Leibniz rule their
+    images decide stabilization of all of it: the default window max(d, k)
+    (oracle_window) is exact, and any window w gives the verdict of checking
+    every |n| <= w, each generator past a side's index being a product of
+    checked ones.  A window below an index is an override that may wrongly
+    admit a degree.  e_prime_override substitutes a (possibly wrong) e' to
+    probe non-solutions of e*e' = 1 (mod d).
 
     Nothing is expanded: f_n is carried as its integer exponents
     a_p = ceil(-|n|*D(p)) at the sorted points, and its image is
@@ -441,9 +450,11 @@ def stabilization_witness(
     CapExceeded for a window over MAX_WINDOW, NegativeSize for a negative one.
 
     Only the bound tests depend on e; the rest is _table, behind a one-entry
-    memo: per point, columns over the generators of at most 2*MAX_WINDOW + 1
-    integers.  The verdict takes at most two minima a point (_holds); the
-    failures are scanned generator by generator (_scan) when first read.
+    memo: per point, columns over at most min(w, k) + min(w, d) + 1
+    generators.  The verdict takes at most two minima a point (_holds).  The
+    failures are scanned generator by generator (_scan) when first read, on
+    a table over all of -w..w built from the same anchored pair, so they
+    name every failing generator of the window in checking order.
     """
     if e < 0:
         return stabilization_witness(pair.reverse(), -e, window, e_prime_override)
@@ -451,16 +462,25 @@ def stabilization_witness(
     key = (pair, window, e_prime_override)
     memo = _memo
     if memo[0] != key:
-        size = oracle_window(pair) if window is None else window
+        d, k = indices(pair.rows)
+        size = max(d, k) if window is None else window
         if size > MAX_WINDOW:
             raise CapExceeded(f"oracle window {size} is over the cap {MAX_WINDOW}")
         if size < 0:
             raise NegativeSize(f"oracle window {size} is negative")
-        memo = _memo = (key, _table(pair, size, e_prime_override))
-    table = memo[1]
-    if isinstance(table, StabilizationReport):
-        return table
-    return StabilizationReport._pending(_holds(table, e), table, e)
+        try:
+            a = Anchored.of(pair)
+        except FractionalPlusSpread as exc:
+            entry = StabilizationReport(False, ((None, str(exc)),))
+        else:
+            e_prime = e_prime_override if e_prime_override is not None else a.e_prime
+            entry = (a, size, e_prime), _table(a, min(size, k), min(size, d), e_prime)
+        memo = _memo = (key, entry)
+    entry = memo[1]
+    if isinstance(entry, StabilizationReport):
+        return entry
+    source, table = entry
+    return StabilizationReport._pending(_holds(table, e), source, e)
 
 
 def kernel_generator(lnd: Lnd) -> GradedElement:

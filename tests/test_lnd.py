@@ -531,6 +531,35 @@ class TestOracleTable:
         # an equal key, pair object or not, reuses the table
         assert len(anchoring) == 1 + sum(a != b for a, b in zip(keys, keys[1:]))
 
+    def test_per_side_table_decides_as_full_window(self, rng):
+        """The verdict table spans n = -min(w, k)..min(w, d), each side only
+        up to its own denominator index, and decides as a table over all of
+        -w..w: past an index every generator is a product of checked ones."""
+        pairs = [entry.spec.pair for entry in default_entries()
+                 if isinstance(entry.spec, Hyperbolic)]
+        pairs += [draw(rng) for _ in range(6)
+                  for draw in (random_pair, random_concentrated_pair, high_index_pair)]
+        seen = set()
+        for pair in pairs:
+            for sign in (1, -1):
+                side = pair if sign > 0 else pair.reverse()
+                a = anchored(side)
+                if a is None:
+                    continue
+                d, k = denom_index(side.d_plus), denom_index(side.d_minus)
+                seen.add((d > k) - (d < k))
+                for w in (None, 0, 1, 3, 8, 40):
+                    size = max(d, k) if w is None else w
+                    for o in (None, 0, 1, 2):
+                        full = lnd_module._table(a, size, size, a.e_prime if o is None else o)
+                        for e in range(0, 14) if sign > 0 else range(-6, 0):
+                            verdict = stabilization_witness(pair, e, w, o).verdict
+                            assert verdict == lnd_module._holds(full, abs(e)), (pair, e, w, o)
+                        ns = lnd_module._memo[1][1][4]
+                        assert len(ns) <= min(size, k) + min(size, d) + 1, (pair, w, o)
+                        assert -min(size, k) <= ns[0] and ns[-1] <= min(size, d), (pair, w, o)
+        assert seen == {-1, 0, 1}
+
     def test_table_builds_no_fraction(self, monkeypatch, rng):
         """The table reads the points off the anchored rows as integer
         (numerator, denominator) pairs, so with the anchoring memo warm an
