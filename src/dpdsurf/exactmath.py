@@ -408,10 +408,15 @@ def rational_linear_factorization(
     with no rational roots, and roots sorted by their coordinate.
 
     The work is on the primitive integer row f of p: roots at 0 come off
-    its low coefficients, the other candidates come from
-    :func:`intpoly.rational_roots`, and each p/q is confirmed and counted
-    by exact division of f by q*t - p in Z[t] (Gauss's lemma), in time
-    polynomial in the degree and the coefficient bit size.
+    its low coefficients, and :func:`intpoly.rational_roots` gives the
+    others with their multiplicities, in time polynomial in the degree and
+    the coefficient bit size.  Mod a small prime ell, each root y of f has
+    an order mu, and the multiplicities of the rational roots = y mod ell
+    add up to at most mu.  So a rational root = y whose multiplicity,
+    counted by exact division of f by q*t - p in Z[t] (Gauss's lemma), is
+    mu is the only one = y, and the roots are complete at a prime where
+    every y is simple or so counted.  Past a few primes without one, the
+    roots come from the square-free part, at a prime where every mu is 1.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -422,10 +427,8 @@ def rational_linear_factorization(
     f = primitive(f[low:])
     roots = [(Rat(0), low)] if low else []
     if len(f) > 1:
-        for a, b in rational_roots(f):
-            mult, f = multiplicity(f, a, b)
-            if mult:
-                roots.append((Rat(a, b), mult))
+        found, f = rational_roots(f)
+        roots += [(Rat(a, b), mult) for a, b, mult in found]
     roots.sort()
     return p.leading, roots, _poly(f, f[-1])
 

@@ -5,27 +5,32 @@ Modern Computer Algebra, ch. 6), root multiplicities and rational roots.
 
 exactmath.rational_linear_factorization clears the denominators and the
 content of a polynomial once, strips its roots at 0 and hands the
-primitive integer row f to rational_roots.  The square-free part s of f
-is f itself when f is square-free mod the
-first odd prime ell not dividing lc(f) (a repeated factor over Q has a
-leading coefficient ell does not divide, so it stays repeated mod ell);
-otherwise s = f / gcd(f, f').  The roots of s mod an odd
-prime ell not dividing lc(s), with s square-free mod ell, are simple, and
-each is Hensel-lifted on s to a modulus m > 2*|s(0)|*lc(s).  A root p/q in
-lowest terms has p | s(0) and q | lc(s), and two such fractions congruent
-mod m have |p*q' - p'*q| <= 2*|s(0)|*lc(s) < m, so they are equal:
-rational reconstruction reads p/q off the lifted root (von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 5 and 15; Loos, SIAM J. Comput. 12,
-1983).  Each candidate is confirmed, and its multiplicity counted, by exact
-division of f by q*t - p in Z[t] (Gauss's lemma).  No coefficient is
-raised to the power deg f, so the cost is polynomial in the degree and the
-coefficient bit size.
+primitive integer row f to rational_roots, which returns every rational
+root with its multiplicity.  Mod a small odd prime ell not dividing lc(f),
+each root y of f has an order mu: the multiplicities of the rational roots
+= y mod ell add up to at most mu.  Where ell does not divide mu, y is a
+simple root mod ell of the Hasse derivative D^(mu-1) f, and a rational
+root p/q = y of multiplicity mu is a root of D^(mu-1) f, so it is the root
+Newton-lifted from y to a modulus m > 2*P*Q, where P and Q, the mu-th
+roots of |f(0)| and lc(f), bound |p| and q.  Two fractions within those
+bounds that are congruent mod m are equal, so rational reconstruction
+reads p/q off the lift (von zur Gathen and Gerhard, ch. 5 and 15; Loos,
+SIAM J. Comput. 12, 1983).  Exact division of f by q*t - p in Z[t]
+(Gauss's lemma) confirms p/q and counts its multiplicity, up to mu.  When
+that count is mu, no other rational root is = y mod ell, so a prime at
+which every y is simple or so confirmed has given all the roots.  A prime
+is left at its first y that is not, and the next one works on f deflated
+by the roots found; past ROOT_PRIMES primes the roots of the square-free
+part f / gcd(f, f') are taken at a prime where it stays square-free, each
+with mu = 1.  No coefficient is raised to the power deg f, so the cost is
+polynomial in the degree and the coefficient bit size.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from itertools import islice
 
 from .errors import check
 
@@ -224,54 +229,180 @@ def multiplicity(
 ) -> tuple[int, Sequence[int]]:
     """(m, f / (q*t - p)^m), m the order of the nonzero row f at p/q (lowest
     terms, q > 0), or most when that is lower, counted by exact division in
-    Z[t] (Gauss's lemma)."""
-    m, linear = 0, (-p, q)
-    while m != most and (r := quotient(f, linear)) is not None:
-        m, f = m + 1, r
+    Z[t] (Gauss's lemma): synthetic division, g_(k-1) = (f_k + p*g_k)/q from
+    the top, exact while f_0 + p*g_0 = 0."""
+    m = 0
+    while m != most:
+        g, acc = [], 0
+        for c in f[:0:-1]:
+            acc = c + p * acc
+            if q != 1:
+                acc, rest = divmod(acc, q)
+                if rest:
+                    return m, f
+            g.append(acc)
+        if f[0] + p * acc:
+            return m, f
+        m, f = m + 1, g[::-1]
     return m, f
 
 
-def rational_roots(f: list[int]) -> list[tuple[int, int]]:
-    """Candidate roots p/q of the primitive f, given f(0) != 0 and degree
-    >= 1, as (p, q) pairs: every rational root of f is among them.
+def _divide_binomial(a: Sequence[int], n: int, y: int, ell: int) -> list[int] | None:
+    """a / (t^n - y) mod the prime ell when it divides exactly, else None:
+    synthetic division by the binomial, q_(j-n) = a_j + y*q_j from the top."""
+    if n >= len(a):
+        return None
+    q = list(a[n:])
+    for k in range(len(q) - 1 - n, -1, -1):
+        q[k] = (q[k] + y * q[k + n]) % ell
+    if any((a[j] + y * (q[j] if j < len(q) else 0)) % ell for j in range(n)):
+        return None
+    return q
 
-    The square-free part s is f when f is square-free mod the first odd
-    prime ell not dividing lc(f), else it is f / gcd(f, f').
-    Each root of s mod ell, an odd prime not dividing lc(s) with s
-    square-free mod ell, is Hensel-lifted on s to ell^e > 2*|s(0)|*lc(s)
-    and read off by rational reconstruction; a root p/q has p | s(0) and
-    q | lc(s).
-    """
-    ell = next(ell for ell in _odd_primes() if f[-1] % ell)
-    if _squarefree_mod(f, ell):
-        s = f
-    else:
-        s, ell = gcd(f, _derivative(f))[1], 0
-    if len(s) == 2:
-        return [(-s[0], s[1])]
-    if not ell:
-        ell = next(
-            ell for ell in _odd_primes() if s[-1] % ell and _squarefree_mod(s, ell)
-        )
-    s0, lc = abs(s[0]), s[-1]
-    ds = _derivative(s)
-    # precisions e, ceil(e/2), ..., 2 with ell^e > 2*|s(0)|*lc(s); each
-    # Newton step at most doubles the precision
-    e, m = 1, ell
-    while m <= 2 * s0 * lc:
-        e, m = e + 1, m * ell
-    steps = []
+
+def _order_mod(a: Sequence[int], y: int, ell: int) -> tuple[int, Sequence[int]]:
+    """(mu, a / (t - y)^mu) mod the prime ell, mu the order of y as a root of
+    a (reduced mod ell, lc(a) != 0).  Since (t - y)^(ell^j) = t^(ell^j) - y
+    mod ell, mu is read digit by digit base ell, from the highest power of
+    ell that fits down to 1, by as many binomial divisions as each digit:
+    O(ell*log(deg a)) of them, not mu."""
+    if _evaluate(a, y, ell):
+        return 0, a
+    mu, n = 0, 1
+    while n * ell < len(a):
+        n *= ell
+    while n:
+        while (q := _divide_binomial(a, n, y, ell)) is not None:
+            a, mu = q, mu + n
+        n //= ell
+    return mu, a
+
+
+def _hasse(f: Sequence[int], k: int, m: int) -> list[int]:
+    """The k-th Hasse derivative sum_i C(i, k)*f_i*t^(i-k) of f, mod m."""
+    out, c = [], 1
+    for i in range(k, len(f)):
+        out.append(c * f[i] % m)
+        c = c * (i + 1) // (i + 1 - k)
+    return out
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n, k >= 1, by Newton's method on integers from
+    above."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
+def _lift(g: Sequence[int], y: int, ell: int, e: int) -> int:
+    """The simple root y of g mod the prime ell Newton-lifted to a root of g
+    mod ell^e, each step at most doubling the precision (precisions 2, ...,
+    ceil(e/2), e); g is reduced mod ell^e."""
+    m, steps = ell**e, []
     while e > 1:
         steps.append(ell**e)
         e = (e + 1) // 2
-    roots = []
+    for mk in reversed(steps):
+        value = slope = 0
+        for c in reversed(g):
+            value, slope = (value * y + c) % mk, (slope * y + value) % mk
+        y = (y - value * pow(slope, -1, mk)) % mk
+    check(_evaluate(g, y, m) == 0, "a Hensel-lifted root is not one mod ell^e")
+    return y
+
+
+def _roots_at(
+    f: Sequence[int], ell: int
+) -> tuple[list[tuple[int, int, int]], Sequence[int], bool]:
+    """(roots, rest, complete) for the primitive f, f(0) != 0, at the odd
+    prime ell not dividing lc(f): rational roots (p, q, m) of f, rest = f
+    deflated by them, and whether they are all of f's rational roots.
+
+    Each root y of f mod ell gets its order mu mod ell (_order_mod).  A
+    rational root p/q has q | lc(f), so ell does not divide q and p/q
+    reduces to one of the y, and the multiplicities of the rational roots
+    = y add up to at most mu.  Where ell does not divide mu, y is a simple
+    root of the Hasse derivative D^(mu-1) f mod ell, whose derivative there
+    is mu times a unit; a rational root = y of multiplicity mu is a root of
+    D^(mu-1) f, so it is the ell-adic root lifted from y (_lift).
+    (q*t - p)^mu | f gives |p| <= P = floor(|f(0)|^(1/mu)) and
+    q <= Q = floor(lc(f)^(1/mu)), and two such fractions congruent mod
+    m > 2*P*Q are equal, so rational reconstruction reads p/q off the lift.
+    multiplicity(f, p, q, most=mu) confirms it.  y is accounted for when
+    mu = 1 (the lift is its one rational root, if any) or when that count
+    is mu (a second rational root = y would push y's order past mu).  At
+    the first y that is not, the roots so far are returned as incomplete.
+
+    Where mu > 1, any z = p/q mod ell^2 has f(z) = sum_(j >= mu) D^j f(p/q)
+    (z - p/q)^j = 0 mod ell^(2*mu), so the lift to ell^2 is tested there
+    first: roots that collide mod ell, or a repeated factor with no root
+    in the ell-adic integers, mostly fail it and skip the full lift.
+    """
+    roots, a = [], [c % ell for c in f]
     for y in range(ell):
-        if _evaluate(s, y, ell):
+        if len(a) == 1:
+            break
+        mu, a = _order_mod(a, y, ell)
+        if not mu:
             continue
-        for mk in reversed(steps):
-            y = (y - _evaluate(s, y, mk) * pow(_evaluate(ds, y, mk), -1, mk)) % mk
-        check(_evaluate(s, y, m) == 0, "a Hensel-lifted root of s is not one mod ell^e")
-        p, q = _reconstruct(y, m, s0)
-        if p and s0 % p == 0 and lc % q == 0:
-            roots.append((p, q))
-    return roots
+        if mu % ell == 0:
+            return roots, f, False
+        lc, f0 = f[-1], abs(f[0])
+        bound = _iroot(f0, mu)
+        e, m, least = 1, ell, 2 * bound * _iroot(lc, mu)
+        while m <= least:
+            e, m = e + 1, m * ell
+        g = _hasse(f, mu - 1, m)
+        if mu > 1 and e > 2 and _evaluate(f, _lift(g, y, ell, 2), ell ** (2 * mu)):
+            return roots, f, False
+        p, q = _reconstruct(_lift(g, y, ell, e), m, bound)
+        found = 0
+        if p and f0 % p == 0 and lc % q == 0:
+            found, f = multiplicity(f, p, q, mu)
+            if found:
+                roots.append((p, q, found))
+        if found != mu and mu != 1:
+            return roots, f, False
+    return roots, f, True
+
+
+#: Odd primes not dividing lc(f) that rational_roots tries before it falls
+#: back to the square-free part.  Fallbacks in a pass of equation_poly's 67
+#: cases, seeds 1-3: 23-27 with one prime (ell = 3; a pass 4.6 ms), 4-10
+#: with two (3.6-4.0 ms), 0-2 with three (3.4-3.6 ms); a fourth took the
+#: last two and no time off a pass (best of 40 passes, Python 3.11, 2-core
+#: VM).
+ROOT_PRIMES = 3
+
+
+def rational_roots(f: list[int]) -> tuple[list[tuple[int, int, int]], Sequence[int]]:
+    """(roots, rest) for the primitive f, given f(0) != 0 and degree >= 1:
+    every rational root p/q of f (lowest terms, q > 0) with its
+    multiplicity m as (p, q, m), and f / prod (q*t - p)^m.
+
+    _roots_at takes the roots at each of the first ROOT_PRIMES odd primes
+    ell not dividing lc(f), each on f deflated by the roots found before.
+    A prime at which every root y mod ell is accounted for (a simple root,
+    or one whose rational root has y's full order mu mod ell) has given
+    them all: the multiplicities of the rational roots = y add up to at
+    most mu.  Past those primes, the square-free part
+    s = rest / gcd(rest, rest') is taken at the first odd prime where it is
+    square-free, so every mu is 1 and every y accounted for, and each root
+    of s is counted on rest by exact division.
+    """
+    roots, lc = [], f[-1]
+    for ell in islice((ell for ell in _odd_primes() if lc % ell), ROOT_PRIMES):
+        if len(f) == 2:
+            return [*roots, (-f[0], f[1], 1)], [1]
+        found, f, complete = _roots_at(f, ell)
+        roots += found
+        if complete or len(f) == 1:
+            return roots, f
+    s = gcd(f, _derivative(f))[1]
+    ell = next(ell for ell in _odd_primes() if s[-1] % ell and _squarefree_mod(s, ell))
+    for p, q, _ in _roots_at(s, ell)[0]:
+        found, f = multiplicity(f, p, q)
+        roots.append((p, q, found))
+    return roots, f

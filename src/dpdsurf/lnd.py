@@ -256,8 +256,10 @@ def apply(lnd: Lnd, x: GradedElement) -> GradedElement:
 
 
 class _Pending(Record):
-    """The ((anchored pair, window, e'), e) a report's failures are scanned
-    from, on a full -window..window table: no field."""
+    """The ((anchored pair, window, e', full), e) a report's failures are
+    scanned from: full holds the -window..window table once the first
+    report of its memo entry has read its failures, and the entry's other
+    reports read that one: no field."""
 
     __slots__ = ("_source",)
 
@@ -265,9 +267,9 @@ class _Pending(Record):
 class StabilizationReport(_Pending, failures=()):
     """Outcome of the extension check: the verdict, and (n, why) per failing
     generator in checking order.  stabilization_witness scans failures from
-    a full -window..window table only when first read, then keeps them;
-    until then the report compares, hashes, prints, copies and pickles as
-    the eager one."""
+    a full -window..window table, one for all the reports of a memo entry,
+    only when first read, then keeps them; until then the report compares,
+    hashes, prints, copies and pickles as the eager one."""
 
     __slots__ = ("verdict", "failures")
 
@@ -282,8 +284,10 @@ class StabilizationReport(_Pending, failures=()):
         """Reached only for an unset slot: build a pending report's failures."""
         if name != "failures":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        (a, window, e_prime), e = self._source
-        failures = tuple(_scan(_table(a, window, window, e_prime), e))
+        (a, window, e_prime, full), e = self._source
+        if not full:
+            full.append(_table(a, window, window, e_prime))
+        failures = tuple(_scan(full[0], e))
         object.__setattr__(self, "failures", failures)
         return failures
 
@@ -334,7 +338,8 @@ def _point_rows(points: list[tuple[int, int]]) -> list[tuple[int, list[int], lis
 
 #: One-entry memo of stabilization_witness, ((pair, window, e_prime_override),
 #: entry), rebound in one step: the entry is the report of a spread pair, or the
-#: ((anchored pair, window, e'), verdict table) of one that anchors.  Keys
+#: ((anchored pair, window, e', full), verdict table) of one that anchors,
+#: full an empty list until a report reads its failures (_Pending).  Keys
 #: compare by == (hashing a DivisorPair hashes each point's Fraction).
 _memo: tuple = (None, None)
 
@@ -453,8 +458,9 @@ def stabilization_witness(
     memo: per point, columns over at most min(w, k) + min(w, d) + 1
     generators.  The verdict takes at most two minima a point (_holds).  The
     failures are scanned generator by generator (_scan) when first read, on
-    a table over all of -w..w built from the same anchored pair, so they
-    name every failing generator of the window in checking order.
+    a table over all of -w..w built from the same anchored pair, once per
+    memo entry, so they name every failing generator of the window in
+    checking order.
     """
     if e < 0:
         return stabilization_witness(pair.reverse(), -e, window, e_prime_override)
@@ -474,7 +480,7 @@ def stabilization_witness(
             entry = StabilizationReport(False, ((None, str(exc)),))
         else:
             e_prime = e_prime_override if e_prime_override is not None else a.e_prime
-            entry = (a, size, e_prime), _table(a, min(size, k), min(size, d), e_prime)
+            entry = (a, size, e_prime, []), _table(a, min(size, k), min(size, d), e_prime)
         memo = _memo = (key, entry)
     entry = memo[1]
     if isinstance(entry, StabilizationReport):

@@ -509,14 +509,36 @@ def _wide_inputs(rng: random.Random) -> list[Poly]:
     return out
 
 
+def _roots_at_the_square_root_bounds() -> list[tuple[int, int]]:
+    """(p, q) in lowest terms, of either sign, with 2*|p|*q < 3^80 <= 3*2*|p|*q:
+    in (q*t - p)^2 (t^2 + 1), |f(0)| = p^2 and lc(f) = q^2, so |p| and q are
+    the square-root bounds P and Q of the reconstruction, and 3^80, the
+    modulus of the lift at the first prime 3, is the first power of 3 past
+    2*P*Q."""
+    out = []
+    for q in (2**64 - 59, 2**63 + 3, 10**19 + 51):
+        p = (3**80 - 1) // (2 * q)
+        while math.gcd(p, q) != 1:
+            p -= 1
+        out += [(p, q), (-p, q)]
+    return out
+
+
 def _edge_inputs() -> list[Poly]:
     """Inputs at the edges of the method.
 
-    (q*t - p)(t^2 + 1) has |s(0)| = p and lc(s) = q, the bound of the
+    (q*t - p)(t^2 + 1) has |f(0)| = p and lc(f) = q, the bound of the
     reconstruction; p is picked so that p*q < 3^e <= 2*p*q, where 3^e is
-    the first power of the root-search prime 3 past p*q.  The others are
-    square-free mod 3, which divides their leading coefficient, but not
-    over Q."""
+    the first power of the root-search prime 3 past p*q; (q*t - p)^2 (t^2 + 1)
+    has the double root p/q at the square-root bounds.  Some
+    inputs are square-free mod 3, which divides their leading coefficient,
+    but not over Q.  The last five take the roots by their order mod the
+    first primes 3, 5, 7: 1 and 106 = 1 mod 105 collide at each; 3 and 5
+    divide the order 15 of 2 in (t - 2)^15 (t + 1)^2; the repeated factor
+    t^2 + 1 of (t^2 + 1)^2 (t - 1)^3 has double roots mod 5 and none mod 7,
+    where the roots complete, and t^2 - 2 has none mod 3; t^2 - 106 splits
+    mod 3, 5 and 7, so (t^2 - 106)^2 (t - 1)^3 falls back to the
+    square-free part."""
     out = []
     for q in (2**64 - 59, 2**63 + 3, 10**19 + 51):
         p = (3**80 - 1) // q
@@ -525,11 +547,17 @@ def _edge_inputs() -> list[Poly]:
         for sign in (1, -1):
             linear = Poly((-sign * p, q))
             out += [linear * Poly((1, 0, 1)), linear**2 * Poly((1, 0, 1)) * 7]
+    out += [Poly((-p, q)) ** 2 * Poly((1, 0, 1)) for p, q in _roots_at_the_square_root_bounds()]
     out += [
         Poly((-1, 3)) ** 2 * Poly((1, 1)),  # (3t - 1)^2 (t + 1)
         Poly((2, 3)) ** 3 * Poly((-5, 1)) * Poly((1, 0, 1)),
         Poly((-7, 9)) ** 2 * Poly((4, 1)),
         Poly((-1, 15)) ** 2 * Poly((-2, 5)) ** 3 * Poly((1, 1)),
+        Poly((-1, 1)) ** 2 * Poly((-106, 1)) ** 3,
+        Poly((-2, 1)) ** 15 * Poly((1, 1)) ** 2,
+        Poly((1, 0, 1)) ** 2 * Poly((-1, 1)) ** 3,
+        Poly((-2, 0, 1)) ** 3,
+        Poly((-106, 0, 1)) ** 2 * Poly((-1, 1)) ** 3,
     ]
     return out
 
@@ -643,6 +671,35 @@ def test_gcd_unlucky_primes(monkeypatch):
     seen.clear()
     assert gcd(a.row, b.row) == (list(g.row), [-3, 1], [-3 - second, 1])
     assert seen[:2] == [(first, 1), (second, 2)]  # mod second, b = g*(t - 3): dropped
+
+
+def test_roots_without_the_gcd(monkeypatch):
+    """rational_roots takes no gcd over Z when the first prime accounts for
+    every root mod itself: (2t - 1)^2 (t + 3)^4 (t - 7) has its roots at
+    distinct residues mod 3, of orders 2, 4 and 1, and the double root p/q
+    of (q*t - p)^2 (t + 1), p/q = 1 mod 3, at the square-root bounds, is
+    read off its first lift.  A repeated irreducible factor needs no gcd
+    either once some prime accounts for every root mod itself: 7 for
+    (t^2 + 1)^2 (t - 1)^3, whose t^2 + 1 has no root mod 7, and 3 for
+    (t^2 - 2)^3, which has no root mod 3.  It takes one when none of the
+    first three primes does: t^2 - 106 splits mod 3, 5 and 7."""
+    from dpdsurf import intpoly
+
+    split = [Poly((-1, 2)) ** 2 * Poly((3, 1)) ** 4 * Poly((-7, 1))]
+    split += [Poly((-p, q)) ** 2 * Poly((1, 1)) for p, q in _roots_at_the_square_root_bounds()
+              if p * pow(q, -1, 3) % 3 == 1]
+    assert len(split) == 4
+    calls, gcd_z = [], intpoly.gcd
+    monkeypatch.setattr(intpoly, "gcd", lambda a, b: calls.append(len(a) - 1) or gcd_z(a, b))
+    for p in split:
+        assert rational_linear_factorization(p)[2] == Poly.one()
+    assert rational_linear_factorization(Poly((1, 0, 1)) ** 2 * Poly((-1, 1)) ** 3) == (
+        1, [(1, 3)], Poly((1, 0, 1)) ** 2)
+    assert rational_linear_factorization(Poly((-2, 0, 1)) ** 3)[1] == []
+    assert calls == []
+    p = Poly((-106, 0, 1)) ** 2 * Poly((-1, 1)) ** 3
+    assert rational_linear_factorization(p) == (1, [(1, 3)], Poly((-106, 0, 1)) ** 2)
+    assert calls == [7]
 
 
 def test_cancel_deflates_a_shared_linear_power():

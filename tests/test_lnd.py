@@ -531,6 +531,23 @@ class TestOracleTable:
         # an equal key, pair object or not, reuses the table
         assert len(anchoring) == 1 + sum(a != b for a, b in zip(keys, keys[1:]))
 
+    def test_failures_share_one_full_table(self, monkeypatch):
+        """The reports of one memo entry share one full -w..w table, built on
+        the first read of a failures: reading them for e = -6..13 builds it
+        once, not once a report.  (e < 0 runs on the reversed pair, which
+        does not anchor: its report is eager.)"""
+        monkeypatch.setattr(lnd_module, "_memo", (None, None), raising=False)
+        built, table = [], lnd_module._table
+        monkeypatch.setattr(lnd_module, "_table", lambda a, minus, plus, e_prime:
+                            built.append((minus, plus)) or table(a, minus, plus, e_prime))
+        w = oracle_window(REPRODUCTION)
+        reports = [stabilization_witness(REPRODUCTION, e) for e in range(-6, 14)]
+        assert built == [(w, 2)]  # the verdict table, n = -k..d with k = 34, d = 2
+        texts = [str(r) for r in reports]
+        assert built == [(w, 2), (w, w)]
+        assert [str(r) for r in reports] == texts and len(built) == 2
+        assert all(r.failures for r in reports if not r.verdict)
+
     def test_per_side_table_decides_as_full_window(self, rng):
         """The verdict table spans n = -min(w, k)..min(w, d), each side only
         up to its own denominator index, and decides as a table over all of
