@@ -2,15 +2,12 @@
 C*-action and a C+-action, from their divisor presentation data."""
 
 from .divisor import (
-    AffineMap,
     Anchored,
     DivisorPair,
     QDivisor,
-    affine_equivalent,
     anchored,
     denom_index,
     normalize_pair,
-    shift_equivalent,
 )
 from .element import GradedElement, parse_element, parse_poly, render_element
 from .dpdring import (

@@ -1,15 +1,16 @@
-"""Q-divisors on the affine line, divisor pairs, and their equivalences.
+"""Q-divisors on the affine line, divisor pairs, and their normal form.
 
 A divisor is a finite formal sum of rational points with rational
 coefficients.  The pair (d_plus, d_minus) with d_plus + d_minus <= 0
-pointwise is the master datum of a hyperbolic surface; the shift and
-affine equivalences implemented here are the ones under which the
-classification is invariant.  A pair is held as its rows, each point's
-coefficients as integers (numerator, denominator).  :class:`Anchored` is
-the normal form that every later layer reads its toric data from: one map
-over the rows (normalize_pair) shifts by ceil(d_plus), and anchor_rows
-anchors the result; reverse_rows gives the reversed pair's normal rows by
-the same map.
+pointwise is the master datum of a hyperbolic surface, fixed only up to
+integral shifts (d_plus + E, d_minus - E) and affine maps of the line.
+A pair is held as its rows, each point's coefficients as integers
+(numerator, denominator).  :class:`Anchored` is the normal form that every
+later layer reads its toric data from: one map over the rows
+(normalize_pair) shifts by ceil(d_plus), which takes every shift of a pair
+to one normal form, and anchor_rows anchors the result at its fractional
+point, which takes away a translation; reverse_rows gives the reversed
+pair's normal rows by the same map.
 """
 
 from __future__ import annotations
@@ -21,25 +22,17 @@ from .errors import FractionalPlusSpread, InvalidSpecFile, PositiveSum
 from .exactmath import Rat, RatLike, format_rat, format_ratio, parse_rat
 from .record import Record
 
-#: A point of the affine line, i.e. an exact rational coordinate.
-Point = Rat
-
 _ZERO = Rat(0)
 
 
-def _ceil(q: Rat) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
 class QDivisor:
-    """A finite formal sum sum_a c_a [a] with rational points and coefficients.
+    """A finite formal sum sum_a c_a [a] with rational points and coefficients:
+    the value a spec file's divisor parses to and a report prints.
 
     Terms are Rat pairs sorted by point with no zero coefficient; the degree
-    is always derived.  The constructor merges and sorts arbitrary terms; the
-    operations build their results with the trusted _canonical, as each keeps
-    that form: + and - merge two sorted supports and drop what cancels;
-    negation, ceil/floor and a nonzero scalar change coefficients only; an
-    affine map moves the points monotonically (reversed for a negative scale).
+    is always derived.  The constructor merges and sorts arbitrary terms;
+    the views of a DivisorPair, whose rows are in that order already, build
+    theirs with the trusted _canonical.
     """
 
     __slots__ = ("_terms",)
@@ -87,15 +80,6 @@ class QDivisor:
     def degree(self) -> Rat:
         return sum((c for _, c in self._terms), Rat(0))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for _, c in self._terms)
-
-    def is_effective(self) -> bool:
-        return all(c > 0 for _, c in self._terms)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QDivisor):
             return self._terms == other._terms
@@ -103,42 +87,6 @@ class QDivisor:
 
     def __hash__(self) -> int:
         return hash(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other: QDivisor) -> QDivisor:
-        if not self._terms or not other._terms:
-            return self or other
-        out = []
-        for p, x, y in _merged(self._terms, other._terms):
-            # a point of one support only keeps its term: no Fraction sum with _ZERO
-            if s := y if x is _ZERO else x if y is _ZERO else x + y:
-                out.append((p, s))
-        return QDivisor._canonical(tuple(out))
-
-    def __sub__(self, other: QDivisor) -> QDivisor:
-        return self + (-other)
-
-    def __neg__(self) -> QDivisor:
-        return QDivisor._canonical(tuple((p, -c) for p, c in self._terms))
-
-    def __mul__(self, scalar: RatLike) -> QDivisor:
-        s = Rat(scalar)
-        return QDivisor._canonical(tuple((p, c * s) for p, c in self._terms if s))
-
-    __rmul__ = __mul__
-
-    def ceil(self) -> QDivisor:
-        terms = ((p, _ceil(c)) for p, c in self._terms)
-        return QDivisor._canonical(tuple((p, Rat(n)) for p, n in terms if n))
-
-    def floor(self) -> QDivisor:
-        return -(-self).ceil()
-
-    def apply_map(self, g: AffineMap) -> QDivisor:
-        terms = tuple((g(p), c) for p, c in self._terms)
-        return QDivisor._canonical(terms if g.scale > 0 else terms[::-1])
 
     def to_pairs(self) -> list[list[str]]:
         """Serialize as [[point, coefficient], ...] string pairs."""
@@ -187,29 +135,6 @@ def denom_index(d: QDivisor) -> int:
     return math.lcm(*(c.denominator for _, c in d.terms))
 
 
-class AffineMap(Record):
-    """a |-> scale*a + offset with scale != 0."""
-
-    __slots__ = ("scale", "offset")
-
-    def __init__(self, scale: RatLike, offset: RatLike):
-        scale, offset = Rat(scale), Rat(offset)
-        if scale == 0:
-            raise ValueError("affine map must have nonzero scale")
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "offset", offset)
-
-    @classmethod
-    def identity(cls) -> AffineMap:
-        return cls(Rat(1), Rat(0))
-
-    def __call__(self, a: RatLike) -> Rat:
-        return self.scale * a + self.offset
-
-    def inverse(self) -> AffineMap:
-        return AffineMap(1 / self.scale, -self.offset / self.scale)
-
-
 #: (a, n+, m+, n-, m-): D+(a) = n+/m+ and D-(a) = n-/m- in lowest terms, 0/1 off a support
 Row = tuple[Rat, int, int, int, int]
 
@@ -220,9 +145,9 @@ class DivisorPair:
     It is stored as rows, one Row per point of supp D+ and supp D- in order,
     never 0/1 on both sides; d_plus and d_minus are views built on each read.
     The constructor merges the two divisors once and checks n+*m- + n-*m+ <= 0
-    on each row, raising PositiveSum.  reverse, apply_map and normalize_pair
-    build their results with the trusted _trusted: a swap or an affine map
-    leaves the values of the sum as they are.
+    on each row, raising PositiveSum.  reverse and normalize_pair build their
+    results with the trusted _trusted: neither a swap nor an integral shift
+    changes the sum at a point.
     """
 
     __slots__ = ("rows",)
@@ -257,24 +182,8 @@ class DivisorPair:
     def d_minus(self) -> QDivisor:
         return QDivisor._canonical(tuple((a, Rat(n, m)) for a, _, _, n, m in self.rows if n))
 
-    def sum(self) -> QDivisor:
-        return self.d_plus + self.d_minus
-
     def reverse(self) -> DivisorPair:
         return DivisorPair._trusted(_swapped(self.rows))
-
-    def translate(self, offset: RatLike) -> DivisorPair:
-        return self.apply_map(AffineMap(1, offset))
-
-    def apply_map(self, g: AffineMap) -> DivisorPair:
-        rows = tuple((g(a), *row) for a, *row in self.rows)
-        return DivisorPair._trusted(rows if g.scale > 0 else rows[::-1])
-
-    def shift(self, integral: QDivisor) -> DivisorPair:
-        """(d_plus + E, d_minus - E) for an integral divisor E."""
-        if not integral.is_integral():
-            raise ValueError("shift divisor must be integral")
-        return DivisorPair(self.d_plus + integral, self.d_minus - integral)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DivisorPair):
@@ -421,49 +330,3 @@ def anchored(x: DivisorPair | QDivisor) -> Anchored | None:
         return Anchored.of(x)
     except FractionalPlusSpread:
         return None
-
-
-def shift_equivalent(p1: DivisorPair, p2: DivisorPair) -> bool:
-    """True when p1 and p2 agree up to an integral shift."""
-    return normalize_pair(p1) == normalize_pair(p2)
-
-
-def _labeled_support(pair: DivisorPair) -> dict[Rat, tuple[int, int, int, int]]:
-    """Each point of the normalized pair, labeled by its row's coefficients."""
-    return {p: tuple(label) for p, *label in normalize_pair(pair).rows}
-
-
-def affine_equivalent(p1: DivisorPair, p2: DivisorPair) -> AffineMap | None:
-    """Search for an affine map g with g.p1 shift-equivalent to p2.
-
-    Candidates are enumerated from matchings of the labeled supports of the
-    normalized pairs (labels are the coefficient pairs, as their rows);
-    supports in scope hold a handful of points, so the quadratic scan is
-    negligible.
-    """
-    s1, s2 = _labeled_support(p1), _labeled_support(p2)
-    if sorted(s1.values()) != sorted(s2.values()):
-        return None
-    if not s1:
-        return AffineMap.identity()
-    pts1 = sorted(s1)
-    if len(pts1) == 1:
-        (a1,) = pts1
-        for a2 in s2:
-            if s2[a2] == s1[a1]:
-                g = AffineMap(Rat(1), a2 - a1)
-                if shift_equivalent(p1.apply_map(g), p2):
-                    return g
-        return None
-    x1, y1 = pts1[0], pts1[1]
-    for x2 in s2:
-        if s2[x2] != s1[x1]:
-            continue
-        for y2 in s2:
-            if y2 == x2 or s2[y2] != s1[y1]:
-                continue
-            scale = (x2 - y2) / (x1 - y1)
-            g = AffineMap(scale, x2 - scale * x1)
-            if shift_equivalent(p1.apply_map(g), p2):
-                return g
-    return None

@@ -30,10 +30,6 @@ class GradedElement:
         )
 
     @classmethod
-    def zero(cls) -> GradedElement:
-        return cls()
-
-    @classmethod
     def monomial(cls, degree: int, coeff: RatFunc | Poly | RatLike = 1) -> GradedElement:
         f = coeff if isinstance(coeff, RatFunc) else RatFunc(coeff)
         return cls([(degree, f)])
@@ -67,18 +63,6 @@ class GradedElement:
     def __hash__(self) -> int:
         return hash(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __neg__(self) -> GradedElement:
-        return GradedElement((n, -f) for n, f in self._terms)
-
-    def __add__(self, other: GradedElement) -> GradedElement:
-        return GradedElement(self._terms + other._terms)
-
-    def __sub__(self, other: GradedElement) -> GradedElement:
-        return self + (-other)
-
     def __mul__(self, other: GradedElement | RatFunc | Poly | RatLike) -> GradedElement:
         if not isinstance(other, GradedElement):
             f = other if isinstance(other, RatFunc) else RatFunc(other)
@@ -88,21 +72,6 @@ class GradedElement:
             for m, g in other._terms:
                 out.append((n + m, f * g))
         return GradedElement(out)
-
-    def __rmul__(self, other: RatFunc | Poly | RatLike) -> GradedElement:
-        return self * other
-
-    def __pow__(self, n: int) -> GradedElement:
-        if n < 0:
-            raise ValueError("negative power of a graded element")
-        acc = GradedElement.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
 
     def __str__(self) -> str:
         return render_element(self)

@@ -161,9 +161,6 @@ class Poly:
             return Rat(self.row[exponent], self.den)
         return Rat(0)
 
-    def __bool__(self) -> bool:
-        return bool(self.row)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = _as_poly(other)
@@ -188,9 +185,6 @@ class Poly:
 
     def __sub__(self, other: Poly | RatLike) -> Poly:
         return self + (-_as_poly(other))
-
-    def __rsub__(self, other: Poly | RatLike) -> Poly:
-        return _as_poly(other) + (-self)
 
     def __mul__(self, other: Poly | RatLike) -> Poly:
         if isinstance(other, (int, Fraction)):
@@ -232,22 +226,8 @@ class Poly:
         den = scale * self.den
         return _poly([c * other.den for c in q], den), _poly(r[:db], den)
 
-    def __floordiv__(self, other: Poly) -> Poly:
-        return divmod(self, other)[0]
-
-    def __call__(self, x: RatLike) -> Rat:
-        acc = Rat(0)
-        for c in reversed(self.row):
-            acc = acc * x + c
-        return acc / self.den
-
     def derivative(self) -> Poly:
         return _poly([i * c for i, c in enumerate(self.row)][1:], self.den)
-
-    def monic(self) -> Poly:
-        if self.is_zero():
-            raise ZeroPolynomial("no monic form of the zero polynomial")
-        return _poly(self.row, self.row[-1])
 
     def compose(self, inner: Poly) -> Poly:
         """Evaluate self at another polynomial (e.g. Q(s^d))."""

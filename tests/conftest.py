@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from dpdsurf.divisor import AffineMap, DivisorPair, QDivisor
+from dpdsurf.divisor import DivisorPair, QDivisor
 from dpdsurf.dpdring import GradedElement
 from dpdsurf.exactmath import Poly, Rat, RatFunc, linear_power_product
+from oracles import shifted
 
 SMALL_POINTS = [
     Rat(-2),
@@ -142,18 +143,18 @@ def high_index_pair(rng, k: int | None = None) -> DivisorPair:
 def random_shift(rng: random.Random, pair: DivisorPair) -> DivisorPair:
     points = rng.sample(SMALL_POINTS, rng.randint(1, 3))
     shift = QDivisor((p, rng.randint(-3, 3)) for p in points)
-    return pair.shift(shift)
+    return shifted(pair, shift)
 
 
-def random_affine_map(rng: random.Random) -> AffineMap:
-    """a -> scale*a + offset: a translation, a negative scale, or a scale of
-    up to 20 bits of either sign; the offset is small or of up to 20 bits.
-    A negative scale reverses the order of the points."""
+def random_affine_map(rng: random.Random) -> tuple[Rat, Rat]:
+    """(scale, offset) of a -> scale*a + offset: a translation, a negative
+    scale, or a scale of up to 20 bits of either sign; the offset is small
+    or of up to 20 bits.  A negative scale reverses the order of the points."""
     wide = Rat(rng.randint(1, 1 << 20), rng.randint(1, 1 << 20))
     scale = rng.choice([Rat(1), Rat(-1), -Rat(rng.randint(2, 5), rng.randint(1, 3)), wide, -wide])
     offset = rng.choice([Rat(rng.randint(-5, 5), rng.randint(1, 3)),
                          Rat(rng.randint(-(1 << 20), 1 << 20), rng.randint(1, 1 << 20))])
-    return AffineMap(scale, offset)
+    return scale, offset
 
 
 def random_poly(rng: random.Random, max_deg: int = 3) -> Poly:

@@ -6,10 +6,11 @@ way, or a property only the tests ask about; none is part of the package.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from dpdsurf import element
-from dpdsurf.divisor import DivisorPair
+from dpdsurf.divisor import DivisorPair, QDivisor
 from dpdsurf.element import GradedElement
 from dpdsurf.errors import CapExceeded
 from dpdsurf.exactmath import format_rat
@@ -91,9 +92,117 @@ def schoolbook_linear_power_product(factors, leading=1) -> list[Fraction]:
     return out
 
 
+# Divisors and pairs by their Fraction definitions.  Every divisor is built
+# by the merging QDivisor constructor and every pair by the validating
+# DivisorPair constructor, so none of them goes through the package's row
+# code (normalize_pair, reverse), which the tests check against them.
+
+
+def divisor_sum(*divisors: QDivisor) -> QDivisor:
+    return QDivisor(term for d in divisors for term in d.terms)
+
+
+def scaled(d: QDivisor, s) -> QDivisor:
+    return QDivisor((p, c * s) for p, c in d.terms)
+
+
+def ceil_divisor(d: QDivisor) -> QDivisor:
+    return QDivisor((p, math.ceil(c)) for p, c in d.terms)
+
+
+def is_integral(d: QDivisor) -> bool:
+    return all(c.denominator == 1 for _, c in d.terms)
+
+
+def pair_sum(pair: DivisorPair) -> QDivisor:
+    return divisor_sum(pair.d_plus, pair.d_minus)
+
+
 def is_line_cross_torus(pair: DivisorPair) -> bool:
     """True when d_plus + d_minus = 0, i.e. the ring has a unit of nonzero degree."""
-    return pair.sum().is_zero()
+    return not pair_sum(pair).terms
+
+
+def shifted(pair: DivisorPair, e: QDivisor) -> DivisorPair:
+    """(d_plus + E, d_minus - E) for an integral divisor E."""
+    assert is_integral(e), e
+    return DivisorPair(divisor_sum(pair.d_plus, e), divisor_sum(pair.d_minus, scaled(e, -1)))
+
+
+#: An affine map a |-> scale*a + offset of the line, as (scale, offset), scale != 0.
+IDENTITY = (Fraction(1), Fraction(0))
+
+
+def moved(pair: DivisorPair, g: tuple) -> DivisorPair:
+    """The pair with every point a moved to g(a)."""
+    scale, offset = g
+    assert scale != 0, g
+    d_plus, d_minus = (QDivisor((scale * p + offset, c) for p, c in d.terms)
+                       for d in (pair.d_plus, pair.d_minus))
+    return DivisorPair(d_plus, d_minus)
+
+
+def translated(pair: DivisorPair, offset) -> DivisorPair:
+    return moved(pair, (Fraction(1), Fraction(offset)))
+
+
+def normal_form(pair: DivisorPair) -> DivisorPair:
+    """The pair shifted by -ceil(d_plus), so each coefficient of d_plus lies in (-1, 0]."""
+    return shifted(pair, scaled(ceil_divisor(pair.d_plus), -1))
+
+
+def shift_equivalent(p1: DivisorPair, p2: DivisorPair) -> bool:
+    """True when p1 and p2 agree up to an integral shift."""
+    return normal_form(p1) == normal_form(p2)
+
+
+def affine_equivalent(p1: DivisorPair, p2: DivisorPair) -> tuple | None:
+    """An affine map g with moved(p1, g) shift-equivalent to p2, or None.
+
+    Each point of a normal form is labelled by its two coefficients.  A map
+    must match labels, so it is one of the maps taking the first one or two
+    points of p1's support to equally labelled points of p2's.
+    """
+    def labels(pair: DivisorPair) -> dict:
+        q = normal_form(pair)
+        return {p: (q.d_plus(p), q.d_minus(p)) for p in {*q.d_plus.support, *q.d_minus.support}}
+
+    s1, s2 = labels(p1), labels(p2)
+    if sorted(s1.values()) != sorted(s2.values()):
+        return None
+    points = sorted(s1)[:2]
+    if not points:
+        return IDENTITY
+    x1 = points[0]
+    for x2 in (x for x in s2 if s2[x] == s1[x1]):
+        if len(points) == 1:
+            candidates = [(Fraction(1), x2 - x1)]
+        else:
+            y1 = points[1]
+            scales = ((x2 - y2) / (x1 - y1) for y2 in s2 if y2 != x2 and s2[y2] == s1[y1])
+            candidates = [(scale, x2 - scale * x1) for scale in scales]
+        for g in candidates:
+            if shift_equivalent(moved(p1, g), p2):
+                return g
+    return None
+
+
+# Graded elements by their terms: the constructor merges the terms of a sum.
+
+
+def element_sum(*xs: GradedElement) -> GradedElement:
+    return GradedElement(term for x in xs for term in x.terms)
+
+
+def element_difference(x: GradedElement, y: GradedElement) -> GradedElement:
+    return GradedElement(x.terms + tuple((n, -f) for n, f in y.terms))
+
+
+def element_power(x: GradedElement, n: int) -> GradedElement:
+    out = GradedElement.one()
+    for _ in range(n):
+        out = out * x
+    return out
 
 
 def euler(x: GradedElement) -> GradedElement:
@@ -118,17 +227,17 @@ def nilpotency_steps(lnd, x: GradedElement, cap: int = 256) -> int:
 
 def parse_element_termwise(src: str) -> GradedElement:
     """parse_element adding each top-level term to the sum as it is read,
-    through GradedElement.__add__; parenthesized sums and every term go
-    through the package's own parser."""
+    through element_sum; parenthesized sums and every term go through the
+    package's own parser."""
     toks = element._Tokens(src)
-    acc = GradedElement.zero()
+    acc = GradedElement()
     sign = 1
     if toks.peek() == "-":
         toks.next()
         sign = -1
     while True:
         upow, coeff = element._parse_term(toks, True)
-        acc = acc + GradedElement.monomial(upow, coeff * sign)
+        acc = element_sum(acc, GradedElement.monomial(upow, coeff * sign))
         if toks.peek() not in ("+", "-"):
             break
         sign = 1 if toks.next()[0] == "+" else -1

@@ -13,7 +13,6 @@ import random
 from dpdsurf.catalog import catalog_surface, default_entries
 from dpdsurf.classify import classify, facts, fiber_structure
 from dpdsurf.divisor import (
-    AffineMap,
     DivisorPair,
     QDivisor,
     denom_index,
@@ -39,7 +38,18 @@ from dpdsurf.lnd import (
     stabilization_witness,
     taylor_shift,
 )
-from oracles import euler, nilpotency_steps
+from oracles import (
+    element_difference,
+    element_sum,
+    euler,
+    is_integral,
+    moved,
+    nilpotency_steps,
+    pair_sum,
+    scaled,
+    shifted,
+    translated,
+)
 from signature import invariant_signature
 
 SEED = 74207281
@@ -133,13 +143,9 @@ def test_criterion_3():
     for pair, model, degree in references:
         for _ in range(20):
             shift_pts = rng.sample([Rat(0), Rat(1), Rat(-1), Rat(2)], 2)
-            shifted = pair.shift(
-                QDivisor((p, rng.randint(-3, 3)) for p in shift_pts)
-            )
-            moved = shifted.apply_map(
-                AffineMap(Rat(1), Rat(rng.randint(-5, 5), rng.randint(1, 3)))
-            )
-            got = facts(Hyperbolic(moved)).sl2
+            other = shifted(pair, QDivisor((p, rng.randint(-3, 3)) for p in shift_pts))
+            other = moved(other, (Rat(1), Rat(rng.randint(-5, 5), rng.randint(1, 3))))
+            got = facts(Hyperbolic(other)).sl2
             assert got is not None and got.model == model
             assert got.veronese_degree == degree
 
@@ -158,10 +164,9 @@ def test_criterion_3():
     count = 0
     for base in non_templates:
         for _ in range(2):
-            moved = base.translate(Rat(rng.randint(-4, 4))).shift(
-                QDivisor([(Rat(1), rng.randint(-2, 2))])
-            )
-            assert facts(Hyperbolic(moved)).sl2 is None
+            other = shifted(translated(base, Rat(rng.randint(-4, 4))),
+                            QDivisor([(Rat(1), rng.randint(-2, 2))]))
+            assert facts(Hyperbolic(other)).sl2 is None
             count += 1
     assert count == 20
 
@@ -192,8 +197,8 @@ def test_criterion_4():
         pair = entry.spec.pair
         dp, dm = denom_index(pair.d_plus), denom_index(pair.d_minus)
         g = math.gcd(dp, dm)
-        div_p = pair.sum() * (-(dp * dm // g))
-        assert div_p.is_integral() and div_p.is_effective()
+        div_p = scaled(pair_sum(pair), -(dp * dm // g))
+        assert is_integral(div_p) and all(c > 0 for _, c in div_p.terms)
         assert g * div_p.degree == mm
         assert presentation(pair).P.degree == mm
         checked += 1
@@ -258,12 +263,12 @@ def test_criterion_6():
         e = degrees.min_degree() + degrees.modulus * rng.randint(0, 1)
         lnd = build_horizontal(pair, e)
         x, y = random_element(rng), random_element(rng)
-        assert apply(lnd, x * y) == apply(lnd, x) * y + x * apply(lnd, y)
+        assert apply(lnd, x * y) == element_sum(apply(lnd, x) * y, x * apply(lnd, y))
         m = rng.randint(-3, 3)
         mono = GradedElement.monomial(m, Poly((1, 2)))
         image = apply(lnd, mono)
         assert image.is_zero() or image.degrees == (m + e,)
-        commutator = euler(apply(lnd, x)) - apply(lnd, euler(x))
+        commutator = element_difference(euler(apply(lnd, x)), apply(lnd, euler(x)))
         assert commutator == apply(lnd, x) * e
 
 
@@ -274,10 +279,10 @@ def test_criterion_7():
     u = GradedElement.monomial(1)
     for alpha in (Rat(0), Rat(1), Rat(2), Rat(1, 2)):
         u_alpha = conjugate_kernel(p, 1, alpha)
-        expected = (
-            GradedElement.monomial(-1, p)
-            + GradedElement.monomial(0, p.derivative() * alpha)
-            + GradedElement.monomial(1, Poly((alpha**2,)))
+        expected = element_sum(
+            GradedElement.monomial(-1, p),
+            GradedElement.monomial(0, p.derivative() * alpha),
+            GradedElement.monomial(1, Poly((alpha**2,))),
         )
         assert u_alpha == expected
         assert contains(spec, u_alpha)
@@ -292,8 +297,8 @@ def test_criterion_8():
     for i in range(100):
         pair = _concentrated(rng) if i % 2 == 0 else random_pair(rng)
         base = invariant_signature(classify(Hyperbolic(pair)))
-        moved = random_shift(rng, pair).apply_map(random_affine_map(rng))
-        assert invariant_signature(classify(Hyperbolic(moved))) == base
+        other = moved(random_shift(rng, pair), random_affine_map(rng))
+        assert invariant_signature(classify(Hyperbolic(other))) == base
 
 
 @criterion(9, "singularity suite")

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from conftest import SMALL_POINTS, random_concentrated_pair, random_element, random_pair
-from oracles import euler, is_line_cross_torus
+from oracles import element_power, element_sum, euler, is_line_cross_torus, translated
 from dpdsurf.divisor import Anchored, DivisorPair, QDivisor, denom_index, normalize_pair
 from dpdsurf.dpdring import (
     MAX_DEG_P,
@@ -122,7 +122,7 @@ class TestEulerDerivation:
         for _ in range(60):
             x, y = random_element(rng), random_element(rng)
             lhs = euler(x * y)
-            rhs = euler(x) * y + x * euler(y)
+            rhs = element_sum(euler(x) * y, x * euler(y))
             assert lhs == rhs
 
 
@@ -138,7 +138,7 @@ class TestLineCrossTorus:
 class TestFromEquation:
     def test_quadric(self):
         pair = from_equation(1, Poly((-1, 0, 1)))
-        assert pair.d_plus.is_zero()
+        assert pair.d_plus == QDivisor.zero()
         assert pair.d_minus == D((1, -1), (-1, -1))
 
     def test_danielewski(self):
@@ -207,7 +207,7 @@ class TestPresentation:
                 pres.k * pres.e_prime + pres.d * pres.l
             )
             assert rebuilt == pres.P
-            assert pres.Q(0) != 0
+            assert pres.Q[0] != 0
 
     def test_roundtrip_from_equation(self, rng):
         for k, roots in [
@@ -232,7 +232,7 @@ class TestPresentation:
             spec = Hyperbolic(pair)
             u = graded_generator(spec, 1)
             v = graded_generator(spec, -k)
-            assert u**k * v == GradedElement.monomial(0, p)
+            assert element_power(u, k) * v == GradedElement.monomial(0, p)
 
     def test_deg_p_cap_boundary(self):
         # d_plus = -1/d [0], d_minus = -[1]: deg P = k*e' + d*l + d*deg Q = 1 + d
@@ -279,7 +279,7 @@ def wide_anchored_pairs(rng, count: int = 200) -> list[tuple[DivisorPair, Anchor
             minus.append((p, -Rat(rng.randint(1, 12), rng.randint(1, 4))))
         pair = DivisorPair(QDivisor(plus), QDivisor(minus))
         a = Anchored.of(pair)
-        anchored_minus = normalize_pair(pair).translate(-a.translation).d_minus
+        anchored_minus = translated(normalize_pair(pair), -a.translation).d_minus
         deg_q = sum(int(-a.k * c) for p, c in anchored_minus.terms if p != 0)
         if deg_q <= 40 and a.d * deg_q + a.k * a.e_prime + a.d * a.l <= 600:
             out.append((pair, a, anchored_minus))

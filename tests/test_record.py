@@ -27,7 +27,7 @@ from dpdsurf.classify import (
     SingularityRecord,
     Sl2Model,
 )
-from dpdsurf.divisor import AffineMap, Anchored, DivisorPair, QDivisor
+from dpdsurf.divisor import Anchored, DivisorPair, QDivisor
 from dpdsurf.dpdring import Elliptic, Hyperbolic, Parabolic, Presentation
 from dpdsurf.exactmath import Poly, Rat, RatFunc
 from dpdsurf.lnd import (
@@ -103,11 +103,6 @@ CASES = {
         "presentation=None, fibers=(), singularities=(), ruling=None, sl2=None, "
         "recognition=Recognition(model='veronese_cone', degree=2), toric=(2, 1))",
     ),
-    AffineMap: (
-        dict(scale=Rat(2), offset=Rat(1, 3)),
-        dict(scale=Rat(-1), offset=Rat(0)),
-        "AffineMap(scale=Fraction(2, 1), offset=Fraction(1, 3))",
-    ),
     Anchored: (
         dict(translation=Rat(0), d=2, e_prime=1, k=2, l=-1, rows=_PAIR.rows),
         dict(translation=_HALF, d=1, e_prime=0, k=1, l=2, rows=_OTHER_PAIR.rows),
@@ -173,7 +168,7 @@ CASES = {
 
 
 def test_record_semantics(rng):
-    assert len(CASES) == 19
+    assert len(CASES) == 18
     for cls, (fields, other, pinned) in CASES.items():
         a, b = cls(**fields), cls(**fields)
         assert a == b and not a != b and a is not b, cls
@@ -223,7 +218,6 @@ SIGNATURES = {
                           "translation=None, d_plus_index=None, d_minus_index=None, lnd, ml, "
                           "mm, plane, presentation=None, fibers=(), singularities=(), "
                           "ruling=None, sl2=None, recognition, toric",
-    AffineMap: "scale, offset",
     Anchored: "translation, d, e_prime, k, l, rows",
     Elliptic: "d, e_prime",
     Parabolic: "divisor",
@@ -265,12 +259,8 @@ def test_constructor_checks_and_defaults():
                           ((4, 2), "need gcd(e', d) = 1")):
         with pytest.raises(ValueError, match=re.escape(message)):
             Elliptic(*args)
-    with pytest.raises(ValueError, match="nonzero scale"):
-        AffineMap(0, 1)
     with pytest.raises(ValueError, match="axis must be"):
         EllipticToricLnd(2, 1, "Z")
-    g = AffineMap(2, 1)
-    assert type(g.scale) is Rat and type(g.offset) is Rat
     assert HorizontalLnd(1, 1, 0, -1) == HorizontalLnd(1, 1, 0, -1, 1, Rat(0), ())
     assert FiberLnd(RatFunc.one()).degree == -1
 
